@@ -109,25 +109,6 @@ def evaluate(
     )
 
 
-def lookahead_accuracy(model, holdout: list[LabeledSequence], spec: CourtSpec) -> tuple[float, ...]:
-    return evaluate(model, holdout, spec).acc_delta
-
-
-def macro_accuracy(
-    model, holdout: list[LabeledSequence], spec: CourtSpec, exclude_burn_in: bool = False
-) -> float:
-    if not getattr(model, "hierarchical", False):
-        raise ConfigError(f"variant {model.variant.value} has no macro-goal head")
-    m = evaluate(model, holdout, spec)
-    return m.macro_acc_excl_burnin if exclude_burn_in else m.macro_acc
-
-
-def attention_accuracy(model, holdout: list[LabeledSequence], spec: CourtSpec) -> float:
-    if not getattr(model, "has_attention", False):
-        raise ConfigError(f"variant {model.variant.value} has no attention mask")
-    return evaluate(model, holdout, spec).attention_acc
-
-
 BENCH_CSV_HEADER = (
     "variant,acc_delta0,acc_delta1,acc_delta2,acc_delta3,"
     "macro_acc,macro_acc_excl_burnin,attention_acc,n_eval"

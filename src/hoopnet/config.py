@@ -161,19 +161,3 @@ def dump_run_config(cfg: RunConfig) -> str:
             lines.append(f"{section}.{f.name} = {value}")
         lines.append("")
     return "\n".join(lines)
-
-
-def court_to_text(spec: CourtSpec) -> str:
-    """The court section alone, the geometry interchange format."""
-    lines = []
-    for f in fields(CourtSpec):
-        lines.append(f"court.{f.name} = {getattr(spec, f.name)}")
-    return "\n".join(lines) + "\n"
-
-
-def court_from_text(text: str) -> CourtSpec:
-    entries = parse_document(text)
-    for section, _ in entries:
-        if section != "court":
-            raise ConfigError(f"geometry document may only contain court.*, got {section!r}")
-    return _apply(entries, RunConfig()).court

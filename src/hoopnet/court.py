@@ -215,13 +215,6 @@ class CourtSpec:
         r = self.velocity_radius_cells
         return VelocityAction(index % self.velocity_side - r, index // self.velocity_side - r)
 
-    def displacements_from_action_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized action_to_displacement over flattened indices; (..., 2) feet."""
-        r = self.velocity_radius_cells
-        dxc = indices % self.velocity_side - r
-        dyc = indices // self.velocity_side - r
-        return np.stack([dxc * self.micro_cell_ft, dyc * self.micro_cell_ft], axis=-1)
-
     def clamp_position(self, x: float, y: float, counter: ClampCounter | None = None) -> tuple[float, float]:
         """Clamp a position into the court (just inside the far edges)."""
         cx = min(max(x, 0.0), self.width_ft - 1e-9)

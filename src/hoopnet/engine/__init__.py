@@ -1,10 +1,11 @@
 """Minimal dense float64 tensor library with reverse-mode gradients.
 
 Forward ops record a tape; backward() walks it once.  The layer set is
-exactly what the policy networks need: convolution, max-pooling, linear
-maps, GRU cells, batch normalization, softmax / cross-entropy, Hadamard
-products, Gaussian noise injection, plus RMSprop-with-momentum and global
-gradient clipping.
+exactly what the policy networks need: convolution, linear maps, GRU
+cells, batch normalization, softmax / cross-entropy, Gaussian noise
+injection, plus RMSprop-with-momentum and global gradient clipping.  The
+input max-pool pyramid runs on plain arrays outside the tape
+(``hoopnet.model.pyramid_pool_np``).
 """
 
 from .tensor import (
@@ -13,15 +14,12 @@ from .tensor import (
     backward,
     concat,
     gaussian_noise,
-    hadamard,
-    log_softmax,
     no_grad,
     relu,
     sigmoid,
     softmax,
     softmax_nll,
     tanh,
-    set_debug_finite,
 )
 from .nn import (
     BatchNorm,
@@ -31,18 +29,15 @@ from .nn import (
     Module,
     conv2d,
     glorot_uniform,
-    maxpool2d,
 )
 from .optim import RMSProp, clip_gradients, rmsprop_step
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import gradcheck, numeric_gradient, relative_error
 
 __all__ = [
-    "Tensor", "Parameter", "backward", "concat", "gaussian_noise", "hadamard",
-    "log_softmax", "no_grad", "relu", "sigmoid", "softmax", "softmax_nll", "tanh",
-    "set_debug_finite",
+    "Tensor", "Parameter", "backward", "concat", "gaussian_noise",
+    "no_grad", "relu", "sigmoid", "softmax", "softmax_nll", "tanh",
     "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module", "conv2d", "glorot_uniform",
-    "maxpool2d",
     "RMSProp", "clip_gradients", "rmsprop_step",
     "load_checkpoint", "save_checkpoint",
     "gradcheck", "numeric_gradient", "relative_error",

@@ -1,8 +1,7 @@
-"""Layers: convolution, max-pooling, linear, GRU cell, batch normalization.
+"""Layers: convolution, linear, GRU cell, batch normalization.
 
 Array layout is channels-first, (N, C, H, W).  Convolution keeps spatial
-dims at stride 1 via zero padding; pooling pads with -inf so partial
-windows at the far edges still reduce correctly.
+dims at stride 1 via zero padding.
 """
 
 from __future__ import annotations
@@ -131,42 +130,6 @@ class Conv2d(Module):
         return conv2d(x, self.weight, self.bias, self.stride)
 
 
-# pooling
-
-
-def maxpool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Per-window max; backward routes to the first (lowest-index) argmax."""
-    if x.data.ndim != 4:
-        raise ValueError("maxpool2d expects (N, C, H, W) input")
-    s = stride or kernel
-    n, c, h, w = x.data.shape
-    if kernel > h or kernel > w:
-        raise ValueError(f"pool kernel {kernel} exceeds spatial dims {h}x{w}")
-    oh = -(-(h - kernel) // s) + 1
-    ow = -(-(w - kernel) // s) + 1
-    ph = (oh - 1) * s + kernel - h
-    pw = (ow - 1) * s + kernel - w
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
-    sn, sc, sh, sw = xp.strides
-    win = as_strided(
-        xp,
-        shape=(n, c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * s, sw * s, sh, sw),
-        writeable=False,
-    ).reshape(n, c, oh, ow, kernel * kernel)
-    arg = win.argmax(axis=-1)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-
-    def vjp(g):
-        gp = np.zeros_like(xp)
-        ii, jj = np.divmod(arg, kernel)
-        nn, cc, aa, bb = np.indices(arg.shape, sparse=False)
-        np.add.at(gp, (nn, cc, aa * s + ii, bb * s + jj), g)
-        return (gp[:, :, :h, :w],)
-
-    return _node(out, (x,), vjp)
-
-
 # linear
 
 
@@ -292,6 +255,3 @@ class GRUCell(Module):
         r = sigmoid(add(proj["reset"], matmul(h, self.u_reset)))
         cand = tanh(add(proj["cand"], matmul(mul(r, h), self.u_cand)))
         return add(mul(sub(1.0, z), h), mul(z, cand))
-
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        return self.step_projected(self.project_inputs(x), h)

@@ -89,7 +89,3 @@ class RMSProp:
             self.params, self.lr, self.decay, self.momentum, self.rho, self.eps, self.t
         )
         self.t += 1
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None

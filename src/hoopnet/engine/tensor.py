@@ -6,10 +6,10 @@ gradient may alias an upstream buffer without risk.  Leaf gradients
 persist across backward() calls until the optimizer clears them, which is
 what lets a training step sum losses over micro-batches in a fixed order.
 
-NaN policy: backward() refuses non-finite losses, and set_debug_finite(True)
-makes every op validate its output (used by the test suite; off by default
-for speed).  The training loop checks each batch loss, and model stepping
-checks its head outputs, so divergence surfaces immediately either way.
+NaN policy: ops do not check their outputs.  backward() refuses a
+non-finite loss and clip_gradients a non-finite gradient norm; the
+training loop checks each batch loss, and model inference checks its
+output probabilities.
 """
 
 from __future__ import annotations
@@ -19,16 +19,10 @@ import threading
 import numpy as np
 
 _STATE = threading.local()  # per-thread so concurrent inference never races
-_DEBUG_FINITE = False
 
 
 def _grad_enabled() -> bool:
     return getattr(_STATE, "grad_enabled", True)
-
-
-def set_debug_finite(flag: bool) -> None:
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(flag)
 
 
 class no_grad:
@@ -115,8 +109,6 @@ class Parameter(Tensor):
 
 
 def _node(data: np.ndarray, parents: tuple, vjp) -> Tensor:
-    if _DEBUG_FINITE and not np.isfinite(data).all():
-        raise FloatingPointError("non-finite values in forward pass")
     out = Tensor(data)
     if _grad_enabled() and any(p._needs() for p in parents):
         out.requires_grad = True
@@ -202,14 +194,6 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), vjp)
-
-
-def hadamard(a, b) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    a, b = _wrap(a), _wrap(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"hadamard shape mismatch {a.data.shape} vs {b.data.shape}")
-    return mul(a, b)
 
 
 def matmul(a, b) -> Tensor:
@@ -306,32 +290,21 @@ def tmean(x: Tensor) -> Tensor:
 # softmax family (always along the last axis)
 
 
-def _softmax_data(x: np.ndarray) -> np.ndarray:
+def softmax_array(x: np.ndarray) -> np.ndarray:
+    """Softmax of a plain array; the one softmax every caller shares."""
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(x: Tensor) -> Tensor:
-    p = _softmax_data(x.data)
+    p = softmax_array(x.data)
 
     def vjp(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - dot),)
 
     return _node(p, (x,), vjp)
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
-
-    def vjp(g):
-        p = np.exp(out)
-        return (g - p * g.sum(axis=-1, keepdims=True),)
-
-    return _node(out, (x,), vjp)
 
 
 def _target_indices(targets, n_classes: int) -> np.ndarray:
@@ -364,7 +337,7 @@ def softmax_nll(logits: Tensor, targets) -> Tensor:
     losses = lse - x[np.arange(n), idx]
 
     def vjp(g):
-        p = _softmax_data(x)
+        p = softmax_array(x)
         gi = p * g[:, None]
         gi[np.arange(n), idx] -= g
         return (gi,)

@@ -1,10 +1,19 @@
 """Hierarchical policy networks and their non-hierarchical baselines.
 
-Every variant shares one per-timestep interface: occupancy channels in,
-distributions over look-ahead velocity actions out.  Hierarchical variants
-add a goal-box head; attention variants turn the goal distribution into a
-multiplicative mask over the action space; the concatenation variant
-learns the combined output with a fully-connected head instead.
+Every variant maps occupancy channels to distributions over look-ahead
+velocity actions.  Hierarchical variants add a goal-box head; attention
+variants turn the goal distribution into a multiplicative mask over the
+action space; the concatenation variant learns the combined output with a
+fully-connected head instead.
+
+There is one forward implementation, ``HPNModel.run``, over an
+(N, T, 4, rows, cols) batch and a recurrent memory.  It works on
+time-major rows: row ``t * N + i`` holds sequence i at step t (see
+``time_major``).  The input pyramid, the encoders, every head, the
+transfer net and the combine heads run once over all T*N rows; only the
+GRU cells step through time.  Training losses, teacher-forced evaluation
+(``eval_sequence``) and one-step rollouts (``forward_step``, T = 1) all
+go through it.
 """
 
 from __future__ import annotations
@@ -23,13 +32,12 @@ from .engine import (
     Tensor,
     concat,
     gaussian_noise,
-    maxpool2d,
     no_grad,
     relu,
     softmax,
 )
 from .engine.nn import BatchNorm, Conv2d
-from .engine.tensor import row_block
+from .engine.tensor import row_block, softmax_array
 from .util import rng_for
 
 
@@ -78,20 +86,14 @@ class ArchitectureConfig:
             raise ValueError("gru_cells and transfer_hidden must be >= 1")
 
 
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _pool_out(dim: int, kernel: int) -> int:
     return -(-(dim - kernel) // kernel) + 1
 
 
 def pyramid_pool_np(x: np.ndarray, kernels: tuple[int, ...]) -> np.ndarray:
-    """Max-pool pyramid on plain arrays (inputs are constants, so the
-    pyramid never needs a tape; this is the fast path shared by both
-    branches and reused across the whole batch)."""
+    """Max-pool pyramid on plain arrays; windows past the far edges are
+    padded with -inf.  Inputs are constants, so the pyramid never needs a
+    tape, and one pooled array serves both branches."""
     for k in kernels:
         if k == 1:
             continue
@@ -110,8 +112,20 @@ def _conv_out(dim: int, kernel: int, stride: int) -> int:
     return (dim + 2 * pad - kernel) // stride + 1
 
 
+def time_major(x: np.ndarray) -> np.ndarray:
+    """(N, T, ...) -> (T*N, ...): row t*N + i holds sequence i at step t."""
+    n, t_steps = x.shape[:2]
+    return np.ascontiguousarray(x.swapaxes(0, 1)).reshape(n * t_steps, *x.shape[2:])
+
+
+def batch_major(x: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of time_major: (T*N, ...) -> (N, T, ...)."""
+    return x.reshape(-1, n, *x.shape[1:]).swapaxes(0, 1)
+
+
 class SpatialEncoder(Module):
-    """Max-pool pyramid, then conv/bn/relu stack, then noise and flatten."""
+    """Conv/bn/relu stack over pyramid-pooled channels, then noise and
+    flatten."""
 
     def __init__(self, spec: CourtSpec, arch: ArchitectureConfig, rng: np.random.Generator):
         super().__init__()
@@ -134,20 +148,11 @@ class SpatialEncoder(Module):
             rows = _conv_out(rows, kernel, stride)
             cols = _conv_out(cols, kernel, stride)
             channels = f
-        self.pyramid = arch.pyramid
         self.convs = convs
         self.bns = bns
         self.out_dim = channels * rows * cols
 
-    def __call__(
-        self, x: Tensor, training: bool, rng, noise_sigma: float, pre_pooled: bool = False
-    ) -> Tensor:
-        if not pre_pooled:
-            if x.requires_grad:
-                for k in self.pyramid:
-                    x = maxpool2d(x, k)
-            else:
-                x = Tensor(pyramid_pool_np(x.data, self.pyramid))
+    def __call__(self, x: Tensor, training: bool, rng, noise_sigma: float) -> Tensor:
         for conv, bn in zip(self.convs, self.bns):
             x = relu(bn(conv(x), training))
         x = gaussian_noise(x, noise_sigma, rng, training)
@@ -289,49 +294,50 @@ class HPNModel(Module):
         if mem.get("_batch") != batch:
             raise ValueError(f"memory batch {mem.get('_batch')} != input batch {batch}")
 
-    def step_tensors(
+    def run(
         self,
-        x: Tensor,
-        mem: dict,
+        inputs: np.ndarray,
+        memory: dict,
         *,
         training: bool,
         rng=None,
         noise_sigma: float = 0.0,
         branches: frozenset[str] | None = None,
-        pre_pooled: bool = False,
     ) -> tuple[dict, dict]:
-        """Advance one step; returns graph tensors for the requested branches."""
-        n, c = x.shape[0], x.shape[1]
-        if c != 4:
-            raise ValueError(f"input {x.shape} must have 4 channels")
-        if not pre_pooled:
-            if x.shape[2] != self.spec.micro_rows or x.shape[3] != self.spec.micro_cols:
-                raise ValueError(
-                    f"input {x.shape} does not match 4x{self.spec.micro_rows}x{self.spec.micro_cols}"
-                )
-            if not x.requires_grad:
-                # constant input: pool once outside the tape, shared by both branches
-                x = Tensor(pyramid_pool_np(x.data, self.arch.pyramid))
-                pre_pooled = True
-        self._check_memory(mem, n)
+        """Forward over an (N, T, 4, rows, cols) batch starting from ``memory``.
+
+        Returns graph tensors over the T*N time-major rows for the
+        requested branches (``raw_logits`` and ``cc_logits`` as one tensor
+        per look-ahead head, ``macro_logits``, ``attention_logits``) and
+        the memory after step T.
+        """
+        inputs = np.asarray(inputs, dtype=np.float64)
+        shape = (4, self.spec.micro_rows, self.spec.micro_cols)
+        if inputs.ndim != 5 or inputs.shape[2:] != shape:
+            raise ValueError(f"input {inputs.shape} does not match (N, T, {shape})")
+        n, t_steps = inputs.shape[:2]
+        self._check_memory(memory, n)
         branches = branches if branches is not None else self.branch_set()
         branches = branches & self.branch_set()
-        new_mem = dict(mem)
+        pooled = Tensor(pyramid_pool_np(time_major(inputs), self.arch.pyramid))
+        new_mem = dict(memory)
         outs: dict = {}
+        f_micro = None
 
         if "micro" in branches or "combine" in branches:
-            f = self.micro_encoder(x, training, rng, noise_sigma, pre_pooled)
+            f_micro = self.micro_encoder(pooled, training, rng, noise_sigma)
             if self.variant is Variant.CNN:
-                h = relu(self.micro_core(f))
+                h = relu(self.micro_core(f_micro))
             else:
-                h = self.micro_core.step(f, mem["micro"])
-                new_mem["micro"] = h
+                h, new_mem["micro"] = _recur(self.micro_core, f_micro, memory["micro"], n, t_steps)
             outs["raw_logits"] = self._raw_logits(h)
 
         if self.hierarchical and branches & {"macro", "attention", "combine"}:
-            fm = self.macro_encoder(x, training, rng, noise_sigma, pre_pooled)
-            hm = self.macro_core.step(fm, mem["macro"])
-            new_mem["macro"] = hm
+            if self.arch.shared_encoder and f_micro is not None:
+                f_macro = f_micro
+            else:
+                f_macro = self.macro_encoder(pooled, training, rng, noise_sigma)
+            hm, new_mem["macro"] = _recur(self.macro_core, f_macro, memory["macro"], n, t_steps)
             macro_logits = self.macro_head(hm)
             outs["macro_logits"] = macro_logits
             if self.has_attention and "attention" in branches:
@@ -362,89 +368,24 @@ class HPNModel(Module):
             for k, head in enumerate(self.combine_heads)
         ]
 
-    def sequence_tensors(
-        self,
-        inputs: np.ndarray,
-        *,
-        training: bool,
-        rng=None,
-        noise_sigma: float = 0.0,
-        branches: frozenset[str] | None = None,
-    ) -> list[dict]:
-        """Whole-sequence forward over an (N, T, 4, rows, cols) batch.
-
-        The spatial encoders have no temporal state, so they run once over
-        all N*T steps; only the recurrent cells advance step by step.
-        Returns one tensor dict per step, aligned with step_tensors output.
-        """
-        branches = branches if branches is not None else self.branch_set()
-        branches = branches & self.branch_set()
-        n, t_steps = inputs.shape[:2]
-        flat = np.ascontiguousarray(inputs.transpose(1, 0, 2, 3, 4)).reshape(
-            n * t_steps, *inputs.shape[2:]
-        )
-        pooled = Tensor(pyramid_pool_np(flat, self.arch.pyramid))
-        steps: list[dict] = [dict() for _ in range(t_steps)]
-        f_micro = None
-
-        if "micro" in branches or "combine" in branches:
-            f_micro = self.micro_encoder(pooled, training, rng, noise_sigma, pre_pooled=True)
-            if self.variant is Variant.CNN:
-                h_all = relu(self.micro_core(f_micro))
-                hs = [row_block(h_all, t * n, (t + 1) * n) for t in range(t_steps)]
-            else:
-                proj = self.micro_core.project_inputs(f_micro)
-                h = Tensor(np.zeros((n, self.arch.gru_cells)))
-                hs = []
-                for t in range(t_steps):
-                    block = {k: row_block(v, t * n, (t + 1) * n) for k, v in proj.items()}
-                    h = self.micro_core.step_projected(block, h)
-                    hs.append(h)
-            for t in range(t_steps):
-                steps[t]["raw_logits"] = self._raw_logits(hs[t])
-
-        if self.hierarchical and branches & {"macro", "attention", "combine"}:
-            if self.arch.shared_encoder and f_micro is not None:
-                f_macro = f_micro
-            else:
-                f_macro = self.macro_encoder(pooled, training, rng, noise_sigma, pre_pooled=True)
-            proj = self.macro_core.project_inputs(f_macro)
-            hm = Tensor(np.zeros((n, self.arch.gru_cells)))
-            for t in range(t_steps):
-                block = {k: row_block(v, t * n, (t + 1) * n) for k, v in proj.items()}
-                hm = self.macro_core.step_projected(block, hm)
-                macro_logits = self.macro_head(hm)
-                steps[t]["macro_logits"] = macro_logits
-                if self.has_attention and "attention" in branches:
-                    steps[t]["attention_logits"] = self._attention_logits(macro_logits)
-                if self.variant is Variant.H_CC and "combine" in branches:
-                    steps[t]["cc_logits"] = self._cc_logits(steps[t]["raw_logits"], macro_logits)
-        return steps
-
-    def eval_sequence(self, inputs: np.ndarray) -> dict:
-        """Teacher-forced inference over (N, T, ...); plain (N, T, ...) arrays."""
+    def infer(self, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
+        """Inference over (N, T, ...) from ``memory``; returns plain
+        probability arrays shaped (N, T, ...) and the memory after step T."""
         with no_grad():
-            steps = self.sequence_tensors(
-                np.asarray(inputs, dtype=np.float64), training=False
-            )
-        p_raw = np.stack(
-            [np.stack([_softmax_np(t.data) for t in s["raw_logits"]], axis=1) for s in steps],
-            axis=1,
-        )
+            outs, memory = self.run(inputs, memory, training=False)
+        n = memory["_batch"]
+
+        def probs(logits: Tensor) -> np.ndarray:
+            return batch_major(softmax_array(logits.data), n)
+
+        p_raw = np.stack([probs(t) for t in outs["raw_logits"]], axis=2)
         result = {"p_raw": p_raw, "p_macro": None, "attention": None}
-        if "macro_logits" in steps[0]:
-            result["p_macro"] = np.stack(
-                [_softmax_np(s["macro_logits"].data) for s in steps], axis=1
-            )
-        if "attention_logits" in steps[0]:
-            result["attention"] = np.stack(
-                [_softmax_np(s["attention_logits"].data) for s in steps], axis=1
-            )
+        if "macro_logits" in outs:
+            result["p_macro"] = probs(outs["macro_logits"])
+        if "attention_logits" in outs:
+            result["attention"] = probs(outs["attention_logits"])
         if self.variant is Variant.H_CC:
-            result["p_combined"] = np.stack(
-                [np.stack([_softmax_np(t.data) for t in s["cc_logits"]], axis=1) for s in steps],
-                axis=1,
-            )
+            result["p_combined"] = np.stack([probs(t) for t in outs["cc_logits"]], axis=2)
         elif self.has_attention:
             result["p_combined"] = p_raw * result["attention"][:, :, None, :]
         else:
@@ -453,52 +394,41 @@ class HPNModel(Module):
             v = result[key]
             if v is not None and not np.isfinite(v).all():
                 raise FloatingPointError(f"non-finite values in {key}")
-        return result
+        return result, memory
 
-    def eval_step(self, x: np.ndarray, mem: dict) -> tuple[dict, dict]:
-        """Inference step on a batch; returns plain probability arrays."""
-        with no_grad():
-            outs, new_mem = self.step_tensors(
-                Tensor(np.asarray(x, dtype=np.float64)), mem, training=False
-            )
-        p_raw = np.stack([_softmax_np(t.data) for t in outs["raw_logits"]], axis=1)
-        result = {"p_raw": p_raw, "p_macro": None, "attention": None}
-        if "macro_logits" in outs:
-            result["p_macro"] = _softmax_np(outs["macro_logits"].data)
-        if "attention_logits" in outs:
-            result["attention"] = _softmax_np(outs["attention_logits"].data)
-        if self.variant is Variant.H_CC:
-            result["p_combined"] = np.stack(
-                [_softmax_np(t.data) for t in outs["cc_logits"]], axis=1
-            )
-        elif self.has_attention:
-            result["p_combined"] = p_raw * result["attention"][:, None, :]
-        else:
-            result["p_combined"] = p_raw
-        for key in ("p_raw", "p_macro", "attention", "p_combined"):
-            v = result[key]
-            if v is not None and not np.isfinite(v).all():
-                raise FloatingPointError(f"non-finite values in {key}")
-        return result, new_mem
+    def eval_sequence(self, inputs: np.ndarray) -> dict:
+        """Teacher-forced inference over (N, T, ...) from fresh memory."""
+        return self.infer(inputs, self.reset_memory(len(inputs)))[0]
 
-    def begin_sequence_batch(self, n: int) -> dict:
-        return self.reset_memory(n)
+
+def _recur(cell: GRUCell, feats: Tensor, h: Tensor, n: int, t_steps: int) -> tuple[Tensor, Tensor]:
+    """Step ``cell`` through T time-major row blocks of ``feats`` from state
+    ``h``; returns the T*N stacked states and the last one."""
+    proj = cell.project_inputs(feats)
+    if t_steps == 1:  # a rollout step: no row blocks to slice or stack
+        h = cell.step_projected(proj, h)
+        return h, h
+    states = []
+    for t in range(t_steps):
+        h = cell.step_projected({k: row_block(v, t * n, (t + 1) * n) for k, v in proj.items()}, h)
+        states.append(h)
+    return concat(states, axis=0), h
 
 
 def forward_step(model: HPNModel, state_channels: np.ndarray, memory: dict) -> tuple[StepOutput, dict]:
-    """Single-sequence inference step returning a StepOutput."""
+    """Single-sequence inference step (T = 1) returning a StepOutput."""
     x = np.asarray(state_channels, dtype=np.float64)
     if x.ndim == 3:
         x = x[None]
     if x.shape[0] != 1:
-        raise ValueError("forward_step drives one sequence; use eval_step for batches")
-    outs, mem = model.eval_step(x, memory)
+        raise ValueError("forward_step drives one sequence; use infer for batches")
+    outs, mem = model.infer(x[:, None], memory)
     return (
         StepOutput(
-            p_raw=outs["p_raw"][0],
-            p_macro=None if outs["p_macro"] is None else outs["p_macro"][0],
-            attention=None if outs["attention"] is None else outs["attention"][0],
-            p_combined=outs["p_combined"][0],
+            p_raw=outs["p_raw"][0, 0],
+            p_macro=None if outs["p_macro"] is None else outs["p_macro"][0, 0],
+            attention=None if outs["attention"] is None else outs["attention"][0, 0],
+            p_combined=outs["p_combined"][0, 0],
         ),
         mem,
     )

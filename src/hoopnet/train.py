@@ -21,7 +21,7 @@ from .engine import RMSProp, Tensor, backward, clip_gradients, softmax, softmax_
 from .engine.checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DivergenceError
 from .labels import WeakLabels, attention_targets
-from .model import HPNModel, Variant, pyramid_pool_np
+from .model import HPNModel, Variant, time_major
 from .util import rng_for
 
 
@@ -50,7 +50,6 @@ class TrainConfig:
     microbatch_size: int = 16
     holdout_eval_max: int = 128
     early_stop_patience: int = 5
-    checkpoint_every_epochs: int = 0  # 0: stage boundaries only
 
     def validate(self) -> None:
         if self.lr_pretrain <= 0 or self.lr_finetune <= 0:
@@ -261,7 +260,6 @@ def compute_loss(
     spec: CourtSpec | None = None,
     rng: np.random.Generator | None = None,
     denom: int | None = None,
-    capture: list | None = None,
 ) -> Tensor:
     """Stage loss over a (micro-)batch as a graph scalar, ready for backward().
 
@@ -271,88 +269,47 @@ def compute_loss(
     concatenation variant, under its combined head), plus an L2 penalty on
     the attention and raw-action output distributions.  The scalar is the
     per-(sequence, step) mean; pass ``denom`` to normalize by a full batch
-    when accumulating gradients over micro-batches.
+    when accumulating gradients over micro-batches.  Every term covers all
+    T*N time-major rows of one ``model.run`` at once.
     """
     _check_stage(model, stage)
     arrays = assemble(batch, spec) if isinstance(batch, list) else batch
     inputs = arrays["inputs"]
     n, t_steps = inputs.shape[:2]
     scale = 1.0 / (denom if denom is not None else n * t_steps)
-    branches = _stage_branches(model, stage)
+    outs, _ = model.run(
+        inputs, model.reset_memory(n), training=True, rng=rng,
+        noise_sigma=cfg.noise_sigma, branches=_stage_branches(model, stage),
+    )
+    micro = time_major(arrays["micro"])  # (T*N, lookahead)
     terms: list[Tensor] = []
-
-    def record(outs):
-        if capture is None:
-            return
-        snap = {}
-        if "raw_logits" in outs:
-            snap["p_raw"] = np.stack([_np_softmax(t.data) for t in outs["raw_logits"]], axis=1)
-        if "attention_logits" in outs:
-            snap["attention"] = _np_softmax(outs["attention_logits"].data)
-        if "cc_logits" in outs:
-            snap["p_cc"] = np.stack([_np_softmax(t.data) for t in outs["cc_logits"]], axis=1)
-        capture.append(snap)
-
-    def step_terms(outs, micro_t, macro_t, attention_t):
-        if stage is Stage.PRETRAIN_MICRO:
+    if stage is Stage.PRETRAIN_MICRO:
+        for k, logits in enumerate(outs["raw_logits"]):
+            terms.append(softmax_nll(logits, micro[:, k]).sum())
+    elif stage is Stage.PRETRAIN_MACRO:
+        terms.append(softmax_nll(outs["macro_logits"], time_major(arrays["macro"])).sum())
+    elif stage is Stage.PRETRAIN_ATTENTION:
+        terms.append(softmax_nll(outs["attention_logits"], time_major(arrays["attention"])).sum())
+    else:  # fine-tune
+        if model.variant is Variant.H_CC:
+            for k, logits in enumerate(outs["cc_logits"]):
+                terms.append(softmax_nll(logits, micro[:, k]).sum())
+        else:
             for k, logits in enumerate(outs["raw_logits"]):
-                terms.append(softmax_nll(logits, micro_t[:, k]).sum())
-        elif stage is Stage.PRETRAIN_MACRO:
-            terms.append(softmax_nll(outs["macro_logits"], macro_t).sum())
-        elif stage is Stage.PRETRAIN_ATTENTION:
-            terms.append(softmax_nll(outs["attention_logits"], attention_t).sum())
-        else:  # fine-tune
-            if model.variant is Variant.H_CC:
-                for k, logits in enumerate(outs["cc_logits"]):
-                    terms.append(softmax_nll(logits, micro_t[:, k]).sum())
-            else:
-                for k, logits in enumerate(outs["raw_logits"]):
-                    terms.append(softmax_nll(logits, micro_t[:, k]).sum())
-                    terms.append(softmax_nll(outs["attention_logits"], micro_t[:, k]).sum())
-            if cfg.l2_activation_weight > 0:
-                reg: list[Tensor] = []
-                for logits in outs["raw_logits"]:
-                    p = softmax(logits)
-                    reg.append((p * p).sum())
-                if "attention_logits" in outs:
-                    p = softmax(outs["attention_logits"])
-                    reg.append((p * p).sum())
-                for r in reg:
-                    terms.append(r * cfg.l2_activation_weight)
-
-    if model.variant is Variant.CNN:
-        # memoryless: fold time into the batch for one big pass
-        flat = inputs.reshape(n * t_steps, *inputs.shape[2:])
-        pooled = pyramid_pool_np(flat, model.arch.pyramid)
-        outs, _ = model.step_tensors(
-            Tensor(pooled), model.reset_memory(n * t_steps), training=True,
-            rng=rng, noise_sigma=cfg.noise_sigma, branches=branches, pre_pooled=True,
-        )
-        record(outs)
-        step_terms(
-            outs,
-            arrays["micro"].reshape(n * t_steps, -1),
-            arrays["macro"].reshape(-1),
-            arrays["attention"].reshape(-1),
-        )
-    else:
-        steps = model.sequence_tensors(
-            inputs, training=True, rng=rng, noise_sigma=cfg.noise_sigma, branches=branches
-        )
-        for t, outs in enumerate(steps):
-            record(outs)
-            step_terms(outs, arrays["micro"][:, t], arrays["macro"][:, t], arrays["attention"][:, t])
+                terms.append(softmax_nll(logits, micro[:, k]).sum())
+                terms.append(softmax_nll(outs["attention_logits"], micro[:, k]).sum())
+        if cfg.l2_activation_weight > 0:
+            reg = list(outs["raw_logits"])
+            if "attention_logits" in outs:
+                reg.append(outs["attention_logits"])
+            for logits in reg:
+                p = softmax(logits)
+                terms.append((p * p).sum() * cfg.l2_activation_weight)
 
     total = terms[0]
     for t in terms[1:]:
         total = total + t
     return total * scale
-
-
-def _np_softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # stage loop

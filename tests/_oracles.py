@@ -32,6 +32,14 @@ def action_index_of(spec: CourtSpec, dx_ft: float, dy_ft: float) -> int:
     return (cy + r) * (2 * r + 1) + (cx + r)
 
 
+def displacements_from_action_indices(spec: CourtSpec, indices: np.ndarray) -> np.ndarray:
+    """Flattened action indices back to (..., 2) displacements in feet."""
+    r = spec.velocity_radius_cells
+    dxc = indices % spec.velocity_side - r
+    dyc = indices // spec.velocity_side - r
+    return np.stack([dxc * spec.micro_cell_ft, dyc * spec.micro_cell_ft], axis=-1)
+
+
 def brute_micro_labels(points: np.ndarray, spec: CourtSpec):
     """Per-step look-ahead action labels recomputed with explicit loops."""
     n_raw = len(points)

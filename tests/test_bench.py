@@ -6,9 +6,6 @@ from hoopnet.bench import (
     benchmark,
     benchmark_csv,
     evaluate,
-    lookahead_accuracy,
-    macro_accuracy,
-    attention_accuracy,
 )
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, synthesize, window
@@ -140,19 +137,6 @@ def test_random_macro_head_near_chance():
 def test_empty_holdout_rejected():
     with pytest.raises(DataError):
         evaluate(_OraclePolicy([], SPEC), [], SPEC)
-
-
-def test_metric_wrappers_and_variant_guards():
-    model = HPNModel(SPEC, ARCH, Variant.GRU_CNN, 2)
-    acc = lookahead_accuracy(model, DATA[:4], SPEC)
-    assert len(acc) == 4 and all(0.0 <= a <= 1.0 for a in acc)
-    with pytest.raises(ConfigError):
-        macro_accuracy(model, DATA[:4], SPEC)
-    with pytest.raises(ConfigError):
-        attention_accuracy(model, DATA[:4], SPEC)
-    h = HPNModel(SPEC, ARCH, Variant.H_ATT, 2)
-    assert 0.0 <= macro_accuracy(h, DATA[:4], SPEC) <= 1.0
-    assert 0.0 <= attention_accuracy(h, DATA[:4], SPEC) <= 1.0
 
 
 def test_benchmark_rows_and_csv():

@@ -18,6 +18,7 @@ from hoopnet.util import rng_for
 from _oracles import (
     brute_macro_labels,
     brute_micro_labels,
+    displacements_from_action_indices,
     brute_stationary,
     make_track,
 )
@@ -60,7 +61,7 @@ def test_micro_lookahead_consistency_bound():
     for k in range(49):
         if padded[k].any():
             continue
-        disp = SPEC.displacements_from_action_indices(labels[k]).sum(axis=0)
+        disp = displacements_from_action_indices(SPEC, labels[k]).sum(axis=0)
         true = pts[4 * k + 4] - pts[4 * k]
         assert np.all(np.abs(disp - true) <= 4 * 0.5 * SPEC.micro_cell_ft + 1e-9)
 
@@ -209,7 +210,7 @@ def test_attention_dot_product_nonnegative():
     centers = SPEC.macro_box_centers(ids)
     outside = SPEC.boxes_from_positions(pos) != ids
     vec = centers - pos
-    disp = SPEC.displacements_from_action_indices(labels)
+    disp = displacements_from_action_indices(SPEC, labels)
     dots = (vec * disp).sum(axis=1)
     assert (dots[outside] >= -1e-12).all()
 

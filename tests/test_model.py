@@ -170,7 +170,7 @@ def test_memory_ownership_checked():
     with pytest.raises(ValueError, match="different model"):
         forward_step(a, random_channels(RNG)[0], b.reset_memory(1))
     with pytest.raises(ValueError, match="batch"):
-        a.eval_step(random_channels(RNG, n=2), a.reset_memory(1))
+        a.infer(random_channels(RNG, n=2)[:, None], a.reset_memory(1))
 
 
 def test_reset_and_replay_determinism():
@@ -193,18 +193,30 @@ def test_reset_and_replay_determinism():
 
 
 def test_sequence_path_matches_step_path():
-    # eval_sequence must agree with stepping forward_step one step at a time
-    m = fresh(Variant.H_ATT, seed=21)
+    # one T-step infer equals T one-step calls with carried memory, for
+    # every variant and a batch of two sequences
     rng = np.random.default_rng(1)
-    inputs = np.stack([random_channels(rng)[0] for _ in range(6)])[None]  # (1, 6, ...)
-    seq_out = m.eval_sequence(inputs)
-    mem = m.reset_memory(1)
-    for t in range(6):
-        out, mem = forward_step(m, inputs[0, t], mem)
-        np.testing.assert_allclose(seq_out["p_raw"][0, t], out.p_raw, atol=1e-12)
-        np.testing.assert_allclose(seq_out["p_macro"][0, t], out.p_macro, atol=1e-12)
-        np.testing.assert_allclose(seq_out["attention"][0, t], out.attention, atol=1e-12)
-        np.testing.assert_allclose(seq_out["p_combined"][0, t], out.p_combined, atol=1e-12)
+    n, t_steps = 2, 6
+    inputs = np.stack([random_channels(rng, n=n) for _ in range(t_steps)], axis=1)
+    for variant in Variant:
+        m = fresh(variant, seed=21)
+        whole, mem_whole = m.infer(inputs, m.reset_memory(n))
+        mem = m.reset_memory(n)
+        for t in range(t_steps):
+            step, mem = m.infer(inputs[:, t:t + 1], mem)
+            for key, value in whole.items():
+                if value is None:
+                    assert step[key] is None, (variant, key)
+                else:
+                    np.testing.assert_allclose(value[:, t], step[key][:, 0], atol=1e-12,
+                                               err_msg=f"{variant.value} {key} t={t}")
+        for key in ("micro", "macro"):
+            assert (key in mem) == (key in mem_whole)
+            if key in mem:
+                np.testing.assert_allclose(mem_whole[key].data, mem[key].data, atol=1e-12)
+        # forward_step is the single-sequence T = 1 case of the same path
+        out, _ = forward_step(m, inputs[1, 0], m.reset_memory(1))
+        np.testing.assert_allclose(out.p_combined, whole["p_combined"][1, 0], atol=1e-12)
 
 
 def test_uniform_attention_ablation_equals_gru_cnn():

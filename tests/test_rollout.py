@@ -44,10 +44,10 @@ class _ConstantModel:
     def reset_memory(self, batch=1):
         return {"_owner": id(self), "_batch": batch}
 
-    def eval_step(self, x, mem):
-        n = x.shape[0]
-        p = np.zeros((n, self.spec.lookahead_steps, self.spec.n_actions))
-        p[:, :, self.index] = 1.0
+    def infer(self, x, mem):
+        n, t_steps = x.shape[:2]
+        p = np.zeros((n, t_steps, self.spec.lookahead_steps, self.spec.n_actions))
+        p[..., self.index] = 1.0
         return {"p_raw": p, "p_macro": None, "attention": None, "p_combined": p}, mem
 
 

@@ -6,6 +6,7 @@ import pytest
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, synthesize, window
 from hoopnet.engine import backward
+from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError
 from hoopnet.labels import SegmentationConfig, label_sequence
 from hoopnet.model import ArchitectureConfig, HPNModel, Variant
@@ -13,6 +14,7 @@ from hoopnet.train import (
     LabeledSequence,
     Stage,
     TrainConfig,
+    assemble,
     augment_translate,
     compute_loss,
     run_stage,
@@ -116,21 +118,52 @@ def test_finetune_loss_decomposition_recomputed():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
     batch = DATA[:4]
     cfg = small_cfg(l2_activation_weight=1e-3)
-    capture = []
-    loss = compute_loss(m, batch, Stage.FINETUNE, cfg, SPEC, rng=None, capture=capture)
-    t_steps = batch[0].sequence.steps
-    denom = len(batch) * t_steps
+    loss = compute_loss(m, batch, Stage.FINETUNE, cfg, SPEC, rng=None)
+    # training-mode batch norm uses batch statistics, so a second run over
+    # the same inputs reproduces the loss's forward pass
+    n, t_steps = len(batch), batch[0].sequence.steps
+    outs, _ = m.run(assemble(batch, SPEC)["inputs"], m.reset_memory(n), training=True)
+    p_raw = [softmax_array(t.data) for t in outs["raw_logits"]]
+    attention = softmax_array(outs["attention_logits"].data)
     total = 0.0
-    for t, snap in enumerate(capture):
+    for t in range(t_steps):
         for i, item in enumerate(batch):
+            row = t * n + i  # time-major
             for k in range(SPEC.lookahead_steps):
                 target = item.labels.micro[t, k]
-                total += -math.log(snap["p_raw"][i, k, target])
-                total += -math.log(snap["attention"][i, target])
+                total += -math.log(p_raw[k][row, target])
+                total += -math.log(attention[row, target])
             total += cfg.l2_activation_weight * float(
-                (snap["p_raw"][i] ** 2).sum() + (snap["attention"][i] ** 2).sum()
+                sum((p[row] ** 2).sum() for p in p_raw) + (attention[row] ** 2).sum()
             )
-    np.testing.assert_allclose(float(loss.data), total / denom, atol=1e-10)
+    np.testing.assert_allclose(float(loss.data), total / (n * t_steps), atol=1e-10)
+
+
+def _count_softmax_nll_nodes(loss):
+    seen, stack, count = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        if node._vjp is not None and node._vjp.__qualname__.startswith("softmax_nll."):
+            count += 1
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
+def test_finetune_softmax_nll_nodes_independent_of_steps():
+    # every loss term covers all T*N rows at once, so longer sequences
+    # add no cross-entropy nodes to the tape
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
+    cfg = small_cfg()
+    counts = [
+        _count_softmax_nll_nodes(
+            compute_loss(m, [shorten(it, t) for it in DATA[:2]], Stage.FINETUNE, cfg, SPEC)
+        )
+        for t in (3, 6)
+    ]
+    assert counts[0] == counts[1] == 2 * SPEC.lookahead_steps
 
 
 def shorten(item, steps):
