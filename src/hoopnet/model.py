@@ -91,19 +91,17 @@ def _pool_out(dim: int, kernel: int) -> int:
 
 
 def pyramid_pool_np(x: np.ndarray, kernels: tuple[int, ...]) -> np.ndarray:
-    """Max-pool pyramid on plain arrays; windows past the far edges are
-    padded with -inf.  Inputs are constants, so the pyramid never needs a
-    tape, and one pooled array serves both branches."""
+    """Max-pool pyramid on plain arrays over the last two axes, in the
+    input's dtype; a window that runs past the far edge takes the max of
+    the cells it covers (as if padded with -inf), so no padded copy is
+    made.  Inputs are constants, so the pyramid never needs a tape, and
+    one pooled array serves both branches."""
     for k in kernels:
         if k == 1:
             continue
-        *lead, h, w = x.shape
-        oh, ow = _pool_out(h, k), _pool_out(w, k)
-        ph, pw = oh * k - h, ow * k - w
-        if ph or pw:
-            pad = [(0, 0)] * len(lead) + [(0, ph), (0, pw)]
-            x = np.pad(x, pad, constant_values=-np.inf)
-        x = x.reshape(*lead, oh, k, ow, k).max(axis=(-3, -1))
+        h, w = x.shape[-2:]
+        x = np.maximum.reduceat(x, np.arange(0, w, k), axis=-1)
+        x = np.maximum.reduceat(x, np.arange(0, h, k), axis=-2)
     return x
 
 
@@ -311,7 +309,7 @@ class HPNModel(Module):
         per look-ahead head, ``macro_logits``, ``attention_logits``) and
         the memory after step T.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = np.asarray(inputs)
         shape = (4, self.spec.micro_rows, self.spec.micro_cols)
         if inputs.ndim != 5 or inputs.shape[2:] != shape:
             raise ValueError(f"input {inputs.shape} does not match (N, T, {shape})")
@@ -319,7 +317,10 @@ class HPNModel(Module):
         self._check_memory(memory, n)
         branches = branches if branches is not None else self.branch_set()
         branches = branches & self.branch_set()
-        pooled = Tensor(pyramid_pool_np(time_major(inputs), self.arch.pyramid))
+        # pool each frame in the input's dtype before reordering and casting
+        # to float64: max is exact in any dtype, and the full-resolution
+        # inputs are never copied
+        pooled = Tensor(time_major(pyramid_pool_np(inputs, self.arch.pyramid)))
         new_mem = dict(memory)
         outs: dict = {}
         f_micro = None

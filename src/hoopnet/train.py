@@ -170,7 +170,9 @@ def _stage_branches(model: HPNModel, stage: Stage) -> frozenset[str]:
 def assemble(batch: list[LabeledSequence], spec: CourtSpec) -> dict:
     n = len(batch)
     t_steps = batch[0].sequence.steps
-    inputs = np.empty((n, t_steps, 4, spec.micro_rows, spec.micro_cols))
+    # occupancy counts of eleven agents are exact in uint8, an eighth of
+    # the bytes of float64; HPNModel.run pools them before casting
+    inputs = np.empty((n, t_steps, 4, spec.micro_rows, spec.micro_cols), dtype=np.uint8)
     for i, item in enumerate(batch):
         inputs[i] = channelize(item.sequence, spec)
     return {

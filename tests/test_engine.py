@@ -117,6 +117,13 @@ def test_maxpool_uneven_padding():
     assert out[0, 0, 2, 2] == x[0, 0, 4, 4]
 
 
+def test_maxpool_keeps_integer_counts_exact():
+    x = RNG.integers(0, 6, size=(2, 3, 4, 7, 5))
+    out = pyramid_pool_np(x.astype(np.uint8), (2, 2))
+    assert out.dtype == np.uint8 and out.shape == (2, 3, 4, 2, 2)
+    np.testing.assert_array_equal(out, pyramid_pool_np(x.astype(np.float64), (2, 2)))
+
+
 # GRU
 
 

@@ -114,6 +114,18 @@ def test_pretrain_loss_zero_for_perfect_heads():
     assert float(loss.data) < 1e-6
 
 
+def test_assembled_counts_match_channelize_and_float64_inputs():
+    from hoopnet.data import channelize
+    inputs = assemble(DATA[:2], SPEC)["inputs"]
+    assert inputs.dtype == np.uint8
+    for i, item in enumerate(DATA[:2]):
+        np.testing.assert_array_equal(inputs[i], channelize(item.sequence, SPEC))
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
+    a, b = m.eval_sequence(inputs), m.eval_sequence(inputs.astype(np.float64))
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key])
+
+
 def test_finetune_loss_decomposition_recomputed():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
     batch = DATA[:4]
