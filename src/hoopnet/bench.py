@@ -17,6 +17,7 @@ from .court import CourtSpec
 from .errors import ConfigError, DataError
 from .model import Variant
 from .train import LabeledSequence, assemble
+from .util import atomic_open
 
 VARIANT_ORDER = [
     Variant.CNN, Variant.GRU_CNN, Variant.H_CC, Variant.H_STACK, Variant.H_ATT, Variant.H_AUX,
@@ -55,8 +56,9 @@ def evaluate(
     """Teacher-forced pass over labeled sequences.
 
     ``policy`` needs one method, ``eval_sequence(inputs)``, taking an
-    (N, T, 4, rows, cols) batch and returning probability arrays shaped
-    (N, T, ...); HPNModel satisfies this, and oracle or stub policies can too.
+    (N, T, 11, 2) batch of agent positions (``train.assemble``) and
+    returning probability arrays shaped (N, T, ...); HPNModel satisfies
+    this, and oracle or stub policies can too.
     """
     if not data:
         raise DataError("cannot evaluate on an empty holdout")
@@ -160,4 +162,5 @@ def benchmark_csv(rows: list[BenchmarkRow]) -> str:
 
 
 def write_benchmark_csv(rows: list[BenchmarkRow], path: str | Path) -> None:
-    Path(path).write_text(benchmark_csv(rows), encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(benchmark_csv(rows))

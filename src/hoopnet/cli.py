@@ -26,7 +26,7 @@ from .engine.checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HoopnetError
 from .model import HPNModel, Variant
 from .train import LabeledSequence, TrainConfig, train_full
-from .util import derive_seed, rng_for
+from .util import atomic_open, derive_seed, rng_for
 
 CONFIG_ENV = "HOOPNET_CONFIG"
 ALL_VARIANTS = [v.value for v in Variant]
@@ -134,7 +134,8 @@ def _train_variant(cfg: RunConfig, paths: _Paths, variant: str, seed: int, resum
         checkpoint_path=paths.checkpoint(variant),
         resume=resume,
     )
-    paths.report(variant).write_text(report.to_csv(), encoding="utf-8")
+    with atomic_open(paths.report(variant)) as fh:
+        fh.write(report.to_csv())
     final = report.records[-1] if report.records else None
     acc = f"{final.acc_delta[0]:.3f}" if final else "n/a"
     print(f"trained {variant}: checkpoint {paths.checkpoint(variant)}, holdout acc_delta0 {acc}")

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .court import ClampCounter, CourtSpec
+from .court import CourtSpec
 from .errors import DataError
-from .util import rng_for
+from .util import atomic_open, rng_for
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +28,10 @@ ROLE_TEAMMATE = "teammate"
 ROLE_OPPONENT = "opponent"
 ROLES = (ROLE_BALL, ROLE_FOCAL, ROLE_TEAMMATE, ROLE_OPPONENT)
 OFFENSE_ROLES = (ROLE_FOCAL, ROLE_TEAMMATE)
+
+#: Occupancy channel of each agent in ``agent_positions`` order: ball,
+#: focal player, four teammates, five opponents.
+AGENT_CHANNELS = (0, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3)
 
 #: Model input length in subsampled steps; a window spans
 #: SEQUENCE_STEPS * subsample_stride raw frames (8 s at the defaults).
@@ -127,9 +131,10 @@ class DataConfig:
 class TrainingSequence:
     """One focal player's windowed view of a possession.
 
-    Positions are stored per agent so occupancy channels can be rebuilt
-    after augmentation; ``raw_frame_positions`` keeps the focal track at
-    the raw 25 Hz rate for look-ahead velocity labels.
+    Positions are stored per agent so the model input
+    (``agent_positions``) can be rebuilt after augmentation;
+    ``raw_frame_positions`` keeps the focal track at the raw 25 Hz rate
+    for look-ahead velocity labels.
     """
 
     possession_id: str
@@ -165,7 +170,7 @@ def possession_to_json(p: Possession) -> str:
 
 
 def save_possessions(possessions: list[Possession], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for p in possessions:
             fh.write(possession_to_json(p))
             fh.write("\n")
@@ -274,28 +279,19 @@ def window(
     return sequences
 
 
-def channelize(
-    seq: TrainingSequence, spec: CourtSpec, counter: ClampCounter | None = None
-) -> np.ndarray:
-    """Per-step occupancy counts, shape (T, 4, rows, cols).
-
-    Channel order: ball, focal player, teammates, opponents.  Occupancy is
-    a count per cell, so coinciding agents keep their total mass.
-    """
-    t_steps = seq.steps
-    out = np.zeros((t_steps, 4, spec.micro_rows, spec.micro_cols), dtype=np.float64)
-    steps = np.arange(t_steps)
-    for channel, xy in (
-        (0, seq.ball_positions[:, None, :]),
-        (1, seq.raw_positions[:, None, :]),
-        (2, seq.teammate_positions),
-        (3, seq.opponent_positions),
-    ):
-        cols, rows = spec.cells_from_positions(xy, counter)
-        n_agents = xy.shape[1]
-        tt = np.repeat(steps, n_agents)
-        np.add.at(out, (tt, channel, rows.ravel(), cols.ravel()), 1.0)
-    return out
+def agent_positions(seq: TrainingSequence) -> np.ndarray:
+    """Per-step positions of all eleven agents, shape (T, 11, 2), in the
+    model's input order: ball, focal player, four teammates, five
+    opponents (see ``AGENT_CHANNELS``)."""
+    return np.concatenate(
+        [
+            seq.ball_positions[:, None],
+            seq.raw_positions[:, None],
+            seq.teammate_positions,
+            seq.opponent_positions,
+        ],
+        axis=1,
+    )
 
 
 def split(sequences: list, holdout_fraction: float, seed: int):

@@ -4,8 +4,9 @@ Forward ops record a tape; backward() walks it once.  The layer set is
 exactly what the policy networks need: convolution, linear maps, GRU
 cells, batch normalization, softmax / cross-entropy, Gaussian noise
 injection, plus RMSprop-with-momentum and global gradient clipping.  The
-input max-pool pyramid runs on plain arrays outside the tape
-(``hoopnet.model.pyramid_pool_np``).
+model's input, agent occupancy max-pooled as one k x k max over counts
+per fine cell, is built on plain arrays outside the tape
+(``hoopnet.model.pooled_occupancy``).
 """
 
 from .tensor import (

@@ -4,20 +4,20 @@ Layout: 8-byte magic, u32 version, u64 manifest length, UTF-8 manifest,
 then all tensors as little-endian float64 in manifest order.  The manifest
 records the architecture config hash, free-form metadata, and one
 ``tensor <name> <dims>`` line per array; loading verifies the hash and
-every shape before touching the model.  Saving writes a temporary file
-next to the target and renames it over the target, so a crash mid-write
-leaves the previous checkpoint intact.
+every shape before touching the model.  Saving goes through
+``util.atomic_open``, so a crash mid-write leaves the previous checkpoint
+intact.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import CheckpointError
+from ..util import atomic_open
 
 MAGIC = b"HPNCKPT\x00"
 VERSION = 1
@@ -38,21 +38,12 @@ def save_checkpoint(
         dims = "x".join(str(d) for d in arr.shape) or "scalar"
         lines.append(f"tensor {name} {dims}")
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<IQ", VERSION, len(manifest)))
-            fh.write(manifest)
-            for _, arr in named_state:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<IQ", VERSION, len(manifest)))
+        fh.write(manifest)
+        for _, arr in named_state:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_manifest(path: str | Path) -> tuple[list[tuple[str, tuple[int, ...]]], str, dict[str, str], int]:

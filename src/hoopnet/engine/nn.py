@@ -89,7 +89,8 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.data.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x.data
     cols = _conv_cols(xp, kh, kw, oh, ow, stride)
     wmat = weight.data.reshape(f, -1)
     y = cols @ wmat.T

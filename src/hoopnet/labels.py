@@ -16,7 +16,7 @@ import numpy as np
 
 from .court import CourtSpec
 from .data import TrainingSequence
-from .util import rng_for
+from .util import atomic_open, rng_for
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def export_labels(
     sequences: list[TrainingSequence], labels: list[WeakLabels], path: str | Path
 ) -> None:
     """Write the sidecar JSONL keyed by (possession_id, focal_agent, t0)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for seq, lab in zip(sequences, labels):
             fh.write(labels_to_json(seq, lab))
             fh.write("\n")

@@ -1,15 +1,22 @@
 """Hierarchical policy networks and their non-hierarchical baselines.
 
-Every variant maps occupancy channels to distributions over look-ahead
-velocity actions.  Hierarchical variants add a goal-box head; attention
-variants turn the goal distribution into a multiplicative mask over the
-action space; the concatenation variant learns the combined output with a
-fully-connected head instead.
+Every variant maps the positions of the eleven agents to distributions
+over look-ahead velocity actions.  Hierarchical variants add a goal-box
+head; attention variants turn the goal distribution into a
+multiplicative mask over the action space; the concatenation variant
+learns the combined output with a fully-connected head instead.
+
+The network sees each step as four occupancy channels (ball, focal
+player, teammates, opponents) max-pooled over the input pyramid.
+``pooled_occupancy`` builds them straight from the positions: agent
+counts per fine cell, then one k x k max with k the product of the
+pyramid kernels (the pyramid's pools do not overlap, so they compose
+into one).
 
 There is one forward implementation, ``HPNModel.run``, over an
-(N, T, 4, rows, cols) batch and a recurrent memory.  It works on
-time-major rows: row ``t * N + i`` holds sequence i at step t (see
-``time_major``).  The input pyramid, the encoders, every head, the
+(N, T, 11, 2) batch of agent positions and a recurrent memory.  It
+works on time-major rows: row ``t * N + i`` holds sequence i at step t
+(see ``time_major``).  The occupancy, the encoders, every head, the
 transfer net and the combine heads run once over all T*N rows; only the
 GRU cells step through time.  Training losses, teacher-forced evaluation
 (``eval_sequence``) and one-step rollouts (``forward_step``, T = 1) all
@@ -19,12 +26,14 @@ go through it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .court import CourtSpec, MacroGoalBox, VelocityAction
+from .data import AGENT_CHANNELS
 from .engine import (
     GRUCell,
     Linear,
@@ -90,19 +99,26 @@ def _pool_out(dim: int, kernel: int) -> int:
     return -(-(dim - kernel) // kernel) + 1
 
 
-def pyramid_pool_np(x: np.ndarray, kernels: tuple[int, ...]) -> np.ndarray:
-    """Max-pool pyramid on plain arrays over the last two axes, in the
-    input's dtype; a window that runs past the far edge takes the max of
-    the cells it covers (as if padded with -inf), so no padded copy is
-    made.  Inputs are constants, so the pyramid never needs a tape, and
-    one pooled array serves both branches."""
-    for k in kernels:
-        if k == 1:
-            continue
-        h, w = x.shape[-2:]
-        x = np.maximum.reduceat(x, np.arange(0, w, k), axis=-1)
-        x = np.maximum.reduceat(x, np.arange(0, h, k), axis=-2)
-    return x
+def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int) -> np.ndarray:
+    """(M, 11, 2) agent positions -> (M, 4, ceil(rows/k), ceil(cols/k))
+    float64 occupancy, channels ball, focal, teammates, opponents.
+
+    Each output cell holds the largest number of agents of its channel in
+    any one fine cell of its k x k block (blocks at the far edges cover
+    only the cells that exist).  Positions off the court count in the
+    nearest edge cell.
+    """
+    m = positions.shape[0]
+    rows, cols = spec.micro_rows, spec.micro_cols
+    cell_cols, cell_rows = spec.cells_from_positions(positions)
+    planes = np.arange(m)[:, None] * 4 + np.asarray(AGENT_CHANNELS)
+    cells, counts = np.unique((planes * rows + cell_rows) * cols + cell_cols, return_counts=True)
+    plane, cell = np.divmod(cells, rows * cols)
+    out_rows, out_cols = -(-rows // k), -(-cols // k)
+    out = np.zeros(m * 4 * out_rows * out_cols)
+    blocks = (plane * out_rows + cell // cols // k) * out_cols + cell % cols // k
+    np.maximum.at(out, blocks, counts)
+    return out.reshape(m, 4, out_rows, out_cols)
 
 
 def _conv_out(dim: int, kernel: int, stride: int) -> int:
@@ -122,7 +138,7 @@ def batch_major(x: np.ndarray, n: int) -> np.ndarray:
 
 
 class SpatialEncoder(Module):
-    """Conv/bn/relu stack over pyramid-pooled channels, then noise and
+    """Conv/bn/relu stack over pooled occupancy channels, then noise and
     flatten."""
 
     def __init__(self, spec: CourtSpec, arch: ArchitectureConfig, rng: np.random.Generator):
@@ -302,25 +318,26 @@ class HPNModel(Module):
         noise_sigma: float = 0.0,
         branches: frozenset[str] | None = None,
     ) -> tuple[dict, dict]:
-        """Forward over an (N, T, 4, rows, cols) batch starting from ``memory``.
+        """Forward over an (N, T, 11, 2) batch of agent positions (see
+        ``data.agent_positions``) starting from ``memory``.
 
         Returns graph tensors over the T*N time-major rows for the
         requested branches (``raw_logits`` and ``cc_logits`` as one tensor
         per look-ahead head, ``macro_logits``, ``attention_logits``) and
         the memory after step T.
         """
-        inputs = np.asarray(inputs)
-        shape = (4, self.spec.micro_rows, self.spec.micro_cols)
-        if inputs.ndim != 5 or inputs.shape[2:] != shape:
-            raise ValueError(f"input {inputs.shape} does not match (N, T, {shape})")
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim != 4 or inputs.shape[2:] != (len(AGENT_CHANNELS), 2):
+            raise ValueError(
+                f"input {inputs.shape} is not an (N, T, {len(AGENT_CHANNELS)}, 2) "
+                "array of agent positions"
+            )
         n, t_steps = inputs.shape[:2]
         self._check_memory(memory, n)
         branches = branches if branches is not None else self.branch_set()
         branches = branches & self.branch_set()
-        # pool each frame in the input's dtype before reordering and casting
-        # to float64: max is exact in any dtype, and the full-resolution
-        # inputs are never copied
-        pooled = Tensor(time_major(pyramid_pool_np(inputs, self.arch.pyramid)))
+        k = math.prod(self.arch.pyramid)
+        pooled = Tensor(pooled_occupancy(time_major(inputs), self.spec, k))
         new_mem = dict(memory)
         outs: dict = {}
         f_micro = None
@@ -416,10 +433,11 @@ def _recur(cell: GRUCell, feats: Tensor, h: Tensor, n: int, t_steps: int) -> tup
     return concat(states, axis=0), h
 
 
-def forward_step(model: HPNModel, state_channels: np.ndarray, memory: dict) -> tuple[StepOutput, dict]:
-    """Single-sequence inference step (T = 1) returning a StepOutput."""
-    x = np.asarray(state_channels, dtype=np.float64)
-    if x.ndim == 3:
+def forward_step(model: HPNModel, positions: np.ndarray, memory: dict) -> tuple[StepOutput, dict]:
+    """Single-sequence inference step (T = 1) on the (11, 2) agent
+    positions of one step; returns a StepOutput."""
+    x = np.asarray(positions, dtype=np.float64)
+    if x.ndim == 2:
         x = x[None]
     if x.shape[0] != 1:
         raise ValueError("forward_step drives one sequence; use infer for batches")

@@ -17,6 +17,7 @@ from .court import CourtSpec
 from .data import TrainingSequence
 from .errors import DataError
 from .rollout import RolloutResult
+from .util import atomic_open
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,7 @@ def render_rollouts(
     paths = []
     for i, (result, seq) in enumerate(zip(results, sequences)):
         path = out / f"{prefix}_{i:04d}.svg"
-        path.write_text(render_rollout_svg(result, seq, spec, rspec), encoding="utf-8")
+        with atomic_open(path) as fh:
+            fh.write(render_rollout_svg(result, seq, spec, rspec))
         paths.append(path)
     return paths

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .court import ClampCounter, CourtSpec
-from .data import TrainingSequence
+from .data import TrainingSequence, agent_positions
 from .errors import ConfigError
 from .model import HPNModel, forward_step, predict_action, predict_macro
-from .util import rng_for
+from .util import atomic_open, rng_for
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,6 @@ class RolloutResult:
         return int(np.count_nonzero(np.diff(g)))
 
 
-def _step_channels(
-    spec: CourtSpec,
-    ball: np.ndarray,
-    focal: np.ndarray,
-    teammates: np.ndarray,
-    opponents: np.ndarray,
-) -> np.ndarray:
-    out = np.zeros((4, spec.micro_rows, spec.micro_cols))
-    for channel, xy in ((0, ball[None]), (1, focal[None]), (2, teammates), (3, opponents)):
-        cols, rows = spec.cells_from_positions(xy)
-        np.add.at(out, (channel, rows, cols), 1.0)
-    return out
-
-
 def rollout(
     model: HPNModel,
     seq: TrainingSequence,
@@ -99,6 +85,7 @@ def rollout(
     actions = np.zeros((total, lookahead), dtype=np.int64)
     att_argmax = np.full(total, -1, dtype=np.int64)
 
+    agents = agent_positions(seq)
     memory = model.reset_memory(1)
     pending = np.zeros(2)
     cur = np.zeros(2)
@@ -108,10 +95,10 @@ def rollout(
         else:
             cur = np.array(spec.clamp_position(cur[0] + pending[0], cur[1] + pending[1], clamps))
         path[t] = cur
-        gt = min(t, seq.steps - 1)  # non-focal agents freeze past their track
-        x = _step_channels(
-            spec, seq.ball_positions[gt], cur, seq.teammate_positions[gt], seq.opponent_positions[gt]
-        )
+        # non-focal agents freeze past the end of their track; the focal
+        # player is agent 1 in agent_positions order
+        x = agents[min(t, seq.steps - 1)].copy()
+        x[1] = cur
         out, memory = forward_step(model, x, memory)
         pending[:] = 0.0
         for k in range(lookahead):
@@ -176,7 +163,7 @@ def rollout_to_json(r: RolloutResult) -> str:
 
 
 def save_rollouts(results: list[RolloutResult], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for r in results:
             fh.write(rollout_to_json(r))
             fh.write("\n")

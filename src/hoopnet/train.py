@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .court import CourtSpec
-from .data import TrainingSequence, channelize
+from .data import TrainingSequence, agent_positions
 from .engine import RMSProp, Tensor, backward, clip_gradients, softmax, softmax_nll
 from .engine.checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DivergenceError
@@ -168,15 +168,11 @@ def _stage_branches(model: HPNModel, stage: Stage) -> frozenset[str]:
 
 
 def assemble(batch: list[LabeledSequence], spec: CourtSpec) -> dict:
-    n = len(batch)
-    t_steps = batch[0].sequence.steps
-    # occupancy counts of eleven agents are exact in uint8, an eighth of
-    # the bytes of float64; HPNModel.run pools them before casting
-    inputs = np.empty((n, t_steps, 4, spec.micro_rows, spec.micro_cols), dtype=np.uint8)
-    for i, item in enumerate(batch):
-        inputs[i] = channelize(item.sequence, spec)
+    """Stack a batch's model inputs, (N, T, 11, 2) agent positions, and its
+    label arrays.  Positions are independent of ``spec``; the model turns
+    them into occupancy."""
     return {
-        "inputs": inputs,
+        "inputs": np.stack([agent_positions(it.sequence) for it in batch]),
         "micro": np.stack([it.labels.micro for it in batch]),
         "micro_padded": np.stack([it.labels.micro_padded for it in batch]),
         "macro": np.stack([it.labels.macro for it in batch]),

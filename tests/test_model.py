@@ -20,14 +20,9 @@ ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides
 RNG = np.random.default_rng(7)
 
 
-def random_channels(rng, n=1):
-    x = np.zeros((n, 4, SPEC.micro_rows, SPEC.micro_cols))
-    for i in range(n):
-        for agents, channel in ((1, 0), (1, 1), (4, 2), (5, 3)):
-            for _ in range(agents):
-                r, c = rng.integers(0, SPEC.micro_rows), rng.integers(0, SPEC.micro_cols)
-                x[i, channel, r, c] += 1.0
-    return x
+def random_positions(rng, n=1):
+    """(n, 11, 2) agent positions anywhere on the court."""
+    return rng.uniform(0.0, 1.0, size=(n, 11, 2)) * np.array([SPEC.width_ft, SPEC.height_ft])
 
 
 def fresh(variant, seed=3, arch=ARCH):
@@ -36,7 +31,7 @@ def fresh(variant, seed=3, arch=ARCH):
 
 def test_output_simplexes():
     m = fresh(Variant.H_ATT)
-    out, _ = forward_step(m, random_channels(RNG)[0], m.reset_memory(1))
+    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
     np.testing.assert_allclose(out.p_raw.sum(axis=-1), 1.0, atol=1e-9)
     np.testing.assert_allclose(out.p_macro.sum(), 1.0, atol=1e-9)
     np.testing.assert_allclose(out.attention.sum(), 1.0, atol=1e-9)
@@ -45,7 +40,7 @@ def test_output_simplexes():
 
 def test_combined_is_elementwise_product():
     m = fresh(Variant.H_ATT)
-    out, _ = forward_step(m, random_channels(RNG)[0], m.reset_memory(1))
+    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
     for k in range(SPEC.lookahead_steps):
         recomputed = np.array([out.p_raw[k][j] * out.attention[j] for j in range(SPEC.n_actions)])
         np.testing.assert_allclose(out.p_combined[k], recomputed, atol=1e-12)
@@ -53,14 +48,14 @@ def test_combined_is_elementwise_product():
 
 def test_combined_log_identity():
     m = fresh(Variant.H_ATT)
-    out, _ = forward_step(m, random_channels(RNG)[0], m.reset_memory(1))
+    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
     logs = np.log(out.p_combined[0])
     np.testing.assert_allclose(logs, np.log(out.p_raw[0]) + np.log(out.attention), atol=1e-9)
 
 
 def test_uniform_attention_preserves_argmax():
     m = fresh(Variant.H_ATT)
-    out, _ = forward_step(m, random_channels(RNG)[0], m.reset_memory(1))
+    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
     uniform = np.full(SPEC.n_actions, 1.0 / SPEC.n_actions)
     forced = StepOutput(out.p_raw, out.p_macro, uniform, out.p_raw * uniform)
     for k in range(4):
@@ -71,7 +66,7 @@ def test_uniform_attention_preserves_argmax():
 
 def test_positive_scaling_invariance():
     m = fresh(Variant.H_ATT, seed=11)
-    out, _ = forward_step(m, random_channels(RNG)[0], m.reset_memory(1))
+    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
     for scale in (1e-6, 0.5, 3.0, 1e6):
         scaled = StepOutput(out.p_raw, out.p_macro, out.attention * scale,
                             out.p_raw * (out.attention * scale))
@@ -144,7 +139,7 @@ def test_predict_macro():
 def test_variant_structure():
     cnn = fresh(Variant.CNN)
     assert not cnn.hierarchical and cnn.reset_memory(1).keys() == {"_owner", "_batch"}
-    out, _ = forward_step(cnn, random_channels(RNG)[0], cnn.reset_memory(1))
+    out, _ = forward_step(cnn, random_positions(RNG)[0], cnn.reset_memory(1))
     assert out.p_macro is None and out.attention is None
     np.testing.assert_array_equal(out.p_combined, out.p_raw)
 
@@ -152,12 +147,12 @@ def test_variant_structure():
     assert not gru.hierarchical and "micro" in gru.reset_memory(1)
 
     cc = fresh(Variant.H_CC)
-    out, _ = forward_step(cc, random_channels(RNG)[0], cc.reset_memory(1))
+    out, _ = forward_step(cc, random_positions(RNG)[0], cc.reset_memory(1))
     assert out.attention is None and out.p_macro is not None
     np.testing.assert_allclose(out.p_combined.sum(axis=-1), 1.0, atol=1e-9)
 
     stack = fresh(Variant.H_STACK)
-    out, _ = forward_step(stack, random_channels(RNG)[0], stack.reset_memory(1))
+    out, _ = forward_step(stack, random_positions(RNG)[0], stack.reset_memory(1))
     assert out.attention is not None
 
     aux = fresh(Variant.H_AUX)
@@ -168,15 +163,23 @@ def test_memory_ownership_checked():
     a = fresh(Variant.GRU_CNN, seed=1)
     b = fresh(Variant.GRU_CNN, seed=2)
     with pytest.raises(ValueError, match="different model"):
-        forward_step(a, random_channels(RNG)[0], b.reset_memory(1))
+        forward_step(a, random_positions(RNG)[0], b.reset_memory(1))
     with pytest.raises(ValueError, match="batch"):
-        a.infer(random_channels(RNG, n=2)[:, None], a.reset_memory(1))
+        a.infer(random_positions(RNG, n=2)[:, None], a.reset_memory(1))
+
+
+def test_dense_grid_input_rejected():
+    # the model input is agent positions; a stale occupancy grid is refused
+    m = fresh(Variant.H_ATT)
+    grid = np.zeros((2, 3, 4, SPEC.micro_rows, SPEC.micro_cols))
+    with pytest.raises(ValueError, match=r"\(N, T, 11, 2\)"):
+        m.run(grid, m.reset_memory(2), training=False)
 
 
 def test_reset_and_replay_determinism():
     m = fresh(Variant.H_ATT, seed=9)
     rng = np.random.default_rng(0)
-    xs = [random_channels(rng)[0] for _ in range(50)]
+    xs = [random_positions(rng)[0] for _ in range(50)]
 
     def run():
         mem = m.reset_memory(1)
@@ -197,7 +200,7 @@ def test_sequence_path_matches_step_path():
     # every variant and a batch of two sequences
     rng = np.random.default_rng(1)
     n, t_steps = 2, 6
-    inputs = np.stack([random_channels(rng, n=n) for _ in range(t_steps)], axis=1)
+    inputs = np.stack([random_positions(rng, n=n) for _ in range(t_steps)], axis=1)
     for variant in Variant:
         m = fresh(variant, seed=21)
         whole, mem_whole = m.infer(inputs, m.reset_memory(n))
@@ -230,7 +233,7 @@ def test_uniform_attention_ablation_equals_gru_cnn():
     mem_a = h_att.reset_memory(1)
     mem_b = gru_cnn.reset_memory(1)
     for _ in range(10):
-        x = random_channels(rng)[0]
+        x = random_positions(rng)[0]
         out_a, mem_a = forward_step(h_att, x, mem_a)
         out_b, mem_b = forward_step(gru_cnn, x, mem_b)
         np.testing.assert_allclose(out_a.attention, 1.0 / SPEC.n_actions, atol=1e-15)
@@ -267,7 +270,7 @@ def test_shared_encoder_option():
     assert m.macro_encoder is m.micro_encoder
     names = [n for n, _ in m.named_parameters()]
     assert len(names) == len(set(names))  # no duplicate registrations
-    out, _ = forward_step(m, random_channels(RNG)[0], m.reset_memory(1))
+    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
     np.testing.assert_allclose(out.p_macro.sum(), 1.0, atol=1e-9)
 
 

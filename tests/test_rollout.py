@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,20 @@ def test_macro_goal_switch_metric_and_json_round_trip(tmp_path):
         np.testing.assert_array_equal(a.actions, b.actions)
         assert a.macro_switches == b.macro_switches
         assert rollout_to_json(a) == rollout_to_json(b)
+
+
+def test_failed_rollout_write_keeps_previous_file(tmp_path):
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 13)
+    results = batch_rollout(m, SEQS[:2], RolloutConfig(20, 5), SPEC)
+    path = tmp_path / "rollouts.jsonl"
+    save_rollouts(results[:1], path)
+    before = path.read_bytes()
+    # the second line fails to serialize after the first was written
+    broken = replace(results[1], path=None)
+    with pytest.raises(TypeError):
+        save_rollouts([results[0], broken], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rollouts.jsonl"]
 
 
 def test_non_hierarchical_rollout_has_no_macro_goals():

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoopnet.court import CourtSpec
-from hoopnet.data import SynthConfig, synthesize, window
+from hoopnet.data import SynthConfig, agent_positions, synthesize, window
 from hoopnet.engine import backward
 from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError
 from hoopnet.labels import SegmentationConfig, label_sequence
-from hoopnet.model import ArchitectureConfig, HPNModel, Variant
+from hoopnet.model import ArchitectureConfig, HPNModel, Variant, pooled_occupancy, time_major
 from hoopnet.train import (
     LabeledSequence,
     Stage,
@@ -22,6 +24,8 @@ from hoopnet.train import (
     train_full,
 )
 from hoopnet.util import rng_for
+
+from _oracles import oracle_channelize, oracle_pool
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -114,16 +118,65 @@ def test_pretrain_loss_zero_for_perfect_heads():
     assert float(loss.data) < 1e-6
 
 
-def test_assembled_counts_match_channelize_and_float64_inputs():
-    from hoopnet.data import channelize
-    inputs = assemble(DATA[:2], SPEC)["inputs"]
-    assert inputs.dtype == np.uint8
-    for i, item in enumerate(DATA[:2]):
-        np.testing.assert_array_equal(inputs[i], channelize(item.sequence, SPEC))
-    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
-    a, b = m.eval_sequence(inputs), m.eval_sequence(inputs.astype(np.float64))
-    for key in a:
-        np.testing.assert_array_equal(a[key], b[key])
+def test_assembled_inputs_are_agent_positions():
+    # regression guard: a desk batch is 16 x 50 x 11 x 2 float64 positions,
+    # not dense (N, T, 4, rows, cols) occupancy grids
+    batch = [DATA[i % len(DATA)] for i in range(16)]
+    inputs = assemble(batch, SPEC)["inputs"]
+    assert inputs.shape == (16, 50, 11, 2) and inputs.dtype == np.float64
+    assert inputs.nbytes == 16 * 50 * 11 * 2 * 8
+
+
+PYRAMIDS = [(1,), (2,), (2, 2), (3,), (2, 3)]
+# far court edges and up to 3 ft off court, which clamp to the edge cells
+EDGE_X = [-3.0, -1e-9, 0.0, 1e-9, 1.0, SPEC.width_ft - 1e-9, SPEC.width_ft, SPEC.width_ft + 3.0]
+EDGE_Y = [-3.0, -1e-9, 0.0, 1e-9, 1.0, SPEC.height_ft - 1e-9, SPEC.height_ft, SPEC.height_ft + 3.0]
+
+
+def _sequence_of_agents(agents):
+    """A TrainingSequence holding (T, 11, 2) positions in input order."""
+    from hoopnet.data import TrainingSequence
+
+    focal = agents[:, 1]
+    return TrainingSequence("p", "off0", 0, focal, np.repeat(focal, SPEC.subsample_stride, axis=0),
+                            agents[:, 0], agents[:, 2:6], agents[:, 6:])
+
+
+def _check_against_dense_oracle(agents, pyramid):
+    seqs = [_sequence_of_agents(a) for a in agents]
+    positions = np.stack([agent_positions(s) for s in seqs])
+    np.testing.assert_array_equal(positions, agents)
+    got = pooled_occupancy(time_major(positions), SPEC, math.prod(pyramid))
+    want = time_major(np.stack([oracle_pool(oracle_channelize(s, SPEC), pyramid) for s in seqs]))
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pooled_occupancy_matches_dense_oracle(data):
+    n, t_steps = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    pyramid = data.draw(st.sampled_from(PYRAMIDS))
+    size = n * t_steps * 11
+
+    def coords(edges, extent):
+        value = st.one_of(st.sampled_from(edges), st.floats(-3.0, extent + 3.0))
+        return data.draw(st.lists(value, min_size=size, max_size=size))
+
+    agents = np.stack([coords(EDGE_X, SPEC.width_ft), coords(EDGE_Y, SPEC.height_ft)], axis=-1)
+    agents = agents.reshape(n, t_steps, 11, 2)
+    # move some agents onto agent 0, so that cells hold counts above one
+    stacked = data.draw(st.lists(st.integers(1, 10), max_size=10))
+    agents[:, :, stacked] = agents[:, :, :1]
+    _check_against_dense_oracle(agents, pyramid)
+
+
+@pytest.mark.parametrize("pyramid", PYRAMIDS)
+def test_pooled_occupancy_single_step_edges(pyramid):
+    # N = 1, T = 1: agents on the four far corners, off court and stacked
+    corners = [(x, y) for x in (-3.0, SPEC.width_ft + 3.0) for y in (-3.0, SPEC.height_ft)]
+    agents = np.array(corners + corners + [(0.0, 0.0)] * 3, dtype=np.float64)
+    _check_against_dense_oracle(agents[None, None], pyramid)
 
 
 def test_finetune_loss_decomposition_recomputed():
@@ -268,7 +321,7 @@ def test_augment_interior_shift_moves_boxes():
 
 
 def test_augment_occupancy_shift():
-    from hoopnet.data import TrainingSequence, channelize
+    from hoopnet.data import TrainingSequence
 
     item = DATA[2]
     seq = item.sequence
@@ -292,8 +345,8 @@ def test_augment_occupancy_shift():
 
     shifted, clamped = augment_translate([interior], 8, FixedRng(), SPEC)
     assert clamped == 0
-    a = channelize(interior.sequence, SPEC)
-    b = channelize(shifted[0].sequence, SPEC)
+    a = oracle_channelize(interior.sequence, SPEC)
+    b = oracle_channelize(shifted[0].sequence, SPEC)
     # every occupied cell moves exactly three columns right
     np.testing.assert_array_equal(b[:, :, :, 3:], a[:, :, :, : SPEC.micro_cols - 3])
     assert b[:, :, :, :3].sum() == 0
