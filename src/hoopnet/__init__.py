@@ -5,7 +5,7 @@ pipeline over ingested or synthetic tracking data."""
 from .court import CourtSpec, MacroGoalBox, MicroCell, VelocityAction
 from .data import Possession, RawTrack, SynthConfig, TrainingSequence
 from .labels import SegmentationConfig, WeakLabels
-from .model import ArchitectureConfig, HPNModel, StepOutput, Variant
+from .model import ArchitectureConfig, HPNModel, Variant
 from .rollout import RolloutConfig, RolloutResult
 from .train import LabeledSequence, Stage, TrainConfig, TrainReport
 
@@ -13,7 +13,7 @@ __all__ = [
     "CourtSpec", "MicroCell", "MacroGoalBox", "VelocityAction",
     "RawTrack", "Possession", "TrainingSequence", "SynthConfig",
     "WeakLabels", "SegmentationConfig",
-    "ArchitectureConfig", "HPNModel", "StepOutput", "Variant",
+    "ArchitectureConfig", "HPNModel", "Variant",
     "TrainConfig", "TrainReport", "LabeledSequence", "Stage",
     "RolloutConfig", "RolloutResult",
 ]

@@ -108,9 +108,9 @@ def cmd_synth(cfg: RunConfig, paths: _Paths, args) -> int:
     return 0
 
 
-def cmd_label(cfg: RunConfig, paths: _Paths, args) -> int:
+def cmd_label(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
     cfg = _seeded(cfg, args.seed)
-    train, holdout = _prepare_sequences(cfg, paths, args.seed)
+    train, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     everything = train + holdout
     labels_mod.export_labels(
         [it.sequence for it in everything], [it.labels for it in everything], paths.labels
@@ -119,8 +119,10 @@ def cmd_label(cfg: RunConfig, paths: _Paths, args) -> int:
     return 0
 
 
-def _train_variant(cfg: RunConfig, paths: _Paths, variant: str, seed: int, resume: bool) -> None:
-    train, holdout = _prepare_sequences(cfg, paths, seed)
+def _train_variant(
+    cfg: RunConfig, paths: _Paths, variant: str, seed: int, resume: bool, split=None
+) -> None:
+    train, holdout = split or _prepare_sequences(cfg, paths, seed)
     model = HPNModel(cfg.court, cfg.arch, Variant(variant), derive_seed(seed, "init", variant))
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     paths.reports.mkdir(parents=True, exist_ok=True)
@@ -147,24 +149,22 @@ def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
     return 0
 
 
-def cmd_rollout(cfg: RunConfig, paths: _Paths, args) -> int:
+def cmd_rollout(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
     cfg = _seeded(cfg, args.seed)
-    _, holdout = _prepare_sequences(cfg, paths, args.seed)
+    _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     model = _load_model(cfg, paths, args.variant, args.seed)
     n = min(cfg.run.n_rollouts, len(holdout))
     sequences = [it.sequence for it in holdout[:n]]
-    results = rollout_mod.batch_rollout(
-        model, sequences, cfg.rollout, cfg.court, threads=cfg.run.threads
-    )
+    results = rollout_mod.batch_rollout(model, sequences, cfg.rollout, cfg.court)
     paths.rollouts.mkdir(parents=True, exist_ok=True)
     rollout_mod.save_rollouts(results, paths.rollout_file(args.variant))
     print(f"wrote {len(results)} rollouts to {paths.rollout_file(args.variant)}")
     return 0
 
 
-def cmd_bench(cfg: RunConfig, paths: _Paths, args) -> int:
+def cmd_bench(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
     cfg = _seeded(cfg, args.seed)
-    _, holdout = _prepare_sequences(cfg, paths, args.seed)
+    _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     variants = args.variants or [
         v.value for v in bench_mod.VARIANT_ORDER if paths.checkpoint(v.value).exists()
     ]
@@ -182,9 +182,9 @@ def cmd_bench(cfg: RunConfig, paths: _Paths, args) -> int:
     return 0
 
 
-def cmd_render(cfg: RunConfig, paths: _Paths, args) -> int:
+def cmd_render(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
     cfg = _seeded(cfg, args.seed)
-    _, holdout = _prepare_sequences(cfg, paths, args.seed)
+    _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     by_key = {
         (it.sequence.possession_id, it.sequence.focal_agent, it.sequence.t0): it.sequence
         for it in holdout
@@ -205,18 +205,20 @@ def cmd_render(cfg: RunConfig, paths: _Paths, args) -> int:
 
 def cmd_repro(cfg: RunConfig, paths: _Paths, args) -> int:
     """End-to-end desk-scale reproduction: synth, label, train every
-    variant, benchmark, roll out and render the attention model."""
+    variant, benchmark, roll out and render the attention model.  The
+    sequences are prepared once and shared by every step."""
     cmd_synth(cfg, paths, args)
-    cmd_label(cfg, paths, args)
     seeded = _seeded(cfg, args.seed)
+    split = _prepare_sequences(seeded, paths, args.seed)
+    cmd_label(cfg, paths, args, split)
     for variant in args.variants:
-        _train_variant(seeded, paths, variant, args.seed, resume=False)
+        _train_variant(seeded, paths, variant, args.seed, resume=False, split=split)
     bench_args = argparse.Namespace(seed=args.seed, variants=args.variants)
-    cmd_bench(cfg, paths, bench_args)
+    cmd_bench(cfg, paths, bench_args, split)
     roll_variant = "h_att" if "h_att" in args.variants else args.variants[-1]
     roll_args = argparse.Namespace(seed=args.seed, variant=roll_variant)
-    cmd_rollout(cfg, paths, roll_args)
-    cmd_render(cfg, paths, roll_args)
+    cmd_rollout(cfg, paths, roll_args, split)
+    cmd_render(cfg, paths, roll_args, split)
     print(f"repro complete under {paths.root}")
     return 0
 
@@ -236,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", action="append", metavar="SECTION.KEY=VALUE", help="override one config key"
     )
     parser.add_argument("--seed", type=int, help="run seed; required, no hidden entropy")
-    parser.add_argument("--threads", type=int, help="cap worker threads (results unchanged)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("synth", help="generate synthetic possessions")
@@ -275,10 +276,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "defaults" and args.seed is None:
             raise ConfigError("--seed is required; randomness is never implicit")
         cfg = _load_config(args)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg = replace(cfg, run=replace(cfg.run, threads=args.threads))
         paths = _Paths(cfg.paths.out_dir)
         return _COMMANDS[args.command](cfg, paths, args)
     except ConfigError as exc:

@@ -25,7 +25,6 @@ from .train import TrainConfig
 @dataclass(frozen=True)
 class RunSettings:
     n_rollouts: int = 12
-    threads: int = 1
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .nn import (
 )
 from .optim import RMSProp, clip_gradients, rmsprop_step
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import gradcheck, numeric_gradient, relative_error
+from .gradcheck import gradcheck, relative_error
 
 __all__ = [
     "Tensor", "Parameter", "backward", "concat", "gaussian_noise",
@@ -41,5 +41,5 @@ __all__ = [
     "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module", "conv2d", "glorot_uniform",
     "RMSProp", "clip_gradients", "rmsprop_step",
     "load_checkpoint", "save_checkpoint",
-    "gradcheck", "numeric_gradient", "relative_error",
+    "gradcheck", "relative_error",
 ]

@@ -9,22 +9,6 @@ from .tensor import Tensor, backward
 _MACHINE_EPS = np.finfo(np.float64).eps
 
 
-def numeric_gradient(f, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """d f() / d array by central differences, perturbing in place."""
-    grad = np.zeros_like(array)
-    flat = array.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f())
-        flat[i] = orig - eps
-        lo = float(f())
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad
-
-
 def numeric_gradient_at(f, array: np.ndarray, indices: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central differences at selected flat indices only."""
     flat = array.reshape(-1)

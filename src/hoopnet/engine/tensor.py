@@ -307,27 +307,17 @@ def softmax(x: Tensor) -> Tensor:
     return _node(p, (x,), vjp)
 
 
-def _target_indices(targets, n_classes: int) -> np.ndarray:
-    t = np.asarray(targets)
-    if t.ndim >= 2 and t.shape[-1] == n_classes and not np.issubdtype(t.dtype, np.integer):
-        return t.argmax(axis=-1)
-    if t.ndim >= 2 and t.shape[-1] == n_classes:
-        # integer one-hot rows
-        return t.argmax(axis=-1)
-    return t.astype(np.int64)
-
-
 def softmax_nll(logits: Tensor, targets) -> Tensor:
     """Per-row negative log likelihood ``-log softmax(logits)[target]``.
 
-    ``targets`` may be class indices of shape (N,) or one-hot rows (N, K).
-    Returns a length-N tensor; reduce with .sum() or .mean().
+    ``targets`` are class indices of shape (N,).  Returns a length-N
+    tensor; reduce with .sum() or .mean().
     """
     x = logits.data
     if x.ndim != 2:
         raise ValueError("softmax_nll expects (N, K) logits")
     n, k = x.shape
-    idx = _target_indices(targets, k)
+    idx = np.asarray(targets).astype(np.int64)
     if idx.shape != (n,):
         raise ValueError(f"targets shape {idx.shape} does not match logits rows {n}")
     if (idx < 0).any() or (idx >= k).any():

@@ -19,8 +19,8 @@ works on time-major rows: row ``t * N + i`` holds sequence i at step t
 (see ``time_major``).  The occupancy, the encoders, every head, the
 transfer net and the combine heads run once over all T*N rows; only the
 GRU cells step through time.  Training losses, teacher-forced evaluation
-(``eval_sequence``) and one-step rollouts (``forward_step``, T = 1) all
-go through it.
+(``eval_sequence``) and rollouts (``infer`` with T = 1 on all N rollout
+sequences per step) all go through it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .court import CourtSpec, MacroGoalBox, VelocityAction
+from .court import CourtSpec
 from .data import AGENT_CHANNELS
 from .engine import (
     GRUCell,
@@ -171,21 +171,6 @@ class SpatialEncoder(Module):
             x = relu(bn(conv(x), training))
         x = gaussian_noise(x, noise_sigma, rng, training)
         return x.reshape((x.shape[0], -1))
-
-
-@dataclass(frozen=True)
-class StepOutput:
-    """Per-step head values for a single sequence.
-
-    ``p_combined`` rows are the (possibly unnormalized) scores that
-    predictions are taken from; for attention variants they are the raw
-    action distribution times the attention mask, elementwise.
-    """
-
-    p_raw: np.ndarray                 # (lookahead, n_actions)
-    p_macro: np.ndarray | None        # (n_macro_boxes,)
-    attention: np.ndarray | None      # (n_actions,)
-    p_combined: np.ndarray            # (lookahead, n_actions)
 
 
 class HPNModel(Module):
@@ -431,57 +416,3 @@ def _recur(cell: GRUCell, feats: Tensor, h: Tensor, n: int, t_steps: int) -> tup
         h = cell.step_projected({k: row_block(v, t * n, (t + 1) * n) for k, v in proj.items()}, h)
         states.append(h)
     return concat(states, axis=0), h
-
-
-def forward_step(model: HPNModel, positions: np.ndarray, memory: dict) -> tuple[StepOutput, dict]:
-    """Single-sequence inference step (T = 1) on the (11, 2) agent
-    positions of one step; returns a StepOutput."""
-    x = np.asarray(positions, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
-    if x.shape[0] != 1:
-        raise ValueError("forward_step drives one sequence; use infer for batches")
-    outs, mem = model.infer(x[:, None], memory)
-    return (
-        StepOutput(
-            p_raw=outs["p_raw"][0, 0],
-            p_macro=None if outs["p_macro"] is None else outs["p_macro"][0, 0],
-            attention=None if outs["attention"] is None else outs["attention"][0, 0],
-            p_combined=outs["p_combined"][0, 0],
-        ),
-        mem,
-    )
-
-
-def predict_action(
-    spec: CourtSpec,
-    out: StepOutput,
-    k: int,
-    mode: str = "argmax",
-    rng: np.random.Generator | None = None,
-    fallback_counter=None,
-) -> VelocityAction:
-    """Pick look-ahead head k's action; ties break to the lowest index."""
-    if not 0 <= k < out.p_combined.shape[0]:
-        raise ValueError(f"look-ahead index {k} out of range")
-    scores = out.p_combined[k]
-    total = scores.sum()
-    if total <= 0.0:
-        if fallback_counter is not None:
-            fallback_counter.bump()
-        scores = out.p_raw[k]
-        total = scores.sum()
-    if mode == "argmax":
-        return spec.action_from_index(int(np.argmax(scores)))
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an RNG")
-        p = scores / total
-        return spec.action_from_index(int(rng.choice(len(p), p=p)))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def predict_macro(out: StepOutput) -> MacroGoalBox:
-    if out.p_macro is None:
-        raise ValueError("this variant has no macro-goal head")
-    return MacroGoalBox(int(np.argmax(out.p_macro)))

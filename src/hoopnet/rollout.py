@@ -5,21 +5,26 @@ warms up; afterwards the focal player's position is advanced by the
 model's own look-ahead actions (applied as consecutive raw-frame
 displacements), while every other agent keeps its recorded track and
 freezes once that runs out.
+
+``batch_rollout`` steps N sequences together as one recurrence: one
+``HPNModel.infer`` call on an (N, 1, 11, 2) batch per step, with the
+step's choices for all N taken over arrays by ``choose_step``.  Each
+sequence draws from its own RNG, so a rollout does not depend on the
+other sequences in its batch.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .court import ClampCounter, CourtSpec
+from .court import CourtSpec
 from .data import TrainingSequence, agent_positions
 from .errors import ConfigError
-from .model import HPNModel, forward_step, predict_action, predict_macro
+from .model import HPNModel
 from .util import atomic_open, rng_for
 
 
@@ -63,68 +68,42 @@ class RolloutResult:
         return int(np.count_nonzero(np.diff(g)))
 
 
-def rollout(
-    model: HPNModel,
-    seq: TrainingSequence,
-    config: RolloutConfig,
-    spec: CourtSpec,
-) -> RolloutResult:
-    config.validate()
-    if config.burn_in_steps > seq.steps:
-        raise ConfigError(
-            f"burn-in {config.burn_in_steps} exceeds the {seq.steps} ground-truth steps"
-        )
-    total = config.burn_in_steps + config.horizon_steps
-    lookahead = spec.lookahead_steps
-    rng = rng_for(config.seed, "rollout", seq.possession_id, seq.focal_agent, seq.t0)
-    clamps = ClampCounter()
-    fallbacks = ClampCounter()
+def choose_step(
+    outs: dict, mode: str, rngs: list[np.random.Generator] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rollout's choices at one step for N sequences.
 
-    path = np.empty((total, 2))
-    macro_goals = np.full(total, -1, dtype=np.int64)
-    actions = np.zeros((total, lookahead), dtype=np.int64)
-    att_argmax = np.full(total, -1, dtype=np.int64)
+    ``outs`` holds ``infer`` outputs without the time axis: ``p_combined``
+    and ``p_raw`` (N, lookahead, n_actions), ``p_macro`` (N, n_boxes) and
+    ``attention`` (N, n_actions), each None when the variant lacks it.  A
+    ``p_combined`` row with no mass falls back to its ``p_raw`` row.
+    argmax mode breaks ties to the lowest index; sample mode draws
+    sequence i's heads in order from ``rngs[i]``, each from its row
+    normalised to one.
 
-    agents = agent_positions(seq)
-    memory = model.reset_memory(1)
-    pending = np.zeros(2)
-    cur = np.zeros(2)
-    for t in range(total):
-        if t < config.burn_in_steps:
-            cur = seq.raw_positions[t].copy()
-        else:
-            cur = np.array(spec.clamp_position(cur[0] + pending[0], cur[1] + pending[1], clamps))
-        path[t] = cur
-        # non-focal agents freeze past the end of their track; the focal
-        # player is agent 1 in agent_positions order
-        x = agents[min(t, seq.steps - 1)].copy()
-        x[1] = cur
-        out, memory = forward_step(model, x, memory)
-        pending[:] = 0.0
-        for k in range(lookahead):
-            act = predict_action(spec, out, k, config.mode, rng, fallbacks)
-            actions[t, k] = spec.action_index(act)
-            dx, dy = spec.action_to_displacement(act)
-            pending[0] += dx
-            pending[1] += dy
-        if out.p_macro is not None:
-            macro_goals[t] = predict_macro(out).id
-        if out.attention is not None:
-            att_argmax[t] = int(np.argmax(out.attention))
-    return RolloutResult(
-        possession_id=seq.possession_id,
-        focal_agent=seq.focal_agent,
-        t0=seq.t0,
-        burn_in=config.burn_in_steps,
-        horizon=config.horizon_steps,
-        mode=config.mode,
-        path=path,
-        macro_goals=macro_goals,
-        actions=actions,
-        attention_argmax=att_argmax,
-        clamp_events=clamps.count,
-        zero_mass_fallbacks=fallbacks.count,
+    Returns (N, lookahead) flattened action indices, the (N,) number of
+    heads that fell back, and the (N,) argmax of ``p_macro`` and of
+    ``attention`` (-1 without that head).
+    """
+    fell_back = outs["p_combined"].sum(axis=-1) <= 0.0
+    scores = np.where(fell_back[..., None], outs["p_raw"], outs["p_combined"])
+    if mode == "argmax":
+        actions = scores.argmax(axis=-1)
+    elif mode == "sample":
+        if rngs is None or len(rngs) != len(scores):
+            raise ValueError("sample mode needs one RNG per sequence")
+        actions = np.empty(scores.shape[:2], dtype=np.int64)
+        for i, rng in enumerate(rngs):
+            for k, row in enumerate(scores[i]):
+                actions[i, k] = rng.choice(len(row), p=row / row.sum())
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    n = len(scores)
+    macro, attention = (
+        np.full(n, -1, dtype=np.int64) if outs[key] is None else outs[key].argmax(axis=-1)
+        for key in ("p_macro", "attention")
     )
+    return actions, fell_back.sum(axis=-1), macro, attention
 
 
 def batch_rollout(
@@ -134,13 +113,65 @@ def batch_rollout(
     spec: CourtSpec,
     threads: int = 1,
 ) -> list[RolloutResult]:
-    """Independent rollouts in input order; thread count never changes results."""
+    """Roll out every sequence at once, one batched model step per time
+    step; results are in input order and each equals that sequence rolled
+    out alone.  ``threads`` is ignored (kept for callers that pass it)."""
+    config.validate()
     if not sequences:
         raise ConfigError("batch_rollout needs at least one sequence")
-    if threads <= 1:
-        return [rollout(model, s, config, spec) for s in sequences]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: rollout(model, s, config, spec), sequences))
+    burn_in = config.burn_in_steps
+    for seq in sequences:
+        if burn_in > seq.steps:
+            raise ConfigError(f"burn-in {burn_in} exceeds the {seq.steps} ground-truth steps")
+    n, total = len(sequences), burn_in + config.horizon_steps
+    rngs = [rng_for(config.seed, "rollout", s.possession_id, s.focal_agent, s.t0) for s in sequences]
+    # (N, total, 11, 2) recorded positions, frozen past the end of each
+    # track; the focal player is agent 1, overwritten with the rollout
+    agents = np.stack(
+        [agent_positions(s)[np.minimum(np.arange(total), s.steps - 1)] for s in sequences]
+    )
+    path = agents[:, :, 1].copy()
+    macro_goals = np.empty((n, total), dtype=np.int64)
+    actions = np.empty((n, total, spec.lookahead_steps), dtype=np.int64)
+    att_argmax = np.empty((n, total), dtype=np.int64)
+    clamps = np.zeros(n, dtype=np.int64)
+    fallbacks = np.zeros(n, dtype=np.int64)
+    upper = np.array([spec.width_ft, spec.height_ft]) - 1e-9  # as CourtSpec.clamp_position
+    r, side = spec.velocity_radius_cells, spec.velocity_side
+    memory = model.reset_memory(n)
+    for t in range(total):
+        if t >= burn_in:
+            # the last step's look-ahead actions are consecutive
+            # displacements of the focal player
+            last = actions[:, t - 1]
+            cells = np.stack([last % side - r, last // side - r], axis=-1)
+            target = path[:, t - 1] + (cells * spec.micro_cell_ft).sum(axis=1)
+            path[:, t] = np.minimum(np.maximum(target, 0.0), upper)
+            clamps += (path[:, t] != target).any(axis=1)
+            agents[:, t, 1] = path[:, t]
+        out, memory = model.infer(agents[:, t:t + 1], memory)
+        step = {key: None if v is None else v[:, 0] for key, v in out.items()}
+        actions[:, t], fell_back, macro_goals[:, t], att_argmax[:, t] = choose_step(
+            step, config.mode, rngs
+        )
+        fallbacks += fell_back
+    return [
+        RolloutResult(
+            possession_id=s.possession_id,
+            focal_agent=s.focal_agent,
+            t0=s.t0,
+            burn_in=burn_in,
+            horizon=config.horizon_steps,
+            mode=config.mode,
+            path=path[i],
+            macro_goals=macro_goals[i],
+            actions=actions[i],
+            attention_argmax=att_argmax[i],
+            clamp_events=int(clamps[i]),
+            zero_mass_fallbacks=int(fallbacks[i]),
+        )
+        for i, s in enumerate(sequences)
+    ]
 
 
 def rollout_to_json(r: RolloutResult) -> str:

@@ -2,7 +2,8 @@
 
 Everything here is written loop-by-loop from the label definitions,
 deliberately sharing no code with the package internals beyond CourtSpec
-arithmetic on scalars.
+arithmetic on scalars.  ``oracle_rollout`` drives a model, one sequence
+and one look-ahead head at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import math
 
 import numpy as np
 
-from hoopnet.court import CourtSpec
+from hoopnet.court import ClampCounter, CourtSpec
+from hoopnet.data import agent_positions
+from hoopnet.rollout import RolloutResult
+from hoopnet.util import rng_for
 
 
 def round_ties_to_zero(v: float) -> int:
@@ -162,3 +166,68 @@ def oracle_pool(x: np.ndarray, kernels: tuple[int, ...]) -> np.ndarray:
         x = np.maximum.reduceat(x, np.arange(0, w, k), axis=-1)
         x = np.maximum.reduceat(x, np.arange(0, h, k), axis=-2)
     return x
+
+
+def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
+    """One sequence rolled out alone: ``infer`` on a (1, 1, 11, 2) batch
+    per step, then a scalar choice per look-ahead head (argmax with the
+    lowest index on ties, or a draw from the normalised row; a row of
+    ``p_combined`` with no mass falls back to ``p_raw``)."""
+    total = config.burn_in_steps + config.horizon_steps
+    lookahead = spec.lookahead_steps
+    rng = rng_for(config.seed, "rollout", seq.possession_id, seq.focal_agent, seq.t0)
+    clamps = ClampCounter()
+    fallbacks = 0
+
+    path = np.empty((total, 2))
+    macro_goals = np.full(total, -1, dtype=np.int64)
+    actions = np.zeros((total, lookahead), dtype=np.int64)
+    att_argmax = np.full(total, -1, dtype=np.int64)
+
+    agents = agent_positions(seq)
+    memory = model.reset_memory(1)
+    pending = np.zeros(2)
+    cur = np.zeros(2)
+    for t in range(total):
+        if t < config.burn_in_steps:
+            cur = seq.raw_positions[t].copy()
+        else:
+            cur = np.array(spec.clamp_position(cur[0] + pending[0], cur[1] + pending[1], clamps))
+        path[t] = cur
+        # other agents freeze past the end of their track; the focal player
+        # is agent 1
+        x = agents[min(t, seq.steps - 1)].copy()
+        x[1] = cur
+        out, memory = model.infer(x[None, None], memory)
+        pending[:] = 0.0
+        for k in range(lookahead):
+            scores = out["p_combined"][0, 0, k]
+            if scores.sum() <= 0.0:
+                fallbacks += 1
+                scores = out["p_raw"][0, 0, k]
+            if config.mode == "argmax":
+                index = int(np.argmax(scores))
+            else:
+                index = int(rng.choice(len(scores), p=scores / scores.sum()))
+            actions[t, k] = index
+            dx, dy = spec.action_to_displacement(spec.action_from_index(index))
+            pending[0] += dx
+            pending[1] += dy
+        if out["p_macro"] is not None:
+            macro_goals[t] = int(np.argmax(out["p_macro"][0, 0]))
+        if out["attention"] is not None:
+            att_argmax[t] = int(np.argmax(out["attention"][0, 0]))
+    return RolloutResult(
+        possession_id=seq.possession_id,
+        focal_agent=seq.focal_agent,
+        t0=seq.t0,
+        burn_in=config.burn_in_steps,
+        horizon=config.horizon_steps,
+        mode=config.mode,
+        path=path,
+        macro_goals=macro_goals,
+        actions=actions,
+        attention_argmax=att_argmax,
+        clamp_events=clamps.count,
+        zero_mass_fallbacks=fallbacks,
+    )

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hoopnet import cli
 from hoopnet.cli import main
 from hoopnet.config import (
     RunConfig,
@@ -76,6 +77,14 @@ def test_dump_round_trips():
     text = dump_run_config(cfg)
     again = load_run_config(text)
     assert again == cfg
+
+
+def test_repository_configs_load():
+    # every config document shipped in configs/ names only existing keys
+    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        load_run_config(path.read_text(encoding="utf-8"))
 
 
 # CLI plumbing
@@ -207,3 +216,23 @@ def test_config_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HOOPNET_CONFIG", str(path))
     assert main(["--seed", "2", "synth"]) == 0
     assert (tmp_path / "out" / "possessions.jsonl").exists()
+
+
+def test_repro_prepares_sequences_once(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    calls = []
+    prepare = cli._prepare_sequences
+    monkeypatch.setattr(cli, "_prepare_sequences", lambda *a: calls.append(a) or prepare(*a))
+    base = ["--config", str(path), "--seed", "6", "--set", "train.epochs_pretrain=0",
+            "--set", "train.epochs_finetune=0"]
+    assert main(base + ["repro", "--variants", "gru_cnn", "h_att"]) == 0
+    assert len(calls) == 1
+    # the standalone commands prepare their own split and write the same bytes
+    out = tmp_path / "out"
+    files = [out / "labels.jsonl", out / "bench.csv", out / "rollouts" / "h_att.jsonl"]
+    before = [f.read_bytes() for f in files]
+    assert main(base + ["label"]) == 0
+    assert main(base + ["bench", "--variants", "gru_cnn", "h_att"]) == 0
+    assert main(base + ["rollout", "--variant", "h_att"]) == 0
+    assert len(calls) == 4
+    assert [f.read_bytes() for f in files] == before

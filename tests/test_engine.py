@@ -262,15 +262,9 @@ def test_softmax_nll_matches_direct_evaluation():
     for i in range(5):
         p = np.exp(logits[i]) / np.exp(logits[i]).sum()
         np.testing.assert_allclose(loss.data[i], -np.log(p[targets[i]]), rtol=1e-12)
-
-
-def test_softmax_nll_accepts_one_hot():
-    logits = Tensor(RNG.normal(size=(4, 6)))
-    idx = np.array([1, 0, 5, 2])
-    onehot = np.eye(6)[idx]
-    a = softmax_nll(logits, idx)
-    b = softmax_nll(logits, onehot)
-    np.testing.assert_array_equal(a.data, b.data)
+    # targets are class indices only; (N, K) one-hot rows are refused
+    with pytest.raises(ValueError, match="targets shape"):
+        softmax_nll(Tensor(logits), np.eye(11)[targets])
 
 
 def test_softmax_nll_backward_is_p_minus_target():

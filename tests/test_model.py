@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
 
-from hoopnet.court import CourtSpec, VelocityAction
+from hoopnet.court import CourtSpec
 from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
-from hoopnet.model import (
-    ArchitectureConfig,
-    HPNModel,
-    StepOutput,
-    Variant,
-    forward_step,
-    predict_action,
-    predict_macro,
-)
 from hoopnet.errors import CheckpointError
+from hoopnet.model import ArchitectureConfig, HPNModel, Variant
+from hoopnet.rollout import choose_step
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -29,131 +22,156 @@ def fresh(variant, seed=3, arch=ARCH):
     return HPNModel(SPEC, arch, variant, seed)
 
 
+def one_step(m, positions, memory):
+    """``infer`` on the (11, 2) positions of one step of one sequence;
+    the outputs come without their N and T axes."""
+    outs, memory = m.infer(positions[None, None], memory)
+    return {k: None if v is None else v[0, 0] for k, v in outs.items()}, memory
+
+
+def step_outputs(p_combined, p_raw, p_macro=None, attention=None):
+    """One sequence's head values in the form ``choose_step`` takes (N = 1)."""
+    outs = {"p_combined": p_combined, "p_raw": p_raw, "p_macro": p_macro, "attention": attention}
+    return {k: None if v is None else v[None] for k, v in outs.items()}
+
+
+def actions_of(outs, mode="argmax", rng=None):
+    """The (lookahead,) action indices ``choose_step`` picks for one sequence."""
+    return choose_step(outs, mode, None if rng is None else [rng])[0][0]
+
+
 def test_output_simplexes():
     m = fresh(Variant.H_ATT)
-    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
-    np.testing.assert_allclose(out.p_raw.sum(axis=-1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(out.p_macro.sum(), 1.0, atol=1e-9)
-    np.testing.assert_allclose(out.attention.sum(), 1.0, atol=1e-9)
-    assert (out.p_raw >= 0).all() and (out.attention >= 0).all()
+    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    np.testing.assert_allclose(out["p_raw"].sum(axis=-1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(out["p_macro"].sum(), 1.0, atol=1e-9)
+    np.testing.assert_allclose(out["attention"].sum(), 1.0, atol=1e-9)
+    assert (out["p_raw"] >= 0).all() and (out["attention"] >= 0).all()
 
 
 def test_combined_is_elementwise_product():
     m = fresh(Variant.H_ATT)
-    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
     for k in range(SPEC.lookahead_steps):
-        recomputed = np.array([out.p_raw[k][j] * out.attention[j] for j in range(SPEC.n_actions)])
-        np.testing.assert_allclose(out.p_combined[k], recomputed, atol=1e-12)
+        recomputed = np.array([out["p_raw"][k][j] * out["attention"][j] for j in range(SPEC.n_actions)])
+        np.testing.assert_allclose(out["p_combined"][k], recomputed, atol=1e-12)
 
 
 def test_combined_log_identity():
     m = fresh(Variant.H_ATT)
-    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
-    logs = np.log(out.p_combined[0])
-    np.testing.assert_allclose(logs, np.log(out.p_raw[0]) + np.log(out.attention), atol=1e-9)
+    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    logs = np.log(out["p_combined"][0])
+    np.testing.assert_allclose(logs, np.log(out["p_raw"][0]) + np.log(out["attention"]), atol=1e-9)
 
 
 def test_uniform_attention_preserves_argmax():
     m = fresh(Variant.H_ATT)
-    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
     uniform = np.full(SPEC.n_actions, 1.0 / SPEC.n_actions)
-    forced = StepOutput(out.p_raw, out.p_macro, uniform, out.p_raw * uniform)
-    for k in range(4):
-        assert predict_action(SPEC, forced, k) == predict_action(
-            SPEC, StepOutput(out.p_raw, out.p_macro, None, out.p_raw), k
-        )
+    forced = step_outputs(out["p_raw"] * uniform, out["p_raw"], out["p_macro"], uniform)
+    np.testing.assert_array_equal(
+        actions_of(forced), actions_of(step_outputs(out["p_raw"], out["p_raw"]))
+    )
 
 
 def test_positive_scaling_invariance():
     m = fresh(Variant.H_ATT, seed=11)
-    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    base = step_outputs(out["p_combined"], out["p_raw"], out["p_macro"], out["attention"])
     for scale in (1e-6, 0.5, 3.0, 1e6):
-        scaled = StepOutput(out.p_raw, out.p_macro, out.attention * scale,
-                            out.p_raw * (out.attention * scale))
-        for k in range(4):
-            assert predict_action(SPEC, scaled, k) == predict_action(SPEC, out, k)
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        assert predict_action(SPEC, scaled, 0, "sample", rng_a) == predict_action(
-            SPEC, out, 0, "sample", rng_b
+        attention = out["attention"] * scale
+        scaled = step_outputs(out["p_raw"] * attention, out["p_raw"], out["p_macro"], attention)
+        np.testing.assert_array_equal(actions_of(scaled), actions_of(base))
+        np.testing.assert_array_equal(choose_step(scaled, "argmax")[3],
+                                      choose_step(base, "argmax")[3])
+        np.testing.assert_array_equal(
+            actions_of(scaled, "sample", np.random.default_rng(5)),
+            actions_of(base, "sample", np.random.default_rng(5)),
         )
 
 
 def test_predict_action_modes():
     p_combined = np.zeros((4, SPEC.n_actions))
     p_combined[:, 17] = 1.0
-    out = StepOutput(p_combined.copy(), None, None, p_combined)
-    assert predict_action(SPEC, out, 0) == SPEC.action_from_index(17)
-    assert predict_action(SPEC, out, 0, "sample", np.random.default_rng(0)) == \
-        SPEC.action_from_index(17)
+    out = step_outputs(p_combined, p_combined.copy())
+    assert actions_of(out).tolist() == [17] * 4
+    assert actions_of(out, "sample", np.random.default_rng(0)).tolist() == [17] * 4
     # tie at two maxima: lower flattened index wins
     tie = np.zeros((4, SPEC.n_actions))
     tie[:, 5] = tie[:, 9] = 0.5
-    out = StepOutput(tie.copy(), None, None, tie)
-    assert predict_action(SPEC, out, 1) == SPEC.action_from_index(5)
-    with pytest.raises(ValueError):
-        predict_action(SPEC, out, 9)
-    with pytest.raises(ValueError):
-        predict_action(SPEC, out, 0, "bogus")
+    tied = step_outputs(tie, tie.copy())
+    assert actions_of(tied).tolist() == [5] * 4
+    # rows of a batch are chosen independently
+    both = {k: None if v is None else np.concatenate([v, tied[k]]) for k, v in out.items()}
+    assert choose_step(both, "argmax")[0].tolist() == [[17] * 4, [5] * 4]
+    with pytest.raises(ValueError, match="unknown mode"):
+        choose_step(out, "bogus")
+    with pytest.raises(ValueError, match="one RNG per sequence"):
+        choose_step(both, "sample", [np.random.default_rng(0)])
 
 
 def test_predict_action_sampling_frequencies():
-    scores = np.zeros((4, SPEC.n_actions))
+    scores = np.zeros((1, 1, SPEC.n_actions))
     probs = np.array([0.5, 0.3, 0.2])
     idx = [10, 20, 30]
-    scores[0, idx] = probs * 7.0  # unnormalized on purpose
-    out = StepOutput(scores.copy(), None, None, scores)
+    scores[0, 0, idx] = probs * 7.0  # unnormalized on purpose
     rng = np.random.default_rng(123)
-    n = 100_000
-    counts = {i: 0 for i in idx}
-    for _ in range(n):
-        a = predict_action(SPEC, out, 0, "sample", rng)
-        counts[SPEC.action_index(a)] += 1
+    n, chunk = 100_000, 1000
+    rows = np.broadcast_to(scores, (chunk, 1, SPEC.n_actions))
+    out = {"p_combined": rows, "p_raw": rows, "p_macro": None, "attention": None}
+    picks = np.concatenate(
+        [choose_step(out, "sample", [rng] * chunk)[0][:, 0] for _ in range(n // chunk)]
+    )
+    counts = np.bincount(picks, minlength=SPEC.n_actions)
+    assert counts.sum() == counts[idx].sum() == n
     for i, p in zip(idx, probs):
         sigma = (n * p * (1 - p)) ** 0.5
         assert abs(counts[i] - n * p) < 3 * sigma
 
 
 def test_predict_action_zero_mass_fallback():
-    from hoopnet.court import ClampCounter
-
     p_raw = np.zeros((4, SPEC.n_actions))
     p_raw[:, 100] = 1.0
-    out = StepOutput(p_raw, None, None, np.zeros((4, SPEC.n_actions)))
-    counter = ClampCounter()
-    assert predict_action(SPEC, out, 0, fallback_counter=counter) == SPEC.action_from_index(100)
-    assert counter.count == 1
+    p_combined = np.zeros((4, SPEC.n_actions))
+    p_combined[1:, 7] = 1.0  # head 0 has no mass
+    out = step_outputs(p_combined, p_raw)
+    for mode, rng in (("argmax", None), ("sample", [np.random.default_rng(0)])):
+        actions, fell_back, _, _ = choose_step(out, mode, rng)
+        assert actions.tolist() == [[100, 7, 7, 7]]
+        assert fell_back.tolist() == [1]
 
 
 def test_predict_macro():
+    p = np.full((4, 289), 1 / 289)
     p_macro = np.zeros(90)
     p_macro[42] = 1.0
-    out = StepOutput(np.zeros((4, 289)), p_macro, None, np.zeros((4, 289)))
-    assert predict_macro(out).id == 42
-    uniform = StepOutput(np.zeros((4, 289)), np.full(90, 1 / 90), None, np.zeros((4, 289)))
-    assert predict_macro(uniform).id == 0  # tie rule
-    with pytest.raises(ValueError):
-        predict_macro(StepOutput(np.zeros((4, 289)), None, None, np.zeros((4, 289))))
+    assert choose_step(step_outputs(p, p, p_macro), "argmax")[2].tolist() == [42]
+    uniform = np.full(90, 1 / 90)
+    _, _, macro, attention = choose_step(step_outputs(p, p, uniform, p[0]), "argmax")
+    assert macro.tolist() == attention.tolist() == [0]  # tie rule
+    # a variant without a macro head or attention reports -1
+    _, _, macro, attention = choose_step(step_outputs(p, p), "argmax")
+    assert macro.tolist() == attention.tolist() == [-1]
 
 
 def test_variant_structure():
     cnn = fresh(Variant.CNN)
     assert not cnn.hierarchical and cnn.reset_memory(1).keys() == {"_owner", "_batch"}
-    out, _ = forward_step(cnn, random_positions(RNG)[0], cnn.reset_memory(1))
-    assert out.p_macro is None and out.attention is None
-    np.testing.assert_array_equal(out.p_combined, out.p_raw)
+    out, _ = one_step(cnn, random_positions(RNG)[0], cnn.reset_memory(1))
+    assert out["p_macro"] is None and out["attention"] is None
+    np.testing.assert_array_equal(out["p_combined"], out["p_raw"])
 
     gru = fresh(Variant.GRU_CNN)
     assert not gru.hierarchical and "micro" in gru.reset_memory(1)
 
     cc = fresh(Variant.H_CC)
-    out, _ = forward_step(cc, random_positions(RNG)[0], cc.reset_memory(1))
-    assert out.attention is None and out.p_macro is not None
-    np.testing.assert_allclose(out.p_combined.sum(axis=-1), 1.0, atol=1e-9)
+    out, _ = one_step(cc, random_positions(RNG)[0], cc.reset_memory(1))
+    assert out["attention"] is None and out["p_macro"] is not None
+    np.testing.assert_allclose(out["p_combined"].sum(axis=-1), 1.0, atol=1e-9)
 
     stack = fresh(Variant.H_STACK)
-    out, _ = forward_step(stack, random_positions(RNG)[0], stack.reset_memory(1))
-    assert out.attention is not None
+    out, _ = one_step(stack, random_positions(RNG)[0], stack.reset_memory(1))
+    assert out["attention"] is not None
 
     aux = fresh(Variant.H_AUX)
     assert aux.has_attention
@@ -163,7 +181,7 @@ def test_memory_ownership_checked():
     a = fresh(Variant.GRU_CNN, seed=1)
     b = fresh(Variant.GRU_CNN, seed=2)
     with pytest.raises(ValueError, match="different model"):
-        forward_step(a, random_positions(RNG)[0], b.reset_memory(1))
+        a.infer(random_positions(RNG)[:, None], b.reset_memory(1))
     with pytest.raises(ValueError, match="batch"):
         a.infer(random_positions(RNG, n=2)[:, None], a.reset_memory(1))
 
@@ -185,14 +203,14 @@ def test_reset_and_replay_determinism():
         mem = m.reset_memory(1)
         outs = []
         for x in xs:
-            out, mem = forward_step(m, x, mem)
+            out, mem = one_step(m, x, mem)
             outs.append(out)
         return outs
 
     first, second = run(), run()
     for a, b in zip(first, second):
-        np.testing.assert_array_equal(a.p_combined, b.p_combined)
-        np.testing.assert_array_equal(a.p_macro, b.p_macro)
+        np.testing.assert_array_equal(a["p_combined"], b["p_combined"])
+        np.testing.assert_array_equal(a["p_macro"], b["p_macro"])
 
 
 def test_sequence_path_matches_step_path():
@@ -217,9 +235,10 @@ def test_sequence_path_matches_step_path():
             assert (key in mem) == (key in mem_whole)
             if key in mem:
                 np.testing.assert_allclose(mem_whole[key].data, mem[key].data, atol=1e-12)
-        # forward_step is the single-sequence T = 1 case of the same path
-        out, _ = forward_step(m, inputs[1, 0], m.reset_memory(1))
-        np.testing.assert_allclose(out.p_combined, whole["p_combined"][1, 0], atol=1e-12)
+        # a sequence's outputs do not depend on the rest of its batch
+        alone, _ = m.infer(inputs[1:, :1], m.reset_memory(1))
+        np.testing.assert_allclose(alone["p_combined"][0, 0], whole["p_combined"][1, 0],
+                                   atol=1e-12)
 
 
 def test_uniform_attention_ablation_equals_gru_cnn():
@@ -234,14 +253,17 @@ def test_uniform_attention_ablation_equals_gru_cnn():
     mem_b = gru_cnn.reset_memory(1)
     for _ in range(10):
         x = random_positions(rng)[0]
-        out_a, mem_a = forward_step(h_att, x, mem_a)
-        out_b, mem_b = forward_step(gru_cnn, x, mem_b)
-        np.testing.assert_allclose(out_a.attention, 1.0 / SPEC.n_actions, atol=1e-15)
-        np.testing.assert_allclose(out_a.p_raw, out_b.p_raw, atol=1e-12)
+        out_a, mem_a = one_step(h_att, x, mem_a)
+        out_b, mem_b = one_step(gru_cnn, x, mem_b)
+        np.testing.assert_allclose(out_a["attention"], 1.0 / SPEC.n_actions, atol=1e-15)
+        np.testing.assert_allclose(out_a["p_raw"], out_b["p_raw"], atol=1e-12)
+        np.testing.assert_array_equal(
+            actions_of(step_outputs(out_a["p_combined"], out_a["p_raw"])),
+            actions_of(step_outputs(out_b["p_combined"], out_b["p_raw"])),
+        )
         for k in range(4):
-            assert predict_action(SPEC, out_a, k) == predict_action(SPEC, out_b, k)
-            renorm = out_a.p_combined[k] / out_a.p_combined[k].sum()
-            np.testing.assert_allclose(renorm, out_b.p_combined[k], atol=1e-12)
+            renorm = out_a["p_combined"][k] / out_a["p_combined"][k].sum()
+            np.testing.assert_allclose(renorm, out_b["p_combined"][k], atol=1e-12)
 
 
 def test_h_stack_chains_heads():
@@ -270,8 +292,8 @@ def test_shared_encoder_option():
     assert m.macro_encoder is m.micro_encoder
     names = [n for n, _ in m.named_parameters()]
     assert len(names) == len(set(names))  # no duplicate registrations
-    out, _ = forward_step(m, random_positions(RNG)[0], m.reset_memory(1))
-    np.testing.assert_allclose(out.p_macro.sum(), 1.0, atol=1e-9)
+    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    np.testing.assert_allclose(out["p_macro"].sum(), 1.0, atol=1e-9)
 
 
 def test_checkpoint_config_hash_guard(tmp_path):

@@ -11,11 +11,12 @@ from hoopnet.rollout import (
     RolloutConfig,
     batch_rollout,
     load_rollouts,
-    rollout,
     rollout_to_json,
     save_rollouts,
 )
 from hoopnet.util import rng_for
+
+from _oracles import oracle_rollout
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -33,15 +34,33 @@ def sequences(n=3, seed=61):
 SEQS = sequences()
 
 
+def truncated(seq, steps):
+    """The first ``steps`` steps of a sequence."""
+    stride = SPEC.subsample_stride
+    return replace(
+        seq,
+        raw_positions=seq.raw_positions[:steps],
+        raw_frame_positions=seq.raw_frame_positions[:steps * stride],
+        ball_positions=seq.ball_positions[:steps],
+        teammate_positions=seq.teammate_positions[:steps],
+        opponent_positions=seq.opponent_positions[:steps],
+    )
+
+
+def rollout(model, seq, config):
+    return batch_rollout(model, [seq], config, SPEC)[0]
+
+
 class _ConstantModel:
     """Stub emitting a fixed action for every look-ahead head."""
 
     variant = Variant.GRU_CNN
     hierarchical = False
 
-    def __init__(self, spec, action_index):
+    def __init__(self, spec, action_index, combined_mass=True):
         self.spec = spec
         self.index = action_index
+        self.combined_mass = combined_mass
 
     def reset_memory(self, batch=1):
         return {"_owner": id(self), "_batch": batch}
@@ -50,13 +69,14 @@ class _ConstantModel:
         n, t_steps = x.shape[:2]
         p = np.zeros((n, t_steps, self.spec.lookahead_steps, self.spec.n_actions))
         p[..., self.index] = 1.0
-        return {"p_raw": p, "p_macro": None, "attention": None, "p_combined": p}, mem
+        combined = p if self.combined_mass else np.zeros_like(p)
+        return {"p_raw": p, "p_macro": None, "attention": None, "p_combined": combined}, mem
 
 
 def test_horizon_zero_is_pure_ground_truth():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 3)
     cfg = RolloutConfig(burn_in_steps=20, horizon_steps=0)
-    result = rollout(m, SEQS[0], cfg, SPEC)
+    result = rollout(m, SEQS[0], cfg)
     assert result.path.shape == (20, 2)
     np.testing.assert_array_equal(result.path, SEQS[0].raw_positions[:20])
 
@@ -64,7 +84,7 @@ def test_horizon_zero_is_pure_ground_truth():
 def test_burn_in_exactness_bit_for_bit():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 3)
     cfg = RolloutConfig(burn_in_steps=20, horizon_steps=30)
-    result = rollout(m, SEQS[0], cfg, SPEC)
+    result = rollout(m, SEQS[0], cfg)
     assert result.path.shape == (50, 2)
     assert result.path[:20].tobytes() == SEQS[0].raw_positions[:20].tobytes()
 
@@ -72,7 +92,7 @@ def test_burn_in_exactness_bit_for_bit():
 def test_stationary_model_freezes_focal():
     m = _ConstantModel(SPEC, SPEC.stationary_action_index)
     cfg = RolloutConfig(burn_in_steps=5, horizon_steps=10)
-    result = rollout(m, SEQS[0], cfg, SPEC)
+    result = rollout(m, SEQS[0], cfg)
     anchor = SEQS[0].raw_positions[4]
     for t in range(5, 15):
         np.testing.assert_array_equal(result.path[t], anchor)
@@ -83,7 +103,7 @@ def test_constant_motion_advances_and_clamps():
     east = SPEC.action_index(SPEC.displacement_to_action(1.0, 0.0))
     m = _ConstantModel(SPEC, east)
     cfg = RolloutConfig(burn_in_steps=2, horizon_steps=30)
-    result = rollout(m, SEQS[0], cfg, SPEC)
+    result = rollout(m, SEQS[0], cfg)
     x0 = result.path[1][0]
     for h in range(1, 5):
         expect = min(x0 + 4.0 * h, SPEC.width_ft - 1e-9)
@@ -96,7 +116,7 @@ def test_bounds_always_hold():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
     cfg = RolloutConfig(burn_in_steps=20, horizon_steps=30)
     for seq in SEQS:
-        r = rollout(m, seq, cfg, SPEC)
+        r = rollout(m, seq, cfg)
         assert (r.path[:, 0] >= 0).all() and (r.path[:, 0] <= SPEC.width_ft).all()
         assert (r.path[:, 1] >= 0).all() and (r.path[:, 1] <= SPEC.height_ft).all()
 
@@ -104,46 +124,72 @@ def test_bounds_always_hold():
 def test_memory_persists_prefix_property():
     # a longer rollout extends a shorter one without resetting memory
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 7)
-    short = rollout(m, SEQS[1], RolloutConfig(burn_in_steps=20, horizon_steps=10), SPEC)
-    long = rollout(m, SEQS[1], RolloutConfig(burn_in_steps=20, horizon_steps=25), SPEC)
+    short = rollout(m, SEQS[1], RolloutConfig(burn_in_steps=20, horizon_steps=10))
+    long = rollout(m, SEQS[1], RolloutConfig(burn_in_steps=20, horizon_steps=25))
     np.testing.assert_array_equal(long.path[:30], short.path)
     np.testing.assert_array_equal(long.macro_goals[:30], short.macro_goals[:30])
 
 
 def test_memory_persists_prefix_property_sampled():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 7)
-    a = rollout(m, SEQS[1], RolloutConfig(20, 10, "sample", seed=3), SPEC)
-    b = rollout(m, SEQS[1], RolloutConfig(20, 25, "sample", seed=3), SPEC)
+    a = rollout(m, SEQS[1], RolloutConfig(20, 10, "sample", seed=3))
+    b = rollout(m, SEQS[1], RolloutConfig(20, 25, "sample", seed=3))
     np.testing.assert_array_equal(b.path[:30], a.path)
 
 
 def test_argmax_mode_ignores_seed():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 9)
-    a = rollout(m, SEQS[0], RolloutConfig(20, 15, "argmax", seed=1), SPEC)
-    b = rollout(m, SEQS[0], RolloutConfig(20, 15, "argmax", seed=999), SPEC)
+    a = rollout(m, SEQS[0], RolloutConfig(20, 15, "argmax", seed=1))
+    b = rollout(m, SEQS[0], RolloutConfig(20, 15, "argmax", seed=999))
     np.testing.assert_array_equal(a.path, b.path)
 
 
 def test_sample_mode_seeded_determinism():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 9)
-    a = rollout(m, SEQS[0], RolloutConfig(20, 15, "sample", seed=5), SPEC)
-    b = rollout(m, SEQS[0], RolloutConfig(20, 15, "sample", seed=5), SPEC)
+    a = rollout(m, SEQS[0], RolloutConfig(20, 15, "sample", seed=5))
+    b = rollout(m, SEQS[0], RolloutConfig(20, 15, "sample", seed=5))
     np.testing.assert_array_equal(a.path, b.path)
-    c = rollout(m, SEQS[0], RolloutConfig(20, 15, "sample", seed=6), SPEC)
+    c = rollout(m, SEQS[0], RolloutConfig(20, 15, "sample", seed=6))
     assert not np.array_equal(a.path, c.path)
 
 
-def test_batch_rollout_duplicates_and_threads():
+@pytest.mark.parametrize("variant", list(Variant))
+def test_batch_rollout_matches_one_sequence_oracle(variant):
+    # one batched recurrence equals rolling each sequence out alone; the
+    # horizon runs past the 50 recorded steps (and the short sequence's
+    # 30), so the other agents freeze at different steps
+    m = HPNModel(SPEC, ARCH, variant, 19)
+    batch = SEQS + [truncated(SEQS[2], 30)]
+    for mode in ("argmax", "sample"):
+        cfg = RolloutConfig(burn_in_steps=20, horizon_steps=40, mode=mode, seed=4)
+        results = batch_rollout(m, batch, cfg, SPEC)
+        assert len(results) == len(batch)
+        assert sum(r.clamp_events for r in results) > 0
+        for seq, r in zip(batch, results):
+            assert rollout_to_json(r) == rollout_to_json(oracle_rollout(m, seq, cfg, SPEC))
+
+
+def test_batch_rollout_duplicates_and_short_sequence():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 11)
     cfg = RolloutConfig(20, 10, "sample", seed=2)
-    batch = [SEQS[0], SEQS[1], SEQS[0]]
-    r1 = batch_rollout(m, batch, cfg, SPEC, threads=1)
-    np.testing.assert_array_equal(r1[0].path, r1[2].path)  # duplicates identical
-    r4 = batch_rollout(m, batch, cfg, SPEC, threads=4)
-    for a, b in zip(r1, r4):
-        np.testing.assert_array_equal(a.path, b.path)
-        np.testing.assert_array_equal(a.macro_goals, b.macro_goals)
-        np.testing.assert_array_equal(a.actions, b.actions)
+    r = batch_rollout(m, [SEQS[0], SEQS[1], SEQS[0]], cfg, SPEC)
+    assert rollout_to_json(r[0]) == rollout_to_json(r[2])  # duplicates identical
+    # one sequence shorter than the burn-in fails the whole batch
+    with pytest.raises(ConfigError, match="burn-in"):
+        batch_rollout(m, [SEQS[0], truncated(SEQS[1], 19)], cfg, SPEC)
+
+
+def test_zero_mass_steps_fall_back_to_raw():
+    east = SPEC.action_index(SPEC.displacement_to_action(1.0, 0.0))
+    cfg = RolloutConfig(burn_in_steps=2, horizon_steps=5)
+    for mode in ("argmax", "sample"):
+        cfg = replace(cfg, mode=mode)
+        fallen = rollout(_ConstantModel(SPEC, east, combined_mass=False), SEQS[0], cfg)
+        assert fallen.zero_mass_fallbacks == 7 * SPEC.lookahead_steps
+        assert (fallen.actions == east).all()
+        ok = rollout(_ConstantModel(SPEC, east), SEQS[0], cfg)
+        assert ok.zero_mass_fallbacks == 0
+        np.testing.assert_array_equal(fallen.path, ok.path)
 
 
 def test_batch_rollout_empty_rejected():
@@ -159,7 +205,7 @@ def test_config_validation():
         RolloutConfig(mode="greedy").validate()
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 1)
     with pytest.raises(ConfigError, match="burn-in"):
-        rollout(m, SEQS[0], RolloutConfig(burn_in_steps=51), SPEC)
+        rollout(m, SEQS[0], RolloutConfig(burn_in_steps=51))
 
 
 def test_macro_goal_switch_metric_and_json_round_trip(tmp_path):
@@ -196,6 +242,6 @@ def test_failed_rollout_write_keeps_previous_file(tmp_path):
 
 def test_non_hierarchical_rollout_has_no_macro_goals():
     m = HPNModel(SPEC, ARCH, Variant.GRU_CNN, 15)
-    r = rollout(m, SEQS[0], RolloutConfig(20, 5), SPEC)
+    r = rollout(m, SEQS[0], RolloutConfig(20, 5))
     assert (r.macro_goals == -1).all()
     assert r.macro_switches == 0
