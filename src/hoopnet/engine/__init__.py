@@ -3,11 +3,20 @@
 Forward ops record a tape; backward() walks it once.  The layer set is
 exactly what the policy networks need: convolution, linear maps, GRU
 cells, batch normalization, softmax / cross-entropy, Gaussian noise
-injection, plus RMSprop-with-momentum and global gradient clipping.  The
-model's input, agent occupancy max-pooled as one k x k max over counts
-per fine cell, is built on plain arrays outside the tape
-(``hoopnet.model.pooled_occupancy``).
+injection, plus RMSprop-with-momentum and global gradient clipping.  A
+GRU cell runs every step of a sequence batch as one op
+(``nn.gru_sequence``: one tape node, hand-written backpropagation
+through time).  The model's input, agent occupancy max-pooled as one
+k x k max over counts per fine cell, is built on plain arrays outside
+the tape (``hoopnet.model.pooled_occupancy``).
+
+Importing the package sets glibc's malloc thresholds so that freed heap
+memory stays with the process: a training pass frees and reallocates
+the same few hundred megabytes every batch, and returning them to the
+system after each pass only page-faults them back in on the next.
 """
+
+import ctypes
 
 from .tensor import (
     Tensor,
@@ -30,15 +39,36 @@ from .nn import (
     Module,
     conv2d,
     glorot_uniform,
+    gru_sequence,
 )
 from .optim import RMSProp, clip_gradients, rmsprop_step
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import gradcheck, relative_error
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Serve arrays up to 32 MiB from the heap and trim it only above
+    1 GiB free; a no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_heap()
+
 __all__ = [
     "Tensor", "Parameter", "backward", "concat", "gaussian_noise",
     "no_grad", "relu", "sigmoid", "softmax", "softmax_nll", "tanh",
     "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module", "conv2d", "glorot_uniform",
+    "gru_sequence",
     "RMSProp", "clip_gradients", "rmsprop_step",
     "load_checkpoint", "save_checkpoint",
     "gradcheck", "relative_error",

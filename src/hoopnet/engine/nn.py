@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Parameter, Tensor, _node, matmul, sigmoid, tanh, add, mul, sub
+from .tensor import Parameter, Tensor, _grad_enabled, _node, add, matmul
 
 
 class Module:
@@ -104,13 +104,13 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
         gb = gmat.sum(axis=0) if bias is not None else None
         gx = None
         if x._needs():
-            gcols = (gmat @ wmat).reshape(n, oh, ow, c, kh, kw)
-            gxp = np.zeros_like(xp)
+            # one kernel offset at a time, into a channels-last padded buffer
+            gxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
-                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            gx = gxp[:, :, ph:ph + h, pw:pw + w]
+                    gxp[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
+                        (gmat @ weight.data[:, :, i, j]).reshape(n, oh, ow, c)
+            gx = gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
@@ -225,7 +225,10 @@ class BatchNorm(Module):
 
 
 class GRUCell(Module):
-    """Gated recurrent cell: update/reset gates plus a tanh candidate."""
+    """Gated recurrent cell: update/reset gates plus a tanh candidate.
+
+    ``cell(x, h0)`` runs every step of the time-major rows ``x`` from
+    state ``h0`` (see ``gru_sequence``)."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         super().__init__()
@@ -242,17 +245,80 @@ class GRUCell(Module):
         self.b_cand = Parameter(np.zeros(hidden))
         self.hidden = hidden
 
-    def project_inputs(self, x: Tensor) -> dict[str, Tensor]:
-        """Input-to-hidden projections (with biases) for a whole batch of
-        steps at once; step_projected consumes per-step row blocks of these."""
-        return {
-            "update": add(matmul(x, self.w_update), self.b_update),
-            "reset": add(matmul(x, self.w_reset), self.b_reset),
-            "cand": add(matmul(x, self.w_cand), self.b_cand),
-        }
+    def __call__(self, x: Tensor, h0: Tensor) -> Tensor:
+        return gru_sequence(self, x, h0)
 
-    def step_projected(self, proj: dict[str, Tensor], h: Tensor) -> Tensor:
-        z = sigmoid(add(proj["update"], matmul(h, self.u_update)))
-        r = sigmoid(add(proj["reset"], matmul(h, self.u_reset)))
-        cand = tanh(add(proj["cand"], matmul(mul(r, h), self.u_cand)))
-        return add(mul(sub(1.0, z), h), mul(z, cand))
+
+def gru_sequence(cell: GRUCell, x: Tensor, h0: Tensor) -> Tensor:
+    """Every step of ``cell`` over time-major rows, as one tape node.
+
+    ``x`` holds T*N input rows (row t*N + i is sequence i at step t) and
+    ``h0`` the (N, H) state before step 0; returns the (T*N, H) states.
+    Each step computes z = sigmoid(x W_z + b_z + h U_z), r likewise, the
+    candidate c = tanh(x W_c + b_c + (r * h) U_c) and h' = (1 - z) * h + z * c.
+    The backward pass walks the steps in reverse carrying dh, then forms
+    dx and every parameter gradient over all T*N rows at once.
+    """
+    n, hidden = h0.data.shape
+    rows = x.data.shape[0]
+    if rows % n:
+        raise ValueError(f"gru_sequence: {rows} input rows are not whole steps of {n}")
+    params = (cell.w_update, cell.u_update, cell.b_update, cell.w_reset, cell.u_reset,
+              cell.b_reset, cell.w_cand, cell.u_cand, cell.b_cand)
+    parents = (x, h0) + params
+    record = _grad_enabled() and any(p._needs() for p in parents)
+    u_z, u_r, u_c = cell.u_update.data, cell.u_reset.data, cell.u_cand.data
+    x_z = x.data @ cell.w_update.data + cell.b_update.data
+    x_r = x.data @ cell.w_reset.data + cell.b_reset.data
+    x_c = x.data @ cell.w_cand.data + cell.b_cand.data
+    states = np.empty((rows, hidden))
+    # z, r and the candidate of every step, kept for the backward pass
+    saved = np.empty((3, rows, hidden)) if record else None
+    h = h0.data
+    for t in range(0, rows, n):
+        s = slice(t, t + n)
+        z = 1.0 / (1.0 + np.exp(-(x_z[s] + h @ u_z)))
+        r = 1.0 / (1.0 + np.exp(-(x_r[s] + h @ u_r)))
+        c = np.tanh(x_c[s] + (r * h) @ u_c)
+        states[s] = (1.0 - z) * h + z * c
+        h = states[s]
+        if record:
+            saved[0, s], saved[1, s], saved[2, s] = z, r, c
+
+    def vjp(g):
+        z, r, c = saved
+        h_prev = np.concatenate([h0.data, states[:-n]])
+        # per-row factors from dh (update, candidate) and from d(r * h)
+        # (reset) to each gate's pre-activation gradient
+        f_z = (c - h_prev) * z * (1.0 - z)
+        f_r = h_prev * r * (1.0 - r)
+        f_c = z * (1.0 - c * c)
+        keep = 1.0 - z
+        # pre-activation gradients, columns [update | reset | candidate]
+        d_pre = np.empty((rows, 3 * hidden))
+        d_z, d_r, d_c = d_pre[:, :hidden], d_pre[:, hidden:2 * hidden], d_pre[:, 2 * hidden:]
+        u_zr_t = np.concatenate([u_z, u_r], axis=1).T
+        dh = np.zeros((n, hidden))
+        for t in range(rows - n, -1, -n):
+            s = slice(t, t + n)
+            dh = dh + g[s]
+            np.multiply(dh, f_c[s], out=d_c[s])
+            d_rh = d_c[s] @ u_c.T
+            np.multiply(dh, f_z[s], out=d_z[s])
+            np.multiply(d_rh, f_r[s], out=d_r[s])
+            dh = dh * keep[s] + d_rh * r[s] + d_pre[s, :2 * hidden] @ u_zr_t
+        grads = [None] * len(parents)
+        if x._needs():
+            w_all = np.concatenate([cell.w_update.data, cell.w_reset.data, cell.w_cand.data], axis=1)
+            grads[0] = d_pre @ w_all.T
+        if h0._needs():
+            grads[1] = dh
+        if any(p._needs() for p in params):
+            d_w = np.split(x.data.T @ d_pre, 3, axis=1)
+            d_b = np.split(d_pre.sum(axis=0), 3)
+            d_u = np.split(h_prev.T @ d_pre[:, :2 * hidden], 2, axis=1)
+            d_u.append((r * h_prev).T @ d_c)
+            grads[2:] = [grad for gate in zip(d_w, d_u, d_b) for grad in gate]
+        return grads
+
+    return _node(states, parents, vjp)

@@ -18,9 +18,11 @@ There is one forward implementation, ``HPNModel.run``, over an
 works on time-major rows: row ``t * N + i`` holds sequence i at step t
 (see ``time_major``).  The occupancy, the encoders, every head, the
 transfer net and the combine heads run once over all T*N rows; only the
-GRU cells step through time.  Training losses, teacher-forced evaluation
-(``eval_sequence``) and rollouts (``infer`` with T = 1 on all N rollout
-sequences per step) all go through it.
+GRU cells step through time, each inside one engine op
+(``engine.nn.gru_sequence``, one tape node per recurrence).  Training
+losses, teacher-forced evaluation (``eval_sequence``) and rollouts
+(``infer`` with T = 1 on all N rollout sequences per step) all go
+through it.
 """
 
 from __future__ import annotations
@@ -317,7 +319,7 @@ class HPNModel(Module):
                 f"input {inputs.shape} is not an (N, T, {len(AGENT_CHANNELS)}, 2) "
                 "array of agent positions"
             )
-        n, t_steps = inputs.shape[:2]
+        n = inputs.shape[0]
         self._check_memory(memory, n)
         branches = branches if branches is not None else self.branch_set()
         branches = branches & self.branch_set()
@@ -332,7 +334,8 @@ class HPNModel(Module):
             if self.variant is Variant.CNN:
                 h = relu(self.micro_core(f_micro))
             else:
-                h, new_mem["micro"] = _recur(self.micro_core, f_micro, memory["micro"], n, t_steps)
+                h = self.micro_core(f_micro, memory["micro"])
+                new_mem["micro"] = _last_step(h, n)
             outs["raw_logits"] = self._raw_logits(h)
 
         if self.hierarchical and branches & {"macro", "attention", "combine"}:
@@ -340,7 +343,8 @@ class HPNModel(Module):
                 f_macro = f_micro
             else:
                 f_macro = self.macro_encoder(pooled, training, rng, noise_sigma)
-            hm, new_mem["macro"] = _recur(self.macro_core, f_macro, memory["macro"], n, t_steps)
+            hm = self.macro_core(f_macro, memory["macro"])
+            new_mem["macro"] = _last_step(hm, n)
             macro_logits = self.macro_head(hm)
             outs["macro_logits"] = macro_logits
             if self.has_attention and "attention" in branches:
@@ -404,15 +408,7 @@ class HPNModel(Module):
         return self.infer(inputs, self.reset_memory(len(inputs)))[0]
 
 
-def _recur(cell: GRUCell, feats: Tensor, h: Tensor, n: int, t_steps: int) -> tuple[Tensor, Tensor]:
-    """Step ``cell`` through T time-major row blocks of ``feats`` from state
-    ``h``; returns the T*N stacked states and the last one."""
-    proj = cell.project_inputs(feats)
-    if t_steps == 1:  # a rollout step: no row blocks to slice or stack
-        h = cell.step_projected(proj, h)
-        return h, h
-    states = []
-    for t in range(t_steps):
-        h = cell.step_projected({k: row_block(v, t * n, (t + 1) * n) for k, v in proj.items()}, h)
-        states.append(h)
-    return concat(states, axis=0), h
+def _last_step(states: Tensor, n: int) -> Tensor:
+    """The last step's N rows of time-major states: the memory after it."""
+    rows = states.data.shape[0]
+    return row_block(states, rows - n, rows)

@@ -92,10 +92,12 @@ def choose_step(
     elif mode == "sample":
         if rngs is None or len(rngs) != len(scores):
             raise ValueError("sample mode needs one RNG per sequence")
-        actions = np.empty(scores.shape[:2], dtype=np.int64)
-        for i, rng in enumerate(rngs):
-            for k, row in enumerate(scores[i]):
-                actions[i, k] = rng.choice(len(row), p=row / row.sum())
+        # Generator.choice(len(row), p=row / row.sum()) head by head, over
+        # arrays: the same cumulative sums and the same uniform draws
+        draws = np.stack([rng.random(scores.shape[1]) for rng in rngs])
+        cdf = (scores / scores.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
+        cdf /= cdf[..., -1:]
+        actions = (cdf <= draws[..., None]).sum(axis=-1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     n = len(scores)

@@ -3,7 +3,8 @@
 Everything here is written loop-by-loop from the label definitions,
 deliberately sharing no code with the package internals beyond CourtSpec
 arithmetic on scalars.  ``oracle_rollout`` drives a model, one sequence
-and one look-ahead head at a time.
+and one look-ahead head at a time; ``oracle_gru_sequence`` steps a GRU
+cell through time with the engine's elementary tape ops.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from hoopnet.court import ClampCounter, CourtSpec
 from hoopnet.data import agent_positions
+from hoopnet.engine.tensor import add, concat, matmul, mul, row_block, sigmoid, sub, tanh
 from hoopnet.rollout import RolloutResult
 from hoopnet.util import rng_for
 
@@ -231,3 +233,22 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
         clamp_events=clamps.count,
         zero_mass_fallbacks=fallbacks,
     )
+
+
+def oracle_gru_sequence(cell, x, h, n: int):
+    """The GRU recurrence as a tape of elementary ops, 17 nodes per step:
+    project every step's rows at once, then step through N-row blocks."""
+    proj = {
+        "update": add(matmul(x, cell.w_update), cell.b_update),
+        "reset": add(matmul(x, cell.w_reset), cell.b_reset),
+        "cand": add(matmul(x, cell.w_cand), cell.b_cand),
+    }
+    states = []
+    for t in range(x.data.shape[0] // n):
+        block = {k: row_block(v, t * n, (t + 1) * n) for k, v in proj.items()}
+        z = sigmoid(add(block["update"], matmul(h, cell.u_update)))
+        r = sigmoid(add(block["reset"], matmul(h, cell.u_reset)))
+        cand = tanh(add(block["cand"], matmul(mul(r, h), cell.u_cand)))
+        h = add(mul(sub(1.0, z), h), mul(z, cand))
+        states.append(h)
+    return concat(states, axis=0)

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from hoopnet.engine import (
     conv2d,
     gaussian_noise,
     gradcheck,
+    gru_sequence,
     load_checkpoint,
     no_grad,
     relative_error,
@@ -33,7 +35,7 @@ from hoopnet.engine.nn import Module, batch_norm
 from hoopnet.engine.tensor import mul, row_block
 from hoopnet.errors import CheckpointError
 
-from _oracles import oracle_pool
+from _oracles import oracle_gru_sequence, oracle_pool
 
 RNG = np.random.default_rng(20240801)
 TOL = 1e-4
@@ -128,52 +130,88 @@ def test_maxpool_keeps_integer_counts_exact():
 # GRU
 
 
-def _gru_step(cell, x, h):
-    return cell.step_projected(cell.project_inputs(x), h)
-
-
 def test_gru_zero_weights_update_rule():
     cell = GRUCell(2, 2, np.random.default_rng(0))
     for p in cell.parameters():
         p.data[...] = 0.0
     h = Tensor(np.ones((1, 2)))
-    x = Tensor(np.zeros((1, 2)))
-    out = _gru_step(cell, x, h)
-    np.testing.assert_allclose(out.data, 0.5)  # z=0.5, candidate=0 -> h'=h/2
+    x = Tensor(np.zeros((3, 2)))  # three steps
+    out = gru_sequence(cell, x, h)
+    # z=0.5, candidate=0 -> h' = h/2 at every step
+    np.testing.assert_allclose(out.data, [[0.5, 0.5], [0.25, 0.25], [0.125, 0.125]])
 
 
 def test_gru_update_gate_closed_keeps_state():
     cell = GRUCell(2, 2, np.random.default_rng(1))
     cell.b_update.data[...] = -50.0  # update gate ~ 0 -> h' = h
     h = Tensor(RNG.normal(size=(3, 2)))
-    x = Tensor(RNG.normal(size=(3, 2)))
-    out = _gru_step(cell, x, h)
-    np.testing.assert_allclose(out.data, h.data, atol=1e-12)
+    x = Tensor(RNG.normal(size=(12, 2)))  # four steps of three rows
+    out = gru_sequence(cell, x, h)
+    np.testing.assert_allclose(out.data, np.tile(h.data, (4, 1)), atol=1e-12)
 
 
 def test_gru_gradcheck():
+    # one step, and three steps of two rows (gradients through time)
     cell = GRUCell(3, 4, np.random.default_rng(2))
-    x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    for steps in (1, 3):
+        x = Tensor(RNG.normal(size=(steps * 2, 3)), requires_grad=True)
+        h = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
+        fixed = Tensor(_fixed_like((steps * 2, 4)))
+        err = gradcheck(
+            lambda: (gru_sequence(cell, x, h) * fixed).sum(), [x, h] + cell.parameters()
+        )
+        assert err < TOL
+
+
+@pytest.mark.parametrize("steps,rows", [(1, 3), (5, 2), (4, 1)])
+def test_gru_sequence_matches_step_tape_oracle(steps, rows):
+    # the fused op against the per-step tape of elementary ops: equal
+    # states, gradients equal up to summation order
+    cell = GRUCell(3, 4, np.random.default_rng(4))
+    x = Tensor(RNG.normal(size=(steps * rows, 3)), requires_grad=True)
+    h = Tensor(RNG.normal(size=(rows, 4)), requires_grad=True)
+    fixed = Tensor(RNG.normal(size=(steps * rows, 4)))
+    leaves = [x, h] + cell.parameters()
+    grads = []
+    for run in (lambda: gru_sequence(cell, x, h), lambda: oracle_gru_sequence(cell, x, h, rows)):
+        for t in leaves:
+            t.grad = None
+        out = run()
+        backward((out * fixed).sum())
+        grads.append((out.data, [t.grad for t in leaves]))
+    (fused, g_fused), (oracle, g_oracle) = grads
+    np.testing.assert_array_equal(fused, oracle)
+    for a, b in zip(g_fused, g_oracle):
+        assert relative_error(a, b) < 1e-12
+
+
+def test_gru_sequence_frozen_and_constant_inputs():
+    # gradients reach only what needs one; no grad mode records nothing
+    cell = GRUCell(3, 4, np.random.default_rng(6))
+    x = Tensor(RNG.normal(size=(6, 3)))
     h = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
-    fixed = Tensor(_fixed_like((2, 4)))
-    err = gradcheck(
-        lambda: (_gru_step(cell, x, h) * fixed).sum(), [x, h] + cell.parameters()
-    )
-    assert err < TOL
+    for p in cell.parameters():
+        p.frozen = True
+    backward(gru_sequence(cell, x, h).sum())
+    assert h.grad is not None and x.grad is None
+    assert all(p.grad is None for p in cell.parameters())
+    with no_grad():
+        out = gru_sequence(cell, x, h)
+    assert out._vjp is None and not out.requires_grad
+    with pytest.raises(ValueError):
+        gru_sequence(cell, Tensor(np.zeros((5, 3))), h)
 
 
 def test_gru_projected_matches_plain_step():
-    # projecting every step's rows at once and taking one step's row block
-    # equals projecting that step's rows alone
+    # stepping all rows at once equals stepping each step's rows alone
+    # from the previous step's state
     cell = GRUCell(3, 4, np.random.default_rng(3))
     x = Tensor(RNG.normal(size=(6, 3)))  # 3 steps x 2 rows, time-major
     h = Tensor(RNG.normal(size=(2, 4)))
-    proj = cell.project_inputs(x)
+    states = gru_sequence(cell, x, h)
     for t in range(3):
-        block = {k: row_block(v, 2 * t, 2 * t + 2) for k, v in proj.items()}
-        a = cell.step_projected(block, h)
-        b = _gru_step(cell, Tensor(x.data[2 * t:2 * t + 2]), h)
-        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+        h = gru_sequence(cell, Tensor(x.data[2 * t:2 * t + 2]), h)
+        np.testing.assert_array_equal(states.data[2 * t:2 * t + 2], h.data)
 
 
 # batch normalization
@@ -446,6 +484,33 @@ def test_clip_gradients_random_norm_bound():
     assert total <= 1.0 + 1e-9
 
 
+# heap
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+    )]
+
+
+def test_engine_import_keeps_freed_heap():
+    # importing hoopnet.engine (done above) serves a 24 MiB array from the
+    # heap, not from its own mapping, and keeps it there once freed
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("the C library has no mallinfo2")
+    libc.mallinfo2.argtypes = ()
+    libc.mallinfo2.restype = _MallInfo2
+    before = libc.mallinfo2()
+    block = np.ones(3 << 20)
+    during = libc.mallinfo2()
+    del block
+    after = libc.mallinfo2()
+    assert during.hblkhd == before.hblkhd
+    assert after.arena == during.arena and after.fordblks >= 24 << 20
+
+
 # determinism / freezing / autodiff behavior
 
 
@@ -453,8 +518,8 @@ def test_forward_determinism():
     cell = GRUCell(4, 4, np.random.default_rng(5))
     x = RNG.normal(size=(3, 4))
     h = RNG.normal(size=(3, 4))
-    a = _gru_step(cell, Tensor(x), Tensor(h)).data
-    b = _gru_step(cell, Tensor(x), Tensor(h)).data
+    a = gru_sequence(cell, Tensor(x), Tensor(h)).data
+    b = gru_sequence(cell, Tensor(x), Tensor(h)).data
     np.testing.assert_array_equal(a, b)
 
 

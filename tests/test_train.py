@@ -204,31 +204,46 @@ def test_finetune_loss_decomposition_recomputed():
     np.testing.assert_allclose(float(loss.data), total / (n * t_steps), atol=1e-10)
 
 
-def _count_softmax_nll_nodes(loss):
-    seen, stack, count = {id(loss)}, [loss], 0
+def _tape(loss):
+    """Every node reachable from ``loss`` that needs a gradient: the tape
+    backward() walks."""
+    seen, stack, nodes = {id(loss)}, [loss], []
     while stack:
         node = stack.pop()
-        if node._vjp is not None and node._vjp.__qualname__.startswith("softmax_nll."):
-            count += 1
+        nodes.append(node)
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return count
+    return nodes
+
+
+def _count_op_nodes(nodes, op):
+    return sum(n._vjp is not None and n._vjp.__qualname__.startswith(f"{op}.") for n in nodes)
+
+
+def _finetune_tapes(steps):
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
+    cfg = small_cfg()
+    return [
+        _tape(compute_loss(m, [shorten(it, t) for it in DATA[:2]], Stage.FINETUNE, cfg, SPEC))
+        for t in steps
+    ]
 
 
 def test_finetune_softmax_nll_nodes_independent_of_steps():
     # every loss term covers all T*N rows at once, so longer sequences
     # add no cross-entropy nodes to the tape
-    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
-    cfg = small_cfg()
-    counts = [
-        _count_softmax_nll_nodes(
-            compute_loss(m, [shorten(it, t) for it in DATA[:2]], Stage.FINETUNE, cfg, SPEC)
-        )
-        for t in (3, 6)
-    ]
+    counts = [_count_op_nodes(tape, "softmax_nll") for tape in _finetune_tapes((3, 6))]
     assert counts[0] == counts[1] == 2 * SPEC.lookahead_steps
+
+
+def test_finetune_tape_nodes_independent_of_steps():
+    # each GRU recurrence is one node whatever the sequence length, so
+    # the whole tape is the same size at T = 3 and T = 6
+    short, long = _finetune_tapes((3, 6))
+    assert len(short) == len(long)
+    assert _count_op_nodes(short, "gru_sequence") == _count_op_nodes(long, "gru_sequence") == 2
 
 
 def shorten(item, steps):
