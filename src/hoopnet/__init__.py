@@ -2,7 +2,7 @@
 trajectory imitation, with a self-contained training and evaluation
 pipeline over ingested or synthetic tracking data."""
 
-from .court import CourtSpec, MacroGoalBox, MicroCell, VelocityAction
+from .court import CourtSpec
 from .data import Possession, RawTrack, SynthConfig, TrainingSequence
 from .labels import SegmentationConfig, WeakLabels
 from .model import ArchitectureConfig, HPNModel, Variant
@@ -10,7 +10,7 @@ from .rollout import RolloutConfig, RolloutResult
 from .train import LabeledSequence, Stage, TrainConfig, TrainReport
 
 __all__ = [
-    "CourtSpec", "MicroCell", "MacroGoalBox", "VelocityAction",
+    "CourtSpec",
     "RawTrack", "Possession", "TrainingSequence", "SynthConfig",
     "WeakLabels", "SegmentationConfig",
     "ArchitectureConfig", "HPNModel", "Variant",

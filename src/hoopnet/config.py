@@ -2,7 +2,8 @@
 
 Format: UTF-8, one ``section.key = value`` per line, ``#`` comments.
 Each section maps onto one config dataclass; unknown sections or keys are
-rejected, and values are coerced by the dataclass field types.  Seed
+rejected, values are coerced by the dataclass field types, and every
+section's own checks run when the document loads.  Seed
 fields never live in the document: the CLI derives them from its single
 ``--seed`` flag.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .court import CourtSpec
 from .data import DataConfig, SynthConfig
-from .errors import ConfigError
+from .errors import ConfigError, HoopnetError
 from .labels import SegmentationConfig
 from .model import ArchitectureConfig
 from .render import RenderSpec
@@ -128,14 +129,37 @@ def _apply(entries: dict[tuple[str, str], str], base: RunConfig) -> RunConfig:
         updates.setdefault(section, {})[key] = _coerce(value, types[key], f"{section}.{key}")
     out = base
     for section, kv in updates.items():
-        out = replace(out, **{section: replace(getattr(out, section), **kv)})
+        try:
+            value = replace(getattr(out, section), **kv)
+        except ValueError as exc:  # CourtSpec checks its values when built
+            raise ConfigError(f"{section}: {exc}") from exc
+        out = replace(out, **{section: value})
     return out
+
+
+def _validate(cfg: RunConfig) -> None:
+    """Run each section's own checks (CourtSpec ran its own when built);
+    a failure raises ConfigError naming the section."""
+    checks = {
+        "synth": lambda: cfg.synth.validate(cfg.court),
+        "labels": lambda: cfg.labels.validate(cfg.court),
+        "arch": cfg.arch.validate,
+        "train": cfg.train.validate,
+        "rollout": cfg.rollout.validate,
+        "render": cfg.render.validate,
+    }
+    for section, check in checks.items():
+        try:
+            check()
+        except (ValueError, HoopnetError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
 
 
 def load_run_config(
     text: str | None = None, overrides: list[str] | None = None
 ) -> RunConfig:
-    """Build a RunConfig from a document plus ``section.key=value`` overrides."""
+    """Build a RunConfig from a document plus ``section.key=value`` overrides,
+    then check every section; a bad value raises ConfigError."""
     cfg = RunConfig()
     if text is not None:
         cfg = _apply(parse_document(text), cfg)
@@ -143,6 +167,7 @@ def load_run_config(
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected section.key=value")
         cfg = _apply(parse_document(item), cfg)
+    _validate(cfg)
     return cfg
 
 

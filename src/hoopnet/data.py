@@ -105,9 +105,9 @@ class SynthConfig:
         if self.n_possessions < 0:
             raise DataError("n_possessions must be >= 0")
         if not (0 < self.dwell_frames_min <= self.dwell_frames_max):
-            raise DataError("dwell frame range must be a nonempty positive range")
+            raise DataError("dwell_frames_min must be positive and <= dwell_frames_max")
         if not (0 < self.speed_min_ft_per_frame <= self.speed_max_ft_per_frame):
-            raise DataError("speed range must be a nonempty positive range")
+            raise DataError("speed_min_ft_per_frame must be positive and <= speed_max_ft_per_frame")
         if self.curvature <= 0:
             raise DataError("curvature must be positive")
         if self.noise_std_ft < 0:
@@ -115,7 +115,7 @@ class SynthConfig:
         max_cells = spec.velocity_radius_cells * spec.micro_cell_ft
         if self.speed_max_ft_per_frame > max_cells:
             raise DataError(
-                f"speed_max {self.speed_max_ft_per_frame} ft/frame exceeds the velocity "
+                f"speed_max_ft_per_frame {self.speed_max_ft_per_frame} exceeds the velocity "
                 f"grid radius ({max_cells} ft/frame); labels would always clip"
             )
 
@@ -335,7 +335,7 @@ def _walk(
     while t < length:
         while True:
             box = int(rng.integers(spec.n_macro_boxes))
-            center = np.array(spec.macro_box_center(box))
+            center = spec.macro_box_centers(box)
             # aim anywhere inside the box, not its center: a single frame
             # must not reveal whether the agent is dwelling there
             jitter = rng.uniform(-0.5, 0.5, 2) * (spec.macro_box_ft - 1.0)

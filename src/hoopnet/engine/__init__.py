@@ -1,10 +1,10 @@
 """Minimal dense float64 tensor library with reverse-mode gradients.
 
 Forward ops record a tape; backward() walks it once.  The layer set is
-exactly what the policy networks need: convolution, linear maps, GRU
-cells, batch normalization, softmax / cross-entropy, Gaussian noise
-injection, plus RMSprop-with-momentum and global gradient clipping.  A
-GRU cell runs every step of a sequence batch as one op
+exactly what the policy networks need: bias-free convolution, linear
+maps, GRU cells, batch normalization, ReLU, softmax / cross-entropy,
+Gaussian noise injection, plus RMSprop-with-momentum and global gradient
+clipping.  A GRU cell runs every step of a sequence batch as one op
 (``nn.gru_sequence``: one tape node, hand-written backpropagation
 through time).  The model's input, agent occupancy max-pooled as one
 k x k max over counts per fine cell, is built on plain arrays outside
@@ -14,9 +14,16 @@ Importing the package sets glibc's malloc thresholds so that freed heap
 memory stays with the process: a training pass frees and reallocates
 the same few hundred megabytes every batch, and returning them to the
 system after each pass only page-faults them back in on the next.
+
+Importing it also runs numpy's bundled OpenBLAS on one thread, so that
+a run's checkpoints hold the same bytes whatever ``OPENBLAS_NUM_THREADS``
+says: matrix products can round differently on another thread count.
 """
 
 import ctypes
+from pathlib import Path
+
+import numpy as np
 
 from .tensor import (
     Tensor,
@@ -26,10 +33,8 @@ from .tensor import (
     gaussian_noise,
     no_grad,
     relu,
-    sigmoid,
     softmax,
     softmax_nll,
-    tanh,
 )
 from .nn import (
     BatchNorm,
@@ -38,12 +43,10 @@ from .nn import (
     Linear,
     Module,
     conv2d,
-    glorot_uniform,
     gru_sequence,
 )
-from .optim import RMSProp, clip_gradients, rmsprop_step
+from .optim import RMSProp, clip_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import gradcheck, relative_error
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -62,14 +65,28 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
+def _pin_blas_threads() -> None:
+    """One OpenBLAS thread, set through numpy's bundled library; a no-op
+    where numpy links a BLAS without that entry point."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            set_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes = (ctypes.c_int,)
+        set_threads.restype = None
+        set_threads(1)
+        return
+
+
 _keep_freed_heap()
+_pin_blas_threads()
 
 __all__ = [
     "Tensor", "Parameter", "backward", "concat", "gaussian_noise",
-    "no_grad", "relu", "sigmoid", "softmax", "softmax_nll", "tanh",
-    "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module", "conv2d", "glorot_uniform",
+    "no_grad", "relu", "softmax", "softmax_nll",
+    "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module", "conv2d",
     "gru_sequence",
-    "RMSProp", "clip_gradients", "rmsprop_step",
+    "RMSProp", "clip_gradients",
     "load_checkpoint", "save_checkpoint",
-    "gradcheck", "relative_error",
 ]

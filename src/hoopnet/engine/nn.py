@@ -76,8 +76,10 @@ def _conv_cols(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) 
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
 
 
-def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1) -> Tensor:
-    """Cross-correlation with zero 'same' padding (odd kernels only)."""
+def conv2d(x: Tensor, weight: Parameter, stride: int = 1) -> Tensor:
+    """Cross-correlation with zero 'same' padding (odd kernels only) and no
+    bias: every convolution feeds a batch norm, whose mean subtraction
+    would cancel one."""
     if x.data.ndim != 4:
         raise ValueError("conv2d expects (N, C, H, W) input")
     f, c, kh, kw = weight.data.shape
@@ -93,15 +95,11 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
     xp[:, :, ph:ph + h, pw:pw + w] = x.data
     cols = _conv_cols(xp, kh, kw, oh, ow, stride)
     wmat = weight.data.reshape(f, -1)
-    y = cols @ wmat.T
-    if bias is not None:
-        y = y + bias.data
-    out = y.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+    out = (cols @ wmat.T).reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
     def vjp(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
         gw = (gmat.T @ cols).reshape(weight.data.shape)
-        gb = gmat.sum(axis=0) if bias is not None else None
         gx = None
         if x._needs():
             # one kernel offset at a time, into a channels-last padded buffer
@@ -111,10 +109,9 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None, stride: int = 1
                     gxp[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
                         (gmat @ weight.data[:, :, i, j]).reshape(n, oh, ow, c)
             gx = gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        return (gx, gw)
 
-    parents = (x, weight, bias) if bias is not None else (x, weight)
-    return _node(out, parents, vjp)
+    return _node(out, (x, weight), vjp)
 
 
 class Conv2d(Module):
@@ -124,11 +121,10 @@ class Conv2d(Module):
         fan_in = in_channels * kernel * kernel
         self.weight = Parameter(glorot_uniform(rng, (filters, in_channels, kernel, kernel),
                                                fan_in, filters * kernel * kernel))
-        self.bias = Parameter(np.zeros(filters))
         self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride)
+        return conv2d(x, self.weight, self.stride)
 
 
 # linear

@@ -42,30 +42,6 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     return norm
 
 
-def rmsprop_step(
-    params: list[Parameter],
-    lr: float,
-    decay: float = 0.0,
-    momentum: float = 0.0,
-    rho: float = 0.9,
-    eps: float = 1e-8,
-    t: int = 0,
-) -> None:
-    """One update over params; clears every gradient buffer afterwards."""
-    lr_t = lr / (1.0 + decay * t)
-    for p in params:
-        g = p.grad
-        if g is None or p.frozen:
-            continue
-        p.cache *= rho
-        p.cache += (1.0 - rho) * g * g
-        p.momentum *= momentum
-        p.momentum -= lr_t * g / (np.sqrt(p.cache) + eps)
-        p.data += p.momentum
-    for p in params:
-        p.grad = None
-
-
 class RMSProp:
     def __init__(
         self,
@@ -85,7 +61,17 @@ class RMSProp:
         self.t = 0
 
     def step(self) -> None:
-        rmsprop_step(
-            self.params, self.lr, self.decay, self.momentum, self.rho, self.eps, self.t
-        )
+        """One update over params; clears every gradient buffer afterwards."""
+        lr_t = self.lr / (1.0 + self.decay * self.t)
+        for p in self.params:
+            g = p.grad
+            if g is None or p.frozen:
+                continue
+            p.cache *= self.rho
+            p.cache += (1.0 - self.rho) * g * g
+            p.momentum *= self.momentum
+            p.momentum -= lr_t * g / (np.sqrt(p.cache) + self.eps)
+            p.data += p.momentum
+        for p in self.params:
+            p.grad = None
         self.t += 1

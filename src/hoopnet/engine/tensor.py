@@ -3,8 +3,7 @@
 Graph nodes are Tensors; each op attaches a vector-Jacobian closure.
 Gradients accumulate out-of-place (``p.grad = p.grad + g``) so a returned
 gradient may alias an upstream buffer without risk.  Leaf gradients
-persist across backward() calls until the optimizer clears them, which is
-what lets a training step sum losses over micro-batches in a fixed order.
+persist across backward() calls until the optimizer clears them.
 
 NaN policy: ops do not check their outputs.  backward() refuses a
 non-finite loss and clip_gradients a non-finite gradient norm; the
@@ -67,23 +66,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
@@ -178,15 +162,6 @@ def add(a, b) -> Tensor:
     return _node(a.data + b.data, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
-
-    return _node(a.data - b.data, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
 
@@ -216,24 +191,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * mask,)
 
     return _node(x.data * mask, (x,), vjp)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return _node(out, (x,), vjp)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _node(out, (x,), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -277,16 +234,6 @@ def tsum(x: Tensor) -> Tensor:
     return _node(np.asarray(x.data.sum()), (x,), vjp)
 
 
-def tmean(x: Tensor) -> Tensor:
-    shape = x.data.shape
-    n = x.data.size
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, shape),)
-
-    return _node(np.asarray(x.data.mean()), (x,), vjp)
-
-
 # softmax family (always along the last axis)
 
 
@@ -311,7 +258,7 @@ def softmax_nll(logits: Tensor, targets) -> Tensor:
     """Per-row negative log likelihood ``-log softmax(logits)[target]``.
 
     ``targets`` are class indices of shape (N,).  Returns a length-N
-    tensor; reduce with .sum() or .mean().
+    tensor; reduce with .sum().
     """
     x = logits.data
     if x.ndim != 2:

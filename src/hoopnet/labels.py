@@ -29,11 +29,14 @@ class SegmentationConfig:
 
     def validate(self, spec: CourtSpec) -> None:
         if self.stationary_speed_ft_per_raw_frame <= 0:
-            raise ValueError("stationary speed threshold must be positive")
+            raise ValueError("stationary_speed_ft_per_raw_frame must be positive")
         if self.min_segment_steps < 1:
             raise ValueError("min_segment_steps must be >= 1")
         if not 1 <= self.magnitude_min <= self.magnitude_max <= spec.velocity_radius_cells:
-            raise ValueError("magnitude range must satisfy 1 <= min <= max <= velocity radius")
+            raise ValueError(
+                "magnitude_min and magnitude_max must satisfy 1 <= magnitude_min <= "
+                f"magnitude_max <= court.velocity_radius_cells ({spec.velocity_radius_cells})"
+            )
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,9 @@ class ArchitectureConfig:
            len(self.conv_strides) != len(self.conv_filters):
             raise ValueError("conv_kernels and conv_strides must match conv_filters in length")
         if any(k % 2 == 0 or k < 1 for k in self.conv_kernels):
-            raise ValueError("conv kernels must be odd and positive")
+            raise ValueError("conv_kernels must be odd and positive")
         if any(s < 1 for s in self.conv_strides):
-            raise ValueError("conv strides must be >= 1")
+            raise ValueError("conv_strides must be >= 1")
         if self.gru_cells < 1 or self.transfer_hidden < 1:
             raise ValueError("gru_cells and transfer_hidden must be >= 1")
 

@@ -138,7 +138,7 @@ def batch_rollout(
     att_argmax = np.empty((n, total), dtype=np.int64)
     clamps = np.zeros(n, dtype=np.int64)
     fallbacks = np.zeros(n, dtype=np.int64)
-    upper = np.array([spec.width_ft, spec.height_ft]) - 1e-9  # as CourtSpec.clamp_position
+    upper = np.array([spec.width_ft, spec.height_ft]) - 1e-9  # just inside the far edges
     r, side = spec.velocity_radius_cells, spec.velocity_side
     memory = model.reset_memory(n)
     for t in range(total):

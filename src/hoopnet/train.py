@@ -47,21 +47,18 @@ class TrainConfig:
     noise_sigma: float = 1e-3
     translate_max_cells: int = 8
     attention_label_fraction: float = 1.0
-    microbatch_size: int = 16
     holdout_eval_max: int = 128
     early_stop_patience: int = 5
 
     def validate(self) -> None:
         if self.lr_pretrain <= 0 or self.lr_finetune <= 0:
-            raise ConfigError("learning rates must be positive")
+            raise ConfigError("lr_pretrain and lr_finetune must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batch normalization)")
-        if self.microbatch_size < 2:
-            raise ConfigError("microbatch_size must be >= 2")
         if not 0.0 <= self.attention_label_fraction <= 1.0:
             raise ConfigError("attention_label_fraction must be in [0, 1]")
         if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
-            raise ConfigError("epoch counts must be >= 0")
+            raise ConfigError("epochs_pretrain and epochs_finetune must be >= 0")
         if self.grad_clip_norm <= 0:
             raise ConfigError("grad_clip_norm must be positive")
         if self.translate_max_cells < 0:
@@ -252,29 +249,27 @@ def augment_translate(
 
 def compute_loss(
     model: HPNModel,
-    batch,
+    batch: list[LabeledSequence],
     stage: Stage,
     cfg: TrainConfig,
     spec: CourtSpec | None = None,
     rng: np.random.Generator | None = None,
-    denom: int | None = None,
 ) -> Tensor:
-    """Stage loss over a (micro-)batch as a graph scalar, ready for backward().
+    """Stage loss over a batch as a graph scalar, ready for backward().
 
     Pre-training stages are plain cross-entropies against their weak-label
     stream.  Fine-tuning scores each look-ahead head's target under the
     product of the raw action distribution and the attention mask (for the
     concatenation variant, under its combined head), plus an L2 penalty on
     the attention and raw-action output distributions.  The scalar is the
-    per-(sequence, step) mean; pass ``denom`` to normalize by a full batch
-    when accumulating gradients over micro-batches.  Every term covers all
-    T*N time-major rows of one ``model.run`` at once.
+    per-(sequence, step) mean.  Every term covers all T*N time-major rows
+    of one ``model.run`` at once.
     """
     _check_stage(model, stage)
-    arrays = assemble(batch, spec) if isinstance(batch, list) else batch
+    arrays = assemble(batch, spec)
     inputs = arrays["inputs"]
     n, t_steps = inputs.shape[:2]
-    scale = 1.0 / (denom if denom is not None else n * t_steps)
+    scale = 1.0 / (n * t_steps)
     outs, _ = model.run(
         inputs, model.reset_memory(n), training=True, rng=rng,
         noise_sigma=cfg.noise_sigma, branches=_stage_branches(model, stage),
@@ -361,18 +356,13 @@ def run_stage(
             batch = [data[i] for i in idx]
             batch, hits = augment_translate(batch, cfg.translate_max_cells, rng, spec)
             clamped += hits
-            denom = len(batch) * batch[0].sequence.steps
-            batch_loss = 0.0
-            for mstart in range(0, len(batch), cfg.microbatch_size):
-                part = batch[mstart:mstart + cfg.microbatch_size]
-                loss = compute_loss(model, part, stage, cfg, spec, rng=rng, denom=denom)
-                if not np.isfinite(loss.data):
-                    raise DivergenceError(f"non-finite loss in stage {stage.value}")
-                backward(loss)
-                batch_loss += float(loss.data)
+            loss = compute_loss(model, batch, stage, cfg, spec, rng=rng)
+            if not np.isfinite(loss.data):
+                raise DivergenceError(f"non-finite loss in stage {stage.value}")
+            backward(loss)
             norm_sum += clip_gradients(model.parameters(), cfg.grad_clip_norm)
             optimizer.step()
-            loss_sum += batch_loss
+            loss_sum += float(loss.data)
             n_batches += 1
         seconds = time.perf_counter() - tic
         metrics = evaluate(

@@ -1,10 +1,10 @@
-"""Central finite-difference gradient checking used across the test suite."""
+"""Central finite-difference gradient checking for the engine's tape ops."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from hoopnet.engine.tensor import Tensor, backward
 
 _MACHINE_EPS = np.finfo(np.float64).eps
 

@@ -2,9 +2,11 @@
 
 Everything here is written loop-by-loop from the label definitions,
 deliberately sharing no code with the package internals beyond CourtSpec
-arithmetic on scalars.  ``oracle_rollout`` drives a model, one sequence
-and one look-ahead head at a time; ``oracle_gru_sequence`` steps a GRU
-cell through time with the engine's elementary tape ops.
+grid shapes.  The scalar court conversions below are the references the
+package's array conversions are checked against.  ``oracle_rollout``
+drives a model, one sequence and one look-ahead head at a time;
+``oracle_gru_sequence`` steps a GRU cell through time with elementary
+tape ops, including the ``sigmoid``, ``tanh`` and ``sub`` defined here.
 """
 
 from __future__ import annotations
@@ -13,9 +15,19 @@ import math
 
 import numpy as np
 
-from hoopnet.court import ClampCounter, CourtSpec
+from hoopnet.court import CourtSpec
 from hoopnet.data import agent_positions
-from hoopnet.engine.tensor import add, concat, matmul, mul, row_block, sigmoid, sub, tanh
+from hoopnet.engine.tensor import (
+    Tensor,
+    _node,
+    _unbroadcast,
+    _wrap,
+    add,
+    concat,
+    matmul,
+    mul,
+    row_block,
+)
 from hoopnet.rollout import RolloutResult
 from hoopnet.util import rng_for
 
@@ -36,6 +48,24 @@ def action_index_of(spec: CourtSpec, dx_ft: float, dy_ft: float) -> int:
     cx = max(-r, min(r, cx))
     cy = max(-r, min(r, cy))
     return (cy + r) * (2 * r + 1) + (cx + r)
+
+
+def cell_of(spec: CourtSpec, x: float, y: float) -> tuple[int, int]:
+    """(col, row) of the micro cell holding one position, clamped to the grid."""
+    col = max(0, min(spec.micro_cols - 1, math.floor(x / spec.micro_cell_ft)))
+    row = max(0, min(spec.micro_rows - 1, math.floor(y / spec.micro_cell_ft)))
+    return col, row
+
+
+def cell_center(spec: CourtSpec, col: int, row: int) -> tuple[float, float]:
+    return ((col + 0.5) * spec.micro_cell_ft, (row + 0.5) * spec.micro_cell_ft)
+
+
+def box_of(spec: CourtSpec, x: float, y: float) -> int:
+    """Id of the macro box holding one position, clamped to the grid."""
+    bc = max(0, min(spec.macro_cols - 1, math.floor(x / spec.macro_box_ft)))
+    br = max(0, min(spec.macro_rows - 1, math.floor(y / spec.macro_box_ft)))
+    return bc + spec.macro_cols * br
 
 
 def displacements_from_action_indices(spec: CourtSpec, indices: np.ndarray) -> np.ndarray:
@@ -145,15 +175,15 @@ def make_track(segments: list[tuple[float, float, int]], start=(5.0, 5.0)) -> np
 def oracle_channelize(seq, spec: CourtSpec) -> np.ndarray:
     """Dense per-step occupancy counts of a TrainingSequence, shape
     (T, 4, rows, cols), channels ball, focal, teammates, opponents; built
-    agent by agent with the scalar ``pos_to_cell``."""
+    agent by agent with the scalar ``cell_of``."""
     out = np.zeros((seq.steps, 4, spec.micro_rows, spec.micro_cols))
     for t in range(seq.steps):
         agents = [(0, seq.ball_positions[t]), (1, seq.raw_positions[t])]
         agents += [(2, xy) for xy in seq.teammate_positions[t]]
         agents += [(3, xy) for xy in seq.opponent_positions[t]]
         for channel, (x, y) in agents:
-            cell = spec.pos_to_cell(float(x), float(y))
-            out[t, channel, cell.row, cell.col] += 1.0
+            col, row = cell_of(spec, float(x), float(y))
+            out[t, channel, row, col] += 1.0
     return out
 
 
@@ -178,7 +208,7 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
     total = config.burn_in_steps + config.horizon_steps
     lookahead = spec.lookahead_steps
     rng = rng_for(config.seed, "rollout", seq.possession_id, seq.focal_agent, seq.t0)
-    clamps = ClampCounter()
+    clamps = 0
     fallbacks = 0
 
     path = np.empty((total, 2))
@@ -194,7 +224,11 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
         if t < config.burn_in_steps:
             cur = seq.raw_positions[t].copy()
         else:
-            cur = np.array(spec.clamp_position(cur[0] + pending[0], cur[1] + pending[1], clamps))
+            # clamp just inside the far edges, counting steps that clamp
+            target = (cur[0] + pending[0], cur[1] + pending[1])
+            cur = np.array([min(max(target[0], 0.0), spec.width_ft - 1e-9),
+                            min(max(target[1], 0.0), spec.height_ft - 1e-9)])
+            clamps += (cur[0], cur[1]) != target
         path[t] = cur
         # other agents freeze past the end of their track; the focal player
         # is agent 1
@@ -212,9 +246,7 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
             else:
                 index = int(rng.choice(len(scores), p=scores / scores.sum()))
             actions[t, k] = index
-            dx, dy = spec.action_to_displacement(spec.action_from_index(index))
-            pending[0] += dx
-            pending[1] += dy
+            pending += displacements_from_action_indices(spec, index)
         if out["p_macro"] is not None:
             macro_goals[t] = int(np.argmax(out["p_macro"][0, 0]))
         if out["attention"] is not None:
@@ -230,9 +262,36 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
         macro_goals=macro_goals,
         actions=actions,
         attention_argmax=att_argmax,
-        clamp_events=clamps.count,
+        clamp_events=clamps,
         zero_mass_fallbacks=fallbacks,
     )
+
+
+def sub(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
+
+    return _node(a.data - b.data, (a, b), vjp)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = 1.0 / (1.0 + np.exp(-x.data))
+
+    def vjp(g):
+        return (g * out * (1.0 - out),)
+
+    return _node(out, (x,), vjp)
+
+
+def tanh(x: Tensor) -> Tensor:
+    out = np.tanh(x.data)
+
+    def vjp(g):
+        return (g * (1.0 - out * out),)
+
+    return _node(out, (x,), vjp)
 
 
 def oracle_gru_sequence(cell, x, h, n: int):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,6 @@ arch.conv_strides = 2,1
 arch.gru_cells = 12
 arch.transfer_hidden = 8
 train.batch_size = 4
-train.microbatch_size = 4
 train.epochs_pretrain = 1
 train.epochs_finetune = 1
 train.translate_max_cells = 0
@@ -85,6 +87,21 @@ def test_repository_configs_load():
     assert paths
     for path in paths:
         load_run_config(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("override", [
+    "court.micro_cell_ft=0.3",  # does not divide the court
+    "arch.conv_kernels=2,2",  # even kernels
+    "labels.magnitude_max=20",  # beyond the velocity radius
+])
+def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--seed", "1", "--set", override, "synth"]) == 1
+    err = capsys.readouterr().err
+    section, key = override.split("=")[0].split(".")
+    assert err.startswith(f"error: {section}: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # CLI plumbing
@@ -236,3 +253,22 @@ def test_repro_prepares_sequences_once(tmp_path, monkeypatch):
     assert main(base + ["rollout", "--variant", "h_att"]) == 0
     assert len(calls) == 4
     assert [f.read_bytes() for f in files] == before
+
+
+def test_checkpoint_bytes_independent_of_blas_threads(tmp_path):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--seed", "3", "synth"]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    ckpt = tmp_path / "out" / "checkpoints" / "h_att.ckpt"
+    saved = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "hoopnet.cli", "--config", str(path), "--seed", "3",
+             "train", "--variant", "h_att"],
+            env=env, check=True, capture_output=True,
+        )
+        saved.append(ckpt.read_bytes())
+        ckpt.unlink()
+    assert saved[0] == saved[1]

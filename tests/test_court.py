@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoopnet.court import ClampCounter, CourtSpec, MicroCell, VelocityAction
+from hoopnet.court import CourtSpec
 
-from _oracles import displacements_from_action_indices
+from _oracles import (
+    action_index_of,
+    box_of,
+    cell_center,
+    cell_of,
+    displacements_from_action_indices,
+)
 
 DESK = CourtSpec()
 PAPER = CourtSpec(micro_cell_ft=0.25)
@@ -30,83 +36,94 @@ def test_invalid_specs_rejected():
         CourtSpec(velocity_radius_cells=0)
 
 
+def _cells(spec, *xy):
+    cols, rows = spec.cells_from_positions(np.array(xy, dtype=np.float64))
+    return list(zip(cols.tolist(), rows.tolist()))
+
+
+def _boxes(spec, *xy):
+    return spec.boxes_from_positions(np.array(xy, dtype=np.float64)).tolist()
+
+
+def _action(spec, dx, dy):
+    return int(spec.actions_from_displacements(np.array(dx), np.array(dy)))
+
+
+def _index(spec, cx, cy):
+    r = spec.velocity_radius_cells
+    return (cy + r) * spec.velocity_side + (cx + r)
+
+
 def test_pos_to_cell_examples():
-    assert PAPER.pos_to_cell(10.0, 9.0) == MicroCell(40, 36)
-    assert DESK.pos_to_cell(0.0, 0.0) == MicroCell(0, 0)
-    assert DESK.pos_to_cell(49.999, 44.999) == MicroCell(49, 44)
+    assert _cells(PAPER, (10.0, 9.0)) == [(40, 36)]
+    assert _cells(DESK, (0.0, 0.0), (49.999, 44.999)) == [(0, 0), (49, 44)]
 
 
-def test_pos_to_cell_clamps_and_counts():
-    counter = ClampCounter()
-    assert DESK.pos_to_cell(-3.0, 50.0, counter) == MicroCell(0, 44)
-    assert counter.count == 1
-    DESK.pos_to_cell(25.0, 25.0, counter)
-    assert counter.count == 1
+def test_pos_to_cell_clamps():
+    assert _cells(DESK, (-3.0, 50.0), (25.0, 25.0), (60.0, -0.1)) == [(0, 44), (25, 25), (49, 0)]
 
 
 def test_cell_to_pos_examples():
-    assert DESK.cell_to_pos(MicroCell(0, 0)) == (0.5, 0.5)
-    assert PAPER.cell_to_pos(MicroCell(40, 36)) == (10.125, 9.125)
-    with pytest.raises(ValueError):
-        DESK.cell_to_pos(MicroCell(50, 0))
+    assert cell_center(DESK, 0, 0) == (0.5, 0.5)
+    assert cell_center(PAPER, 40, 36) == (10.125, 9.125)
+    assert _cells(PAPER, (10.125, 9.125)) == [(40, 36)]
 
 
 def test_cell_round_trip_exhaustive():
     small = CourtSpec(width_ft=10, height_ft=9, micro_cell_ft=1.0, macro_box_ft=1.0)
-    for col in range(small.micro_cols):
-        for row in range(small.micro_rows):
-            x, y = small.cell_to_pos(MicroCell(col, row))
-            assert small.pos_to_cell(x, y) == MicroCell(col, row)
+    grid = [(col, row) for col in range(small.micro_cols) for row in range(small.micro_rows)]
+    centers = [cell_center(small, col, row) for col, row in grid]
+    assert _cells(small, *centers) == grid
 
 
 def test_macro_box_examples():
-    assert DESK.pos_to_macro_box(12.5, 20.0).id == 2 + 10 * 4
-    assert DESK.pos_to_macro_box(0.0, 0.0).id == 0
+    assert _boxes(DESK, (12.5, 20.0), (0.0, 0.0)) == [2 + 10 * 4, 0]
+    assert _boxes(DESK, (-1.0, 46.0), (51.0, 2.0)) == [0 + 10 * 8, 9]  # clamped
+    np.testing.assert_array_equal(DESK.macro_box_centers(np.array([0, 42])),
+                                  [[2.5, 2.5], [12.5, 22.5]])
 
 
 def test_macro_box_lattice_oracle():
     # every 1 ft lattice point maps to the same box as its 5x5 square corner
-    for xi in range(50):
-        for yi in range(45):
-            expected = (xi // 5) + 10 * (yi // 5)
-            assert DESK.pos_to_macro_box(float(xi), float(yi)).id == expected
+    lattice = [(float(xi), float(yi)) for xi in range(50) for yi in range(45)]
+    expected = [int(x) // 5 + 10 * (int(y) // 5) for x, y in lattice]
+    assert _boxes(DESK, *lattice) == expected
+    assert expected == [box_of(DESK, x, y) for x, y in lattice]
 
 
 def test_macro_micro_center_consistency():
-    for col in range(DESK.micro_cols):
-        for row in range(DESK.micro_rows):
-            x, y = DESK.cell_to_pos(MicroCell(col, row))
-            geometric = int(x // DESK.macro_box_ft) + DESK.macro_cols * int(y // DESK.macro_box_ft)
-            assert DESK.pos_to_macro_box(x, y).id == geometric
+    centers = [cell_center(DESK, col, row)
+               for col in range(DESK.micro_cols) for row in range(DESK.micro_rows)]
+    geometric = [int(x // DESK.macro_box_ft) + DESK.macro_cols * int(y // DESK.macro_box_ft)
+                 for x, y in centers]
+    assert _boxes(DESK, *centers) == geometric
+    # every box center lies in its own box
+    ids = np.arange(DESK.n_macro_boxes)
+    np.testing.assert_array_equal(DESK.boxes_from_positions(DESK.macro_box_centers(ids)), ids)
 
 
 def test_displacement_to_action_examples():
-    assert PAPER.displacement_to_action(0.75, -0.5) == VelocityAction(3, -2)
-    zero = DESK.displacement_to_action(0.0, 0.0)
-    assert zero == VelocityAction(0, 0)
-    assert DESK.action_index(zero) == 144
-    assert PAPER.displacement_to_action(5.0, 0.0) == VelocityAction(8, 0)  # clipped
+    assert _action(PAPER, 0.75, -0.5) == _index(PAPER, 3, -2)
+    assert _action(DESK, 0.0, 0.0) == DESK.stationary_action_index == 144
+    assert _action(PAPER, 5.0, 0.0) == _index(PAPER, 8, 0)  # clipped
 
 
 def test_ties_round_toward_zero():
-    assert DESK.displacement_to_action(0.5, -0.5) == VelocityAction(0, 0)
-    assert DESK.displacement_to_action(2.5, -2.5) == VelocityAction(2, -2)
-    assert DESK.displacement_to_action(0.51, -0.51) == VelocityAction(1, -1)
+    assert _action(DESK, 0.5, -0.5) == _index(DESK, 0, 0)
+    assert _action(DESK, 2.5, -2.5) == _index(DESK, 2, -2)
+    assert _action(DESK, 0.51, -0.51) == _index(DESK, 1, -1)
 
 
 def test_action_to_displacement_examples():
-    assert DESK.action_to_displacement(VelocityAction(3, -2)) == (3.0, -2.0)
-    assert DESK.action_to_displacement(VelocityAction(0, 0)) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        DESK.action_to_displacement(VelocityAction(9, 0))
+    idx = np.array([_index(DESK, 3, -2), DESK.stationary_action_index])
+    np.testing.assert_array_equal(displacements_from_action_indices(DESK, idx),
+                                  [[3.0, -2.0], [0.0, 0.0]])
 
 
 def test_action_round_trip_all_289():
-    for index in range(DESK.n_actions):
-        action = DESK.action_from_index(index)
-        assert DESK.action_index(action) == index
-        dx, dy = DESK.action_to_displacement(action)
-        assert DESK.displacement_to_action(dx, dy) == action
+    idx = np.arange(DESK.n_actions)
+    back = displacements_from_action_indices(DESK, idx)
+    np.testing.assert_array_equal(DESK.actions_from_displacements(back[:, 0], back[:, 1]), idx)
 
 
 @settings(max_examples=100, deadline=None)
@@ -115,31 +132,27 @@ def test_action_round_trip_all_289():
     dy=st.floats(-10, 10, allow_nan=False),
 )
 def test_clipping_idempotence(dx, dy):
-    a = DESK.displacement_to_action(dx, dy)
-    fx, fy = DESK.action_to_displacement(a)
-    assert DESK.displacement_to_action(fx, fy) == a
+    a = _action(DESK, dx, dy)
+    assert a == action_index_of(DESK, dx, dy)
+    fx, fy = displacements_from_action_indices(DESK, np.array(a))
+    assert _action(DESK, fx, fy) == a
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    x=st.floats(0, 49.999, allow_nan=False),
-    y=st.floats(0, 44.999, allow_nan=False),
+    x=st.floats(-5, 55, allow_nan=False),
+    y=st.floats(-5, 50, allow_nan=False),
 )
 def test_vectorized_matches_scalar(x, y):
-    xy = np.array([[x, y]])
-    cols, rows = DESK.cells_from_positions(xy)
-    assert (cols[0], rows[0]) == tuple(DESK.pos_to_cell(x, y))
-    assert DESK.boxes_from_positions(xy)[0] == DESK.pos_to_macro_box(x, y).id
+    assert _cells(DESK, (x, y)) == [cell_of(DESK, x, y)]
+    assert _boxes(DESK, (x, y)) == [box_of(DESK, x, y)]
 
 
 def test_vectorized_action_indices():
-    dx = np.array([0.75, 0.0, 5.0])
-    dy = np.array([-0.5, 0.0, 0.0])
+    dx = np.array([0.75, 0.0, 5.0, -2.5, 0.51])
+    dy = np.array([-0.5, 0.0, 0.0, 2.5, -9.0])
     idx = PAPER.actions_from_displacements(dx, dy)
-    expected = [
-        PAPER.action_index(PAPER.displacement_to_action(a, b)) for a, b in zip(dx, dy)
-    ]
-    assert idx.tolist() == expected
+    assert idx.tolist() == [action_index_of(PAPER, a, b) for a, b in zip(dx, dy)]
     back = displacements_from_action_indices(PAPER, idx)
     assert back[1].tolist() == [0.0, 0.0]
 

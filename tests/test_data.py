@@ -20,7 +20,7 @@ from hoopnet.data import (
 from hoopnet.errors import DataError
 from hoopnet.util import rng_for
 
-from _oracles import oracle_channelize
+from _oracles import cell_of, oracle_channelize
 
 SPEC = CourtSpec()
 
@@ -144,10 +144,10 @@ def test_channelize_coincident_agents_keep_mass():
     p = Possession("stack", tuple(tracks))
     seq = window(p, SPEC, rng_for(0, "w"))[0]
     grid = oracle_channelize(seq, SPEC)
-    cell = SPEC.pos_to_cell(20.0, 20.0)
-    assert grid[0, 2, cell.row, cell.col] == 4.0  # occupancy is a count
-    assert grid[0, 0, cell.row, cell.col] == 1.0
-    assert grid[0, 1, cell.row, cell.col] == 1.0
+    col, row = cell_of(SPEC, 20.0, 20.0)
+    assert grid[0, 2, row, col] == 4.0  # occupancy is a count
+    assert grid[0, 0, row, col] == 1.0
+    assert grid[0, 1, row, col] == 1.0
 
 
 def test_split_examples():

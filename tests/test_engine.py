@@ -18,24 +18,20 @@ from hoopnet.engine import (
     concat,
     conv2d,
     gaussian_noise,
-    gradcheck,
     gru_sequence,
     load_checkpoint,
     no_grad,
-    relative_error,
     relu,
-    rmsprop_step,
     save_checkpoint,
-    sigmoid,
     softmax,
     softmax_nll,
-    tanh,
 )
 from hoopnet.engine.nn import Module, batch_norm
 from hoopnet.engine.tensor import mul, row_block
 from hoopnet.errors import CheckpointError
 
-from _oracles import oracle_gru_sequence, oracle_pool
+from _gradcheck import gradcheck, relative_error
+from _oracles import oracle_gru_sequence, oracle_pool, sigmoid, tanh
 
 RNG = np.random.default_rng(20240801)
 TOL = 1e-4
@@ -49,34 +45,22 @@ def test_conv_identity_kernel():
     w = Parameter(np.zeros((3, 3, 1, 1)))
     for c in range(3):
         w.data[c, c, 0, 0] = 1.0
-    b = Parameter(np.zeros(3))
-    out = conv2d(x, w, b, stride=1)
+    out = conv2d(x, w, stride=1)
     np.testing.assert_allclose(out.data, x.data)
-
-
-def test_conv_zero_input_gives_bias():
-    x = Tensor(np.zeros((1, 2, 4, 4)))
-    w = Parameter(RNG.normal(size=(5, 2, 3, 3)))
-    b = Parameter(np.arange(5.0))
-    out = conv2d(x, w, b)
-    expect = np.broadcast_to(np.arange(5.0)[:, None, None], (5, 4, 4))
-    np.testing.assert_allclose(out.data[0], expect)
 
 
 def test_conv_gradcheck():
     x = Tensor(RNG.normal(size=(1, 3, 4, 4)), requires_grad=True)
     w = Parameter(RNG.normal(size=(2, 3, 3, 3)) * 0.5)
-    b = Parameter(RNG.normal(size=2))
-    err = gradcheck(lambda: (conv2d(x, w, b) * Tensor(_fixed_like((1, 2, 4, 4)))).sum(), [x, w, b])
+    err = gradcheck(lambda: (conv2d(x, w) * Tensor(_fixed_like((1, 2, 4, 4)))).sum(), [x, w])
     assert err < TOL
 
 
 def test_conv_stride2_gradcheck():
     x = Tensor(RNG.normal(size=(2, 2, 5, 6)), requires_grad=True)
     w = Parameter(RNG.normal(size=(3, 2, 3, 3)) * 0.5)
-    b = Parameter(RNG.normal(size=3))
     err = gradcheck(
-        lambda: (conv2d(x, w, b, stride=2) * Tensor(_fixed_like((2, 3, 3, 3)))).sum(), [x, w, b]
+        lambda: (conv2d(x, w, stride=2) * Tensor(_fixed_like((2, 3, 3, 3)))).sum(), [x, w]
     )
     assert err < TOL
 
@@ -85,7 +69,7 @@ def test_conv_shape_mismatch():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     w = Parameter(np.zeros((2, 4, 3, 3)))
     with pytest.raises(ValueError):
-        conv2d(x, w, None)
+        conv2d(x, w)
 
 
 def _fixed_like(shape):
@@ -425,7 +409,7 @@ def test_noise_passes_gradient_through():
 def test_rmsprop_zero_gradient_no_change():
     p = Parameter(np.array([1.0, 2.0]))
     p.grad = np.zeros(2)
-    rmsprop_step([p], lr=0.1, momentum=0.9)
+    RMSProp([p], lr=0.1, momentum=0.9).step()
     np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
 
@@ -433,7 +417,7 @@ def test_rmsprop_frozen_parameter_unchanged():
     p = Parameter(np.array([1.0]))
     p.frozen = True
     p.grad = np.array([5.0])
-    rmsprop_step([p], lr=0.1)
+    RMSProp([p], lr=0.1).step()
     np.testing.assert_array_equal(p.data, [1.0])
     assert p.grad is None  # buffers still cleared
 

@@ -16,6 +16,7 @@ from hoopnet.labels import (
 from hoopnet.util import rng_for
 
 from _oracles import (
+    action_index_of,
     brute_macro_labels,
     brute_micro_labels,
     displacements_from_action_indices,
@@ -41,7 +42,7 @@ def test_micro_constant_position():
 def test_micro_uniform_motion():
     pts = make_track([(1.0, 0.0, 200)], start=(1.0, 20.0))[:200]
     labels, _ = micro_labels(pts, SPEC)
-    assert (labels == SPEC.action_index(SPEC.displacement_to_action(1.0, 0.0))).all()
+    assert (labels == action_index_of(SPEC, 1.0, 0.0)).all()
 
 
 def test_micro_matches_brute_force_on_wander():
@@ -110,7 +111,7 @@ def test_stationary_matches_brute_force_random():
 
 
 def test_macro_single_dwell_labels_whole_window():
-    target = np.array(SPEC.macro_box_center(42))
+    target = SPEC.macro_box_centers(42)
     pts = np.tile(target, (200, 1))
     sps = find_stationary(pts, CFG)
     ids, target_xy = macro_labels(pts, sps, SPEC, CFG)
@@ -119,9 +120,9 @@ def test_macro_single_dwell_labels_whole_window():
 
 
 def test_macro_two_goal_switch():
-    c10 = SPEC.macro_box_center(10)
-    c42 = SPEC.macro_box_center(42)
-    direction = (np.array(c42) - np.array(c10))
+    c10 = SPEC.macro_box_centers(10)
+    c42 = SPEC.macro_box_centers(42)
+    direction = c42 - c10
     n_travel = int(np.ceil(np.linalg.norm(direction) / 1.0))
     unit = direction / np.linalg.norm(direction)
     # first dwell long enough that its pre-midpoint half survives merging
@@ -174,7 +175,7 @@ def test_macro_piecewise_segments_bounded_by_stationary_points():
 
 
 def test_attention_inside_goal_box_is_stationary():
-    pos = np.tile(SPEC.macro_box_center(33), (50, 1))
+    pos = np.tile(SPEC.macro_box_centers(33), (50, 1))
     ids = np.full(50, 33)
     rng = rng_for(1, "att")
     labels, mags = attention_labels(pos, ids, SPEC, CFG, rng)
@@ -184,11 +185,11 @@ def test_attention_inside_goal_box_is_stationary():
 
 def test_attention_due_west_geometry():
     # player sits due west of the goal center: action points east (+x)
-    center = np.array(SPEC.macro_box_center(44))
+    center = SPEC.macro_box_centers(44)
     pos = np.tile(center - np.array([10.0, 0.0]), (50, 1))
     ids = np.full(50, 44)
     labels = attention_targets(pos, ids, magnitudes=np.full(50, 3), spec=SPEC)
-    assert (labels == SPEC.action_index(SPEC.displacement_to_action(3.0, 0.0))).all()
+    assert (labels == action_index_of(SPEC, 3.0, 0.0)).all()
 
 
 def test_attention_magnitudes_uniform_chi_square():

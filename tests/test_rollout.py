@@ -16,7 +16,7 @@ from hoopnet.rollout import (
 )
 from hoopnet.util import rng_for
 
-from _oracles import oracle_rollout
+from _oracles import action_index_of, oracle_rollout
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -100,7 +100,7 @@ def test_stationary_model_freezes_focal():
 
 def test_constant_motion_advances_and_clamps():
     # each of the 4 look-ahead actions moves one cell east: +4 ft per step
-    east = SPEC.action_index(SPEC.displacement_to_action(1.0, 0.0))
+    east = action_index_of(SPEC, 1.0, 0.0)
     m = _ConstantModel(SPEC, east)
     cfg = RolloutConfig(burn_in_steps=2, horizon_steps=30)
     result = rollout(m, SEQS[0], cfg)
@@ -180,7 +180,7 @@ def test_batch_rollout_duplicates_and_short_sequence():
 
 
 def test_zero_mass_steps_fall_back_to_raw():
-    east = SPEC.action_index(SPEC.displacement_to_action(1.0, 0.0))
+    east = action_index_of(SPEC, 1.0, 0.0)
     cfg = RolloutConfig(burn_in_steps=2, horizon_steps=5)
     for mode in ("argmax", "sample"):
         cfg = replace(cfg, mode=mode)
