@@ -141,9 +141,10 @@ def _validate(cfg: RunConfig) -> None:
     """Run each section's own checks (CourtSpec ran its own when built);
     a failure raises ConfigError naming the section."""
     checks = {
+        "data": cfg.data.validate,
         "synth": lambda: cfg.synth.validate(cfg.court),
         "labels": lambda: cfg.labels.validate(cfg.court),
-        "arch": cfg.arch.validate,
+        "arch": lambda: cfg.arch.validate(cfg.court),
         "train": cfg.train.validate,
         "rollout": cfg.rollout.validate,
         "render": cfg.render.validate,

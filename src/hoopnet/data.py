@@ -126,6 +126,12 @@ class DataConfig:
     holdout_fraction: float = 1.0 / 11.0
     bounds_tolerance_ft: float = 3.0
 
+    def validate(self) -> None:
+        if self.windows_per_player < 1:
+            raise DataError("windows_per_player must be >= 1")
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise DataError("holdout_fraction must be in (0, 1)")
+
 
 @dataclass(frozen=True)
 class TrainingSequence:

@@ -1,14 +1,16 @@
 """Minimal dense float64 tensor library with reverse-mode gradients.
 
 Forward ops record a tape; backward() walks it once.  The layer set is
-exactly what the policy networks need: bias-free convolution, linear
-maps, GRU cells, batch normalization, ReLU, softmax / cross-entropy,
-Gaussian noise injection, plus RMSprop-with-momentum and global gradient
-clipping.  A GRU cell runs every step of a sequence batch as one op
-(``nn.gru_sequence``: one tape node, hand-written backpropagation
-through time).  The model's input, agent occupancy max-pooled as one
-k x k max over counts per fine cell, is built on plain arrays outside
-the tape (``hoopnet.model.pooled_occupancy``).
+exactly what the policy networks need: the spatial encoder, linear maps,
+GRU cells, ReLU, softmax / cross-entropy, plus RMSprop-with-momentum and
+global gradient clipping.  The spatial encoder (bias-free convolution,
+batch normalization and ReLU per layer, then Gaussian noise and flatten)
+runs as one op (``nn.spatial_encoder``: one tape node, hand-written
+backward pass), and so does a GRU cell over every step of a sequence
+batch (``nn.gru_sequence``: hand-written backpropagation through time).
+The model's input, agent occupancy max-pooled as one k x k max over
+counts per fine cell, is built on plain arrays outside the tape
+(``hoopnet.model.pooled_occupancy``).
 
 Importing the package sets glibc's malloc thresholds so that freed heap
 memory stays with the process: a training pass frees and reallocates
@@ -30,7 +32,6 @@ from .tensor import (
     Parameter,
     backward,
     concat,
-    gaussian_noise,
     no_grad,
     relu,
     softmax,
@@ -42,8 +43,8 @@ from .nn import (
     GRUCell,
     Linear,
     Module,
-    conv2d,
     gru_sequence,
+    spatial_encoder,
 )
 from .optim import RMSProp, clip_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -83,10 +84,10 @@ _keep_freed_heap()
 _pin_blas_threads()
 
 __all__ = [
-    "Tensor", "Parameter", "backward", "concat", "gaussian_noise",
+    "Tensor", "Parameter", "backward", "concat",
     "no_grad", "relu", "softmax", "softmax_nll",
-    "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module", "conv2d",
-    "gru_sequence",
+    "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module",
+    "gru_sequence", "spatial_encoder",
     "RMSProp", "clip_gradients",
     "load_checkpoint", "save_checkpoint",
 ]

@@ -1,7 +1,9 @@
-"""Layers: convolution, linear, GRU cell, batch normalization.
+"""Layers: the spatial encoder (convolution, batch normalization), linear,
+GRU cell.
 
-Array layout is channels-first, (N, C, H, W).  Convolution keeps spatial
-dims at stride 1 via zero padding.
+Encoder input and weights are channels-first, (N, C, H, W); inside the
+encoder each layer runs channels-last.  Convolution keeps spatial dims at
+stride 1 via zero padding.
 """
 
 from __future__ import annotations
@@ -61,60 +63,14 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out:
     return rng.uniform(-limit, limit, shape)
 
 
-# convolution
-
-
-def _conv_cols(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    win = as_strided(
-        xp,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-
-
-def conv2d(x: Tensor, weight: Parameter, stride: int = 1) -> Tensor:
-    """Cross-correlation with zero 'same' padding (odd kernels only) and no
-    bias: every convolution feeds a batch norm, whose mean subtraction
-    would cancel one."""
-    if x.data.ndim != 4:
-        raise ValueError("conv2d expects (N, C, H, W) input")
-    f, c, kh, kw = weight.data.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError("conv2d supports odd kernel sizes only")
-    if x.data.shape[1] != c:
-        raise ValueError(f"conv2d channel mismatch: input {x.data.shape[1]}, weight {c}")
-    n, _, h, w = x.data.shape
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    oh = (h + 2 * ph - kh) // stride + 1
-    ow = (w + 2 * pw - kw) // stride + 1
-    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.data.dtype)
-    xp[:, :, ph:ph + h, pw:pw + w] = x.data
-    cols = _conv_cols(xp, kh, kw, oh, ow, stride)
-    wmat = weight.data.reshape(f, -1)
-    out = (cols @ wmat.T).reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-
-    def vjp(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
-        gw = (gmat.T @ cols).reshape(weight.data.shape)
-        gx = None
-        if x._needs():
-            # one kernel offset at a time, into a channels-last padded buffer
-            gxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
-                        (gmat @ weight.data[:, :, i, j]).reshape(n, oh, ow, c)
-            gx = gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
-        return (gx, gw)
-
-    return _node(out, (x, weight), vjp)
+# spatial encoder: conv and batch-norm holders, and the op that runs them
 
 
 class Conv2d(Module):
+    """Bias-free 'same' convolution weights, (filters, in, k, k): every
+    convolution feeds a batch norm, whose mean subtraction would cancel a
+    bias."""
+
     def __init__(self, in_channels: int, filters: int, kernel: int, stride: int,
                  rng: np.random.Generator):
         super().__init__()
@@ -123,8 +79,132 @@ class Conv2d(Module):
                                                fan_in, filters * kernel * kernel))
         self.stride = stride
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.stride)
+
+class BatchNorm(Module):
+    """Per-feature scale and shift plus the running statistics that
+    inference mode normalizes with."""
+
+    def __init__(self, n_features: int, eps: float = 1e-5, momentum: float = 0.9):
+        super().__init__()
+        self.gamma = Parameter(np.ones(n_features))
+        self.beta = Parameter(np.zeros(n_features))
+        self.register_buffer("running_mean", np.zeros(n_features))
+        self.register_buffer("running_var", np.ones(n_features))
+        self.eps = eps
+        self.momentum = momentum
+
+
+def spatial_encoder(
+    x: np.ndarray,
+    convs: list[Conv2d],
+    bns: list[BatchNorm],
+    training: bool,
+    rng: np.random.Generator | None,
+    noise_sigma: float,
+) -> Tensor:
+    """A conv -> batch norm -> ReLU stack over constant (N, C, H, W) input,
+    then additive Gaussian noise and flatten to (N, F*oh*ow), as one tape
+    node.
+
+    Each layer zero-pads its input channels-last, takes the (P, k*k*C)
+    im2col matrix of its P = N*oh*ow output positions and multiplies it
+    by the weights once, into an (F, P) result whose rows batch norm
+    reduces.  Training-mode batch norm uses the statistics of the P
+    positions (at least 2) and advances the running buffers; inference
+    mode reads them.  Training-mode noise is one
+    ``rng.normal(0, noise_sigma, (N, F, oh, ow))`` draw; the gradient
+    passes through it.  ``x`` gets no gradient: the backward pass stops
+    below the lowest layer with a trainable parameter.
+    """
+    if noise_sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    noisy = training and noise_sigma > 0.0
+    if noisy and rng is None:
+        raise ValueError("training-mode noise needs an RNG")
+    if x.ndim != 4:
+        raise ValueError("spatial_encoder expects (N, C, H, W) input")
+    params = tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
+    record = _grad_enabled() and any(p._needs() for p in params)
+    n = x.shape[0]
+    a = x.transpose(0, 2, 3, 1)
+    saved = []  # per layer: input shape, cols, x-hat, 1/std, output
+    for conv, bn in zip(convs, bns):
+        f, c, kh, kw = conv.weight.data.shape
+        if a.shape[3] != c:
+            raise ValueError(f"spatial_encoder channel mismatch: input {a.shape[3]}, weight {c}")
+        _, h, w, _ = a.shape
+        s, ph, pw = conv.stride, kh // 2, kw // 2
+        oh, ow = (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
+        xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+        xp[:, ph:ph + h, pw:pw + w] = a
+        sn, sh, sw, sc = xp.strides
+        cols = as_strided(xp, (n, oh, ow, kh, kw, c), (sn, sh * s, sw * s, sh, sw, sc),
+                          writeable=False).reshape(n * oh * ow, kh * kw * c)
+        # (F, P): one row per filter, so the batch statistics are row sums
+        y = conv.weight.data.transpose(0, 2, 3, 1).reshape(f, -1) @ cols.T
+        if training:
+            if y.shape[1] < 2:
+                raise ValueError("batch norm in training mode needs batch size >= 2")
+            mu = y.mean(axis=1)
+            y -= mu[:, None]
+            var = np.einsum("fp,fp->f", y, y) / y.shape[1]
+            bn.set_buffer("running_mean", bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mu)
+            bn.set_buffer("running_var", bn.momentum * bn.running_var + (1.0 - bn.momentum) * var)
+        else:
+            y -= bn.running_mean[:, None]
+            var = bn.running_var
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xhat = y
+        xhat *= inv[:, None]
+        out = xhat * bn.gamma.data[:, None]
+        out += bn.beta.data[:, None]
+        np.maximum(out, 0.0, out=out)
+        out = out.reshape(f, n, oh, ow)
+        if record:
+            saved.append(((h, w, c), cols, xhat, inv, out))
+        a = out.transpose(1, 2, 3, 0)
+    if noisy:
+        feat = rng.normal(0.0, noise_sigma, (n, f, oh, ow))
+        feat += out.transpose(1, 0, 2, 3)
+    else:
+        feat = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    feat = feat.reshape(n, -1)
+
+    def vjp(g):
+        grads = [None] * len(params)
+        f, _, oh, ow = saved[-1][4].shape
+        gy = g.reshape(n, f, oh, ow).transpose(1, 0, 2, 3).copy().reshape(f, -1)
+        for i in range(len(convs) - 1, -1, -1):
+            (h, w, c), cols, xhat, inv, out = saved[i]
+            f, _, oh, ow = out.shape
+            gy *= out.reshape(f, -1) > 0
+            dgamma, dbeta = np.einsum("fp,fp->f", gy, xhat), gy.sum(axis=1)
+            grads[3 * i + 1], grads[3 * i + 2] = dgamma, dbeta
+            gamma = bns[i].gamma.data
+            if training:
+                m = gy.shape[1]
+                gy *= m
+                gy -= dbeta[:, None]
+                gy -= xhat * dgamma[:, None]
+                gy *= (gamma * inv / m)[:, None]
+            else:
+                gy *= (gamma * inv)[:, None]
+            weight = convs[i].weight.data
+            kh, kw = weight.shape[2:]
+            grads[3 * i] = (gy @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+            if not any(p._needs() for p in params[:3 * i]):
+                break
+            # one kernel offset at a time, into a channels-last padded buffer
+            s, ph, pw = convs[i].stride, kh // 2, kw // 2
+            gxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+            for di in range(kh):
+                for dj in range(kw):
+                    gxp[:, di:di + oh * s:s, dj:dj + ow * s:s] += \
+                        (gy.T @ weight[:, :, di, dj]).reshape(n, oh, ow, c)
+            gy = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)).reshape(c, -1)
+        return [gr if p._needs() else None for p, gr in zip(params, grads)]
+
+    return _node(feat, params, vjp)
 
 
 # linear
@@ -138,83 +218,6 @@ class Linear(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.weight), self.bias)
-
-
-# batch normalization
-
-
-def batch_norm(
-    x: Tensor,
-    gamma: Parameter,
-    beta: Parameter,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    eps: float = 1e-5,
-    momentum: float = 0.9,
-) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Normalize per feature; returns (out, new_running_mean, new_running_var).
-
-    Training mode uses batch statistics (batch size must be >= 2) and
-    advances the running EMA; inference mode reads the running stats.
-    """
-    axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
-    if x.data.ndim == 4:
-        bshape = (1, -1, 1, 1)
-    else:
-        bshape = (1, -1)
-    if training:
-        m = int(np.prod([x.data.shape[a] for a in axes]))
-        if m < 2:
-            raise ValueError("batch_norm in training mode needs batch size >= 2")
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        new_mean = momentum * running_mean + (1.0 - momentum) * mu
-        new_var = momentum * running_var + (1.0 - momentum) * var
-    else:
-        mu, var = running_mean, running_var
-        new_mean, new_var = running_mean, running_var
-        m = 0
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
-
-    def vjp(g):
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        gx = None
-        if x._needs():
-            dxhat = g * gamma.data.reshape(bshape)
-            if training:
-                s1 = dxhat.sum(axis=axes).reshape(bshape)
-                s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
-                gx = (inv.reshape(bshape) / m) * (m * dxhat - s1 - xhat * s2)
-            else:
-                gx = dxhat * inv.reshape(bshape)
-        return (gx, dgamma, dbeta)
-
-    return _node(out, (x, gamma, beta), vjp), new_mean, new_var
-
-
-class BatchNorm(Module):
-    def __init__(self, n_features: int, eps: float = 1e-5, momentum: float = 0.9):
-        super().__init__()
-        self.gamma = Parameter(np.ones(n_features))
-        self.beta = Parameter(np.zeros(n_features))
-        self.register_buffer("running_mean", np.zeros(n_features))
-        self.register_buffer("running_var", np.ones(n_features))
-        self.eps = eps
-        self.momentum = momentum
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        out, new_mean, new_var = batch_norm(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training, self.eps, self.momentum,
-        )
-        if training:
-            self.set_buffer("running_mean", new_mean)
-            self.set_buffer("running_var", new_var)
-        return out
 
 
 # GRU

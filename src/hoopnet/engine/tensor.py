@@ -280,22 +280,3 @@ def softmax_nll(logits: Tensor, targets) -> Tensor:
         return (gi,)
 
     return _node(losses, (logits,), vjp)
-
-
-def gaussian_noise(x: Tensor, sigma: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Additive i.i.d. noise in training mode; identity otherwise.
-
-    The gradient passes through unchanged in both modes.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if not training or sigma == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode noise needs an RNG")
-    noise = rng.normal(0.0, sigma, x.data.shape)
-
-    def vjp(g):
-        return (g,)
-
-    return _node(x.data + noise, (x,), vjp)

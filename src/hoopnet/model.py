@@ -19,10 +19,11 @@ works on time-major rows: row ``t * N + i`` holds sequence i at step t
 (see ``time_major``).  The occupancy, the encoders, every head, the
 transfer net and the combine heads run once over all T*N rows; only the
 GRU cells step through time, each inside one engine op
-(``engine.nn.gru_sequence``, one tape node per recurrence).  Training
-losses, teacher-forced evaluation (``eval_sequence``) and rollouts
-(``infer`` with T = 1 on all N rollout sequences per step) all go
-through it.
+(``engine.nn.gru_sequence``, one tape node per recurrence).  Each
+encoder is one engine op too (``engine.nn.spatial_encoder``, one tape
+node per call).  Training losses, teacher-forced evaluation
+(``eval_sequence``) and rollouts (``infer`` with T = 1 on all N rollout
+sequences per step) all go through it.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .engine import (
     Module,
     Tensor,
     concat,
-    gaussian_noise,
     no_grad,
     relu,
     softmax,
+    spatial_encoder,
 )
 from .engine.nn import BatchNorm, Conv2d
 from .engine.tensor import row_block, softmax_array
@@ -81,9 +82,14 @@ class ArchitectureConfig:
     transfer_hidden: int = 64
     shared_encoder: bool = False
 
-    def validate(self) -> None:
+    def validate(self, spec: CourtSpec) -> None:
         if not self.pyramid or any(k < 1 for k in self.pyramid):
             raise ValueError("pyramid must list pool kernels >= 1")
+        rows, cols = spec.micro_rows, spec.micro_cols
+        for k in self.pyramid:
+            if k > rows or k > cols:
+                raise ValueError(f"pyramid kernel {k} exceeds grid {rows}x{cols}")
+            rows, cols = _pool_out(rows, k), _pool_out(cols, k)
         if not self.conv_filters or any(f < 1 for f in self.conv_filters):
             raise ValueError("conv_filters must list positive filter counts")
         if len(self.conv_kernels) != len(self.conv_filters) or \
@@ -141,14 +147,14 @@ def batch_major(x: np.ndarray, n: int) -> np.ndarray:
 
 class SpatialEncoder(Module):
     """Conv/bn/relu stack over pooled occupancy channels, then noise and
-    flatten."""
+    flatten; one ``engine.nn.spatial_encoder`` op (one tape node) per call.
+    The ``conv{i}``/``bn{i}`` modules hold its weights and batch-norm
+    buffers."""
 
     def __init__(self, spec: CourtSpec, arch: ArchitectureConfig, rng: np.random.Generator):
         super().__init__()
         rows, cols = spec.micro_rows, spec.micro_cols
         for k in arch.pyramid:
-            if k > rows or k > cols:
-                raise ValueError(f"pyramid kernel {k} exceeds grid {rows}x{cols}")
             rows, cols = _pool_out(rows, k), _pool_out(cols, k)
         convs, bns = [], []
         channels = 4
@@ -168,11 +174,8 @@ class SpatialEncoder(Module):
         self.bns = bns
         self.out_dim = channels * rows * cols
 
-    def __call__(self, x: Tensor, training: bool, rng, noise_sigma: float) -> Tensor:
-        for conv, bn in zip(self.convs, self.bns):
-            x = relu(bn(conv(x), training))
-        x = gaussian_noise(x, noise_sigma, rng, training)
-        return x.reshape((x.shape[0], -1))
+    def __call__(self, x: np.ndarray, training: bool, rng, noise_sigma: float) -> Tensor:
+        return spatial_encoder(x, self.convs, self.bns, training, rng, noise_sigma)
 
 
 class HPNModel(Module):
@@ -186,7 +189,7 @@ class HPNModel(Module):
         init_seed: int,
     ):
         super().__init__()
-        arch.validate()
+        arch.validate(spec)
         self.spec = spec
         self.arch = arch
         self.variant = Variant(variant)
@@ -324,7 +327,7 @@ class HPNModel(Module):
         branches = branches if branches is not None else self.branch_set()
         branches = branches & self.branch_set()
         k = math.prod(self.arch.pyramid)
-        pooled = Tensor(pooled_occupancy(time_major(inputs), self.spec, k))
+        pooled = pooled_occupancy(time_major(inputs), self.spec, k)
         new_mem = dict(memory)
         outs: dict = {}
         f_micro = None

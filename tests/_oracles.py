@@ -6,7 +6,10 @@ grid shapes.  The scalar court conversions below are the references the
 package's array conversions are checked against.  ``oracle_rollout``
 drives a model, one sequence and one look-ahead head at a time;
 ``oracle_gru_sequence`` steps a GRU cell through time with elementary
-tape ops, including the ``sigmoid``, ``tanh`` and ``sub`` defined here.
+tape ops, including the ``sigmoid``, ``tanh`` and ``sub`` defined here;
+``oracle_spatial_encoder`` runs a spatial encoder as a channels-first tape
+of ``conv2d``, ``batch_norm``, ``relu``, ``gaussian_noise`` and reshape
+nodes, 8 for two layers.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import numpy as np
 
 from hoopnet.court import CourtSpec
 from hoopnet.data import agent_positions
+from numpy.lib.stride_tricks import as_strided
+
 from hoopnet.engine.tensor import (
     Tensor,
     _node,
@@ -26,6 +31,7 @@ from hoopnet.engine.tensor import (
     concat,
     matmul,
     mul,
+    relu,
     row_block,
 )
 from hoopnet.rollout import RolloutResult
@@ -311,3 +317,106 @@ def oracle_gru_sequence(cell, x, h, n: int):
         h = add(mul(sub(1.0, z), h), mul(z, cand))
         states.append(h)
     return concat(states, axis=0)
+
+
+def _conv_cols(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    win = as_strided(
+        xp,
+        shape=(n, c, oh, ow, kh, kw),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        writeable=False,
+    )
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+
+
+def conv2d(x: Tensor, weight, stride: int = 1) -> Tensor:
+    """Bias-free cross-correlation with zero 'same' padding (odd kernels),
+    channels-first, one im2col matmul."""
+    f, c, kh, kw = weight.data.shape
+    n, _, h, w = x.data.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    oh = (h + 2 * ph - kh) // stride + 1
+    ow = (w + 2 * pw - kw) // stride + 1
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.data.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x.data
+    cols = _conv_cols(xp, kh, kw, oh, ow, stride)
+    wmat = weight.data.reshape(f, -1)
+    out = (cols @ wmat.T).reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+
+    def vjp(g):
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
+        gw = (gmat.T @ cols).reshape(weight.data.shape)
+        gx = None
+        if x._needs():
+            gxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
+                        (gmat @ weight.data[:, :, i, j]).reshape(n, oh, ow, c)
+            gx = gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
+        return (gx, gw)
+
+    return _node(out, (x, weight), vjp)
+
+
+def batch_norm(x: Tensor, gamma, beta, running_mean, running_var, training: bool,
+               eps: float = 1e-5, momentum: float = 0.9):
+    """Per-channel batch norm of (N, C, H, W); returns (out, new running
+    mean, new running var)."""
+    axes, bshape = (0, 2, 3), (1, -1, 1, 1)
+    if training:
+        m = x.data.size // x.data.shape[1]
+        mu = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
+        new_mean = momentum * running_mean + (1.0 - momentum) * mu
+        new_var = momentum * running_var + (1.0 - momentum) * var
+    else:
+        mu, var = running_mean, running_var
+        new_mean, new_var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
+    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+
+    def vjp(g):
+        dgamma = (g * xhat).sum(axis=axes)
+        dbeta = g.sum(axis=axes)
+        gx = None
+        if x._needs():
+            dxhat = g * gamma.data.reshape(bshape)
+            if training:
+                s1 = dxhat.sum(axis=axes).reshape(bshape)
+                s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
+                gx = (inv.reshape(bshape) / m) * (m * dxhat - s1 - xhat * s2)
+            else:
+                gx = dxhat * inv.reshape(bshape)
+        return (gx, dgamma, dbeta)
+
+    return _node(out, (x, gamma, beta), vjp), new_mean, new_var
+
+
+def gaussian_noise(x: Tensor, sigma: float, rng, training: bool) -> Tensor:
+    """Additive i.i.d. noise in training mode, identity otherwise; the
+    gradient passes through unchanged."""
+    if not training or sigma == 0.0:
+        return x
+    noise = rng.normal(0.0, sigma, x.data.shape)
+    return _node(x.data + noise, (x,), lambda g: (g,))
+
+
+def oracle_spatial_encoder(encoder, x: np.ndarray, training: bool, rng, noise_sigma: float) -> Tensor:
+    """``encoder`` (a ``model.SpatialEncoder``) as a tape of one node per
+    conv, batch norm, ReLU, noise and flatten; advances the batch-norm
+    running buffers in training mode."""
+    h = Tensor(x)
+    for conv, bn in zip(encoder.convs, encoder.bns):
+        h, new_mean, new_var = batch_norm(conv2d(h, conv.weight, conv.stride), bn.gamma, bn.beta,
+                                          bn.running_mean, bn.running_var, training,
+                                          bn.eps, bn.momentum)
+        if training:
+            bn.set_buffer("running_mean", new_mean)
+            bn.set_buffer("running_var", new_var)
+        h = relu(h)
+    h = gaussian_noise(h, noise_sigma, rng, training)
+    return h.reshape((h.shape[0], -1))

@@ -93,6 +93,9 @@ def test_repository_configs_load():
     "court.micro_cell_ft=0.3",  # does not divide the court
     "arch.conv_kernels=2,2",  # even kernels
     "labels.magnitude_max=20",  # beyond the velocity radius
+    "arch.pyramid=64",  # a pool kernel larger than the 45x50 grid
+    "data.holdout_fraction=0",  # no holdout split
+    "data.windows_per_player=0",  # no training sequences
 ])
 def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
     path = write_config(tmp_path)
@@ -100,6 +103,7 @@ def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
     err = capsys.readouterr().err
     section, key = override.split("=")[0].split(".")
     assert err.startswith(f"error: {section}: ") and key in err
+    assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hoopnet.engine import (
     BatchNorm,
+    Conv2d,
     GRUCell,
     Linear,
     Parameter,
@@ -16,8 +17,6 @@ from hoopnet.engine import (
     backward,
     clip_gradients,
     concat,
-    conv2d,
-    gaussian_noise,
     gru_sequence,
     load_checkpoint,
     no_grad,
@@ -25,51 +24,169 @@ from hoopnet.engine import (
     save_checkpoint,
     softmax,
     softmax_nll,
+    spatial_encoder,
 )
-from hoopnet.engine.nn import Module, batch_norm
+from hoopnet.engine.nn import Module
 from hoopnet.engine.tensor import mul, row_block
 from hoopnet.errors import CheckpointError
 
 from _gradcheck import gradcheck, relative_error
-from _oracles import oracle_gru_sequence, oracle_pool, sigmoid, tanh
+from _oracles import oracle_gru_sequence, oracle_pool, oracle_spatial_encoder, sigmoid, tanh
 
 RNG = np.random.default_rng(20240801)
 TOL = 1e-4
 
 
-# conv2d
+# the spatial encoder: conv -> batch norm -> ReLU per layer, noise, flatten
+
+
+class _Encoder:
+    """Conv2d/BatchNorm holders for ``spatial_encoder``, one (filters,
+    kernel, stride) per layer, with random batch-norm scales, shifts and
+    running statistics; ``encoder(x, ...)`` runs the fused op and
+    ``oracle(x, ...)`` the channels-first tape of one node per layer op."""
+
+    def __init__(self, in_channels, layers, seed=0):
+        rng = np.random.default_rng(seed)
+        self.convs, self.bns = [], []
+        for f, k, s in layers:
+            self.convs.append(Conv2d(in_channels, f, k, s, rng))
+            bn = BatchNorm(f)
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, f)
+            bn.beta.data[...] = rng.normal(scale=0.3, size=f)
+            bn.set_buffer("running_mean", rng.normal(scale=0.3, size=f))
+            bn.set_buffer("running_var", rng.uniform(0.5, 2.0, f))
+            self.bns.append(bn)
+            in_channels = f
+
+    def parameters(self):
+        return [p for conv, bn in zip(self.convs, self.bns) for p in (conv.weight, bn.gamma, bn.beta)]
+
+    def buffers(self):
+        return [b for bn in self.bns for b in (bn.running_mean, bn.running_var)]
+
+    def __call__(self, x, training=True, rng=None, noise_sigma=0.0):
+        return spatial_encoder(x, self.convs, self.bns, training, rng, noise_sigma)
+
+    def oracle(self, x, training=True, rng=None, noise_sigma=0.0):
+        return oracle_spatial_encoder(self, x, training, rng, noise_sigma)
+
+
+def _identity_encoder(channels, beta=0.0):
+    """One 1x1 layer that copies its input: identity kernel, batch norm
+    with unit scale and no eps, shift ``beta``."""
+    enc = _Encoder(channels, [(channels, 1, 1)])
+    enc.convs[0].weight.data[...] = np.eye(channels)[:, :, None, None]
+    bn = enc.bns[0]
+    bn.gamma.data[...] = 1.0
+    bn.beta.data[...] = beta
+    bn.set_buffer("running_mean", np.zeros(channels))
+    bn.set_buffer("running_var", np.ones(channels))
+    bn.eps = 0.0
+    return enc
+
+
+ENCODER_CASES = [
+    pytest.param(n_layers, stride, training, id=f"{n_layers}layer-stride{stride}-{mode}")
+    for n_layers in (1, 2)
+    for stride in (1, 2)
+    for training, mode in ((True, "train"), (False, "eval"))
+]
+
+
+def _layers(n_layers, stride):
+    """(filters, kernel, stride) of the first ``n_layers`` layers."""
+    return [(3, 3, stride), (4, 3, 1)][:n_layers]
 
 
 def test_conv_identity_kernel():
-    x = Tensor(RNG.normal(size=(2, 3, 5, 5)))
-    w = Parameter(np.zeros((3, 3, 1, 1)))
-    for c in range(3):
-        w.data[c, c, 0, 0] = 1.0
-    out = conv2d(x, w, stride=1)
-    np.testing.assert_allclose(out.data, x.data)
+    x = RNG.normal(size=(2, 3, 5, 5))
+    out = _identity_encoder(3)(x, training=False)
+    np.testing.assert_allclose(out.data, np.maximum(x, 0.0).reshape(2, -1))
 
 
 def test_conv_gradcheck():
-    x = Tensor(RNG.normal(size=(1, 3, 4, 4)), requires_grad=True)
-    w = Parameter(RNG.normal(size=(2, 3, 3, 3)) * 0.5)
-    err = gradcheck(lambda: (conv2d(x, w) * Tensor(_fixed_like((1, 2, 4, 4)))).sum(), [x, w])
-    assert err < TOL
+    enc = _Encoder(3, [(2, 3, 1)])
+    x = RNG.normal(size=(2, 3, 4, 4))
+    fixed = Tensor(_fixed_like((2, 2 * 4 * 4)))
+    assert gradcheck(lambda: (enc(x) * fixed).sum(), enc.parameters()) < TOL
 
 
 def test_conv_stride2_gradcheck():
-    x = Tensor(RNG.normal(size=(2, 2, 5, 6)), requires_grad=True)
-    w = Parameter(RNG.normal(size=(3, 2, 3, 3)) * 0.5)
-    err = gradcheck(
-        lambda: (conv2d(x, w, stride=2) * Tensor(_fixed_like((2, 3, 3, 3)))).sum(), [x, w]
-    )
-    assert err < TOL
+    enc = _Encoder(2, [(3, 3, 2)])
+    x = RNG.normal(size=(2, 2, 5, 6))
+    fixed = Tensor(_fixed_like((2, 3 * 3 * 3)))
+    assert gradcheck(lambda: (enc(x) * fixed).sum(), enc.parameters()) < TOL
 
 
 def test_conv_shape_mismatch():
-    x = Tensor(np.zeros((1, 3, 4, 4)))
-    w = Parameter(np.zeros((2, 4, 3, 3)))
-    with pytest.raises(ValueError):
-        conv2d(x, w)
+    enc = _Encoder(4, [(2, 3, 1)])
+    with pytest.raises(ValueError, match="channel mismatch"):
+        enc(np.zeros((2, 3, 4, 4)))
+
+
+@pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
+def test_spatial_encoder_gradcheck(n_layers, stride, training):
+    # an odd, non-square grid; in a two-layer stack the first layer's
+    # gradients pass through the second layer's input gradient
+    enc = _Encoder(4, _layers(n_layers, stride), seed=stride)
+    x = np.random.default_rng(11).normal(size=(3, 4, 7, 5))
+    fixed = Tensor(_fixed_like(enc(x).data.shape))
+
+    def loss():
+        return (enc(x, training, np.random.default_rng(5), 0.1) * fixed).sum()
+
+    assert gradcheck(loss, enc.parameters()) < TOL
+
+
+@pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
+def test_spatial_encoder_matches_oracle_tape(n_layers, stride, training):
+    fused = _Encoder(4, _layers(n_layers, stride), seed=3)
+    tape = _Encoder(4, _layers(n_layers, stride), seed=3)
+    x = np.random.default_rng(12).poisson(0.3, size=(5, 4, 9, 8)).astype(np.float64)
+    for _ in range(2):  # the second pass starts from advanced running buffers
+        a = fused(x, training, np.random.default_rng(9), 0.05)
+        b = tape.oracle(x, training, np.random.default_rng(9), 0.05)
+        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+        fixed = Tensor(_fixed_like(a.data.shape))
+        backward((a * fixed).sum())
+        backward((b * fixed).sum())
+        for p, q in zip(fused.parameters(), tape.parameters()):
+            assert relative_error(p.grad, q.grad) < 1e-10
+            p.grad = q.grad = None
+        for u, v in zip(fused.buffers(), tape.buffers()):
+            np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+
+
+def test_spatial_encoder_no_grad_records_nothing():
+    enc = _Encoder(2, [(3, 3, 1), (2, 3, 2)])
+    x = RNG.normal(size=(3, 2, 5, 4))
+    with no_grad():
+        out = enc(x, training=True, rng=np.random.default_rng(0), noise_sigma=0.1)
+    assert out._vjp is None and out._parents == () and not out.requires_grad
+
+
+def test_spatial_encoder_frozen_parameters_get_no_gradient():
+    enc = _Encoder(2, [(3, 3, 1), (2, 3, 2)])
+    x = RNG.normal(size=(3, 2, 5, 4))
+    fixed = Tensor(_fixed_like(enc(x).data.shape))
+    params = enc.parameters()
+    backward((enc(x) * fixed).sum())
+    full = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    frozen = {0, 4}  # the first conv weight and the second gamma
+    for k in frozen:
+        params[k].frozen = True
+    backward((enc(x) * fixed).sum())
+    for k, p in enumerate(params):
+        if k in frozen:
+            assert p.grad is None
+        else:
+            np.testing.assert_array_equal(p.grad, full[k])
+    for p in params:
+        p.frozen = True
+    assert enc(x)._vjp is None
 
 
 def _fixed_like(shape):
@@ -198,67 +315,55 @@ def test_gru_projected_matches_plain_step():
         np.testing.assert_array_equal(states.data[2 * t:2 * t + 2], h.data)
 
 
-# batch normalization
+# batch normalization (inside the spatial encoder)
 
 
 def test_batchnorm_normalizes():
-    bn = BatchNorm(3)
-    x = Tensor(RNG.normal(loc=5.0, scale=10.0, size=(64, 3)))
-    out = bn(x, training=True)
-    np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-6)
-    np.testing.assert_allclose(out.data.var(axis=0), 1.0, atol=1e-6)
+    # a shift of 100 keeps every normalized value above the ReLU's kink
+    out = _identity_encoder(3, beta=100.0)(RNG.normal(loc=5.0, scale=10.0, size=(16, 3, 2, 2)))
+    feat = out.data.reshape(16, 3, 2, 2)
+    np.testing.assert_allclose(feat.mean(axis=(0, 2, 3)), 100.0, atol=1e-6)
+    np.testing.assert_allclose(feat.var(axis=(0, 2, 3)), 1.0, atol=1e-6)
 
 
 def test_batchnorm_gamma_zero_gives_beta():
-    bn = BatchNorm(3)
-    bn.gamma.data[...] = 0.0
-    bn.beta.data[...] = 2.5
-    out = bn(Tensor(RNG.normal(size=(8, 3))), training=True)
-    np.testing.assert_allclose(out.data, 2.5)
+    enc = _Encoder(3, [(3, 3, 1)])
+    enc.bns[0].gamma.data[...] = 0.0
+    enc.bns[0].beta.data[...] = 2.5
+    np.testing.assert_allclose(enc(RNG.normal(size=(2, 3, 2, 2))).data, 2.5)
 
 
 def test_batchnorm_batch_of_one_rejected():
-    bn = BatchNorm(3)
-    with pytest.raises(ValueError):
-        bn(Tensor(np.zeros((1, 3))), training=True)
+    enc = _Encoder(3, [(3, 3, 1)])
+    with pytest.raises(ValueError, match="batch size"):
+        enc(np.zeros((1, 3, 1, 1)), training=True)
 
 
 def test_batchnorm_inference_uses_running_stats():
-    bn = BatchNorm(2)
-    x = Tensor(RNG.normal(loc=3.0, size=(32, 2)))
+    enc = _Encoder(2, [(2, 1, 1)])
+    x = RNG.normal(loc=3.0, size=(32, 2, 1, 1))
     for _ in range(200):
-        bn(x, training=True)
-    inf = bn(x, training=False)
-    trn = bn(x, training=True)
+        enc(x, training=True)
+    inf = enc(x, training=False)
+    trn = enc(x, training=True)
     np.testing.assert_allclose(inf.data, trn.data, atol=1e-2)
 
 
 def test_batchnorm_gradcheck():
-    gamma = Parameter(RNG.uniform(0.5, 1.5, 4))
-    beta = Parameter(RNG.normal(size=4))
-    x = Tensor(RNG.normal(size=(6, 4)), requires_grad=True)
-    fixed = Tensor(_fixed_like((6, 4)))
-    running = np.zeros(4), np.ones(4)
-
-    def loss():
-        out, _, _ = batch_norm(x, gamma, beta, running[0], running[1], training=True)
-        return (out * fixed).sum()
-
-    err = gradcheck(loss, [x, gamma, beta])
-    assert err < TOL
+    enc = _Encoder(4, [(3, 3, 1), (4, 3, 1)])
+    x = RNG.normal(size=(6, 4, 3, 3))
+    fixed = Tensor(_fixed_like((6, 4 * 3 * 3)))
+    gammas_betas = [p for bn in enc.bns for p in (bn.gamma, bn.beta)]
+    assert gradcheck(lambda: (enc(x) * fixed).sum(), gammas_betas) < TOL
 
 
 def test_batchnorm_conv_layout_gradcheck():
-    gamma = Parameter(RNG.uniform(0.5, 1.5, 2))
-    beta = Parameter(RNG.normal(size=2))
-    x = Tensor(RNG.normal(size=(3, 2, 4, 4)), requires_grad=True)
-    fixed = Tensor(_fixed_like((3, 2, 4, 4)))
-
-    def loss():
-        out, _, _ = batch_norm(x, gamma, beta, np.zeros(2), np.ones(2), training=True)
-        return (out * fixed).sum()
-
-    assert gradcheck(loss, [x, gamma, beta]) < TOL
+    enc = _Encoder(2, [(2, 3, 1)])
+    x = RNG.normal(size=(3, 2, 4, 4))
+    fixed = Tensor(_fixed_like((3, 2 * 4 * 4)))
+    bn = enc.bns[0]
+    for training in (True, False):
+        assert gradcheck(lambda: (enc(x, training) * fixed).sum(), [bn.gamma, bn.beta]) < TOL
 
 
 # softmax / cross-entropy
@@ -376,31 +481,55 @@ def test_broadcast_add_gradcheck():
     assert gradcheck(lambda: ((x + b) * Tensor(_fixed_like((4, 3)))).sum(), [x, b]) < TOL
 
 
-# gaussian noise
+# gaussian noise (inside the spatial encoder)
+
+
+def _rng_state(rng):
+    return rng.bit_generator.state["state"]
 
 
 def test_noise_sigma_zero_is_identity():
-    x = Tensor(RNG.normal(size=(3, 3)))
-    assert gaussian_noise(x, 0.0, np.random.default_rng(0), training=True) is x
+    enc = _Encoder(3, [(2, 3, 1)])
+    x = RNG.normal(size=(3, 3, 3, 3))
+    rng = np.random.default_rng(0)
+    before = _rng_state(rng)
+    np.testing.assert_array_equal(enc(x, True, rng, 0.0).data, enc(x, True, None, 0.0).data)
+    assert _rng_state(rng) == before
 
 
 def test_noise_inference_is_identity():
-    x = Tensor(RNG.normal(size=(3, 3)))
-    assert gaussian_noise(x, 10.0, np.random.default_rng(0), training=False) is x
+    enc = _Encoder(3, [(2, 3, 1)])
+    x = RNG.normal(size=(3, 3, 3, 3))
+    rng = np.random.default_rng(0)
+    before = _rng_state(rng)
+    np.testing.assert_array_equal(enc(x, False, rng, 10.0).data, enc(x, False, None, 0.0).data)
+    assert _rng_state(rng) == before
 
 
 def test_noise_statistics():
-    x = Tensor(np.zeros(1_000_000))
-    out = gaussian_noise(x, 1e-3, np.random.default_rng(8), training=True)
-    mean = out.data.mean()
-    assert abs(mean) < 5 * 1e-3 / math.sqrt(1_000_000)
+    # zero input normalizes to beta = 0, so the output is the noise alone:
+    # one (N, F, oh, ow) normal draw, flattened
+    enc = _Encoder(4, [(4, 1, 1)])
+    enc.bns[0].beta.data[...] = 0.0
+    out = enc(np.zeros((250, 4, 32, 32)), True, np.random.default_rng(8), 1e-3)
+    assert out.data.size == 1_024_000
+    np.testing.assert_array_equal(
+        out.data, np.random.default_rng(8).normal(0.0, 1e-3, (250, 4, 32, 32)).reshape(250, -1)
+    )
+    assert abs(out.data.mean()) < 5 * 1e-3 / math.sqrt(out.data.size)
 
 
 def test_noise_passes_gradient_through():
-    x = Parameter(np.zeros((2, 2)))
-    out = gaussian_noise(x, 0.5, np.random.default_rng(1), training=True)
-    backward(out.sum())
-    np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
+    enc = _Encoder(2, [(3, 3, 1), (2, 3, 2)])
+    x = RNG.normal(size=(3, 2, 5, 4))
+    grads = []
+    for sigma in (0.0, 0.5):
+        backward(enc(x, True, np.random.default_rng(1), sigma).sum())
+        grads.append([p.grad for p in enc.parameters()])
+        for p in enc.parameters():
+            p.grad = None
+    for a, b in zip(*grads):
+        np.testing.assert_array_equal(a, b)
 
 
 # optimizer

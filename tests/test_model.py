@@ -4,7 +4,7 @@ import pytest
 from hoopnet.court import CourtSpec
 from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
 from hoopnet.errors import CheckpointError
-from hoopnet.model import ArchitectureConfig, HPNModel, Variant
+from hoopnet.model import ArchitectureConfig, HPNModel, Variant, pooled_occupancy
 from hoopnet.rollout import choose_step
 
 SPEC = CourtSpec()
@@ -294,6 +294,14 @@ def test_shared_encoder_option():
     assert len(names) == len(set(names))  # no duplicate registrations
     out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
     np.testing.assert_allclose(out["p_macro"].sum(), 1.0, atol=1e-9)
+
+
+def test_spatial_encoder_call_is_one_tape_node():
+    m = fresh(Variant.H_ATT)
+    pooled = pooled_occupancy(random_positions(RNG, n=6), SPEC, 4)
+    out = m.micro_encoder(pooled, True, np.random.default_rng(0), 1e-3)
+    assert out._vjp is not None
+    assert out._parents and all(p._vjp is None for p in out._parents)  # leaves only
 
 
 def test_checkpoint_config_hash_guard(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from hoopnet.engine import backward
 from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError
 from hoopnet.labels import SegmentationConfig, label_sequence
-from hoopnet.model import ArchitectureConfig, HPNModel, Variant, pooled_occupancy, time_major
+from hoopnet.config import load_run_config
+from hoopnet.model import (
+    ArchitectureConfig,
+    HPNModel,
+    SpatialEncoder,
+    Variant,
+    pooled_occupancy,
+    time_major,
+)
 from hoopnet.train import (
     LabeledSequence,
     Stage,
@@ -25,7 +34,7 @@ from hoopnet.train import (
 )
 from hoopnet.util import rng_for
 
-from _oracles import oracle_channelize, oracle_pool
+from _oracles import oracle_channelize, oracle_pool, oracle_spatial_encoder
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -244,6 +253,23 @@ def test_finetune_tape_nodes_independent_of_steps():
     short, long = _finetune_tapes((3, 6))
     assert len(short) == len(long)
     assert _count_op_nodes(short, "gru_sequence") == _count_op_nodes(long, "gru_sequence") == 2
+
+
+def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
+    # desk architecture and noise: a two-layer encoder as a tape of conv,
+    # batch norm and ReLU per layer, noise and flatten is 8 nodes; fused it
+    # is 1, and the h_att fine-tune runs the micro and macro encoders
+    desk = load_run_config((Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_text())
+    batch = [shorten(it, 3) for it in DATA[:2]]
+
+    def tape_size():
+        m = HPNModel(SPEC, desk.arch, Variant.H_ATT, 5)
+        loss = compute_loss(m, batch, Stage.FINETUNE, desk.train, SPEC, rng=rng_for(1, "noise"))
+        return len(_tape(loss))
+
+    fused = tape_size()
+    monkeypatch.setattr(SpatialEncoder, "__call__", oracle_spatial_encoder)
+    assert tape_size() - fused == 14
 
 
 def shorten(item, steps):
