@@ -121,8 +121,10 @@ def benchmark(
     models: dict,
     holdout: list[LabeledSequence],
     spec: CourtSpec,
+    burn_in: int = 20,
 ) -> list[BenchmarkRow]:
-    """One row per model, in canonical variant order."""
+    """One row per model, in canonical variant order; the late macro
+    accuracy excludes the first ``burn_in`` steps."""
     rows = []
     for variant in VARIANT_ORDER:
         model = models.get(variant) or models.get(variant.value)
@@ -130,7 +132,7 @@ def benchmark(
             continue
         if model.spec != spec:
             raise ConfigError(f"model {variant.value} was built for a different court spec")
-        m = evaluate(model, holdout, spec)
+        m = evaluate(model, holdout, spec, burn_in=burn_in)
         rows.append(
             BenchmarkRow(
                 variant=variant.value,

@@ -171,7 +171,7 @@ def cmd_bench(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
     if not variants:
         raise DataError("no trained checkpoints found to benchmark")
     models = {v: _load_model(cfg, paths, v, args.seed) for v in variants}
-    rows = bench_mod.benchmark(models, holdout, cfg.court)
+    rows = bench_mod.benchmark(models, holdout, cfg.court, burn_in=cfg.rollout.burn_in_steps)
     bench_mod.write_benchmark_csv(rows, paths.bench_csv)
     for row in rows:
         print(

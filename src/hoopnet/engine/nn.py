@@ -1,8 +1,9 @@
 """Layers: the spatial encoder (convolution, batch normalization), linear,
 GRU cell.
 
-Encoder input and weights are channels-first, (N, C, H, W); inside the
-encoder each layer runs channels-last.  Convolution keeps spatial dims at
+Encoder input is channels-last, (N, H, W, C), and so is every layer
+inside the encoder; weights are (filters, C, k, k) and the flattened
+output is in (filters, oh, ow) order.  Convolution keeps spatial dims at
 stride 1 via zero padding.
 """
 
@@ -102,9 +103,9 @@ def spatial_encoder(
     rng: np.random.Generator | None,
     noise_sigma: float,
 ) -> Tensor:
-    """A conv -> batch norm -> ReLU stack over constant (N, C, H, W) input,
-    then additive Gaussian noise and flatten to (N, F*oh*ow), as one tape
-    node.
+    """A conv -> batch norm -> ReLU stack over constant channels-last
+    (N, H, W, C) input, then additive Gaussian noise and flatten to
+    (N, F*oh*ow) in (F, oh, ow) order, as one tape node.
 
     Each layer zero-pads its input channels-last, takes the (P, k*k*C)
     im2col matrix of its P = N*oh*ow output positions and multiplies it
@@ -122,11 +123,11 @@ def spatial_encoder(
     if noisy and rng is None:
         raise ValueError("training-mode noise needs an RNG")
     if x.ndim != 4:
-        raise ValueError("spatial_encoder expects (N, C, H, W) input")
+        raise ValueError("spatial_encoder expects (N, H, W, C) input")
     params = tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
     record = _grad_enabled() and any(p._needs() for p in params)
     n = x.shape[0]
-    a = x.transpose(0, 2, 3, 1)
+    a = x
     saved = []  # per layer: input shape, cols, x-hat, 1/std, output
     for conv, bn in zip(convs, bns):
         f, c, kh, kw = conv.weight.data.shape

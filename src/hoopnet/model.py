@@ -8,10 +8,10 @@ learns the combined output with a fully-connected head instead.
 
 The network sees each step as four occupancy channels (ball, focal
 player, teammates, opponents) max-pooled over the input pyramid.
-``pooled_occupancy`` builds them straight from the positions: agent
-counts per fine cell, then one k x k max with k the product of the
-pyramid kernels (the pyramid's pools do not overlap, so they compose
-into one).
+``pooled_occupancy`` builds them straight from the positions, channels
+last: agent counts per fine cell, then one k x k max with k the product
+of the pyramid kernels (the pyramid's pools do not overlap, so they
+compose into one).
 
 There is one forward implementation, ``HPNModel.run``, over an
 (N, T, 11, 2) batch of agent positions and a recurrent memory.  It
@@ -22,8 +22,9 @@ GRU cells step through time, each inside one engine op
 (``engine.nn.gru_sequence``, one tape node per recurrence).  Each
 encoder is one engine op too (``engine.nn.spatial_encoder``, one tape
 node per call).  Training losses, teacher-forced evaluation
-(``eval_sequence``) and rollouts (``infer`` with T = 1 on all N rollout
-sequences per step) all go through it.
+(``eval_sequence``) and rollouts (``infer`` on all N rollout sequences:
+the whole burn-in in one call, then T = 1 per horizon step) all go
+through it.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _pool_out(dim: int, kernel: int) -> int:
 
 
 def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int) -> np.ndarray:
-    """(M, 11, 2) agent positions -> (M, 4, ceil(rows/k), ceil(cols/k))
-    float64 occupancy, channels ball, focal, teammates, opponents.
+    """(M, 11, 2) agent positions -> (M, ceil(rows/k), ceil(cols/k), 4)
+    float64 occupancy, channels-last: ball, focal, teammates, opponents.
 
     Each output cell holds the largest number of agents of its channel in
     any one fine cell of its k x k block (blocks at the far edges cover
@@ -123,10 +124,11 @@ def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int) -> np.ndarr
     cells, counts = np.unique((planes * rows + cell_rows) * cols + cell_cols, return_counts=True)
     plane, cell = np.divmod(cells, rows * cols)
     out_rows, out_cols = -(-rows // k), -(-cols // k)
-    out = np.zeros(m * 4 * out_rows * out_cols)
-    blocks = (plane * out_rows + cell // cols // k) * out_cols + cell % cols // k
+    out = np.zeros(m * out_rows * out_cols * 4)
+    step, channel = np.divmod(plane, 4)
+    blocks = ((step * out_rows + cell // cols // k) * out_cols + cell % cols // k) * 4 + channel
     np.maximum.at(out, blocks, counts)
-    return out.reshape(m, 4, out_rows, out_cols)
+    return out.reshape(m, out_rows, out_cols, 4)
 
 
 def _conv_out(dim: int, kernel: int, stride: int) -> int:
@@ -146,10 +148,10 @@ def batch_major(x: np.ndarray, n: int) -> np.ndarray:
 
 
 class SpatialEncoder(Module):
-    """Conv/bn/relu stack over pooled occupancy channels, then noise and
-    flatten; one ``engine.nn.spatial_encoder`` op (one tape node) per call.
-    The ``conv{i}``/``bn{i}`` modules hold its weights and batch-norm
-    buffers."""
+    """Conv/bn/relu stack over channels-last (M, rows, cols, 4) pooled
+    occupancy, then noise and flatten; one ``engine.nn.spatial_encoder``
+    op (one tape node) per call.  The ``conv{i}``/``bn{i}`` modules hold
+    its weights and batch-norm buffers."""
 
     def __init__(self, spec: CourtSpec, arch: ArchitectureConfig, rng: np.random.Generator):
         super().__init__()

@@ -6,11 +6,13 @@ model's own look-ahead actions (applied as consecutive raw-frame
 displacements), while every other agent keeps its recorded track and
 freezes once that runs out.
 
-``batch_rollout`` steps N sequences together as one recurrence: one
-``HPNModel.infer`` call on an (N, 1, 11, 2) batch per step, with the
-step's choices for all N taken over arrays by ``choose_step``.  Each
-sequence draws from its own RNG, so a rollout does not depend on the
-other sequences in its batch.
+``batch_rollout`` steps N sequences together as one recurrence.  The
+burn-in replays ground truth, so it is one teacher-forced
+``HPNModel.infer`` call on the (N, burn_in, 11, 2) prefix; each horizon
+step depends on the choices before it and is one call on an
+(N, 1, 11, 2) batch.  ``choose_step`` takes the choices of every step
+of a call for all N over arrays.  Each sequence draws from its own RNG,
+so a rollout does not depend on the other sequences in its batch.
 """
 
 from __future__ import annotations
@@ -71,18 +73,18 @@ class RolloutResult:
 def choose_step(
     outs: dict, mode: str, rngs: list[np.random.Generator] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rollout's choices at one step for N sequences.
+    """The rollout's choices at T steps for N sequences.
 
-    ``outs`` holds ``infer`` outputs without the time axis: ``p_combined``
-    and ``p_raw`` (N, lookahead, n_actions), ``p_macro`` (N, n_boxes) and
-    ``attention`` (N, n_actions), each None when the variant lacks it.  A
-    ``p_combined`` row with no mass falls back to its ``p_raw`` row.
+    ``outs`` holds ``infer`` outputs: ``p_combined`` and ``p_raw``
+    (N, T, lookahead, n_actions), ``p_macro`` (N, T, n_boxes) and
+    ``attention`` (N, T, n_actions), each None when the variant lacks it.
+    A ``p_combined`` row with no mass falls back to its ``p_raw`` row.
     argmax mode breaks ties to the lowest index; sample mode draws
-    sequence i's heads in order from ``rngs[i]``, each from its row
-    normalised to one.
+    sequence i's heads step by step and in order from ``rngs[i]``, each
+    from its row normalised to one.
 
-    Returns (N, lookahead) flattened action indices, the (N,) number of
-    heads that fell back, and the (N,) argmax of ``p_macro`` and of
+    Returns (N, T, lookahead) flattened action indices, the (N, T) number
+    of heads that fell back, and the (N, T) argmax of ``p_macro`` and of
     ``attention`` (-1 without that head).
     """
     fell_back = outs["p_combined"].sum(axis=-1) <= 0.0
@@ -94,15 +96,15 @@ def choose_step(
             raise ValueError("sample mode needs one RNG per sequence")
         # Generator.choice(len(row), p=row / row.sum()) head by head, over
         # arrays: the same cumulative sums and the same uniform draws
-        draws = np.stack([rng.random(scores.shape[1]) for rng in rngs])
+        draws = np.stack([rng.random(scores.shape[1:3]) for rng in rngs])
         cdf = (scores / scores.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
         cdf /= cdf[..., -1:]
         actions = (cdf <= draws[..., None]).sum(axis=-1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    n = len(scores)
     macro, attention = (
-        np.full(n, -1, dtype=np.int64) if outs[key] is None else outs[key].argmax(axis=-1)
+        np.full(scores.shape[:2], -1, dtype=np.int64) if outs[key] is None
+        else outs[key].argmax(axis=-1)
         for key in ("p_macro", "attention")
     )
     return actions, fell_back.sum(axis=-1), macro, attention
@@ -115,9 +117,10 @@ def batch_rollout(
     spec: CourtSpec,
     threads: int = 1,
 ) -> list[RolloutResult]:
-    """Roll out every sequence at once, one batched model step per time
-    step; results are in input order and each equals that sequence rolled
-    out alone.  ``threads`` is ignored (kept for callers that pass it)."""
+    """Roll out every sequence at once, the burn-in as one batched model
+    call and each horizon step as one more; results are in input order
+    and each equals that sequence rolled out alone.  ``threads`` is
+    ignored (kept for callers that pass it)."""
     config.validate()
     if not sequences:
         raise ConfigError("batch_rollout needs at least one sequence")
@@ -141,7 +144,9 @@ def batch_rollout(
     upper = np.array([spec.width_ft, spec.height_ft]) - 1e-9  # just inside the far edges
     r, side = spec.velocity_radius_cells, spec.velocity_side
     memory = model.reset_memory(n)
-    for t in range(total):
+    # one teacher-forced call over the whole burn-in, then one call per
+    # horizon step, whose input depends on the step before
+    for t, stop in zip([0, *range(burn_in, total)], range(burn_in, total + 1)):
         if t >= burn_in:
             # the last step's look-ahead actions are consecutive
             # displacements of the focal player
@@ -151,12 +156,12 @@ def batch_rollout(
             path[:, t] = np.minimum(np.maximum(target, 0.0), upper)
             clamps += (path[:, t] != target).any(axis=1)
             agents[:, t, 1] = path[:, t]
-        out, memory = model.infer(agents[:, t:t + 1], memory)
-        step = {key: None if v is None else v[:, 0] for key, v in out.items()}
-        actions[:, t], fell_back, macro_goals[:, t], att_argmax[:, t] = choose_step(
-            step, config.mode, rngs
+        steps = slice(t, stop)
+        out, memory = model.infer(agents[:, steps], memory)
+        actions[:, steps], fell_back, macro_goals[:, steps], att_argmax[:, steps] = choose_step(
+            out, config.mode, rngs
         )
-        fallbacks += fell_back
+        fallbacks += fell_back.sum(axis=1)
     return [
         RolloutResult(
             possession_id=s.possession_id,

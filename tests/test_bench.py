@@ -171,6 +171,25 @@ def test_benchmark_deterministic_and_matches_per_op_calls():
     assert rows1[0].macro_acc == direct.macro_acc
 
 
+class _EarlyMacroPolicy(_OraclePolicy):
+    """The oracle with every goal-box prediction from step 15 on wrong."""
+
+    def eval_sequence(self, inputs):
+        outs = super().eval_sequence(inputs)
+        outs["p_macro"][:, 15:] = np.roll(outs["p_macro"][:, 15:], 1, axis=-1)
+        return outs
+
+
+@pytest.mark.parametrize("burn_in", [None, 20, 10, 3])
+def test_benchmark_late_macro_excludes_the_given_burn_in(burn_in):
+    policy = _EarlyMacroPolicy(DATA, SPEC)
+    kwargs = {} if burn_in is None else {"burn_in": burn_in}
+    row, = benchmark({Variant.H_ATT: policy}, DATA, SPEC, **kwargs)
+    late = 20 if burn_in is None else burn_in  # 20 steps by default
+    t_steps = DATA[0].sequence.steps
+    assert row.macro_acc_excl_burnin == max(15 - late, 0) / (t_steps - late)
+
+
 def test_benchmark_spec_mismatch():
     other_spec = CourtSpec(micro_cell_ft=0.5)
     model = HPNModel(other_spec, ARCH, Variant.CNN, 1)

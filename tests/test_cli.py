@@ -259,6 +259,22 @@ def test_repro_prepares_sequences_once(tmp_path, monkeypatch):
     assert [f.read_bytes() for f in files] == before
 
 
+def test_bench_excludes_the_configured_burn_in(tmp_path, monkeypatch):
+    # bench.csv's late macro accuracy skips rollout.burn_in_steps steps
+    path = write_config(tmp_path)
+    base = ["--config", str(path), "--seed", "6", "--set", "train.epochs_pretrain=0",
+            "--set", "train.epochs_finetune=0"]
+    assert main(base + ["synth"]) == 0
+    assert main(base + ["train", "--variant", "h_att"]) == 0
+    seen = []
+    evaluate = cli.bench_mod.evaluate
+    monkeypatch.setattr(cli.bench_mod, "evaluate",
+                        lambda *a, **kw: seen.append(kw["burn_in"]) or evaluate(*a, **kw))
+    assert main(base + ["bench"]) == 0
+    assert main(base + ["--set", "rollout.burn_in_steps=7", "bench"]) == 0
+    assert seen == [10, 7]
+
+
 def test_checkpoint_bytes_independent_of_blas_threads(tmp_path):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--seed", "3", "synth"]) == 0

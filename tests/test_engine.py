@@ -44,7 +44,8 @@ class _Encoder:
     """Conv2d/BatchNorm holders for ``spatial_encoder``, one (filters,
     kernel, stride) per layer, with random batch-norm scales, shifts and
     running statistics; ``encoder(x, ...)`` runs the fused op and
-    ``oracle(x, ...)`` the channels-first tape of one node per layer op."""
+    ``oracle(x, ...)`` the channels-first tape of one node per layer op,
+    both on channels-last (N, H, W, C) input."""
 
     def __init__(self, in_channels, layers, seed=0):
         rng = np.random.default_rng(seed)
@@ -69,7 +70,7 @@ class _Encoder:
         return spatial_encoder(x, self.convs, self.bns, training, rng, noise_sigma)
 
     def oracle(self, x, training=True, rng=None, noise_sigma=0.0):
-        return oracle_spatial_encoder(self, x, training, rng, noise_sigma)
+        return oracle_spatial_encoder(self, x.transpose(0, 3, 1, 2), training, rng, noise_sigma)
 
 
 def _identity_encoder(channels, beta=0.0):
@@ -100,21 +101,21 @@ def _layers(n_layers, stride):
 
 
 def test_conv_identity_kernel():
-    x = RNG.normal(size=(2, 3, 5, 5))
+    x = RNG.normal(size=(2, 5, 5, 3))
     out = _identity_encoder(3)(x, training=False)
-    np.testing.assert_allclose(out.data, np.maximum(x, 0.0).reshape(2, -1))
+    np.testing.assert_allclose(out.data, np.maximum(x, 0.0).transpose(0, 3, 1, 2).reshape(2, -1))
 
 
 def test_conv_gradcheck():
     enc = _Encoder(3, [(2, 3, 1)])
-    x = RNG.normal(size=(2, 3, 4, 4))
+    x = RNG.normal(size=(2, 4, 4, 3))
     fixed = Tensor(_fixed_like((2, 2 * 4 * 4)))
     assert gradcheck(lambda: (enc(x) * fixed).sum(), enc.parameters()) < TOL
 
 
 def test_conv_stride2_gradcheck():
     enc = _Encoder(2, [(3, 3, 2)])
-    x = RNG.normal(size=(2, 2, 5, 6))
+    x = RNG.normal(size=(2, 5, 6, 2))
     fixed = Tensor(_fixed_like((2, 3 * 3 * 3)))
     assert gradcheck(lambda: (enc(x) * fixed).sum(), enc.parameters()) < TOL
 
@@ -122,7 +123,7 @@ def test_conv_stride2_gradcheck():
 def test_conv_shape_mismatch():
     enc = _Encoder(4, [(2, 3, 1)])
     with pytest.raises(ValueError, match="channel mismatch"):
-        enc(np.zeros((2, 3, 4, 4)))
+        enc(np.zeros((2, 4, 4, 3)))
 
 
 @pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
@@ -130,7 +131,7 @@ def test_spatial_encoder_gradcheck(n_layers, stride, training):
     # an odd, non-square grid; in a two-layer stack the first layer's
     # gradients pass through the second layer's input gradient
     enc = _Encoder(4, _layers(n_layers, stride), seed=stride)
-    x = np.random.default_rng(11).normal(size=(3, 4, 7, 5))
+    x = np.random.default_rng(11).normal(size=(3, 7, 5, 4))
     fixed = Tensor(_fixed_like(enc(x).data.shape))
 
     def loss():
@@ -143,7 +144,7 @@ def test_spatial_encoder_gradcheck(n_layers, stride, training):
 def test_spatial_encoder_matches_oracle_tape(n_layers, stride, training):
     fused = _Encoder(4, _layers(n_layers, stride), seed=3)
     tape = _Encoder(4, _layers(n_layers, stride), seed=3)
-    x = np.random.default_rng(12).poisson(0.3, size=(5, 4, 9, 8)).astype(np.float64)
+    x = np.random.default_rng(12).poisson(0.3, size=(5, 9, 8, 4)).astype(np.float64)
     for _ in range(2):  # the second pass starts from advanced running buffers
         a = fused(x, training, np.random.default_rng(9), 0.05)
         b = tape.oracle(x, training, np.random.default_rng(9), 0.05)
@@ -160,7 +161,7 @@ def test_spatial_encoder_matches_oracle_tape(n_layers, stride, training):
 
 def test_spatial_encoder_no_grad_records_nothing():
     enc = _Encoder(2, [(3, 3, 1), (2, 3, 2)])
-    x = RNG.normal(size=(3, 2, 5, 4))
+    x = RNG.normal(size=(3, 5, 4, 2))
     with no_grad():
         out = enc(x, training=True, rng=np.random.default_rng(0), noise_sigma=0.1)
     assert out._vjp is None and out._parents == () and not out.requires_grad
@@ -168,7 +169,7 @@ def test_spatial_encoder_no_grad_records_nothing():
 
 def test_spatial_encoder_frozen_parameters_get_no_gradient():
     enc = _Encoder(2, [(3, 3, 1), (2, 3, 2)])
-    x = RNG.normal(size=(3, 2, 5, 4))
+    x = RNG.normal(size=(3, 5, 4, 2))
     fixed = Tensor(_fixed_like(enc(x).data.shape))
     params = enc.parameters()
     backward((enc(x) * fixed).sum())
@@ -320,7 +321,7 @@ def test_gru_projected_matches_plain_step():
 
 def test_batchnorm_normalizes():
     # a shift of 100 keeps every normalized value above the ReLU's kink
-    out = _identity_encoder(3, beta=100.0)(RNG.normal(loc=5.0, scale=10.0, size=(16, 3, 2, 2)))
+    out = _identity_encoder(3, beta=100.0)(RNG.normal(loc=5.0, scale=10.0, size=(16, 2, 2, 3)))
     feat = out.data.reshape(16, 3, 2, 2)
     np.testing.assert_allclose(feat.mean(axis=(0, 2, 3)), 100.0, atol=1e-6)
     np.testing.assert_allclose(feat.var(axis=(0, 2, 3)), 1.0, atol=1e-6)
@@ -330,18 +331,18 @@ def test_batchnorm_gamma_zero_gives_beta():
     enc = _Encoder(3, [(3, 3, 1)])
     enc.bns[0].gamma.data[...] = 0.0
     enc.bns[0].beta.data[...] = 2.5
-    np.testing.assert_allclose(enc(RNG.normal(size=(2, 3, 2, 2))).data, 2.5)
+    np.testing.assert_allclose(enc(RNG.normal(size=(2, 2, 2, 3))).data, 2.5)
 
 
 def test_batchnorm_batch_of_one_rejected():
     enc = _Encoder(3, [(3, 3, 1)])
     with pytest.raises(ValueError, match="batch size"):
-        enc(np.zeros((1, 3, 1, 1)), training=True)
+        enc(np.zeros((1, 1, 1, 3)), training=True)
 
 
 def test_batchnorm_inference_uses_running_stats():
     enc = _Encoder(2, [(2, 1, 1)])
-    x = RNG.normal(loc=3.0, size=(32, 2, 1, 1))
+    x = RNG.normal(loc=3.0, size=(32, 1, 1, 2))
     for _ in range(200):
         enc(x, training=True)
     inf = enc(x, training=False)
@@ -351,7 +352,7 @@ def test_batchnorm_inference_uses_running_stats():
 
 def test_batchnorm_gradcheck():
     enc = _Encoder(4, [(3, 3, 1), (4, 3, 1)])
-    x = RNG.normal(size=(6, 4, 3, 3))
+    x = RNG.normal(size=(6, 3, 3, 4))
     fixed = Tensor(_fixed_like((6, 4 * 3 * 3)))
     gammas_betas = [p for bn in enc.bns for p in (bn.gamma, bn.beta)]
     assert gradcheck(lambda: (enc(x) * fixed).sum(), gammas_betas) < TOL
@@ -359,7 +360,7 @@ def test_batchnorm_gradcheck():
 
 def test_batchnorm_conv_layout_gradcheck():
     enc = _Encoder(2, [(2, 3, 1)])
-    x = RNG.normal(size=(3, 2, 4, 4))
+    x = RNG.normal(size=(3, 4, 4, 2))
     fixed = Tensor(_fixed_like((3, 2 * 4 * 4)))
     bn = enc.bns[0]
     for training in (True, False):
@@ -511,7 +512,7 @@ def test_noise_statistics():
     # one (N, F, oh, ow) normal draw, flattened
     enc = _Encoder(4, [(4, 1, 1)])
     enc.bns[0].beta.data[...] = 0.0
-    out = enc(np.zeros((250, 4, 32, 32)), True, np.random.default_rng(8), 1e-3)
+    out = enc(np.zeros((250, 32, 32, 4)), True, np.random.default_rng(8), 1e-3)
     assert out.data.size == 1_024_000
     np.testing.assert_array_equal(
         out.data, np.random.default_rng(8).normal(0.0, 1e-3, (250, 4, 32, 32)).reshape(250, -1)
@@ -521,7 +522,7 @@ def test_noise_statistics():
 
 def test_noise_passes_gradient_through():
     enc = _Encoder(2, [(3, 3, 1), (2, 3, 2)])
-    x = RNG.normal(size=(3, 2, 5, 4))
+    x = RNG.normal(size=(3, 5, 4, 2))
     grads = []
     for sigma in (0.0, 0.5):
         backward(enc(x, True, np.random.default_rng(1), sigma).sum())

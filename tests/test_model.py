@@ -30,14 +30,16 @@ def one_step(m, positions, memory):
 
 
 def step_outputs(p_combined, p_raw, p_macro=None, attention=None):
-    """One sequence's head values in the form ``choose_step`` takes (N = 1)."""
+    """One sequence's head values at one step in the form ``choose_step``
+    takes (N = 1, T = 1)."""
     outs = {"p_combined": p_combined, "p_raw": p_raw, "p_macro": p_macro, "attention": attention}
-    return {k: None if v is None else v[None] for k, v in outs.items()}
+    return {k: None if v is None else v[None, None] for k, v in outs.items()}
 
 
 def actions_of(outs, mode="argmax", rng=None):
-    """The (lookahead,) action indices ``choose_step`` picks for one sequence."""
-    return choose_step(outs, mode, None if rng is None else [rng])[0][0]
+    """The (lookahead,) action indices ``choose_step`` picks for one
+    sequence at one step."""
+    return choose_step(outs, mode, None if rng is None else [rng])[0][0, 0]
 
 
 def test_output_simplexes():
@@ -103,7 +105,7 @@ def test_predict_action_modes():
     assert actions_of(tied).tolist() == [5] * 4
     # rows of a batch are chosen independently
     both = {k: None if v is None else np.concatenate([v, tied[k]]) for k, v in out.items()}
-    assert choose_step(both, "argmax")[0].tolist() == [[17] * 4, [5] * 4]
+    assert choose_step(both, "argmax")[0].tolist() == [[[17] * 4], [[5] * 4]]
     with pytest.raises(ValueError, match="unknown mode"):
         choose_step(out, "bogus")
     with pytest.raises(ValueError, match="one RNG per sequence"):
@@ -111,16 +113,16 @@ def test_predict_action_modes():
 
 
 def test_predict_action_sampling_frequencies():
-    scores = np.zeros((1, 1, SPEC.n_actions))
+    scores = np.zeros((1, 1, 1, SPEC.n_actions))
     probs = np.array([0.5, 0.3, 0.2])
     idx = [10, 20, 30]
-    scores[0, 0, idx] = probs * 7.0  # unnormalized on purpose
+    scores[0, 0, 0, idx] = probs * 7.0  # unnormalized on purpose
     rng = np.random.default_rng(123)
     n, chunk = 100_000, 1000
-    rows = np.broadcast_to(scores, (chunk, 1, SPEC.n_actions))
+    rows = np.broadcast_to(scores, (chunk, 1, 1, SPEC.n_actions))
     out = {"p_combined": rows, "p_raw": rows, "p_macro": None, "attention": None}
     picks = np.concatenate(
-        [choose_step(out, "sample", [rng] * chunk)[0][:, 0] for _ in range(n // chunk)]
+        [choose_step(out, "sample", [rng] * chunk)[0][:, 0, 0] for _ in range(n // chunk)]
     )
     counts = np.bincount(picks, minlength=SPEC.n_actions)
     assert counts.sum() == counts[idx].sum() == n
@@ -137,21 +139,38 @@ def test_predict_action_zero_mass_fallback():
     out = step_outputs(p_combined, p_raw)
     for mode, rng in (("argmax", None), ("sample", [np.random.default_rng(0)])):
         actions, fell_back, _, _ = choose_step(out, mode, rng)
-        assert actions.tolist() == [[100, 7, 7, 7]]
-        assert fell_back.tolist() == [1]
+        assert actions.tolist() == [[[100, 7, 7, 7]]]
+        assert fell_back.tolist() == [[1]]
 
 
 def test_predict_macro():
     p = np.full((4, 289), 1 / 289)
     p_macro = np.zeros(90)
     p_macro[42] = 1.0
-    assert choose_step(step_outputs(p, p, p_macro), "argmax")[2].tolist() == [42]
+    assert choose_step(step_outputs(p, p, p_macro), "argmax")[2].tolist() == [[42]]
     uniform = np.full(90, 1 / 90)
     _, _, macro, attention = choose_step(step_outputs(p, p, uniform, p[0]), "argmax")
-    assert macro.tolist() == attention.tolist() == [0]  # tie rule
+    assert macro.tolist() == attention.tolist() == [[0]]  # tie rule
     # a variant without a macro head or attention reports -1
     _, _, macro, attention = choose_step(step_outputs(p, p), "argmax")
-    assert macro.tolist() == attention.tolist() == [-1]
+    assert macro.tolist() == attention.tolist() == [[-1]]
+
+
+def test_choose_step_over_steps_matches_one_step_calls():
+    # one (N, T) call picks what T one-step calls pick, and in sample mode
+    # it draws the same values from identically seeded RNGs
+    rng = np.random.default_rng(4)
+    n, t_steps = 3, 6
+    inputs = np.stack([random_positions(rng, n=n) for _ in range(t_steps)], axis=1)
+    m = fresh(Variant.H_ATT, seed=13)
+    outs, _ = m.infer(inputs, m.reset_memory(n))
+    for mode in ("argmax", "sample"):
+        whole = choose_step(outs, mode, [np.random.default_rng(i) for i in range(n)])
+        rngs = [np.random.default_rng(i) for i in range(n)]
+        for t in range(t_steps):
+            step = {k: None if v is None else v[:, t:t + 1] for k, v in outs.items()}
+            for a, b in zip(whole, choose_step(step, mode, rngs)):
+                np.testing.assert_array_equal(a[:, t:t + 1], b, err_msg=f"{mode} t={t}")
 
 
 def test_variant_structure():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hoopnet.court import CourtSpec
-from hoopnet.data import SynthConfig, synthesize, window
+from hoopnet.data import SynthConfig, agent_positions, synthesize, window
 from hoopnet.errors import ConfigError
 from hoopnet.model import ArchitectureConfig, HPNModel, Variant
 from hoopnet.rollout import (
     RolloutConfig,
     batch_rollout,
+    choose_step,
     load_rollouts,
     rollout_to_json,
     save_rollouts,
@@ -71,6 +72,46 @@ class _ConstantModel:
         p[..., self.index] = 1.0
         combined = p if self.combined_mass else np.zeros_like(p)
         return {"p_raw": p, "p_macro": None, "attention": None, "p_combined": combined}, mem
+
+
+class _CountingModel:
+    """Wraps a model, recording the number of steps of each ``infer`` call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.steps = []
+
+    def reset_memory(self, batch=1):
+        return self.model.reset_memory(batch)
+
+    def infer(self, x, mem):
+        self.steps.append(x.shape[1])
+        return self.model.infer(x, mem)
+
+
+@pytest.mark.parametrize("horizon", [0, 7])
+def test_burn_in_is_one_infer_call(horizon):
+    m = _CountingModel(HPNModel(SPEC, ARCH, Variant.H_ATT, 3))
+    batch_rollout(m, SEQS, RolloutConfig(burn_in_steps=20, horizon_steps=horizon), SPEC)
+    assert m.steps == [20] + [1] * horizon
+
+
+@pytest.mark.parametrize("variant", [Variant.H_ATT, Variant.H_CC, Variant.CNN])
+def test_burn_in_choices_equal_teacher_forced_eval(variant):
+    # the burn-in picks what choose_step picks from eval_sequence of the
+    # ground-truth prefix, drawing first from each sequence's rollout RNG
+    m = HPNModel(SPEC, ARCH, variant, 23)
+    burn_in = 20
+    prefix = np.stack([agent_positions(s)[:burn_in] for s in SEQS])
+    for mode in ("argmax", "sample"):
+        cfg = RolloutConfig(burn_in_steps=burn_in, horizon_steps=5, mode=mode, seed=8)
+        results = batch_rollout(m, SEQS, cfg, SPEC)
+        rngs = [rng_for(cfg.seed, "rollout", s.possession_id, s.focal_agent, s.t0) for s in SEQS]
+        actions, _, macro, attention = choose_step(m.eval_sequence(prefix), mode, rngs)
+        for i, r in enumerate(results):
+            np.testing.assert_array_equal(r.actions[:burn_in], actions[i])
+            np.testing.assert_array_equal(r.macro_goals[:burn_in], macro[i])
+            np.testing.assert_array_equal(r.attention_argmax[:burn_in], attention[i])
 
 
 def test_horizon_zero_is_pure_ground_truth():

@@ -158,7 +158,7 @@ def _check_against_dense_oracle(agents, pyramid):
     got = pooled_occupancy(time_major(positions), SPEC, math.prod(pyramid))
     want = time_major(np.stack([oracle_pool(oracle_channelize(s, SPEC), pyramid) for s in seqs]))
     assert got.dtype == np.float64
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, want.transpose(0, 2, 3, 1))  # channels-last
 
 
 @settings(max_examples=80, deadline=None)
@@ -268,7 +268,8 @@ def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
         return len(_tape(loss))
 
     fused = tape_size()
-    monkeypatch.setattr(SpatialEncoder, "__call__", oracle_spatial_encoder)
+    monkeypatch.setattr(SpatialEncoder, "__call__", lambda enc, x, *args: oracle_spatial_encoder(
+        enc, x.transpose(0, 3, 1, 2), *args))
     assert tape_size() - fused == 14
 
 
