@@ -27,6 +27,10 @@ from .train import TrainConfig
 class RunSettings:
     n_rollouts: int = 12
 
+    def validate(self) -> None:
+        if self.n_rollouts < 1:
+            raise ConfigError("n_rollouts must be >= 1")
+
 
 @dataclass(frozen=True)
 class PathsConfig:
@@ -148,6 +152,7 @@ def _validate(cfg: RunConfig) -> None:
         "train": cfg.train.validate,
         "rollout": cfg.rollout.validate,
         "render": cfg.render.validate,
+        "run": cfg.run.validate,
     }
     for section, check in checks.items():
         try:

@@ -137,10 +137,9 @@ class DataConfig:
 class TrainingSequence:
     """One focal player's windowed view of a possession.
 
-    Positions are stored per agent so the model input
-    (``agent_positions``) can be rebuilt after augmentation;
-    ``raw_frame_positions`` keeps the focal track at the raw 25 Hz rate
-    for look-ahead velocity labels.
+    Positions are stored per agent; ``agent_positions`` stacks them into
+    the model input.  ``raw_frame_positions`` keeps the focal track at
+    the raw 25 Hz rate for look-ahead velocity labels.
     """
 
     possession_id: str

@@ -7,8 +7,9 @@ Per parameter and step t (t counts completed steps, starting at 0):
     buf    = momentum * buf - lr_t * g / (sqrt(cache) + eps)
     theta += buf
 
-Frozen parameters are skipped entirely; every step ends by clearing all
-gradient buffers.
+The optimizer owns ``cache`` and ``buf``, zeros for each parameter when
+it is built.  Frozen parameters are skipped entirely; every step ends by
+clearing all gradient buffers.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class RMSProp:
         eps: float = 1e-8,
     ):
         self.params = list(params)
+        self.cache = [np.zeros_like(p.data) for p in self.params]
+        self.buf = [np.zeros_like(p.data) for p in self.params]
         self.lr = lr
         self.decay = decay
         self.momentum = momentum
@@ -63,15 +66,15 @@ class RMSProp:
     def step(self) -> None:
         """One update over params; clears every gradient buffer afterwards."""
         lr_t = self.lr / (1.0 + self.decay * self.t)
-        for p in self.params:
+        for p, cache, buf in zip(self.params, self.cache, self.buf):
             g = p.grad
             if g is None or p.frozen:
                 continue
-            p.cache *= self.rho
-            p.cache += (1.0 - self.rho) * g * g
-            p.momentum *= self.momentum
-            p.momentum -= lr_t * g / (np.sqrt(p.cache) + self.eps)
-            p.data += p.momentum
+            cache *= self.rho
+            cache += (1.0 - self.rho) * g * g
+            buf *= self.momentum
+            buf -= lr_t * g / (np.sqrt(cache) + self.eps)
+            p.data += buf
         for p in self.params:
             p.grad = None
         self.t += 1

@@ -77,16 +77,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf with persistent optimizer state and a freeze flag."""
+    """Trainable leaf with a freeze flag."""
 
-    __slots__ = ("cache", "momentum", "frozen", "name")
+    __slots__ = ("frozen",)
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.cache = np.zeros_like(self.data)
-        self.momentum = np.zeros_like(self.data)
         self.frozen = False
-        self.name = name
 
     def _needs(self) -> bool:
         return not self.frozen

@@ -155,7 +155,8 @@ def attention_targets(
     magnitudes: np.ndarray,
     spec: CourtSpec,
 ) -> np.ndarray:
-    """Straight-line action labels given already-drawn magnitudes.
+    """Straight-line action labels given already-drawn magnitudes, for
+    (..., 2) positions and matching (...) goal ids and magnitudes.
 
     Direction is the unit vector from the instantaneous position to the
     current goal box center; steps already inside the goal box label the
@@ -165,11 +166,11 @@ def attention_targets(
     centers = spec.macro_box_centers(np.asarray(macro_ids, dtype=np.int64))
     delta = centers - pos
     inside = spec.boxes_from_positions(pos) == macro_ids
-    norm = np.linalg.norm(delta, axis=1)
+    norm = np.linalg.norm(delta, axis=-1)
     safe = np.where(norm > 0, norm, 1.0)
-    unit = delta / safe[:, None]
-    v = magnitudes[:, None] * unit * spec.micro_cell_ft  # magnitudes are in cells
-    labels = spec.actions_from_displacements(v[:, 0], v[:, 1])
+    unit = delta / safe[..., None]
+    v = magnitudes[..., None] * unit * spec.micro_cell_ft  # magnitudes are in cells
+    labels = spec.actions_from_displacements(v[..., 0], v[..., 1])
     labels[inside | (norm == 0)] = spec.stationary_action_index
     return labels
 

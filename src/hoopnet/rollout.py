@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .court import CourtSpec
-from .data import TrainingSequence, agent_positions
+from .data import SEQUENCE_STEPS, TrainingSequence, agent_positions
 from .errors import ConfigError
 from .model import HPNModel
 from .util import atomic_open, rng_for
@@ -38,8 +38,8 @@ class RolloutConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.burn_in_steps < 1:
-            raise ConfigError("burn_in_steps must be >= 1")
+        if not 1 <= self.burn_in_steps <= SEQUENCE_STEPS:
+            raise ConfigError(f"burn_in_steps must be in [1, {SEQUENCE_STEPS}], the burn-in of one sequence")
         if self.horizon_steps < 0:
             raise ConfigError("horizon_steps must be >= 0")
         if self.mode not in ("argmax", "sample"):

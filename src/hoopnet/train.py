@@ -9,7 +9,7 @@ resume at any stage boundary and replay identically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -57,12 +57,18 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 (batch normalization)")
         if not 0.0 <= self.attention_label_fraction <= 1.0:
             raise ConfigError("attention_label_fraction must be in [0, 1]")
-        if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
-            raise ConfigError("epochs_pretrain and epochs_finetune must be >= 0")
         if self.grad_clip_norm <= 0:
             raise ConfigError("grad_clip_norm must be positive")
-        if self.translate_max_cells < 0:
-            raise ConfigError("translate_max_cells must be >= 0")
+        for name in ("momentum", "rho"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        # 0 turns decay, the penalty, noise, translation and early stopping
+        # off; holdout_eval_max = 0 evaluates the whole holdout
+        for name in ("epochs_pretrain", "epochs_finetune", "decay", "l2_activation_weight",
+                     "noise_sigma", "translate_max_cells", "holdout_eval_max",
+                     "early_stop_patience"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,116 +138,77 @@ def stage_schedule(variant: Variant) -> list[Stage]:
     return [Stage.PRETRAIN_MICRO, Stage.PRETRAIN_MACRO, Stage.FINETUNE]
 
 
-def _check_stage(model: HPNModel, stage: Stage) -> None:
-    if model.variant in (Variant.CNN, Variant.GRU_CNN) and stage is not Stage.PRETRAIN_MICRO:
-        raise ConfigError(f"variant {model.variant.value} supports only pretrain_micro")
-    if stage in (Stage.PRETRAIN_MACRO,) and not model.hierarchical:
-        raise ConfigError(f"variant {model.variant.value} has no macro branch")
-    if stage is Stage.PRETRAIN_ATTENTION and not model.has_attention:
-        raise ConfigError(f"variant {model.variant.value} has no attention transfer net")
+# Per stage: the parameter groups it trains and the branches it needs.  A
+# stage runs the branches it needs; fine-tuning runs every branch the
+# model has, and needs a macro branch.
+_STAGES: dict[Stage, tuple[set[str], frozenset[str]]] = {
+    Stage.PRETRAIN_MICRO: ({"micro"}, frozenset({"micro"})),
+    Stage.PRETRAIN_MACRO: ({"macro"}, frozenset({"macro"})),
+    Stage.PRETRAIN_ATTENTION: ({"transfer"}, frozenset({"macro", "attention"})),
+    Stage.FINETUNE: ({"micro", "macro", "transfer", "combine"}, frozenset({"micro", "macro"})),
+}
 
 
-def _stage_groups(model: HPNModel, stage: Stage) -> set[str]:
-    if stage is Stage.PRETRAIN_MICRO:
-        return {"micro"}
-    if stage is Stage.PRETRAIN_MACRO:
-        return {"macro"}
-    if stage is Stage.PRETRAIN_ATTENTION:
-        return {"transfer"}
-    return {"micro", "macro", "transfer", "combine"}
-
-
-def _stage_branches(model: HPNModel, stage: Stage) -> frozenset[str]:
-    if stage is Stage.PRETRAIN_MICRO:
-        return frozenset({"micro"})
-    if stage is Stage.PRETRAIN_MACRO:
-        return frozenset({"macro"})
-    if stage is Stage.PRETRAIN_ATTENTION:
-        return frozenset({"macro", "attention"})
-    return model.branch_set()
+def stage_branches(model: HPNModel, stage: Stage) -> frozenset[str]:
+    """Branches ``stage`` runs on ``model``; ConfigError when the model
+    lacks one the stage needs."""
+    needs = _STAGES[stage][1]
+    if not needs <= model.branch_set():
+        raise ConfigError(f"{stage.value} needs branches {sorted(needs)}; "
+                          f"variant {model.variant.value} has {sorted(model.branch_set())}")
+    return model.branch_set() if stage is Stage.FINETUNE else needs
 
 
 # batch assembly and augmentation
 
 
-def assemble(batch: list[LabeledSequence], spec: CourtSpec) -> dict:
-    """Stack a batch's model inputs, (N, T, 11, 2) agent positions, and its
-    label arrays.  Positions are independent of ``spec``; the model turns
-    them into occupancy."""
-    return {
-        "inputs": np.stack([agent_positions(it.sequence) for it in batch]),
-        "micro": np.stack([it.labels.micro for it in batch]),
-        "micro_padded": np.stack([it.labels.micro_padded for it in batch]),
-        "macro": np.stack([it.labels.macro for it in batch]),
-        "attention": np.stack([it.labels.attention for it in batch]),
-    }
+def assemble(batch: list[LabeledSequence], spec: CourtSpec | None = None) -> dict:
+    """Stack a batch's model inputs, (N, T, 11, 2) agent positions, under
+    ``inputs`` and every ``WeakLabels`` field under its own name, as new
+    arrays.  Positions are independent of ``spec``."""
+    arrays = {"inputs": np.stack([agent_positions(it.sequence) for it in batch])}
+    for f in fields(WeakLabels):
+        arrays[f.name] = np.stack([getattr(it.labels, f.name) for it in batch])
+    return arrays
 
 
 def augment_translate(
-    batch: list[LabeledSequence],
+    arrays: dict,
     max_cells: int,
     rng: np.random.Generator,
     spec: CourtSpec,
-) -> tuple[list[LabeledSequence], int]:
-    """Shift each sequence by a uniform integer cell offset in (-max, max).
+) -> int:
+    """Shift each sequence of an assembled batch by a uniform integer cell
+    offset in (-max, max), updating ``arrays`` in place; return how many
+    shifted sequences had a model input or goal target clamped onto the
+    court.
 
-    All agent positions and the goal-target positions move together; goal
-    and straight-line labels are recomputed from the shifted positions,
-    while velocity labels are translation invariant and kept as-is.
+    All agent positions and the goal-target positions move together, and
+    each shifted position is clamped to the court.  Goal and straight-line
+    labels are recomputed from the positions, while velocity labels are
+    translation invariant and kept as they are.  A sequence drawn a zero
+    offset is left untouched, so positions that ingest let lie off court
+    stay unclamped.  Each sequence takes one ``rng.integers`` draw.
     """
-    if max_cells < 0:
-        raise ConfigError("max_cells must be >= 0")
     if max_cells == 0:
-        return list(batch), 0
-    out = []
-    clamped = 0
+        return 0
     lo, hi = -(max_cells - 1), max_cells  # integers in (-max, max)
-    for item in batch:
-        dx, dy = (int(v) for v in rng.integers(lo, hi, size=2))
-        if dx == 0 and dy == 0:
-            out.append(item)
-            continue
-        shift = np.array([dx * spec.micro_cell_ft, dy * spec.micro_cell_ft])
-        hit = False
-
-        def shifted(a: np.ndarray) -> np.ndarray:
-            nonlocal hit
-            s = a + shift
-            c = s.copy()
-            np.clip(c[..., 0], 0.0, spec.width_ft - 1e-9, out=c[..., 0])
-            np.clip(c[..., 1], 0.0, spec.height_ft - 1e-9, out=c[..., 1])
-            if not np.array_equal(c, s):
-                hit = True
-            return c
-
-        seq = item.sequence
-        new_seq = TrainingSequence(
-            possession_id=seq.possession_id,
-            focal_agent=seq.focal_agent,
-            t0=seq.t0,
-            raw_positions=shifted(seq.raw_positions),
-            raw_frame_positions=shifted(seq.raw_frame_positions),
-            ball_positions=shifted(seq.ball_positions),
-            teammate_positions=shifted(seq.teammate_positions),
-            opponent_positions=shifted(seq.opponent_positions),
-        )
-        target_xy = shifted(item.labels.macro_target_xy)
-        macro = spec.boxes_from_positions(target_xy)
-        attention = attention_targets(
-            new_seq.raw_positions, macro, item.labels.attention_magnitudes, spec
-        )
-        new_labels = WeakLabels(
-            micro=item.labels.micro,
-            micro_padded=item.labels.micro_padded,
-            macro=macro,
-            macro_target_xy=target_xy,
-            attention=attention,
-            attention_magnitudes=item.labels.attention_magnitudes,
-        )
-        if hit:
-            clamped += 1
-        out.append(LabeledSequence(new_seq, new_labels))
-    return out, clamped
+    offsets = np.stack([rng.integers(lo, hi, size=2) for _ in range(len(arrays["inputs"]))])
+    rows = np.flatnonzero(offsets.any(axis=1))
+    shift = offsets[rows] * spec.micro_cell_ft
+    upper = np.array([spec.width_ft - 1e-9, spec.height_ft - 1e-9])
+    clamped = np.zeros(len(rows), dtype=bool)
+    for key in ("inputs", "macro_target_xy"):
+        moved = arrays[key][rows]
+        moved += np.expand_dims(shift, tuple(range(1, moved.ndim - 1)))
+        on_court = np.clip(moved, 0.0, upper)
+        clamped |= (on_court != moved).any(axis=tuple(range(1, moved.ndim)))
+        arrays[key][rows] = on_court
+    arrays["macro"] = spec.boxes_from_positions(arrays["macro_target_xy"])
+    arrays["attention"] = attention_targets(
+        arrays["inputs"][:, :, 1], arrays["macro"], arrays["attention_magnitudes"], spec
+    )
+    return int(clamped.sum())
 
 
 # loss
@@ -249,7 +216,7 @@ def augment_translate(
 
 def compute_loss(
     model: HPNModel,
-    batch: list[LabeledSequence],
+    arrays: dict | list[LabeledSequence],
     stage: Stage,
     cfg: TrainConfig,
     spec: CourtSpec | None = None,
@@ -264,15 +231,19 @@ def compute_loss(
     the attention and raw-action output distributions.  The scalar is the
     per-(sequence, step) mean.  Every term covers all T*N time-major rows
     of one ``model.run`` at once.
+
+    ``arrays`` is a batch as ``assemble`` stacks it, augmented or not; a
+    list of labeled sequences is assembled here first.
     """
-    _check_stage(model, stage)
-    arrays = assemble(batch, spec)
+    branches = stage_branches(model, stage)
+    if isinstance(arrays, list):
+        arrays = assemble(arrays, spec)
     inputs = arrays["inputs"]
     n, t_steps = inputs.shape[:2]
     scale = 1.0 / (n * t_steps)
     outs, _ = model.run(
         inputs, model.reset_memory(n), training=True, rng=rng,
-        noise_sigma=cfg.noise_sigma, branches=_stage_branches(model, stage),
+        noise_sigma=cfg.noise_sigma, branches=branches,
     )
     micro = time_major(arrays["micro"])  # (T*N, lookahead)
     terms: list[Tensor] = []
@@ -320,13 +291,11 @@ def run_stage(
     from .bench import evaluate  # local import; bench also imports model
 
     cfg.validate()
-    _check_stage(model, stage)
-    model.set_trainable(_stage_groups(model, stage))
-    # every stage starts from clean optimizer state so a run can resume at
+    stage_branches(model, stage)
+    model.set_trainable(_STAGES[stage][0])
+    # every stage starts from a fresh optimizer so a run can resume at
     # stage boundaries from a parameters-only checkpoint
     for p in model.parameters():
-        p.cache[...] = 0.0
-        p.momentum[...] = 0.0
         p.grad = None
     lr = cfg.lr_finetune if stage is Stage.FINETUNE else cfg.lr_pretrain
     optimizer = RMSProp(model.parameters(), lr, cfg.decay, cfg.momentum, cfg.rho)
@@ -353,10 +322,9 @@ def run_stage(
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue
-            batch = [data[i] for i in idx]
-            batch, hits = augment_translate(batch, cfg.translate_max_cells, rng, spec)
-            clamped += hits
-            loss = compute_loss(model, batch, stage, cfg, spec, rng=rng)
+            arrays = assemble([data[i] for i in idx], spec)
+            clamped += augment_translate(arrays, cfg.translate_max_cells, rng, spec)
+            loss = compute_loss(model, arrays, stage, cfg, spec, rng=rng)
             if not np.isfinite(loss.data):
                 raise DivergenceError(f"non-finite loss in stage {stage.value}")
             backward(loss)
@@ -415,7 +383,7 @@ def train_full(
     if not schedule:
         raise ConfigError("no stages in training schedule")
     for stage in schedule:
-        _check_stage(model, stage)
+        stage_branches(model, stage)
     done: list[str] = []
     if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
         meta = load_checkpoint(

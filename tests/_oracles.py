@@ -9,7 +9,10 @@ drives a model, one sequence and one look-ahead head at a time;
 tape ops, including the ``sigmoid``, ``tanh`` and ``sub`` defined here;
 ``oracle_spatial_encoder`` runs a spatial encoder as a channels-first tape
 of ``conv2d``, ``batch_norm``, ``relu``, ``gaussian_noise`` and reshape
-nodes, 8 for two layers.
+nodes, 8 for two layers.  ``oracle_augment_translate`` translates one
+labeled sequence at a time by rebuilding its ``TrainingSequence`` and
+``WeakLabels``, recomputing the straight-line targets with
+``labels.attention_targets`` on each (T, 2) track.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from hoopnet.court import CourtSpec
-from hoopnet.data import agent_positions
+from hoopnet.data import TrainingSequence, agent_positions
 from numpy.lib.stride_tricks import as_strided
 
 from hoopnet.engine.tensor import (
@@ -34,7 +37,9 @@ from hoopnet.engine.tensor import (
     relu,
     row_block,
 )
+from hoopnet.labels import WeakLabels, attention_targets
 from hoopnet.rollout import RolloutResult
+from hoopnet.train import LabeledSequence
 from hoopnet.util import rng_for
 
 
@@ -420,3 +425,61 @@ def oracle_spatial_encoder(encoder, x: np.ndarray, training: bool, rng, noise_si
         h = relu(h)
     h = gaussian_noise(h, noise_sigma, rng, training)
     return h.reshape((h.shape[0], -1))
+
+
+def oracle_augment_translate(batch, max_cells: int, rng, spec: CourtSpec):
+    """Per-sequence translation: one ``rng.integers(lo, hi, size=2)`` draw
+    per sequence, then new sequence and label objects for each shifted
+    one.  Returns (new batch, clamped count).  ``raw_frame_positions``
+    stays unshifted: only label extraction reads it, and that is done."""
+    if max_cells == 0:
+        return list(batch), 0
+    out = []
+    clamped = 0
+    lo, hi = -(max_cells - 1), max_cells
+    for item in batch:
+        dx, dy = (int(v) for v in rng.integers(lo, hi, size=2))
+        if dx == 0 and dy == 0:
+            out.append(item)
+            continue
+        shift = np.array([dx * spec.micro_cell_ft, dy * spec.micro_cell_ft])
+        hit = False
+
+        def shifted(a: np.ndarray) -> np.ndarray:
+            nonlocal hit
+            s = a + shift
+            c = s.copy()
+            np.clip(c[..., 0], 0.0, spec.width_ft - 1e-9, out=c[..., 0])
+            np.clip(c[..., 1], 0.0, spec.height_ft - 1e-9, out=c[..., 1])
+            if not np.array_equal(c, s):
+                hit = True
+            return c
+
+        seq = item.sequence
+        new_seq = TrainingSequence(
+            possession_id=seq.possession_id,
+            focal_agent=seq.focal_agent,
+            t0=seq.t0,
+            raw_positions=shifted(seq.raw_positions),
+            raw_frame_positions=seq.raw_frame_positions,
+            ball_positions=shifted(seq.ball_positions),
+            teammate_positions=shifted(seq.teammate_positions),
+            opponent_positions=shifted(seq.opponent_positions),
+        )
+        target_xy = shifted(item.labels.macro_target_xy)
+        macro = spec.boxes_from_positions(target_xy)
+        attention = attention_targets(
+            new_seq.raw_positions, macro, item.labels.attention_magnitudes, spec
+        )
+        new_labels = WeakLabels(
+            micro=item.labels.micro,
+            micro_padded=item.labels.micro_padded,
+            macro=macro,
+            macro_target_xy=target_xy,
+            attention=attention,
+            attention_magnitudes=item.labels.attention_magnitudes,
+        )
+        if hit:
+            clamped += 1
+        out.append(LabeledSequence(new_seq, new_labels))
+    return out, clamped

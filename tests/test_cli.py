@@ -96,6 +96,16 @@ def test_repository_configs_load():
     "arch.pyramid=64",  # a pool kernel larger than the 45x50 grid
     "data.holdout_fraction=0",  # no holdout split
     "data.windows_per_player=0",  # no training sequences
+    "train.holdout_eval_max=-1",  # would drop the last holdout sequence
+    "train.noise_sigma=-1",  # would fail mid-training
+    "train.decay=-1",
+    "train.momentum=1",
+    "train.rho=-0.5",
+    "train.l2_activation_weight=-1",
+    "train.early_stop_patience=-1",
+    "rollout.burn_in_steps=51",  # longer than a sequence
+    "run.n_rollouts=0",  # would fail only after training
+    "run.n_rollouts=-2",  # would drop the last two rollouts
 ])
 def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
     path = write_config(tmp_path)

@@ -29,12 +29,18 @@ from hoopnet.train import (
     augment_translate,
     compute_loss,
     run_stage,
+    stage_branches,
     stage_schedule,
     train_full,
 )
 from hoopnet.util import rng_for
 
-from _oracles import oracle_channelize, oracle_pool, oracle_spatial_encoder
+from _oracles import (
+    oracle_augment_translate,
+    oracle_channelize,
+    oracle_pool,
+    oracle_spatial_encoder,
+)
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -95,6 +101,32 @@ def test_stage_variant_mismatch():
         run_stage(m3, DATA[:4], [], Stage.PRETRAIN_ATTENTION, small_cfg(), SPEC, seed=1)
     m4 = HPNModel(SPEC, ARCH, Variant.H_AUX, 1)
     run_stage(m4, DATA[:4], [], Stage.PRETRAIN_ATTENTION, small_cfg(), SPEC, seed=1)
+
+
+# the branches each stage runs, for each variant that can run it
+MICRO, MACRO, ATTENTION = frozenset({"micro"}), frozenset({"macro"}), frozenset({"macro", "attention"})
+STAGE_BRANCHES = {
+    Variant.CNN: {Stage.PRETRAIN_MICRO: MICRO},
+    Variant.GRU_CNN: {Stage.PRETRAIN_MICRO: MICRO},
+    Variant.H_CC: {Stage.PRETRAIN_MICRO: MICRO, Stage.PRETRAIN_MACRO: MACRO,
+                   Stage.FINETUNE: frozenset({"micro", "macro", "combine"})},
+    **{v: {Stage.PRETRAIN_MICRO: MICRO, Stage.PRETRAIN_MACRO: MACRO,
+           Stage.PRETRAIN_ATTENTION: ATTENTION,
+           Stage.FINETUNE: frozenset({"micro", "macro", "attention"})}
+       for v in (Variant.H_STACK, Variant.H_ATT, Variant.H_AUX)},
+}
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_stage_variant_matrix(variant, stage):
+    m = HPNModel(SPEC, ARCH, variant, 1)
+    want = STAGE_BRANCHES[variant].get(stage)
+    if want is None:
+        with pytest.raises(ConfigError, match=stage.value):
+            stage_branches(m, stage)
+    else:
+        assert stage_branches(m, stage) == want
 
 
 # loss values
@@ -312,30 +344,41 @@ def test_finetune_gradcheck_tiny_model():
 # augmentation
 
 
+class FixedRng:
+    """Stands in for a Generator: each ``integers`` call returns the next
+    of the given offsets."""
+
+    def __init__(self, *offsets):
+        self.offsets = iter(offsets)
+
+    def integers(self, lo, hi, size=None):
+        return np.array(next(self.offsets))
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_augment_zero_is_identity():
-    out, clamped = augment_translate(DATA[:3], 0, rng_for(1, "aug"), SPEC)
-    assert out == DATA[:3] and clamped == 0
+    arrays = assemble(DATA[:3], SPEC)
+    clamped = augment_translate(arrays, 0, rng_for(1, "aug"), SPEC)
+    want = assemble(DATA[:3], SPEC)
+    assert clamped == 0 and all(_same_bytes(arrays[k], want[k]) for k in want)
 
 
 def test_augment_shifts_consistently():
     item = DATA[0]
-    rng = np.random.default_rng(3)
-
-    class FixedRng:
-        def integers(self, lo, hi, size=None):
-            return np.array([3, 0])
-
-    out, _ = augment_translate([item], 8, FixedRng(), SPEC)
-    new = out[0]
+    arrays = assemble([item], SPEC)
+    augment_translate(arrays, 8, FixedRng([3, 0]), SPEC)
     np.testing.assert_allclose(
-        new.sequence.raw_positions[:, 0],
+        arrays["inputs"][0, :, 1, 0],
         np.clip(item.sequence.raw_positions[:, 0] + 3.0, 0, SPEC.width_ft - 1e-9),
     )
     np.testing.assert_allclose(
-        new.sequence.ball_positions[:, 1], item.sequence.ball_positions[:, 1]
+        arrays["inputs"][0, :, 0, 1], item.sequence.ball_positions[:, 1]
     )
     # velocity labels untouched
-    np.testing.assert_array_equal(new.labels.micro, item.labels.micro)
+    np.testing.assert_array_equal(arrays["micro"][0], item.labels.micro)
     # goal labels recomputed from shifted stationary positions
     expect = SPEC.boxes_from_positions(
         np.clip(
@@ -343,7 +386,7 @@ def test_augment_shifts_consistently():
             [0, 0], [SPEC.width_ft - 1e-9, SPEC.height_ft - 1e-9],
         )
     )
-    np.testing.assert_array_equal(new.labels.macro, expect)
+    np.testing.assert_array_equal(arrays["macro"][0], expect)
 
 
 def test_augment_interior_shift_moves_boxes():
@@ -352,14 +395,11 @@ def test_augment_interior_shift_moves_boxes():
     item = DATA[1]
     target = item.labels.macro_target_xy
     if (target[:, 0] % 5 > 1).all() and (target[:, 0] < 44).all():
-        class FixedRng:
-            def integers(self, lo, hi, size=None):
-                return np.array([1, 0])
-
-        out, clamped = augment_translate([item], 8, FixedRng(), SPEC)
+        arrays = assemble([item], SPEC)
+        augment_translate(arrays, 8, FixedRng([1, 0]), SPEC)
         # same or +1 box column depending on in-box offset; recomputation
         # keeps every step's target inside the court
-        assert (out[0].labels.macro >= 0).all()
+        assert (arrays["macro"][0] >= 0).all()
 
 
 def test_augment_occupancy_shift():
@@ -380,18 +420,62 @@ def test_augment_occupancy_shift():
         ),
         item.labels,
     )
-
-    class FixedRng:
-        def integers(self, lo, hi, size=None):
-            return np.array([3, 0])
-
-    shifted, clamped = augment_translate([interior], 8, FixedRng(), SPEC)
+    arrays = assemble([interior], SPEC)
+    clamped = augment_translate(arrays, 8, FixedRng([3, 0]), SPEC)
     assert clamped == 0
     a = oracle_channelize(interior.sequence, SPEC)
-    b = oracle_channelize(shifted[0].sequence, SPEC)
+    b = oracle_channelize(_sequence_of_agents(arrays["inputs"][0]), SPEC)
     # every occupied cell moves exactly three columns right
     np.testing.assert_array_equal(b[:, :, :, 3:], a[:, :, :, : SPEC.micro_cols - 3])
     assert b[:, :, :, :3].sum() == 0
+
+
+def test_augment_matches_per_sequence_oracle():
+    # bit for bit, with the same clamp count and RNG state afterwards,
+    # over batches that hold zero offsets and clamped sequences; every
+    # offset is zero at max_cells 1
+    batch = [DATA[i % len(DATA)] for i in range(16)]
+    zero_offsets = clamped = 0
+    for max_cells in (1, 2, 8):
+        for seed in range(10):
+            rng, oracle_rng = rng_for(seed, "aug"), rng_for(seed, "aug")
+            arrays = assemble(batch, SPEC)
+            got = augment_translate(arrays, max_cells, rng, SPEC)
+            items, want = oracle_augment_translate(batch, max_cells, oracle_rng, SPEC)
+            assert got == want
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            expect = assemble(items, SPEC)
+            assert arrays.keys() == expect.keys()
+            assert all(_same_bytes(arrays[k], expect[k]) for k in expect)
+            zero_offsets += sum(a is b for a, b in zip(items, batch))
+            clamped += got
+    assert zero_offsets > 0 and clamped > 0
+
+
+def test_augment_leaves_zero_offset_rows_off_court():
+    # ingest lets positions lie up to bounds_tolerance_ft off court; a
+    # sequence drawn a zero offset keeps them, a shifted one is clamped
+    from hoopnet.data import TrainingSequence
+
+    seq = DATA[0].sequence
+
+    def off_court(a):
+        a = a.copy()
+        a[:SPEC.subsample_stride] = (-2.0, -1.5)
+        return a
+
+    off = TrainingSequence(
+        seq.possession_id, seq.focal_agent, seq.t0,
+        off_court(seq.raw_positions), off_court(seq.raw_frame_positions),
+        off_court(seq.ball_positions), off_court(seq.teammate_positions),
+        off_court(seq.opponent_positions),
+    )
+    item = LabeledSequence(off, label_sequence(off, SPEC, SEG))
+    arrays = assemble([item, item], SPEC)
+    before = assemble([item], SPEC)
+    assert augment_translate(arrays, 8, FixedRng([0, 0], [-3, 0]), SPEC) == 1
+    assert all(_same_bytes(arrays[k][:1], before[k]) for k in before)
+    assert arrays["inputs"][0, 0, 0, 0] == -2.0 and (arrays["inputs"][1] >= 0).all()
 
 
 # stage training behavior
