@@ -111,23 +111,18 @@ def evaluate(
     )
 
 
-BENCH_CSV_HEADER = (
-    "variant,acc_delta0,acc_delta1,acc_delta2,acc_delta3,"
-    "macro_acc,macro_acc_excl_burnin,attention_acc,n_eval"
-)
-
-
 def benchmark(
     models: dict,
     holdout: list[LabeledSequence],
     spec: CourtSpec,
     burn_in: int = 20,
 ) -> list[BenchmarkRow]:
-    """One row per model, in canonical variant order; the late macro
-    accuracy excludes the first ``burn_in`` steps."""
+    """One row per model of ``models`` (keyed by variant name), in
+    canonical variant order; the late macro accuracy excludes the first
+    ``burn_in`` steps."""
     rows = []
     for variant in VARIANT_ORDER:
-        model = models.get(variant) or models.get(variant.value)
+        model = models.get(variant.value)
         if model is None:
             continue
         if model.spec != spec:
@@ -150,7 +145,10 @@ def benchmark_csv(rows: list[BenchmarkRow]) -> str:
     def fmt(v):
         return "" if v is None else f"{v:.6f}"
 
-    lines = [BENCH_CSV_HEADER]
+    if not rows:
+        raise DataError("no benchmark rows to write")
+    acc = ",".join(f"acc_delta{k}" for k in range(len(rows[0].acc_delta)))
+    lines = [f"variant,{acc},macro_acc,macro_acc_excl_burnin,attention_acc,n_eval"]
     for r in rows:
         lines.append(
             ",".join(

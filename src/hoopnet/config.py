@@ -76,13 +76,6 @@ def _coerce(value: str, ftype, where: str):
             return float(value)
         if ftype is str:
             return value
-        if ftype is bool:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
         if ftype == tuple[int, ...]:
             return tuple(int(v.strip()) for v in value.split(",") if v.strip())
     except ValueError as exc:
@@ -99,7 +92,7 @@ def parse_document(text: str) -> dict[tuple[str, str], str]:
     """Raw (section, key) -> value strings, with duplicate keys rejected.
 
     Comment lines start with ``#``; values may contain ``#`` freely
-    (hex colors), so there are no trailing comments.
+    (paths may), so there are no trailing comments.
     """
     entries: dict[tuple[str, str], str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

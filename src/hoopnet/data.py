@@ -226,6 +226,8 @@ def ingest(path: str | Path, spec: CourtSpec, bounds_tolerance_ft: float = 3.0) 
                 raw_tracks = obj["tracks"]
             except (TypeError, KeyError) as exc:
                 raise DataError(f"{where}: missing 'id' or 'tracks'") from exc
+            if not isinstance(raw_tracks, list):
+                raise DataError(f"{where}: 'tracks' must be a list, got {type(raw_tracks).__name__}")
             tracks = []
             for tr in raw_tracks:
                 try:

@@ -228,7 +228,7 @@ class GRUCell(Module):
     """Gated recurrent cell: update/reset gates plus a tanh candidate.
 
     ``cell(x, h0)`` runs every step of the time-major rows ``x`` from
-    state ``h0`` (see ``gru_sequence``)."""
+    the state array ``h0`` (see ``gru_sequence``)."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         super().__init__()
@@ -245,27 +245,28 @@ class GRUCell(Module):
         self.b_cand = Parameter(np.zeros(hidden))
         self.hidden = hidden
 
-    def __call__(self, x: Tensor, h0: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, h0: np.ndarray) -> Tensor:
         return gru_sequence(self, x, h0)
 
 
-def gru_sequence(cell: GRUCell, x: Tensor, h0: Tensor) -> Tensor:
+def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
     """Every step of ``cell`` over time-major rows, as one tape node.
 
     ``x`` holds T*N input rows (row t*N + i is sequence i at step t) and
-    ``h0`` the (N, H) state before step 0; returns the (T*N, H) states.
+    the constant ``h0`` the (N, H) state before step 0, which gets no
+    gradient; returns the (T*N, H) states.
     Each step computes z = sigmoid(x W_z + b_z + h U_z), r likewise, the
     candidate c = tanh(x W_c + b_c + (r * h) U_c) and h' = (1 - z) * h + z * c.
     The backward pass walks the steps in reverse carrying dh, then forms
     dx and every parameter gradient over all T*N rows at once.
     """
-    n, hidden = h0.data.shape
+    n, hidden = h0.shape
     rows = x.data.shape[0]
     if rows % n:
         raise ValueError(f"gru_sequence: {rows} input rows are not whole steps of {n}")
     params = (cell.w_update, cell.u_update, cell.b_update, cell.w_reset, cell.u_reset,
               cell.b_reset, cell.w_cand, cell.u_cand, cell.b_cand)
-    parents = (x, h0) + params
+    parents = (x,) + params
     record = _grad_enabled() and any(p._needs() for p in parents)
     u_z, u_r, u_c = cell.u_update.data, cell.u_reset.data, cell.u_cand.data
     x_z = x.data @ cell.w_update.data + cell.b_update.data
@@ -274,7 +275,7 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: Tensor) -> Tensor:
     states = np.empty((rows, hidden))
     # z, r and the candidate of every step, kept for the backward pass
     saved = np.empty((3, rows, hidden)) if record else None
-    h = h0.data
+    h = h0
     for t in range(0, rows, n):
         s = slice(t, t + n)
         z = 1.0 / (1.0 + np.exp(-(x_z[s] + h @ u_z)))
@@ -287,7 +288,7 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: Tensor) -> Tensor:
 
     def vjp(g):
         z, r, c = saved
-        h_prev = np.concatenate([h0.data, states[:-n]])
+        h_prev = np.concatenate([h0, states[:-n]])
         # per-row factors from dh (update, candidate) and from d(r * h)
         # (reset) to each gate's pre-activation gradient
         f_z = (c - h_prev) * z * (1.0 - z)
@@ -311,14 +312,12 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: Tensor) -> Tensor:
         if x._needs():
             w_all = np.concatenate([cell.w_update.data, cell.w_reset.data, cell.w_cand.data], axis=1)
             grads[0] = d_pre @ w_all.T
-        if h0._needs():
-            grads[1] = dh
         if any(p._needs() for p in params):
             d_w = np.split(x.data.T @ d_pre, 3, axis=1)
             d_b = np.split(d_pre.sum(axis=0), 3)
             d_u = np.split(h_prev.T @ d_pre[:, :2 * hidden], 2, axis=1)
             d_u.append((r * h_prev).T @ d_c)
-            grads[2:] = [grad for gate in zip(d_w, d_u, d_b) for grad in gate]
+            grads[1:] = [grad for gate in zip(d_w, d_u, d_b) for grad in gate]
         return grads
 
     return _node(states, parents, vjp)

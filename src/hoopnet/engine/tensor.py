@@ -69,9 +69,6 @@ class Tensor:
     def sum(self):
         return tsum(self)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -188,27 +185,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * mask,)
 
     return _node(x.data * mask, (x,), vjp)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    old = x.data.shape
-
-    def vjp(g):
-        return (g.reshape(old),)
-
-    return _node(x.data.reshape(shape), (x,), vjp)
-
-
-def row_block(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice x[start:stop]; backward scatters into zeros."""
-    shape = x.data.shape
-
-    def vjp(g):
-        gx = np.zeros(shape)
-        gx[start:stop] = g
-        return (gx,)
-
-    return _node(x.data[start:stop], (x,), vjp)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -50,7 +50,7 @@ from .engine import (
     spatial_encoder,
 )
 from .engine.nn import BatchNorm, Conv2d
-from .engine.tensor import row_block, softmax_array
+from .engine.tensor import softmax_array
 from .util import rng_for
 
 
@@ -81,7 +81,6 @@ class ArchitectureConfig:
     conv_strides: tuple[int, ...] = (1, 1)
     gru_cells: int = 128
     transfer_hidden: int = 64
-    shared_encoder: bool = False
 
     def validate(self, spec: CourtSpec) -> None:
         if not self.pyramid or any(k < 1 for k in self.pyramid):
@@ -217,11 +216,7 @@ class HPNModel(Module):
         self.micro_heads = heads
 
         if self.hierarchical:
-            if arch.shared_encoder:
-                # reuse without re-registering so checkpoints stay flat
-                object.__setattr__(self, "macro_encoder", self.micro_encoder)
-            else:
-                self.macro_encoder = SpatialEncoder(spec, arch, rng)
+            self.macro_encoder = SpatialEncoder(spec, arch, rng)
             self.macro_core = GRUCell(self.macro_encoder.out_dim, arch.gru_cells, rng)
             self.macro_head = Linear(arch.gru_cells, n_boxes, rng)
         if self.has_attention:
@@ -286,12 +281,13 @@ class HPNModel(Module):
     # forward
 
     def reset_memory(self, batch: int = 1) -> dict:
-        """Fresh all-zero recurrent state (empty for the memoryless CNN)."""
+        """Fresh recurrent state: an all-zero (batch, gru_cells) array per
+        GRU branch (none for the memoryless CNN)."""
         mem: dict = {"_owner": id(self), "_batch": batch}
         if self.variant is not Variant.CNN:
-            mem["micro"] = Tensor(np.zeros((batch, self.arch.gru_cells)))
+            mem["micro"] = np.zeros((batch, self.arch.gru_cells))
         if self.hierarchical:
-            mem["macro"] = Tensor(np.zeros((batch, self.arch.gru_cells)))
+            mem["macro"] = np.zeros((batch, self.arch.gru_cells))
         return mem
 
     def _check_memory(self, mem: dict, batch: int) -> None:
@@ -316,7 +312,7 @@ class HPNModel(Module):
         Returns graph tensors over the T*N time-major rows for the
         requested branches (``raw_logits`` and ``cc_logits`` as one tensor
         per look-ahead head, ``macro_logits``, ``attention_logits``) and
-        the memory after step T.
+        the memory after step T: each GRU's last N state rows.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 4 or inputs.shape[2:] != (len(AGENT_CHANNELS), 2):
@@ -332,7 +328,6 @@ class HPNModel(Module):
         pooled = pooled_occupancy(time_major(inputs), self.spec, k)
         new_mem = dict(memory)
         outs: dict = {}
-        f_micro = None
 
         if "micro" in branches or "combine" in branches:
             f_micro = self.micro_encoder(pooled, training, rng, noise_sigma)
@@ -340,16 +335,13 @@ class HPNModel(Module):
                 h = relu(self.micro_core(f_micro))
             else:
                 h = self.micro_core(f_micro, memory["micro"])
-                new_mem["micro"] = _last_step(h, n)
+                new_mem["micro"] = h.data[-n:]
             outs["raw_logits"] = self._raw_logits(h)
 
         if self.hierarchical and branches & {"macro", "attention", "combine"}:
-            if self.arch.shared_encoder and f_micro is not None:
-                f_macro = f_micro
-            else:
-                f_macro = self.macro_encoder(pooled, training, rng, noise_sigma)
+            f_macro = self.macro_encoder(pooled, training, rng, noise_sigma)
             hm = self.macro_core(f_macro, memory["macro"])
-            new_mem["macro"] = _last_step(hm, n)
+            new_mem["macro"] = hm.data[-n:]
             macro_logits = self.macro_head(hm)
             outs["macro_logits"] = macro_logits
             if self.has_attention and "attention" in branches:
@@ -411,9 +403,3 @@ class HPNModel(Module):
     def eval_sequence(self, inputs: np.ndarray) -> dict:
         """Teacher-forced inference over (N, T, ...) from fresh memory."""
         return self.infer(inputs, self.reset_memory(len(inputs)))[0]
-
-
-def _last_step(states: Tensor, n: int) -> Tensor:
-    """The last step's N rows of time-major states: the memory after it."""
-    rows = states.data.shape[0]
-    return row_block(states, rows - n, rows)

@@ -20,28 +20,26 @@ from .rollout import RolloutResult
 from .util import atomic_open
 
 
+# SVG colours
+BACKGROUND = "#ffffff"
+COURT = "#444444"
+GRID = "#dddddd"
+BALL = "#e08020"
+TEAMMATE = "#9ccc9c"
+OPPONENT = "#d06060"
+BURN_IN = "#1a7a2a"
+EXTRAPOLATED = "#2060c0"
+MACRO_BOX = "#2060c0"
+BOX_MAX_OPACITY = 0.55  # fill opacity of the most often predicted goal box
+
+
 @dataclass(frozen=True)
 class RenderSpec:
     scale_px_per_ft: float = 12.0
-    color_background: str = "#ffffff"
-    color_court: str = "#444444"
-    color_grid: str = "#dddddd"
-    color_ball: str = "#e08020"
-    color_teammate: str = "#9ccc9c"
-    color_opponent: str = "#d06060"
-    color_burn_in: str = "#1a7a2a"
-    color_extrapolated: str = "#2060c0"
-    color_macro_box: str = "#2060c0"
-    box_max_opacity: float = 0.55
-    trail_policy: str = "full"  # full | markers
 
     def validate(self) -> None:
         if self.scale_px_per_ft <= 0:
             raise DataError("scale_px_per_ft must be positive")
-        if not 0.0 < self.box_max_opacity <= 1.0:
-            raise DataError("box_max_opacity must be in (0, 1]")
-        if self.trail_policy not in ("full", "markers"):
-            raise DataError(f"unknown trail_policy {self.trail_policy!r}")
 
 
 def _f(v: float) -> str:
@@ -86,7 +84,7 @@ def render_rollout_svg(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(w_px)}" height="{_f(h_px)}" '
         f'viewBox="0 0 {_f(w_px)} {_f(h_px)}">',
-        f'<rect x="0" y="0" width="{_f(w_px)}" height="{_f(h_px)}" fill="{rspec.color_background}"/>',
+        f'<rect x="0" y="0" width="{_f(w_px)}" height="{_f(h_px)}" fill="{BACKGROUND}"/>',
     ]
     # goal-box grid
     box_px = spec.macro_box_ft * rspec.scale_px_per_ft
@@ -96,7 +94,7 @@ def render_rollout_svg(
             y0 = h_px - (row + 1) * box_px
             parts.append(
                 f'<rect x="{_f(x0)}" y="{_f(y0)}" width="{_f(box_px)}" height="{_f(box_px)}" '
-                f'fill="none" stroke="{rspec.color_grid}" stroke-width="0.5"/>'
+                f'fill="none" stroke="{GRID}" stroke-width="0.5"/>'
             )
     # predicted goal boxes shaded by relative prediction frequency
     goals = result.macro_goals[result.macro_goals >= 0]
@@ -106,42 +104,37 @@ def render_rollout_svg(
         for box_id in np.flatnonzero(counts):
             col = box_id % spec.macro_cols
             row = box_id // spec.macro_cols
-            opacity = rspec.box_max_opacity * counts[box_id] / peak
+            opacity = BOX_MAX_OPACITY * counts[box_id] / peak
             x0 = col * box_px
             y0 = h_px - (row + 1) * box_px
             parts.append(
                 f'<rect x="{_f(x0)}" y="{_f(y0)}" width="{_f(box_px)}" height="{_f(box_px)}" '
-                f'fill="{rspec.color_macro_box}" fill-opacity="{_f(opacity)}"/>'
+                f'fill="{MACRO_BOX}" fill-opacity="{_f(opacity)}"/>'
             )
     # other agents
     n_gt = min(len(result.path), seq.steps)
-    if rspec.trail_policy == "full":
-        parts.append(_polyline(canvas, seq.ball_positions[:n_gt], rspec.color_ball, 1.5, 0.8))
-        for j in range(seq.teammate_positions.shape[1]):
-            parts.append(
-                _polyline(canvas, seq.teammate_positions[:n_gt, j], rspec.color_teammate, 1.5, 0.8)
-            )
-        for j in range(seq.opponent_positions.shape[1]):
-            parts.append(
-                _polyline(canvas, seq.opponent_positions[:n_gt, j], rspec.color_opponent, 1.5, 0.8)
-            )
-    parts.append(_circle(canvas, *seq.ball_positions[n_gt - 1], 4.0, rspec.color_ball))
+    parts.append(_polyline(canvas, seq.ball_positions[:n_gt], BALL, 1.5, 0.8))
     for j in range(seq.teammate_positions.shape[1]):
-        parts.append(_circle(canvas, *seq.teammate_positions[n_gt - 1, j], 5.0, rspec.color_teammate))
+        parts.append(_polyline(canvas, seq.teammate_positions[:n_gt, j], TEAMMATE, 1.5, 0.8))
     for j in range(seq.opponent_positions.shape[1]):
-        parts.append(_circle(canvas, *seq.opponent_positions[n_gt - 1, j], 5.0, rspec.color_opponent))
+        parts.append(_polyline(canvas, seq.opponent_positions[:n_gt, j], OPPONENT, 1.5, 0.8))
+    parts.append(_circle(canvas, *seq.ball_positions[n_gt - 1], 4.0, BALL))
+    for j in range(seq.teammate_positions.shape[1]):
+        parts.append(_circle(canvas, *seq.teammate_positions[n_gt - 1, j], 5.0, TEAMMATE))
+    for j in range(seq.opponent_positions.shape[1]):
+        parts.append(_circle(canvas, *seq.opponent_positions[n_gt - 1, j], 5.0, OPPONENT))
     # focal trails: burn-in then extrapolation (joined at the seam)
     burn = result.path[: result.burn_in]
-    parts.append(_polyline(canvas, burn, rspec.color_burn_in, 2.5))
-    parts.append(_circle(canvas, *burn[-1], 5.0, rspec.color_burn_in))
+    parts.append(_polyline(canvas, burn, BURN_IN, 2.5))
+    parts.append(_circle(canvas, *burn[-1], 5.0, BURN_IN))
     if result.horizon > 0:
         extrapolated = result.path[result.burn_in - 1:]
-        parts.append(_polyline(canvas, extrapolated, rspec.color_extrapolated, 2.5))
-        parts.append(_circle(canvas, *result.path[-1], 5.0, rspec.color_extrapolated))
+        parts.append(_polyline(canvas, extrapolated, EXTRAPOLATED, 2.5))
+        parts.append(_circle(canvas, *result.path[-1], 5.0, EXTRAPOLATED))
     # court outline on top
     parts.append(
         f'<rect x="0" y="0" width="{_f(w_px)}" height="{_f(h_px)}" fill="none" '
-        f'stroke="{rspec.color_court}" stroke-width="2"/>'
+        f'stroke="{COURT}" stroke-width="2"/>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -46,7 +46,6 @@ class TrainConfig:
     l2_activation_weight: float = 1e-4
     noise_sigma: float = 1e-3
     translate_max_cells: int = 8
-    attention_label_fraction: float = 1.0
     holdout_eval_max: int = 128
     early_stop_patience: int = 5
 
@@ -55,8 +54,6 @@ class TrainConfig:
             raise ConfigError("lr_pretrain and lr_finetune must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batch normalization)")
-        if not 0.0 <= self.attention_label_fraction <= 1.0:
-            raise ConfigError("attention_label_fraction must be in [0, 1]")
         if self.grad_clip_norm <= 0:
             raise ConfigError("grad_clip_norm must be positive")
         for name in ("momentum", "rho"):
@@ -86,7 +83,7 @@ class EpochRecord:
     stage: str
     epoch: int
     loss: float
-    acc_delta: tuple[float, float, float, float]
+    acc_delta: tuple[float, ...]
     macro_acc: float | None
     attention_acc: float | None
     tv_monitor: float | None
@@ -98,17 +95,15 @@ class EpochRecord:
 @dataclass
 class TrainReport:
     records: list[EpochRecord]
-
-    CSV_HEADER = (
-        "stage,epoch,loss,acc_delta0,acc_delta1,acc_delta2,acc_delta3,"
-        "macro_acc,attention_acc,tv_monitor,grad_norm_mean,seconds,clamped_sequences"
-    )
+    lookahead_steps: int
 
     def to_csv(self) -> str:
         def fmt(v):
             return "" if v is None else f"{v:.6f}"
 
-        lines = [self.CSV_HEADER]
+        acc = ",".join(f"acc_delta{k}" for k in range(self.lookahead_steps))
+        lines = [f"stage,epoch,loss,{acc},macro_acc,attention_acc,tv_monitor,grad_norm_mean,"
+                 "seconds,clamped_sequences"]
         for r in self.records:
             lines.append(
                 ",".join(
@@ -302,18 +297,12 @@ def run_stage(
     rng = rng_for(seed, "stage", stage.value)
     epochs = cfg.epochs_finetune if stage is Stage.FINETUNE else cfg.epochs_pretrain
 
-    data = list(train_data)
-    if stage is Stage.PRETRAIN_ATTENTION and cfg.attention_label_fraction < 1.0:
-        keep = max(cfg.batch_size, int(round(len(data) * cfg.attention_label_fraction)))
-        order = rng_for(seed, "attention_subset").permutation(len(data))
-        data = [data[i] for i in order[:keep]]
-
     records: list[EpochRecord] = []
     best_acc = -1.0
     since_best = 0
     for epoch in range(epochs):
         tic = time.perf_counter()
-        order = rng.permutation(len(data))
+        order = rng.permutation(len(train_data))
         loss_sum = 0.0
         norm_sum = 0.0
         n_batches = 0
@@ -322,7 +311,7 @@ def run_stage(
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue
-            arrays = assemble([data[i] for i in idx], spec)
+            arrays = assemble([train_data[i] for i in idx], spec)
             clamped += augment_translate(arrays, cfg.translate_max_cells, rng, spec)
             loss = compute_loss(model, arrays, stage, cfg, spec, rng=rng)
             if not np.isfinite(loss.data):
@@ -341,7 +330,7 @@ def run_stage(
                 stage=stage.value,
                 epoch=epoch,
                 loss=loss_sum / max(n_batches, 1),
-                acc_delta=tuple(metrics.acc_delta) if metrics else (0.0,) * 4,
+                acc_delta=tuple(metrics.acc_delta) if metrics else (0.0,) * spec.lookahead_steps,
                 macro_acc=metrics.macro_acc if metrics else None,
                 attention_acc=metrics.attention_acc if metrics else None,
                 tv_monitor=metrics.tv_monitor if metrics else None,
@@ -409,4 +398,4 @@ def train_full(
                     "completed_stages": ",".join(completed),
                 },
             )
-    return TrainReport(records)
+    return TrainReport(records, spec.lookahead_steps)

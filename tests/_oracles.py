@@ -6,10 +6,11 @@ grid shapes.  The scalar court conversions below are the references the
 package's array conversions are checked against.  ``oracle_rollout``
 drives a model, one sequence and one look-ahead head at a time;
 ``oracle_gru_sequence`` steps a GRU cell through time with elementary
-tape ops, including the ``sigmoid``, ``tanh`` and ``sub`` defined here;
+tape ops, including the ``row_block``, ``sigmoid``, ``tanh`` and ``sub``
+defined here;
 ``oracle_spatial_encoder`` runs a spatial encoder as a channels-first tape
-of ``conv2d``, ``batch_norm``, ``relu``, ``gaussian_noise`` and reshape
-nodes, 8 for two layers.  ``oracle_augment_translate`` translates one
+of ``conv2d``, ``batch_norm``, ``relu``, ``gaussian_noise`` and
+``reshape`` nodes, 8 for two layers.  ``oracle_augment_translate`` translates one
 labeled sequence at a time by rebuilding its ``TrainingSequence`` and
 ``WeakLabels``, recomputing the straight-line targets with
 ``labels.attention_targets`` on each (T, 2) track.
@@ -35,7 +36,6 @@ from hoopnet.engine.tensor import (
     matmul,
     mul,
     relu,
-    row_block,
 )
 from hoopnet.labels import WeakLabels, attention_targets
 from hoopnet.rollout import RolloutResult
@@ -278,6 +278,27 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
     )
 
 
+def row_block(x: Tensor, start: int, stop: int) -> Tensor:
+    """Contiguous row slice x[start:stop]; backward scatters into zeros."""
+    shape = x.data.shape
+
+    def vjp(g):
+        gx = np.zeros(shape)
+        gx[start:stop] = g
+        return (gx,)
+
+    return _node(x.data[start:stop], (x,), vjp)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    old = x.data.shape
+
+    def vjp(g):
+        return (g.reshape(old),)
+
+    return _node(x.data.reshape(shape), (x,), vjp)
+
+
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
 
@@ -424,7 +445,7 @@ def oracle_spatial_encoder(encoder, x: np.ndarray, training: bool, rng, noise_si
             bn.set_buffer("running_var", new_var)
         h = relu(h)
     h = gaussian_noise(h, noise_sigma, rng, training)
-    return h.reshape((h.shape[0], -1))
+    return reshape(h, (h.shape[0], -1))
 
 
 def oracle_augment_translate(batch, max_cells: int, rng, spec: CourtSpec):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hoopnet.bench import (
-    BENCH_CSV_HEADER,
     benchmark,
     benchmark_csv,
     evaluate,
@@ -12,7 +11,14 @@ from hoopnet.data import SynthConfig, synthesize, window
 from hoopnet.errors import ConfigError, DataError
 from hoopnet.labels import SegmentationConfig, label_sequence
 from hoopnet.model import ArchitectureConfig, HPNModel, Variant
-from hoopnet.render import RenderSpec, render_rollout_svg, render_rollouts
+from hoopnet.render import (
+    BOX_MAX_OPACITY,
+    BURN_IN,
+    EXTRAPOLATED,
+    RenderSpec,
+    render_rollout_svg,
+    render_rollouts,
+)
 from hoopnet.rollout import RolloutConfig, batch_rollout
 from hoopnet.train import LabeledSequence
 from hoopnet.util import rng_for
@@ -141,9 +147,9 @@ def test_empty_holdout_rejected():
 
 def test_benchmark_rows_and_csv():
     models = {
-        Variant.CNN: HPNModel(SPEC, ARCH, Variant.CNN, 1),
-        Variant.H_ATT: HPNModel(SPEC, ARCH, Variant.H_ATT, 1),
-        Variant.H_CC: HPNModel(SPEC, ARCH, Variant.H_CC, 1),
+        "cnn": HPNModel(SPEC, ARCH, Variant.CNN, 1),
+        "h_att": HPNModel(SPEC, ARCH, Variant.H_ATT, 1),
+        "h_cc": HPNModel(SPEC, ARCH, Variant.H_CC, 1),
     }
     rows = benchmark(models, DATA[:6], SPEC)
     assert [r.variant for r in rows] == ["cnn", "h_cc", "h_att"]  # canonical order
@@ -155,7 +161,8 @@ def test_benchmark_rows_and_csv():
     assert att_row.macro_acc is not None and att_row.attention_acc is not None
     csv = benchmark_csv(rows)
     lines = csv.splitlines()
-    assert lines[0] == BENCH_CSV_HEADER
+    assert lines[0] == ("variant,acc_delta0,acc_delta1,acc_delta2,acc_delta3,"
+                        "macro_acc,macro_acc_excl_burnin,attention_acc,n_eval")
     assert len(lines) == 4
     assert lines[1].startswith("cnn,")
     assert ",,," not in lines[3]  # attention row fully populated
@@ -163,8 +170,8 @@ def test_benchmark_rows_and_csv():
 
 def test_benchmark_deterministic_and_matches_per_op_calls():
     model = HPNModel(SPEC, ARCH, Variant.H_ATT, 6)
-    rows1 = benchmark({Variant.H_ATT: model}, DATA[:6], SPEC)
-    rows2 = benchmark({Variant.H_ATT: model}, DATA[:6], SPEC)
+    rows1 = benchmark({"h_att": model}, DATA[:6], SPEC)
+    rows2 = benchmark({"h_att": model}, DATA[:6], SPEC)
     assert rows1 == rows2
     direct = evaluate(model, DATA[:6], SPEC)
     assert rows1[0].acc_delta == direct.acc_delta
@@ -184,7 +191,7 @@ class _EarlyMacroPolicy(_OraclePolicy):
 def test_benchmark_late_macro_excludes_the_given_burn_in(burn_in):
     policy = _EarlyMacroPolicy(DATA, SPEC)
     kwargs = {} if burn_in is None else {"burn_in": burn_in}
-    row, = benchmark({Variant.H_ATT: policy}, DATA, SPEC, **kwargs)
+    row, = benchmark({"h_att": policy}, DATA, SPEC, **kwargs)
     late = 20 if burn_in is None else burn_in  # 20 steps by default
     t_steps = DATA[0].sequence.steps
     assert row.macro_acc_excl_burnin == max(15 - late, 0) / (t_steps - late)
@@ -194,7 +201,7 @@ def test_benchmark_spec_mismatch():
     other_spec = CourtSpec(micro_cell_ft=0.5)
     model = HPNModel(other_spec, ARCH, Variant.CNN, 1)
     with pytest.raises(ConfigError, match="different court"):
-        benchmark({Variant.CNN: model}, DATA[:2], SPEC)
+        benchmark({"cnn": model}, DATA[:2], SPEC)
 
 
 # rendering
@@ -217,17 +224,19 @@ def test_render_basic_svg():
 
 def test_render_horizon_zero_draws_single_trail():
     results, seqs = _rollouts(horizon=0)
-    svg = render_rollout_svg(results[0], seqs[0], SPEC, RenderSpec(trail_policy="markers"))
-    assert svg.count("<polyline") == 1  # burn-in only, no extrapolation trail
+    svg = render_rollout_svg(results[0], seqs[0], SPEC, RenderSpec())
+    polylines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    # burn-in only, no extrapolation trail
+    assert sum(f'stroke="{BURN_IN}"' in line for line in polylines) == 1
+    assert not any(f'stroke="{EXTRAPOLATED}"' in line for line in polylines)
 
 
 def test_render_single_constant_macro_box_full_opacity():
     results, seqs = _rollouts()
     const = results[0]
     object.__setattr__(const, "macro_goals", np.full_like(const.macro_goals, 42))
-    rspec = RenderSpec()
-    svg = render_rollout_svg(const, seqs[0], SPEC, rspec)
-    assert svg.count(f'fill-opacity="{rspec.box_max_opacity:.2f}"') == 1
+    svg = render_rollout_svg(const, seqs[0], SPEC, RenderSpec())
+    assert svg.count(f'fill-opacity="{BOX_MAX_OPACITY:.2f}"') == 1
 
 
 def test_render_deterministic_bytes(tmp_path):

@@ -74,6 +74,22 @@ def test_unknown_keys_rejected():
         load_run_config("train.batch_size = soup")
 
 
+REMOVED_KEYS = [
+    "arch.shared_encoder",
+    "train.attention_label_fraction",
+    "render.trail_policy",
+    "render.box_max_opacity",
+    *(f"render.color_{name}" for name in ("background", "court", "grid", "ball", "teammate",
+                                          "opponent", "burn_in", "extrapolated", "macro_box")),
+]
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_keys_rejected(key):
+    with pytest.raises(ConfigError, match=f"unknown config key {key}"):
+        load_run_config(f"{key} = 1")
+
+
 def test_dump_round_trips():
     cfg = load_run_config(None, ["render.scale_px_per_ft=7.5"])
     text = dump_run_config(cfg)
@@ -87,6 +103,13 @@ def test_repository_configs_load():
     assert paths
     for path in paths:
         load_run_config(path.read_text(encoding="utf-8"))
+
+
+def test_desk_config_sets_every_key():
+    # the desk document is complete: it names every key the program has
+    desk = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+    keys = parse_document(desk.read_text(encoding="utf-8")).keys()
+    assert keys == parse_document(dump_run_config(RunConfig())).keys()
 
 
 @pytest.mark.parametrize("override", [
@@ -283,6 +306,38 @@ def test_bench_excludes_the_configured_burn_in(tmp_path, monkeypatch):
     assert main(base + ["bench"]) == 0
     assert main(base + ["--set", "rollout.burn_in_steps=7", "bench"]) == 0
     assert seen == [10, 7]
+
+
+@pytest.mark.parametrize("heads", [2, 6])
+def test_csv_columns_follow_lookahead_steps(tmp_path, monkeypatch, heads):
+    # one acc_delta column per look-ahead head in bench.csv and the
+    # training reports, so macro_acc stays under its own name
+    path = write_config(tmp_path)
+    seen = []
+    evaluate = cli.bench_mod.evaluate
+    monkeypatch.setattr(cli.bench_mod, "evaluate",
+                        lambda *a, **kw: seen.append(evaluate(*a, **kw)) or seen[-1])
+    assert main(["--config", str(path), "--seed", "3", "--set", f"court.lookahead_steps={heads}",
+                 "--set", "train.epochs_finetune=0", "repro", "--variants", "cnn", "h_att"]) == 0
+    out = tmp_path / "out"
+    tables = [out / "reports" / "cnn.csv", out / "reports" / "h_att.csv", out / "bench.csv"]
+    rows = []
+    for table in tables:
+        header, *lines = table.read_text().splitlines()
+        names = header.split(",")
+        assert [n for n in names if n.startswith("acc_delta")] == \
+            [f"acc_delta{k}" for k in range(heads)]
+        for line in lines:
+            fields = line.split(",")
+            assert len(fields) == len(names), (table.name, line)
+            rows.append(dict(zip(names, fields)))
+    # every evaluation, in order: one per training epoch, then one per
+    # benchmarked variant
+    assert len(rows) == len(seen) == 5
+    for row, metrics in zip(rows, seen):
+        macro = "" if metrics.macro_acc is None else f"{metrics.macro_acc:.6f}"
+        assert row["macro_acc"] == macro
+    assert rows[-1]["macro_acc"] != ""  # h_att has a macro head
 
 
 def test_checkpoint_bytes_independent_of_blas_threads(tmp_path):

@@ -75,6 +75,15 @@ def test_ingest_bad_json_reports_line(tmp_path):
         ingest(path, SPEC)
 
 
+@pytest.mark.parametrize("tracks", [None, 7])
+def test_ingest_tracks_not_a_list_reports_line(tmp_path, tracks):
+    path = tmp_path / "tracks.jsonl"
+    bad = json.dumps({"id": "p1", "tracks": tracks})
+    path.write_text(possession_to_json(make_possession(length=120)) + "\n" + bad + "\n")
+    with pytest.raises(DataError, match="line 2: 'tracks' must be a list"):
+        ingest(path, SPEC)
+
+
 def test_ingest_geometry_error(tmp_path):
     p = make_possession(length=120, offset=500.0)
     path = tmp_path / "far.jsonl"

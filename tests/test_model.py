@@ -253,7 +253,7 @@ def test_sequence_path_matches_step_path():
         for key in ("micro", "macro"):
             assert (key in mem) == (key in mem_whole)
             if key in mem:
-                np.testing.assert_allclose(mem_whole[key].data, mem[key].data, atol=1e-12)
+                np.testing.assert_allclose(mem_whole[key], mem[key], atol=1e-12)
         # a sequence's outputs do not depend on the rest of its batch
         alone, _ = m.infer(inputs[1:, :1], m.reset_memory(1))
         np.testing.assert_allclose(alone["p_combined"][0, 0], whole["p_combined"][1, 0],
@@ -302,17 +302,6 @@ def test_parameter_groups_and_freezing():
     assert all(not p.frozen for p in groups["macro"])
     m.set_trainable({"micro", "macro", "transfer", "combine"})
     assert all(not p.frozen for p in m.parameters())
-
-
-def test_shared_encoder_option():
-    arch = ArchitectureConfig(conv_filters=(4,), conv_kernels=(3,), conv_strides=(2,),
-                              gru_cells=8, transfer_hidden=8, shared_encoder=True)
-    m = HPNModel(SPEC, arch, Variant.H_ATT, 3)
-    assert m.macro_encoder is m.micro_encoder
-    names = [n for n, _ in m.named_parameters()]
-    assert len(names) == len(set(names))  # no duplicate registrations
-    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
-    np.testing.assert_allclose(out["p_macro"].sum(), 1.0, atol=1e-9)
 
 
 def test_spatial_encoder_call_is_one_tape_node():

@@ -550,13 +550,6 @@ def test_report_csv_columns():
     )
 
 
-def test_attention_fraction_subset():
-    m = HPNModel(SPEC, ARCH, Variant.H_AUX, 11)
-    cfg = small_cfg(attention_label_fraction=0.5)
-    records = run_stage(m, DATA[:8], [], Stage.PRETRAIN_ATTENTION, cfg, SPEC, seed=6)
-    assert records  # ran on the subset without error
-
-
 def test_divergence_detection():
     m = HPNModel(SPEC, ARCH, Variant.GRU_CNN, 12)
     for p in m.parameters():
