@@ -14,8 +14,9 @@ counts per fine cell, is built on plain arrays outside the tape
 
 Importing the package sets glibc's malloc thresholds so that freed heap
 memory stays with the process: a training pass frees and reallocates
-the same few hundred megabytes every batch, and returning them to the
-system after each pass only page-faults them back in on the next.
+about a hundred megabytes every batch (115 MB at the peak of a desk
+``h_att`` fine-tune batch), and returning them to the system after each
+pass only page-faults them back in on the next.
 
 Importing it also runs numpy's bundled OpenBLAS on one thread, so that
 a run's checkpoints hold the same bytes whatever ``OPENBLAS_NUM_THREADS``

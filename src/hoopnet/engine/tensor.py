@@ -13,27 +13,27 @@ output probabilities.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-_STATE = threading.local()  # per-thread so concurrent inference never races
+_GRAD_ENABLED = True
 
 
 def _grad_enabled() -> bool:
-    return getattr(_STATE, "grad_enabled", True)
+    return _GRAD_ENABLED
 
 
 class no_grad:
     """Context manager: ops inside build no tape (inference mode)."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
-        _STATE.grad_enabled = False
+        global _GRAD_ENABLED
+        self._prev = _GRAD_ENABLED
+        _GRAD_ENABLED = False
         return self
 
     def __exit__(self, *exc):
-        _STATE.grad_enabled = self._prev
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._prev
         return False
 
 
@@ -212,9 +212,10 @@ def tsum(x: Tensor) -> Tensor:
 
 def softmax_array(x: np.ndarray) -> np.ndarray:
     """Softmax of a plain array; the one softmax every caller shares."""
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -26,6 +26,7 @@ from hoopnet.engine import (
     softmax_nll,
     spatial_encoder,
 )
+from hoopnet.engine import nn
 from hoopnet.engine.nn import Module
 from hoopnet.engine.tensor import mul
 from hoopnet.errors import CheckpointError
@@ -164,6 +165,40 @@ def test_spatial_encoder_matches_oracle_tape(n_layers, stride, training):
             p.grad = q.grad = None
         for u, v in zip(fused.buffers(), tape.buffers()):
             np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
+def test_spatial_encoder_gradcheck_in_row_blocks(n_layers, stride, training, monkeypatch):
+    # 3 rows in blocks of 2: a full block, then a short one
+    monkeypatch.setattr(nn, "ROW_BLOCK", 2)
+    test_spatial_encoder_gradcheck(n_layers, stride, training)
+
+
+@pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
+def test_spatial_encoder_matches_oracle_tape_in_row_blocks(n_layers, stride, training, monkeypatch):
+    # 5 rows in blocks of 2, 2 and 1
+    monkeypatch.setattr(nn, "ROW_BLOCK", 2)
+    test_spatial_encoder_matches_oracle_tape(n_layers, stride, training)
+
+
+def test_spatial_encoder_im2col_stays_within_a_row_block(monkeypatch):
+    im2col, seen = nn._im2col, []
+
+    def spy(xp, stride, kh, kw, oh, ow):
+        cols = im2col(xp, stride, kh, kw, oh, ow)
+        seen.append((cols.shape[0], oh * ow))
+        return cols
+
+    monkeypatch.setattr(nn, "_im2col", spy)
+    enc = _Encoder(2, [(3, 3, 2), (2, 3, 1)])
+    n = 2 * nn.ROW_BLOCK + 1
+    out = enc(RNG.normal(size=(n, 5, 4, 2)))
+    backward((out * Tensor(_fixed_like(out.data.shape))).sum())
+    # two layers of 3 x 2 output positions, three blocks each, forward and backward
+    assert len(seen) == 2 * 2 * 3
+    assert sum(rows for rows, _ in seen) == 2 * 2 * n * 6
+    for rows, positions in seen:
+        assert rows <= nn.ROW_BLOCK * positions
 
 
 def test_spatial_encoder_no_grad_records_nothing():
@@ -527,6 +562,17 @@ def test_noise_statistics():
         out.data, np.random.default_rng(8).normal(0.0, 1e-3, (250, 4, 32, 32)).reshape(250, -1)
     )
     assert abs(out.data.mean()) < 5 * 1e-3 / math.sqrt(out.data.size)
+
+
+def test_noise_draw_matches_rng_normal():
+    # the same values as rng.normal(0, sigma, ...), and the same next draw
+    enc = _Encoder(4, [(4, 1, 1)])
+    enc.bns[0].beta.data[...] = 0.0
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    out = enc(np.zeros((6, 5, 7, 4)), True, rng, 0.3)
+    np.testing.assert_array_equal(out.data, ref.normal(0.0, 0.3, (6, 4, 5, 7)).reshape(6, -1))
+    assert _rng_state(rng) == _rng_state(ref)
+    assert rng.normal() == ref.normal()
 
 
 def test_noise_passes_gradient_through():
