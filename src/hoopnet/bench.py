@@ -23,6 +23,12 @@ VARIANT_ORDER = [
     Variant.CNN, Variant.GRU_CNN, Variant.H_CC, Variant.H_STACK, Variant.H_ATT, Variant.H_AUX,
 ]
 
+# The paper's claim as three criteria: h_att beats cnn on look-ahead-0
+# accuracy by CLAIM_MARGIN; h_att's late macro accuracy reaches
+# CLAIM_MACRO_BOXES times chance (1 / n_macro_boxes); h_att >= gru_cnn >= cnn.
+CLAIM_MARGIN = 0.05
+CLAIM_MACRO_BOXES = 10
+
 
 @dataclass(frozen=True)
 class EvalMetrics:
@@ -164,3 +170,30 @@ def benchmark_csv(rows: list[BenchmarkRow]) -> str:
 def write_benchmark_csv(rows: list[BenchmarkRow], path: str | Path) -> None:
     with atomic_open(path) as fh:
         fh.write(benchmark_csv(rows))
+
+
+def claim_lines(rows: list[BenchmarkRow], spec: CourtSpec) -> list[str]:
+    """The claim's three criteria as ``pass``/``fail`` lines, printed at
+    bench.csv's precision; empty unless cnn, gru_cnn and h_att are all
+    among ``rows``.  The margin is rounded to 9 decimals so that float
+    noise in the subtraction cannot fail a margin of exactly CLAIM_MARGIN."""
+    by_variant = {r.variant: r for r in rows}
+    if not {"cnn", "gru_cnn", "h_att"} <= by_variant.keys():
+        return []
+    cnn, gru, att = (by_variant[v].acc_delta[0] for v in ("cnn", "gru_cnn", "h_att"))
+    late = by_variant["h_att"].macro_acc_excl_burnin
+    need = CLAIM_MACRO_BOXES / spec.n_macro_boxes
+
+    def verdict(ok: bool) -> str:
+        return "pass" if ok else "fail"
+
+    late_text = "-" if late is None else f"{late:.6f}"
+    return [
+        f"(a) h_att acc_delta0 {att:.6f} - cnn acc_delta0 {cnn:.6f} = margin {att - cnn:+.6f}, "
+        f"need >= {CLAIM_MARGIN:.6f}: {verdict(round(att - cnn, 9) >= CLAIM_MARGIN)}",
+        f"(b) h_att macro_acc_excl_burnin {late_text}, need >= "
+        f"{CLAIM_MACRO_BOXES}/{spec.n_macro_boxes} = {need:.6f}: "
+        f"{verdict(late is not None and late >= need)}",
+        f"(c) h_att acc_delta0 {att:.6f} >= gru_cnn {gru:.6f} >= cnn {cnn:.6f}: "
+        f"{verdict(att >= gru >= cnn)}",
+    ]

@@ -43,6 +43,7 @@ class _Paths:
         self.rollouts = self.root / "rollouts"
         self.svg = self.root / "svg"
         self.bench_csv = self.root / "bench.csv"
+        self.claim = self.root / "claim.txt"
 
     def checkpoint(self, variant: str) -> Path:
         return self.checkpoints / f"{variant}.ckpt"
@@ -100,7 +101,6 @@ def _load_model(cfg: RunConfig, paths: _Paths, variant: str, seed: int) -> HPNMo
 
 
 def cmd_synth(cfg: RunConfig, paths: _Paths, args) -> int:
-    cfg = _seeded(cfg, args.seed)
     possessions = data_mod.synthesize(cfg.synth, cfg.court)
     paths.root.mkdir(parents=True, exist_ok=True)
     data_mod.save_possessions(possessions, paths.possessions)
@@ -109,7 +109,6 @@ def cmd_synth(cfg: RunConfig, paths: _Paths, args) -> int:
 
 
 def cmd_label(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
-    cfg = _seeded(cfg, args.seed)
     train, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     everything = train + holdout
     labels_mod.export_labels(
@@ -144,13 +143,11 @@ def _train_variant(
 
 
 def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
-    cfg = _seeded(cfg, args.seed)
     _train_variant(cfg, paths, args.variant, args.seed, args.resume)
     return 0
 
 
 def cmd_rollout(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
-    cfg = _seeded(cfg, args.seed)
     _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     model = _load_model(cfg, paths, args.variant, args.seed)
     n = min(cfg.run.n_rollouts, len(holdout))
@@ -163,7 +160,6 @@ def cmd_rollout(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
 
 
 def cmd_bench(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
-    cfg = _seeded(cfg, args.seed)
     _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     variants = args.variants or [
         v.value for v in bench_mod.VARIANT_ORDER if paths.checkpoint(v.value).exists()
@@ -179,11 +175,17 @@ def cmd_bench(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
             f"macro {row.macro_acc if row.macro_acc is not None else '-'}"
         )
     print(f"wrote {paths.bench_csv}")
+    claim = bench_mod.claim_lines(rows, cfg.court)
+    if claim:
+        with atomic_open(paths.claim) as fh:
+            fh.write("\n".join(claim) + "\n")
+        print("\n".join(claim) + f"\nwrote {paths.claim}")
+    else:  # claim.txt always describes the bench.csv beside it
+        paths.claim.unlink(missing_ok=True)
     return 0
 
 
 def cmd_render(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
-    cfg = _seeded(cfg, args.seed)
     _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     by_key = {
         (it.sequence.possession_id, it.sequence.focal_agent, it.sequence.t0): it.sequence
@@ -208,11 +210,10 @@ def cmd_repro(cfg: RunConfig, paths: _Paths, args) -> int:
     variant, benchmark, roll out and render the attention model.  The
     sequences are prepared once and shared by every step."""
     cmd_synth(cfg, paths, args)
-    seeded = _seeded(cfg, args.seed)
-    split = _prepare_sequences(seeded, paths, args.seed)
+    split = _prepare_sequences(cfg, paths, args.seed)
     cmd_label(cfg, paths, args, split)
     for variant in args.variants:
-        _train_variant(seeded, paths, variant, args.seed, resume=False, split=split)
+        _train_variant(cfg, paths, variant, args.seed, resume=False, split=split)
     bench_args = argparse.Namespace(seed=args.seed, variants=args.variants)
     cmd_bench(cfg, paths, bench_args, split)
     roll_variant = "h_att" if "h_att" in args.variants else args.variants[-1]
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true", help="continue from the stage checkpoint")
     p = sub.add_parser("rollout", help="generate rollouts for a trained variant")
     p.add_argument("--variant", required=True, choices=ALL_VARIANTS)
-    p = sub.add_parser("bench", help="benchmark trained variants into one CSV")
+    p = sub.add_parser("bench", help="benchmark trained variants into bench.csv and claim.txt")
     p.add_argument("--variants", nargs="*", choices=ALL_VARIANTS)
     p = sub.add_parser("render", help="render saved rollouts to SVG")
     p.add_argument("--variant", required=True, choices=ALL_VARIANTS)
@@ -276,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "defaults" and args.seed is None:
             raise ConfigError("--seed is required; randomness is never implicit")
         cfg = _load_config(args)
+        if args.seed is not None:
+            cfg = _seeded(cfg, args.seed)
         paths = _Paths(cfg.paths.out_dir)
         return _COMMANDS[args.command](cfg, paths, args)
     except ConfigError as exc:

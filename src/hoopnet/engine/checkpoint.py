@@ -11,6 +11,7 @@ intact.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -47,6 +48,13 @@ def save_checkpoint(
 
 
 def read_manifest(path: str | Path) -> tuple[list[tuple[str, tuple[int, ...]]], str, dict[str, str], int]:
+    try:
+        return _read_manifest(path)
+    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from exc
+
+
+def _read_manifest(path: str | Path) -> tuple[list[tuple[str, tuple[int, ...]]], str, dict[str, str], int]:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -54,6 +62,8 @@ def read_manifest(path: str | Path) -> tuple[list[tuple[str, tuple[int, ...]]], 
         version, mlen = struct.unpack("<IQ", fh.read(12))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        if mlen > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise CheckpointError(f"{path}: truncated manifest")
         manifest = fh.read(mlen).decode("utf-8")
         offset = fh.tell()
     tensors: list[tuple[str, tuple[int, ...]]] = []

@@ -52,9 +52,9 @@ class Module:
     def named_state(self, prefix: str = ""):
         """Parameters plus buffers, in declaration order (for checkpoints)."""
         for name, p in self._params.items():
-            yield (f"{prefix}{name}", p.data, None)
+            yield (f"{prefix}{name}", p.data)
         for name, b in self._buffers.items():
-            yield (f"{prefix}{name}", b, (self, name))
+            yield (f"{prefix}{name}", b)
         for name, mod in self._modules.items():
             yield from mod.named_state(prefix=f"{prefix}{name}.")
 

@@ -276,7 +276,7 @@ class HPNModel(Module):
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
     def state_for_checkpoint(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, arr) for name, arr, _ in self.named_state()]
+        return list(self.named_state())
 
     # forward
 

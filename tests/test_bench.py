@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hoopnet.bench import (
+    BenchmarkRow,
     benchmark,
     benchmark_csv,
+    claim_lines,
     evaluate,
 )
 from hoopnet.court import CourtSpec
@@ -202,6 +204,54 @@ def test_benchmark_spec_mismatch():
     model = HPNModel(other_spec, ARCH, Variant.CNN, 1)
     with pytest.raises(ConfigError, match="different court"):
         benchmark({"cnn": model}, DATA[:2], SPEC)
+
+
+# the paper's claim
+
+
+def _claim_rows(cnn=0.30, gru_cnn=0.33, h_att=0.35, late=0.2):
+    def row(variant, d0, late=None):
+        return BenchmarkRow(variant, (d0, 0.1, 0.1, 0.1), None, late, None, 100)
+
+    return [row("cnn", cnn), row("gru_cnn", gru_cnn), row("h_att", h_att, late)]
+
+
+def _verdicts(lines):
+    return [line.rsplit(": ", 1)[1] for line in lines]
+
+
+def test_claim_margin_of_exactly_the_threshold_passes():
+    # 0.42 - 0.37 is 0.04999999999999999 in floating point
+    lines = claim_lines(_claim_rows(cnn=0.37, gru_cnn=0.40, h_att=0.42), SPEC)
+    assert len(lines) == 3
+    assert "margin +0.050000" in lines[0]
+    assert _verdicts(lines) == ["pass", "pass", "pass"]
+    lines = claim_lines(_claim_rows(cnn=0.37, gru_cnn=0.40, h_att=0.4199), SPEC)
+    assert _verdicts(lines)[0] == "fail"
+
+
+def test_claim_ordering_ties_pass():
+    lines = claim_lines(_claim_rows(cnn=0.3, gru_cnn=0.3, h_att=0.3), SPEC)
+    assert _verdicts(lines) == ["fail", "pass", "pass"]
+    lines = claim_lines(_claim_rows(cnn=0.3, gru_cnn=0.36, h_att=0.35), SPEC)
+    assert _verdicts(lines)[2] == "fail"
+
+
+@pytest.mark.parametrize("missing", ["cnn", "gru_cnn", "h_att"])
+def test_claim_needs_all_three_variants(missing):
+    rows = [r for r in _claim_rows() if r.variant != missing]
+    assert claim_lines(rows, SPEC) == []
+
+
+def test_claim_late_macro_threshold_follows_the_court():
+    coarse = CourtSpec(height_ft=50.0, macro_box_ft=10.0)  # 5 x 5 boxes
+    assert SPEC.n_macro_boxes == 90 and coarse.n_macro_boxes == 25
+    rows = _claim_rows(late=0.2)
+    assert _verdicts(claim_lines(rows, SPEC))[1] == "pass"
+    line = claim_lines(rows, coarse)[1]
+    assert "need >= 10/25 = 0.400000" in line and line.endswith("fail")
+    assert _verdicts(claim_lines(_claim_rows(late=0.4), coarse))[1] == "pass"
+    assert _verdicts(claim_lines(_claim_rows(late=None), SPEC))[1] == "fail"
 
 
 # rendering

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,8 @@ from hoopnet.config import (
     parse_document,
 )
 from hoopnet.errors import ConfigError
+
+REPO = Path(__file__).resolve().parent.parent
 
 QUICK = """
 # quick desk-scale config for tests
@@ -99,7 +103,7 @@ def test_dump_round_trips():
 
 def test_repository_configs_load():
     # every config document shipped in configs/ names only existing keys
-    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+    paths = sorted((REPO / "configs").glob("*.cfg"))
     assert paths
     for path in paths:
         load_run_config(path.read_text(encoding="utf-8"))
@@ -107,7 +111,7 @@ def test_repository_configs_load():
 
 def test_desk_config_sets_every_key():
     # the desk document is complete: it names every key the program has
-    desk = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+    desk = REPO / "configs" / "desk.cfg"
     keys = parse_document(desk.read_text(encoding="utf-8")).keys()
     assert keys == parse_document(dump_run_config(RunConfig())).keys()
 
@@ -256,6 +260,31 @@ def test_bench_requires_checkpoints(tmp_path):
     assert code == 2  # nothing trained yet
 
 
+def test_corrupt_checkpoint_is_an_error_line(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--seed", "4", "synth"]) == 0
+    ckpt = tmp_path / "out" / "checkpoints" / "cnn.ckpt"
+    ckpt.parent.mkdir()
+    ckpt.write_bytes(b"HPNCKPT\x00\x01\x00")  # header cut short
+    assert main(["--config", str(path), "--seed", "4", "bench", "--variants", "cnn"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cnn.ckpt" in err
+
+
+def test_readme_commands_parse_and_load():
+    # every documented command parses and names only existing config keys
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.S | re.M)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("hoopnet ")]
+    assert any(" repro --variants cnn gru_cnn h_att" in c for c in commands)
+    for command in commands:
+        args = cli.build_parser().parse_args(shlex.split(command)[1:])
+        assert args.seed is not None, command
+        text = (REPO / args.config).read_text(encoding="utf-8") if args.config else None
+        load_run_config(text, args.set or [])
+
+
 def test_defaults_command_prints_document(tmp_path, capsys):
     assert main(["defaults"]) == 0
     out = capsys.readouterr().out
@@ -290,6 +319,29 @@ def test_repro_prepares_sequences_once(tmp_path, monkeypatch):
     assert main(base + ["rollout", "--variant", "h_att"]) == 0
     assert len(calls) == 4
     assert [f.read_bytes() for f in files] == before
+
+
+def test_claim_describes_the_bench_csv_beside_it(tmp_path, capsys):
+    path = write_config(tmp_path)
+    base = ["--config", str(path), "--seed", "6", "--set", "train.epochs_pretrain=0",
+            "--set", "train.epochs_finetune=0"]
+    assert main(base + ["repro", "--variants", "cnn", "gru_cnn", "h_att"]) == 0
+    out = tmp_path / "out"
+    header, *lines = (out / "bench.csv").read_text().splitlines()
+    bench = {line.split(",")[0]: dict(zip(header.split(","), line.split(","))) for line in lines}
+    d0 = {v: bench[v]["acc_delta0"] for v in ("cnn", "gru_cnn", "h_att")}
+    claim = (out / "claim.txt").read_text().splitlines()
+    numbers = [re.findall(r"[-+]?\d+\.\d{6}", line) for line in claim]
+    assert numbers[0][:2] + numbers[0][3:] == [d0["h_att"], d0["cnn"], "0.050000"]
+    # the margin is taken before rounding, so it may differ in the last digit
+    assert abs(float(numbers[0][2]) - (float(d0["h_att"]) - float(d0["cnn"]))) < 1.5e-6
+    assert numbers[1] == [bench["h_att"]["macro_acc_excl_burnin"], f"{10 / 90:.6f}"]
+    assert numbers[2] == [d0["h_att"], d0["gru_cnn"], d0["cnn"]]
+    assert all(line.endswith((": pass", ": fail")) for line in claim)
+    assert "\n".join(claim) in capsys.readouterr().out
+    # a bench without all three variants leaves no stale claim behind
+    assert main(base + ["bench", "--variants", "h_att"]) == 0
+    assert not (out / "claim.txt").exists()
 
 
 def test_bench_excludes_the_configured_burn_in(tmp_path, monkeypatch):
@@ -343,7 +395,7 @@ def test_csv_columns_follow_lookahead_steps(tmp_path, monkeypatch, heads):
 def test_checkpoint_bytes_independent_of_blas_threads(tmp_path):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--seed", "3", "synth"]) == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(REPO / "src")
     ckpt = tmp_path / "out" / "checkpoints" / "h_att.ckpt"
     saved = []
     for threads in ("1", "2"):

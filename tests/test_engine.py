@@ -1,5 +1,6 @@
 import ctypes
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hoopnet.engine import (
     softmax_nll,
     spatial_encoder,
 )
-from hoopnet.engine import nn
+from hoopnet.engine import checkpoint, nn
 from hoopnet.engine.nn import Module
 from hoopnet.engine.tensor import mul
 from hoopnet.errors import CheckpointError
@@ -750,11 +751,11 @@ class _TinyModel(Module):
 
 def test_checkpoint_round_trip(tmp_path):
     m = _TinyModel(seed=1)
-    state = [(n, a) for n, a, _ in m.named_state()]
+    state = list(m.named_state())
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, state, "hash123", meta={"variant": "tiny", "completed_stages": "a,b"})
     m2 = _TinyModel(seed=2)
-    state2 = [(n, a) for n, a, _ in m2.named_state()]
+    state2 = list(m2.named_state())
     meta = load_checkpoint(path, state2, "hash123")
     assert meta["completed_stages"] == "a,b"
     np.testing.assert_array_equal(m2.layer.weight.data, m.layer.weight.data)
@@ -763,7 +764,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_hash_mismatch(tmp_path):
     m = _TinyModel()
-    state = [(n, a) for n, a, _ in m.named_state()]
+    state = list(m.named_state())
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, state, "aaaa")
     with pytest.raises(CheckpointError, match="different configuration"):
@@ -772,7 +773,7 @@ def test_checkpoint_hash_mismatch(tmp_path):
 
 def test_checkpoint_shape_mismatch(tmp_path):
     m = _TinyModel()
-    state = [(n, a) for n, a, _ in m.named_state()]
+    state = list(m.named_state())
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, state, "h")
 
@@ -784,7 +785,7 @@ def test_checkpoint_shape_mismatch(tmp_path):
 
     other = Other()
     with pytest.raises(CheckpointError, match="manifest"):
-        load_checkpoint(path, [(n, a) for n, a, _ in other.named_state()], "h")
+        load_checkpoint(path, list(other.named_state()), "h")
 
 
 def test_checkpoint_not_a_checkpoint(tmp_path):
@@ -792,12 +793,30 @@ def test_checkpoint_not_a_checkpoint(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     m = _TinyModel()
     with pytest.raises(CheckpointError, match="not a checkpoint"):
-        load_checkpoint(path, [(n, a) for n, a, _ in m.named_state()], "h")
+        load_checkpoint(path, list(m.named_state()), "h")
+
+
+def _checkpoint_bytes(manifest, manifest_len=None):
+    n = len(manifest) if manifest_len is None else manifest_len
+    return checkpoint.MAGIC + struct.pack("<IQ", checkpoint.VERSION, n) + manifest
+
+
+@pytest.mark.parametrize("data", [
+    checkpoint.MAGIC + b"\x01\x00",                                # header cut short
+    _checkpoint_bytes(b"\xff\xfe"),                                 # manifest not UTF-8
+    _checkpoint_bytes(b"config_hash h\ntensor layer.weight 2xq\n"),  # bad dims
+    _checkpoint_bytes(b"config_hash h\n", manifest_len=1 << 62),    # manifest past the end
+])
+def test_checkpoint_corrupt_header(tmp_path, data):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError, match="bad.ckpt"):
+        load_checkpoint(path, list(_TinyModel().named_state()), "h")
 
 
 def test_checkpoint_failed_write_keeps_previous(tmp_path):
     m = _TinyModel(seed=1)
-    state = [(n, a) for n, a, _ in m.named_state()]
+    state = list(m.named_state())
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, state, "h", meta={"completed_stages": "a"})
     before = path.read_bytes()
@@ -815,6 +834,6 @@ def test_checkpoint_failed_write_keeps_previous(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
     m2 = _TinyModel(seed=2)
-    meta = load_checkpoint(path, [(n, a) for n, a, _ in m2.named_state()], "h")
+    meta = load_checkpoint(path, list(m2.named_state()), "h")
     assert meta["completed_stages"] == "a"
     np.testing.assert_array_equal(m2.layer.weight.data, m.layer.weight.data)
