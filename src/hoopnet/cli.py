@@ -137,8 +137,11 @@ def _train_variant(
     )
     with atomic_open(paths.report(variant)) as fh:
         fh.write(report.to_csv())
+    # the last epoch's holdout score covers at most train.holdout_eval_max
+    # sequences, where bench scores them all
     final = report.records[-1] if report.records else None
-    acc = f"{final.acc_delta[0]:.3f}" if final else "n/a"
+    acc = (f"{final.acc_delta[0]:.3f} over {final.holdout_sequences} of {len(holdout)} "
+           "holdout sequences") if final else "n/a"
     print(f"trained {variant}: checkpoint {paths.checkpoint(variant)}, holdout acc_delta0 {acc}")
 
 

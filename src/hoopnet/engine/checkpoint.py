@@ -1,7 +1,8 @@
 """Binary model checkpoints.
 
 Layout: 8-byte magic, u32 version, u64 manifest length, UTF-8 manifest,
-then all tensors as little-endian float64 in manifest order.  The manifest
+then all tensors as little-endian float64 in manifest order, whatever
+the arrays' dtype (widening float32 is exact).  The manifest
 records the architecture config hash, free-form metadata, and one
 ``tensor <name> <dims>`` line per array; loading verifies the hash and
 every shape before touching the model.  Saving goes through
@@ -90,7 +91,8 @@ def load_checkpoint(
     named_state: list[tuple[str, np.ndarray]],
     expect_hash: str,
 ) -> dict[str, str]:
-    """Copy stored tensors into the given arrays; returns the metadata."""
+    """Copy stored tensors into the given arrays, rounded to each array's
+    dtype; returns the metadata."""
     tensors, config_hash, meta, offset = read_manifest(path)
     if config_hash != expect_hash:
         raise CheckpointError(

@@ -5,6 +5,10 @@ Encoder input is channels-last, (N, H, W, C), and so is every layer
 inside the encoder; weights are (filters, C, k, k) and the flattened
 output is in (filters, oh, ow) order.  Convolution keeps spatial dims at
 stride 1 via zero padding.
+
+Layers are built in float64 (``Module.cast`` rounds a whole model to its
+compute dtype once), and the fused ops compute in their parameters'
+dtype.
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ class Module:
             raise KeyError(name)
         self._buffers[name] = array
         object.__setattr__(self, name, array)
+
+    def cast(self, dtype) -> None:
+        """Convert every parameter and buffer, recursively, to ``dtype``."""
+        for p in self._params.values():
+            p.data = p.data.astype(dtype)
+        for name, b in self._buffers.items():
+            self.set_buffer(name, b.astype(dtype))
+        for mod in self._modules.values():
+            mod.cast(dtype)
 
     def named_parameters(self, prefix: str = ""):
         for name, p in self._params.items():
@@ -134,11 +147,13 @@ def spatial_encoder(
     Each layer zero-pads its input channels-last and multiplies the
     weights by the im2col matrix of ROW_BLOCK input rows at a time, each
     block into its columns of one (F, P) array over all P = N*oh*ow
-    output positions, so no im2col matrix outgrows a block.  Batch norm
-    reduces the rows of that whole array: training mode uses the
-    statistics of the P positions (at least 2) and advances the running
-    buffers; inference mode reads them.  Training-mode noise is one
-    (N, F, oh, ow) standard-normal draw scaled by ``noise_sigma``, the
+    output positions, so no im2col matrix outgrows a block.  Everything
+    runs in the weights' dtype, except that batch norm's mean and variance
+    accumulate in float64.  Batch norm reduces the rows of that whole
+    array: training mode uses the statistics of the P positions (at least
+    2) and advances the running buffers; inference mode reads them.
+    Training-mode noise is one float64 (N, F, oh, ow) standard-normal draw
+    scaled by ``noise_sigma`` and then rounded to the weights' dtype, the
     same values and generator state as ``rng.normal(0, noise_sigma, ...)``;
     the gradient passes through it.  The tape keeps each layer's padded
     input, and the backward pass rebuilds the im2col blocks from it to
@@ -155,6 +170,7 @@ def spatial_encoder(
     params = tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
     record = _grad_enabled() and any(p._needs() for p in params)
     n = x.shape[0]
+    dtype = convs[0].weight.data.dtype
     a = x
     saved = []  # per layer: input shape, padded input, x-hat, 1/std, output
     for conv, bn in zip(convs, bns):
@@ -164,25 +180,27 @@ def spatial_encoder(
         _, h, w, _ = a.shape
         s, ph, pw = conv.stride, kh // 2, kw // 2
         oh, ow = (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
-        xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+        xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype)
         xp[:, ph:ph + h, pw:pw + w] = a
         # (F, P): one row per filter, so the batch statistics are row sums
         weight = conv.weight.data.transpose(0, 2, 3, 1).reshape(f, -1)
-        y = np.empty((f, n * oh * ow))
+        y = np.empty((f, n * oh * ow), dtype)
         for cs, cols in _col_blocks(xp, s, kh, kw, oh, ow):
             np.matmul(weight, cols.T, out=y[:, cs])
         if training:
             if y.shape[1] < 2:
                 raise ValueError("batch norm in training mode needs batch size >= 2")
-            mu = y.mean(axis=1)
-            y -= mu[:, None]
-            var = np.einsum("fp,fp->f", y, y) / y.shape[1]
-            bn.set_buffer("running_mean", bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mu)
-            bn.set_buffer("running_var", bn.momentum * bn.running_var + (1.0 - bn.momentum) * var)
+            mu = y.mean(axis=1, dtype=np.float64)
+            y -= mu.astype(dtype)[:, None]
+            var = np.einsum("fp,fp->f", y, y, dtype=np.float64) / y.shape[1]
+            for name, stat in (("running_mean", mu), ("running_var", var)):
+                running = getattr(bn, name)
+                bn.set_buffer(name, (bn.momentum * running.astype(np.float64)
+                                     + (1.0 - bn.momentum) * stat).astype(running.dtype))
         else:
             y -= bn.running_mean[:, None]
             var = bn.running_var
-        inv = 1.0 / np.sqrt(var + bn.eps)
+        inv = (1.0 / np.sqrt(var + bn.eps)).astype(dtype)
         xhat = y
         xhat *= inv[:, None]
         out = xhat * bn.gamma.data[:, None]
@@ -193,8 +211,8 @@ def spatial_encoder(
             saved.append(((h, w, c), xp, xhat, inv, out))
         a = out.transpose(1, 2, 3, 0)
     if noisy:
-        feat = rng.standard_normal((n, f, oh, ow))
-        feat *= noise_sigma
+        feat = np.empty((n, f, oh, ow), dtype)
+        np.multiply(rng.standard_normal((n, f, oh, ow)), noise_sigma, out=feat)
         feat += out.transpose(1, 0, 2, 3)
     else:
         feat = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
@@ -227,7 +245,7 @@ def spatial_encoder(
                 break
             # one kernel offset at a time, into a channels-last padded buffer
             ph, pw = kh // 2, kw // 2
-            gxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+            gxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype)
             for di in range(kh):
                 for dj in range(kw):
                     gxp[:, di:di + oh * s:s, dj:dj + ow * s:s] += \
@@ -288,10 +306,12 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
     Each step computes z = sigmoid(x W_z + b_z + h U_z), r likewise, the
     candidate c = tanh(x W_c + b_c + (r * h) U_c) and h' = (1 - z) * h + z * c.
     The backward pass walks the steps in reverse carrying dh, then forms
-    dx and every parameter gradient over all T*N rows at once.
+    dx and every parameter gradient over all T*N rows at once.  States
+    and gradients are held in the cell's parameters' dtype.
     """
     n, hidden = h0.shape
     rows = x.data.shape[0]
+    dtype = cell.w_update.data.dtype
     if rows % n:
         raise ValueError(f"gru_sequence: {rows} input rows are not whole steps of {n}")
     params = (cell.w_update, cell.u_update, cell.b_update, cell.w_reset, cell.u_reset,
@@ -302,9 +322,9 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
     x_z = x.data @ cell.w_update.data + cell.b_update.data
     x_r = x.data @ cell.w_reset.data + cell.b_reset.data
     x_c = x.data @ cell.w_cand.data + cell.b_cand.data
-    states = np.empty((rows, hidden))
+    states = np.empty((rows, hidden), dtype)
     # z, r and the candidate of every step, kept for the backward pass
-    saved = np.empty((3, rows, hidden)) if record else None
+    saved = np.empty((3, rows, hidden), dtype) if record else None
     h = h0
     for t in range(0, rows, n):
         s = slice(t, t + n)
@@ -326,10 +346,10 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
         f_c = z * (1.0 - c * c)
         keep = 1.0 - z
         # pre-activation gradients, columns [update | reset | candidate]
-        d_pre = np.empty((rows, 3 * hidden))
+        d_pre = np.empty((rows, 3 * hidden), dtype)
         d_z, d_r, d_c = d_pre[:, :hidden], d_pre[:, hidden:2 * hidden], d_pre[:, 2 * hidden:]
         u_zr_t = np.concatenate([u_z, u_r], axis=1).T
-        dh = np.zeros((n, hidden))
+        dh = np.zeros((n, hidden), dtype)
         for t in range(rows - n, -1, -n):
             s = slice(t, t + n)
             dh = dh + g[s]

@@ -7,9 +7,10 @@ Per parameter and step t (t counts completed steps, starting at 0):
     buf    = momentum * buf - lr_t * g / (sqrt(cache) + eps)
     theta += buf
 
-The optimizer owns ``cache`` and ``buf``, zeros for each parameter when
-it is built.  Frozen parameters are skipped entirely; every step ends by
-clearing all gradient buffers.
+The optimizer owns ``cache`` and ``buf``, zeros in each parameter's
+dtype when it is built; its hyperparameters are kept as Python floats,
+which never widen a float32 array.  Frozen parameters are skipped
+entirely; every step ends by clearing all gradient buffers.
 """
 
 from __future__ import annotations
@@ -24,19 +25,19 @@ from .tensor import Parameter
 def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm, its squares summed in float64.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            total += float((p.grad * p.grad).sum(dtype=np.float64))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         raise FloatingPointError("non-finite gradient norm")
     if norm > max_norm:
-        scale = max_norm / norm
+        scale = float(max_norm / norm)
         for p in params:
             if p.grad is not None:
                 p.grad = p.grad * scale
@@ -56,11 +57,11 @@ class RMSProp:
         self.params = list(params)
         self.cache = [np.zeros_like(p.data) for p in self.params]
         self.buf = [np.zeros_like(p.data) for p in self.params]
-        self.lr = lr
-        self.decay = decay
-        self.momentum = momentum
-        self.rho = rho
-        self.eps = eps
+        self.lr = float(lr)
+        self.decay = float(decay)
+        self.momentum = float(momentum)
+        self.rho = float(rho)
+        self.eps = float(eps)
         self.t = 0
 
     def step(self) -> None:

@@ -1,4 +1,11 @@
-"""Tape-based reverse-mode autodiff over dense float64 numpy arrays.
+"""Tape-based reverse-mode autodiff over dense numpy float arrays.
+
+Ops compute in their inputs' dtype (the model's is float32): a plain
+number or array operand takes the dtype of the Tensor it meets, so a
+Python-scalar weight never widens a float32 array.  Reductions that set
+a scale accumulate in float64: ``tsum`` returns a float64 scalar (its
+gradient goes back in its input's dtype), and so does ``softmax_nll``'s
+log-sum-exp, so the training loss is float64.
 
 Graph nodes are Tensors; each op attaches a vector-Jacobian closure.
 Gradients accumulate out-of-place (``p.grad = p.grad + g``) so a returned
@@ -41,7 +48,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
@@ -95,8 +103,12 @@ def _node(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     return out
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _wrap(x, like=None) -> Tensor:
+    """``x`` as a Tensor; a plain number or array takes the dtype of the
+    Tensor ``like`` (float64 without one)."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=like.data.dtype if isinstance(like, Tensor) else np.float64))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -148,7 +160,7 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
 
     def vjp(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
@@ -157,7 +169,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
 
     def vjp(g):
         return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
@@ -199,12 +211,13 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
 
 def tsum(x: Tensor) -> Tensor:
-    shape = x.data.shape
+    """Sum of every element as a float64 scalar, whatever ``x``'s dtype."""
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(g.astype(dtype), shape),)
 
-    return _node(np.asarray(x.data.sum()), (x,), vjp)
+    return _node(np.asarray(x.data.sum(dtype=np.float64)), (x,), vjp)
 
 
 # softmax family (always along the last axis)
@@ -232,7 +245,8 @@ def softmax_nll(logits: Tensor, targets) -> Tensor:
     """Per-row negative log likelihood ``-log softmax(logits)[target]``.
 
     ``targets`` are class indices of shape (N,).  Returns a length-N
-    tensor; reduce with .sum().
+    float64 tensor, the exp-sum accumulated in float64; reduce with
+    .sum().  The logits' gradient keeps their dtype.
     """
     x = logits.data
     if x.ndim != 2:
@@ -244,12 +258,15 @@ def softmax_nll(logits: Tensor, targets) -> Tensor:
     if (idx < 0).any() or (idx >= k).any():
         raise ValueError("target index out of range")
     m = x.max(axis=-1)
-    lse = np.log(np.exp(x - m[:, None]).sum(axis=-1)) + m
+    e = x - m[:, None]
+    np.exp(e, out=e)
+    lse = np.log(e.sum(axis=-1, dtype=np.float64)) + m
     losses = lse - x[np.arange(n), idx]
 
     def vjp(g):
-        p = softmax_array(x)
-        gi = p * g[:, None]
+        g = g.astype(x.dtype)
+        gi = softmax_array(x)
+        gi *= g[:, None]
         gi[np.arange(n), idx] -= g
         return (gi,)
 

@@ -25,6 +25,14 @@ node per call).  Training losses, teacher-forced evaluation
 (``eval_sequence``) and rollouts (``infer`` on all N rollout sequences:
 the whole burn-in in one call, then T = 1 per horizon step) all go
 through it.
+
+Models compute in ``COMPUTE_DTYPE``, float32: the glorot initialisation
+is drawn in float64 and rounded once at construction, and the pooled
+input, the recurrent memory and the training noise follow the
+parameters' dtype.  Scale-setting reductions (batch-norm statistics, the
+loss sums) accumulate in float64, and ``infer`` returns float64
+probabilities.  Checkpoints store float64, so a float32 model's save and
+load round trip is exact.
 """
 
 from __future__ import annotations
@@ -52,6 +60,9 @@ from .engine import (
 from .engine.nn import BatchNorm, Conv2d
 from .engine.tensor import softmax_array
 from .util import rng_for
+
+# the dtype every model's parameters, activations and gradients are held in
+COMPUTE_DTYPE = np.float32
 
 
 class Variant(str, Enum):
@@ -107,9 +118,12 @@ def _pool_out(dim: int, kernel: int) -> int:
     return -(-(dim - kernel) // kernel) + 1
 
 
-def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int) -> np.ndarray:
+def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int, dtype) -> np.ndarray:
     """(M, 11, 2) agent positions -> (M, ceil(rows/k), ceil(cols/k), 4)
-    float64 occupancy, channels-last: ball, focal, teammates, opponents.
+    occupancy in ``dtype``, channels-last: ball, focal, teammates,
+    opponents.  The model asks for its float32 compute dtype: positions
+    are binned at their own float64 precision, and the counts (at most
+    11) are exact in float32.
 
     Each output cell holds the largest number of agents of its channel in
     any one fine cell of its k x k block (blocks at the far edges cover
@@ -123,10 +137,10 @@ def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int) -> np.ndarr
     cells, counts = np.unique((planes * rows + cell_rows) * cols + cell_cols, return_counts=True)
     plane, cell = np.divmod(cells, rows * cols)
     out_rows, out_cols = -(-rows // k), -(-cols // k)
-    out = np.zeros(m * out_rows * out_cols * 4)
+    out = np.zeros(m * out_rows * out_cols * 4, dtype)
     step, channel = np.divmod(plane, 4)
     blocks = ((step * out_rows + cell // cols // k) * out_cols + cell % cols // k) * 4 + channel
-    np.maximum.at(out, blocks, counts)
+    np.maximum.at(out, blocks, counts.astype(dtype))
     return out.reshape(m, out_rows, out_cols, 4)
 
 
@@ -229,6 +243,12 @@ class HPNModel(Module):
                 setattr(self, f"combine_head{k}", head)
                 cc.append(head)
             self.combine_heads = cc
+        self.cast(COMPUTE_DTYPE)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which every activation follows."""
+        return self.micro_heads[0].weight.data.dtype
 
     # variant structure
 
@@ -281,13 +301,13 @@ class HPNModel(Module):
     # forward
 
     def reset_memory(self, batch: int = 1) -> dict:
-        """Fresh recurrent state: an all-zero (batch, gru_cells) array per
-        GRU branch (none for the memoryless CNN)."""
+        """Fresh recurrent state: an all-zero (batch, gru_cells) array in
+        the parameters' dtype per GRU branch (none for the memoryless CNN)."""
         mem: dict = {"_owner": id(self), "_batch": batch}
         if self.variant is not Variant.CNN:
-            mem["micro"] = np.zeros((batch, self.arch.gru_cells))
+            mem["micro"] = np.zeros((batch, self.arch.gru_cells), self.dtype)
         if self.hierarchical:
-            mem["macro"] = np.zeros((batch, self.arch.gru_cells))
+            mem["macro"] = np.zeros((batch, self.arch.gru_cells), self.dtype)
         return mem
 
     def _check_memory(self, mem: dict, batch: int) -> None:
@@ -325,7 +345,7 @@ class HPNModel(Module):
         branches = branches if branches is not None else self.branch_set()
         branches = branches & self.branch_set()
         k = math.prod(self.arch.pyramid)
-        pooled = pooled_occupancy(time_major(inputs), self.spec, k)
+        pooled = pooled_occupancy(time_major(inputs), self.spec, k, self.dtype)
         new_mem = dict(memory)
         outs: dict = {}
 
@@ -373,14 +393,15 @@ class HPNModel(Module):
         ]
 
     def infer(self, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
-        """Inference over (N, T, ...) from ``memory``; returns plain
-        probability arrays shaped (N, T, ...) and the memory after step T."""
+        """Inference over (N, T, ...) from ``memory``; returns plain float64
+        probability arrays shaped (N, T, ...), the logits widened before
+        the softmax, and the memory after step T."""
         with no_grad():
             outs, memory = self.run(inputs, memory, training=False)
         n = memory["_batch"]
 
         def probs(logits: Tensor) -> np.ndarray:
-            return batch_major(softmax_array(logits.data), n)
+            return batch_major(softmax_array(logits.data.astype(np.float64)), n)
 
         p_raw = np.stack([probs(t) for t in outs["raw_logits"]], axis=2)
         result = {"p_raw": p_raw, "p_macro": None, "attention": None}

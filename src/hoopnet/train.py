@@ -90,6 +90,7 @@ class EpochRecord:
     grad_norm_mean: float
     seconds: float
     clamped_sequences: int
+    holdout_sequences: int  # how many the accuracies cover, 0 without a holdout
 
 
 @dataclass
@@ -337,6 +338,7 @@ def run_stage(
                 grad_norm_mean=norm_sum / max(n_batches, 1),
                 seconds=seconds,
                 clamped_sequences=clamped,
+                holdout_sequences=metrics.n_sequences if metrics else 0,
             )
         )
         if metrics is not None and cfg.early_stop_patience > 0:

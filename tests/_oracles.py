@@ -13,7 +13,9 @@ of ``conv2d``, ``batch_norm``, ``relu``, ``gaussian_noise`` and
 ``reshape`` nodes, 8 for two layers.  ``oracle_augment_translate`` translates one
 labeled sequence at a time by rebuilding its ``TrainingSequence`` and
 ``WeakLabels``, recomputing the straight-line targets with
-``labels.attention_targets`` on each (T, 2) track.
+``labels.attention_targets`` on each (T, 2) track.  ``float64_model``
+widens a model to float64 for the tests whose tolerances are set for
+float64 arithmetic.
 """
 
 from __future__ import annotations
@@ -504,3 +506,11 @@ def oracle_augment_translate(batch, max_cells: int, rng, spec: CourtSpec):
             clamped += 1
         out.append(LabeledSequence(new_seq, new_labels))
     return out, clamped
+
+
+def float64_model(model):
+    """``model`` with every parameter and buffer widened to float64 (the
+    float32-rounded initial values, exactly), so that all it computes
+    runs in float64; returns the model."""
+    model.cast(np.float64)
+    return model

@@ -247,6 +247,25 @@ def test_train_epochs_zero_equals_initialization(tmp_path):
         np.testing.assert_array_equal(loaded[1], init)
 
 
+def test_train_line_says_how_many_holdout_sequences_it_scores(tmp_path, capsys, monkeypatch):
+    # the holdout score printed after training covers the first
+    # train.holdout_eval_max sequences, bench all of them
+    path = write_config(tmp_path)
+    splits = []
+    prepare = cli._prepare_sequences
+    monkeypatch.setattr(cli, "_prepare_sequences", lambda *a: splits.append(prepare(*a)) or splits[-1])
+    base = ["--config", str(path), "--seed", "9"]
+    assert main(base + ["synth"]) == 0
+    assert main(base + ["train", "--variant", "cnn"]) == 0
+    assert main(base + ["--set", "train.holdout_eval_max=0", "train", "--variant", "cnn"]) == 0
+    total = len(splits[0][1])
+    assert total > 4 and total == len(splits[1][1])
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("trained cnn")]
+    covered = [re.search(r"holdout acc_delta0 \d\.\d{3} over (\d+) of (\d+) holdout sequences$", line)
+               for line in lines]
+    assert [m.groups() for m in covered] == [("4", str(total)), (str(total), str(total))]
+
+
 def test_invalid_variant_usage_error(tmp_path):
     path = write_config(tmp_path)
     with pytest.raises(SystemExit):

@@ -527,6 +527,21 @@ def test_broadcast_add_gradcheck():
     assert gradcheck(lambda: ((x + b) * Tensor(_fixed_like((4, 3)))).sum(), [x, b]) < TOL
 
 
+def test_plain_numbers_keep_float32_and_sums_widen():
+    # a Python scalar or array operand takes the float32 tensor's dtype;
+    # tsum returns float64 and passes a float32 gradient back
+    x = Parameter(np.random.default_rng(3).normal(size=(4, 3)).astype(np.float32))
+    y = 0.5 * x + x * np.ones(3)
+    assert y.data.dtype == np.float32
+    total = (y * 1e-4).sum()
+    assert total.data.dtype == np.float64
+    np.testing.assert_allclose(float(total.data), 1.5e-4 * x.data.astype(np.float64).sum(),
+                               rtol=1e-6)
+    backward(total * 3.0)
+    assert x.grad.dtype == np.float32
+    np.testing.assert_allclose(x.grad, 4.5e-4, rtol=1e-6)
+
+
 # gaussian noise (inside the spatial encoder)
 
 

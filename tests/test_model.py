@@ -7,6 +7,8 @@ from hoopnet.errors import CheckpointError
 from hoopnet.model import ArchitectureConfig, HPNModel, Variant, pooled_occupancy
 from hoopnet.rollout import choose_step
 
+from _oracles import float64_model
+
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
                           gru_cells=16, transfer_hidden=12)
@@ -239,7 +241,7 @@ def test_sequence_path_matches_step_path():
     n, t_steps = 2, 6
     inputs = np.stack([random_positions(rng, n=n) for _ in range(t_steps)], axis=1)
     for variant in Variant:
-        m = fresh(variant, seed=21)
+        m = float64_model(fresh(variant, seed=21))
         whole, mem_whole = m.infer(inputs, m.reset_memory(n))
         mem = m.reset_memory(n)
         for t in range(t_steps):
@@ -306,7 +308,7 @@ def test_parameter_groups_and_freezing():
 
 def test_spatial_encoder_call_is_one_tape_node():
     m = fresh(Variant.H_ATT)
-    pooled = pooled_occupancy(random_positions(RNG, n=6), SPEC, 4)
+    pooled = pooled_occupancy(random_positions(RNG, n=6), SPEC, 4, np.float32)
     out = m.micro_encoder(pooled, True, np.random.default_rng(0), 1e-3)
     assert out._vjp is not None
     assert out._parents and all(p._vjp is None for p in out._parents)  # leaves only

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, agent_positions, synthesize, window
-from hoopnet.engine import backward
+from hoopnet.engine import RMSProp, backward
+from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
 from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError
 from hoopnet.labels import SegmentationConfig, label_sequence
@@ -36,6 +37,7 @@ from hoopnet.train import (
 from hoopnet.util import rng_for
 
 from _oracles import (
+    float64_model,
     oracle_augment_translate,
     oracle_channelize,
     oracle_pool,
@@ -187,7 +189,7 @@ def _check_against_dense_oracle(agents, pyramid):
     seqs = [_sequence_of_agents(a) for a in agents]
     positions = np.stack([agent_positions(s) for s in seqs])
     np.testing.assert_array_equal(positions, agents)
-    got = pooled_occupancy(time_major(positions), SPEC, math.prod(pyramid))
+    got = pooled_occupancy(time_major(positions), SPEC, math.prod(pyramid), np.float64)
     want = time_major(np.stack([oracle_pool(oracle_channelize(s, SPEC), pyramid) for s in seqs]))
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got, want.transpose(0, 2, 3, 1))  # channels-last
@@ -327,7 +329,7 @@ def shorten(item, steps):
 def test_finetune_gradcheck_tiny_model():
     arch = ArchitectureConfig(pyramid=(5, 3), conv_filters=(2,), conv_kernels=(3,),
                               conv_strides=(2,), gru_cells=4, transfer_hidden=4)
-    m = HPNModel(SPEC, arch, Variant.H_ATT, 2)
+    m = float64_model(HPNModel(SPEC, arch, Variant.H_ATT, 2))
     cfg = small_cfg(l2_activation_weight=1e-3)
     short = [shorten(item, 3) for item in DATA[:2]]
 
@@ -339,6 +341,60 @@ def test_finetune_gradcheck_tiny_model():
         max_elements=6,
     )
     assert err < 1e-4
+
+
+def test_finetune_batch_stays_float32():
+    # a model computes in float32: its outputs, memory, gradients and
+    # optimizer state; the loss and infer's probabilities are float64
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 4)
+    assert all(a.dtype == np.float32 for _, a in m.named_state())
+    cfg = small_cfg(noise_sigma=1e-3)
+    arrays = assemble(DATA[:4], SPEC)
+    outs, memory = m.run(arrays["inputs"], m.reset_memory(4), training=True,
+                         rng=rng_for(4, "noise"), noise_sigma=cfg.noise_sigma)
+    assert [t.data.dtype for t in (*outs["raw_logits"], outs["macro_logits"],
+                                    outs["attention_logits"])] == [np.float32] * 6
+    assert memory["micro"].dtype == memory["macro"].dtype == np.float32
+    m.set_trainable({"micro", "macro", "transfer", "combine"})
+    optimizer = RMSProp(m.parameters(), 1e-3, momentum=0.9)
+    loss = compute_loss(m, arrays, Stage.FINETUNE, cfg, SPEC, rng=rng_for(4, "noise"))
+    assert loss.data.dtype == np.float64
+    backward(loss)
+    assert all(p.grad.dtype == np.float32 for p in m.parameters())
+    optimizer.step()
+    state = optimizer.cache + optimizer.buf + [a for _, a in m.named_state()]
+    assert all(a.dtype == np.float32 for a in state)
+    assert any(b.any() for b in optimizer.buf)
+    probs, memory = m.infer(arrays["inputs"], m.reset_memory(4))
+    assert memory["micro"].dtype == memory["macro"].dtype == np.float32
+    assert all(v.dtype == np.float64 for v in probs.values())
+    for key in ("p_raw", "p_macro", "attention"):
+        assert np.abs(probs[key].sum(axis=-1) - 1.0).max() < 1e-9, key
+
+
+def test_checkpoint_round_trip_is_exact_in_float32(tmp_path):
+    # a trained float32 model stored as float64 reloads bit for bit, and a
+    # float64 state loads rounded to float32
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 6)
+    for stage in stage_schedule(m.variant):
+        run_stage(m, DATA[:8], [], stage, small_cfg(noise_sigma=1e-3), SPEC, seed=6)
+    path = tmp_path / "h_att.ckpt"
+    save_checkpoint(path, m.state_for_checkpoint(), m.config_hash())
+    fresh = HPNModel(SPEC, ARCH, Variant.H_ATT, 7)
+    load_checkpoint(path, fresh.state_for_checkpoint(), fresh.config_hash())
+    inputs = assemble(DATA[8:12], SPEC)["inputs"]
+    want, got = m.eval_sequence(inputs), fresh.eval_sequence(inputs)
+    assert all(_same_bytes(want[k], got[k]) for k in want if want[k] is not None)
+
+    wide = float64_model(HPNModel(SPEC, ARCH, Variant.H_ATT, 6))
+    rng = np.random.default_rng(6)
+    for _, a in wide.state_for_checkpoint():
+        a[...] = rng.standard_normal(a.shape)
+    save_checkpoint(path, wide.state_for_checkpoint(), wide.config_hash())
+    load_checkpoint(path, fresh.state_for_checkpoint(), fresh.config_hash())
+    for (_, a), (_, b) in zip(wide.state_for_checkpoint(), fresh.state_for_checkpoint()):
+        assert b.dtype == np.float32 and not np.array_equal(a, b)
+        np.testing.assert_array_equal(b, a.astype(np.float32))
 
 
 # augmentation
