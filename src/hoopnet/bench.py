@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .court import CourtSpec
+from .engine.tensor import softmax_array
 from .errors import ConfigError, DataError
-from .model import Variant
+from .model import Variant, combined_scores
 from .train import LabeledSequence, assemble
 from .util import atomic_open
 
@@ -61,10 +62,19 @@ def evaluate(
 ) -> EvalMetrics:
     """Teacher-forced pass over labeled sequences.
 
-    ``policy`` needs one method, ``eval_sequence(inputs)``, taking an
+    ``policy`` needs one method, ``eval_logits(inputs)``, taking an
     (N, T, 11, 2) batch of agent positions (``train.assemble``) and
-    returning probability arrays shaped (N, T, ...); HPNModel satisfies
-    this, and oracle or stub policies can too.
+    returning batch-major logits as ``HPNModel.logits`` does: ``raw``
+    (N, T, lookahead, n_actions), ``macro`` (N, T, n_boxes), ``attention``
+    (N, T, n_actions) and ``cc`` (N, T, lookahead, n_actions), None where
+    the policy lacks the head.  HPNModel satisfies this, and oracle or
+    stub policies can too.
+
+    Predictions are argmaxes of the logits (``model.combined_scores`` for
+    the look-ahead heads), so they equal the argmaxes of ``infer``'s
+    probabilities except where two scores tie exactly; there the lower
+    index wins.  Only the TV monitor needs probabilities: the float64
+    softmaxes of head 0 and of the attention logits.
     """
     if not data:
         raise DataError("cannot evaluate on an empty holdout")
@@ -83,28 +93,28 @@ def evaluate(
         chunk = subset[start:start + batch_size]
         arrays = assemble(chunk, spec)
         n, t_steps = arrays["inputs"].shape[:2]
-        outs = policy.eval_sequence(arrays["inputs"])
-        pred = outs["p_combined"].argmax(axis=-1)       # (n, t, lookahead)
+        logits = policy.eval_logits(arrays["inputs"])
+        pred = combined_scores(logits).argmax(axis=-1)  # (n, t, lookahead)
         valid = ~arrays["micro_padded"]
         hits = (pred == arrays["micro"]) & valid
         correct += hits.sum(axis=(0, 1))
         counted += valid.sum(axis=(0, 1))
-        if outs.get("p_macro") is not None:
+        if logits["macro"] is not None:
             saw_macro = True
-            mp = outs["p_macro"].argmax(axis=-1)        # (n, t)
+            mp = logits["macro"].argmax(axis=-1)        # (n, t)
             eq = mp == arrays["macro"]
             macro_correct += int(eq.sum())
             macro_counted += n * t_steps
             late_correct += int(eq[:, burn_in:].sum())
             late_counted += n * max(t_steps - burn_in, 0)
-        if outs.get("attention") is not None:
+        if logits["attention"] is not None:
             saw_attention = True
-            ap = outs["attention"].argmax(axis=-1)
+            ap = logits["attention"].argmax(axis=-1)
             att_correct += int((ap == arrays["attention"]).sum())
             att_counted += n * t_steps
-            tv_sum += float(
-                0.5 * np.abs(outs["p_raw"][:, :, 0, :] - outs["attention"]).sum(axis=-1).sum()
-            )
+            p0 = softmax_array(logits["raw"][:, :, 0, :].astype(np.float64))
+            attention = softmax_array(logits["attention"].astype(np.float64))
+            tv_sum += float(0.5 * np.abs(p0 - attention).sum(axis=-1).sum())
             tv_n += n * t_steps
     return EvalMetrics(
         acc_delta=tuple(correct / np.maximum(counted, 1)),

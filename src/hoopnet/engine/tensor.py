@@ -15,7 +15,7 @@ persist across backward() calls until the optimizer clears them.
 NaN policy: ops do not check their outputs.  backward() refuses a
 non-finite loss and clip_gradients a non-finite gradient norm; the
 training loop checks each batch loss, and model inference checks its
-output probabilities.
+logits.
 """
 
 from __future__ import annotations

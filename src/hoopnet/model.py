@@ -22,9 +22,10 @@ GRU cells step through time, each inside one engine op
 (``engine.nn.gru_sequence``, one tape node per recurrence).  Each
 encoder is one engine op too (``engine.nn.spatial_encoder``, one tape
 node per call).  Training losses, teacher-forced evaluation
-(``eval_sequence``) and rollouts (``infer`` on all N rollout sequences:
-the whole burn-in in one call, then T = 1 per horizon step) all go
-through it.
+(``eval_logits``: ``bench.evaluate`` takes argmaxes of the logits) and
+rollouts (``infer``, the logits' float64 softmaxes, on all N rollout
+sequences: the whole burn-in in one call, then T = 1 per horizon step)
+all go through it.
 
 Models compute in ``COMPUTE_DTYPE``, float32: the glorot initialisation
 is drawn in float64 and rounded once at construction, and the pooled
@@ -392,35 +393,82 @@ class HPNModel(Module):
             for k, head in enumerate(self.combine_heads)
         ]
 
-    def infer(self, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
-        """Inference over (N, T, ...) from ``memory``; returns plain float64
-        probability arrays shaped (N, T, ...), the logits widened before
-        the softmax, and the memory after step T."""
+    def logits(self, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
+        """Inference over (N, T, ...) from ``memory``; returns the logits
+        as plain batch-major arrays in the compute dtype and the memory
+        after step T.
+
+        The keys are ``raw`` and ``cc``, (N, T, lookahead, n_actions),
+        ``macro``, (N, T, n_boxes), and ``attention``, (N, T, n_actions);
+        a head the variant lacks is None.  Raises FloatingPointError
+        naming the first head with a non-finite logit.
+        """
         with no_grad():
             outs, memory = self.run(inputs, memory, training=False)
         n = memory["_batch"]
 
-        def probs(logits: Tensor) -> np.ndarray:
-            return batch_major(softmax_array(logits.data.astype(np.float64)), n)
+        def head(key: str) -> np.ndarray | None:
+            value = outs.get(f"{key}_logits")
+            if isinstance(value, list):
+                return np.stack([batch_major(t.data, n) for t in value], axis=2)
+            return None if value is None else batch_major(value.data, n)
 
-        p_raw = np.stack([probs(t) for t in outs["raw_logits"]], axis=2)
-        result = {"p_raw": p_raw, "p_macro": None, "attention": None}
-        if "macro_logits" in outs:
-            result["p_macro"] = probs(outs["macro_logits"])
-        if "attention_logits" in outs:
-            result["attention"] = probs(outs["attention_logits"])
-        if self.variant is Variant.H_CC:
-            result["p_combined"] = np.stack([probs(t) for t in outs["cc_logits"]], axis=2)
-        elif self.has_attention:
-            result["p_combined"] = p_raw * result["attention"][:, :, None, :]
+        result = {key: head(key) for key in ("raw", "macro", "attention", "cc")}
+        for key, value in result.items():
+            if value is not None and not np.isfinite(value).all():
+                raise FloatingPointError(f"non-finite values in the {key} logits")
+        return result, memory
+
+    def eval_logits(self, inputs: np.ndarray) -> dict:
+        """Teacher-forced ``logits`` over (N, T, ...) from fresh memory."""
+        return self.logits(inputs, self.reset_memory(len(inputs)))[0]
+
+    def infer(self, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
+        """Inference over (N, T, ...) from ``memory``; returns float64
+        probability arrays shaped (N, T, ...), each the softmax of a head's
+        ``logits`` widened to float64, and the memory after step T.
+
+        ``p_raw`` and ``p_combined`` are (N, T, lookahead, n_actions),
+        ``p_macro`` (N, T, n_boxes) and ``attention`` (N, T, n_actions),
+        None where the variant lacks the head.  ``p_combined`` is the
+        combine heads' softmax for h_cc, ``p_raw`` masked by ``attention``
+        for attention variants and ``p_raw`` otherwise; ``combined_scores``
+        ranks actions as it does.
+        """
+        logits, memory = self.logits(inputs, memory)
+
+        def probs(key: str) -> np.ndarray | None:
+            value = logits[key]
+            return None if value is None else softmax_array(value.astype(np.float64))
+
+        p_raw, attention = probs("raw"), probs("attention")
+        if logits["cc"] is not None:
+            p_combined = probs("cc")
+        elif attention is not None:
+            p_combined = p_raw * attention[:, :, None, :]
         else:
-            result["p_combined"] = p_raw
-        for key in ("p_raw", "p_macro", "attention", "p_combined"):
-            v = result[key]
-            if v is not None and not np.isfinite(v).all():
-                raise FloatingPointError(f"non-finite values in {key}")
+            p_combined = p_raw
+        result = {"p_raw": p_raw, "p_macro": probs("macro"), "attention": attention,
+                  "p_combined": p_combined}
         return result, memory
 
     def eval_sequence(self, inputs: np.ndarray) -> dict:
         """Teacher-forced inference over (N, T, ...) from fresh memory."""
         return self.infer(inputs, self.reset_memory(len(inputs)))[0]
+
+
+def combined_scores(logits: dict) -> np.ndarray:
+    """(N, T, lookahead, n_actions) scores from ``HPNModel.logits`` whose
+    argmax over the last axis is that of ``infer``'s ``p_combined``: the
+    ``cc`` logits for h_cc, ``raw`` plus ``attention`` widened to float64
+    for attention variants (the log of the masked product, up to a
+    per-row constant), ``raw`` otherwise.
+
+    Softmax is monotone, so the argmaxes agree except where two actions'
+    scores tie exactly; there ``argmax`` takes the lower index.
+    """
+    if logits["cc"] is not None:
+        return logits["cc"]
+    if logits["attention"] is not None:
+        return logits["raw"].astype(np.float64) + logits["attention"][:, :, None, :]
+    return logits["raw"]

@@ -15,7 +15,10 @@ labeled sequence at a time by rebuilding its ``TrainingSequence`` and
 ``WeakLabels``, recomputing the straight-line targets with
 ``labels.attention_targets`` on each (T, 2) track.  ``float64_model``
 widens a model to float64 for the tests whose tolerances are set for
-float64 arithmetic.
+float64 arithmetic.  ``oracle_infer`` and ``oracle_evaluate`` are
+inference and teacher-forced evaluation by the probability route: float64
+softmaxes of every head, argmaxes taken on the probabilities.
+``shorten`` cuts a labeled sequence to its first steps.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 
 import numpy as np
 
+from hoopnet.bench import EvalMetrics
 from hoopnet.court import CourtSpec
 from hoopnet.data import TrainingSequence, agent_positions
 from numpy.lib.stride_tricks import as_strided
@@ -37,11 +41,14 @@ from hoopnet.engine.tensor import (
     concat,
     matmul,
     mul,
+    no_grad,
     relu,
+    softmax_array,
 )
 from hoopnet.labels import WeakLabels, attention_targets
+from hoopnet.model import Variant, batch_major
 from hoopnet.rollout import RolloutResult
-from hoopnet.train import LabeledSequence
+from hoopnet.train import LabeledSequence, assemble
 from hoopnet.util import rng_for
 
 
@@ -514,3 +521,105 @@ def float64_model(model):
     runs in float64; returns the model."""
     model.cast(np.float64)
     return model
+
+
+def shorten(item: LabeledSequence, steps: int) -> LabeledSequence:
+    """``item`` cut to its first ``steps`` steps, labels included."""
+    seq = item.sequence
+    raw = steps * (len(seq.raw_frame_positions) // seq.steps)
+    seq_s = TrainingSequence(
+        seq.possession_id, seq.focal_agent, seq.t0,
+        seq.raw_positions[:steps], seq.raw_frame_positions[:raw],
+        seq.ball_positions[:steps], seq.teammate_positions[:steps],
+        seq.opponent_positions[:steps],
+    )
+    lab = item.labels
+    lab_s = WeakLabels(lab.micro[:steps], lab.micro_padded[:steps], lab.macro[:steps],
+                       lab.macro_target_xy[:steps], lab.attention[:steps],
+                       lab.attention_magnitudes[:steps])
+    return LabeledSequence(seq_s, lab_s)
+
+
+def oracle_infer(model, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
+    """``HPNModel.infer`` by the probability route: each head's logits
+    widened to float64 and softmaxed time-major, one look-ahead head at a
+    time, then stacked batch-major; ``p_combined`` the product of
+    ``p_raw`` and ``attention`` for attention variants; every output
+    checked for finiteness."""
+    with no_grad():
+        outs, memory = model.run(inputs, memory, training=False)
+    n = memory["_batch"]
+
+    def probs(logits: Tensor) -> np.ndarray:
+        return batch_major(softmax_array(logits.data.astype(np.float64)), n)
+
+    p_raw = np.stack([probs(t) for t in outs["raw_logits"]], axis=2)
+    result = {"p_raw": p_raw, "p_macro": None, "attention": None}
+    if "macro_logits" in outs:
+        result["p_macro"] = probs(outs["macro_logits"])
+    if "attention_logits" in outs:
+        result["attention"] = probs(outs["attention_logits"])
+    if model.variant is Variant.H_CC:
+        result["p_combined"] = np.stack([probs(t) for t in outs["cc_logits"]], axis=2)
+    elif model.has_attention:
+        result["p_combined"] = p_raw * result["attention"][:, :, None, :]
+    else:
+        result["p_combined"] = p_raw
+    for key in ("p_raw", "p_macro", "attention", "p_combined"):
+        v = result[key]
+        if v is not None and not np.isfinite(v).all():
+            raise FloatingPointError(f"non-finite values in {key}")
+    return result, memory
+
+
+def oracle_evaluate(model, data: list[LabeledSequence], spec: CourtSpec, batch_size: int = 32,
+                    burn_in: int = 20) -> EvalMetrics:
+    """``bench.evaluate`` by the probability route: argmaxes of
+    ``oracle_infer``'s probabilities, and the TV monitor between head 0's
+    ``p_raw`` and ``attention``."""
+    lookahead = spec.lookahead_steps
+    correct = np.zeros(lookahead, dtype=np.int64)
+    counted = np.zeros(lookahead, dtype=np.int64)
+    macro_correct = macro_counted = 0
+    late_correct = late_counted = 0
+    att_correct = att_counted = 0
+    tv_sum = 0.0
+    tv_n = 0
+    saw_macro = saw_attention = False
+
+    for start in range(0, len(data), batch_size):
+        chunk = data[start:start + batch_size]
+        arrays = assemble(chunk, spec)
+        n, t_steps = arrays["inputs"].shape[:2]
+        outs = oracle_infer(model, arrays["inputs"], model.reset_memory(n))[0]
+        pred = outs["p_combined"].argmax(axis=-1)       # (n, t, lookahead)
+        valid = ~arrays["micro_padded"]
+        hits = (pred == arrays["micro"]) & valid
+        correct += hits.sum(axis=(0, 1))
+        counted += valid.sum(axis=(0, 1))
+        if outs.get("p_macro") is not None:
+            saw_macro = True
+            mp = outs["p_macro"].argmax(axis=-1)        # (n, t)
+            eq = mp == arrays["macro"]
+            macro_correct += int(eq.sum())
+            macro_counted += n * t_steps
+            late_correct += int(eq[:, burn_in:].sum())
+            late_counted += n * max(t_steps - burn_in, 0)
+        if outs.get("attention") is not None:
+            saw_attention = True
+            ap = outs["attention"].argmax(axis=-1)
+            att_correct += int((ap == arrays["attention"]).sum())
+            att_counted += n * t_steps
+            tv_sum += float(
+                0.5 * np.abs(outs["p_raw"][:, :, 0, :] - outs["attention"]).sum(axis=-1).sum()
+            )
+            tv_n += n * t_steps
+    return EvalMetrics(
+        acc_delta=tuple(correct / np.maximum(counted, 1)),
+        n_delta=tuple(int(c) for c in counted),
+        macro_acc=(macro_correct / macro_counted) if saw_macro and macro_counted else None,
+        macro_acc_excl_burnin=(late_correct / late_counted) if saw_macro and late_counted else None,
+        attention_acc=(att_correct / att_counted) if saw_attention and att_counted else None,
+        tv_monitor=(tv_sum / tv_n) if tv_n else None,
+        n_sequences=len(data),
+    )

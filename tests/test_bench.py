@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hoopnet import bench as bench_mod
+from hoopnet import model as model_mod
 from hoopnet.bench import (
     BenchmarkRow,
     benchmark,
@@ -22,8 +24,10 @@ from hoopnet.render import (
     render_rollouts,
 )
 from hoopnet.rollout import RolloutConfig, batch_rollout
-from hoopnet.train import LabeledSequence
+from hoopnet.train import LabeledSequence, TrainConfig, assemble, run_stage, stage_schedule
 from hoopnet.util import rng_for
+
+from _oracles import oracle_evaluate, oracle_infer, shorten
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -44,7 +48,8 @@ DATA = labeled_data()
 
 
 class _OraclePolicy:
-    """Replays the weak labels as one-hot predictions."""
+    """Replays the weak labels as one-hot scores.  The attention scores
+    are half height, so the combined argmax stays the micro label."""
 
     def __init__(self, data, spec, with_macro=True, with_attention=True):
         self.data = data
@@ -53,25 +58,25 @@ class _OraclePolicy:
         self.with_macro = with_macro
         self.with_attention = with_attention
 
-    def eval_sequence(self, inputs):
+    def eval_logits(self, inputs):
         n, t_steps = inputs.shape[:2]
         chunk = self.data[self.cursor:self.cursor + n]
         self.cursor += n
         k, a, g = self.spec.lookahead_steps, self.spec.n_actions, self.spec.n_macro_boxes
-        p_raw = np.zeros((n, t_steps, k, a))
-        p_macro = np.zeros((n, t_steps, g))
+        raw = np.zeros((n, t_steps, k, a))
+        macro = np.zeros((n, t_steps, g))
         attention = np.zeros((n, t_steps, a))
         for i, item in enumerate(chunk):
             for t in range(t_steps):
                 for kk in range(k):
-                    p_raw[i, t, kk, item.labels.micro[t, kk]] = 1.0
-                p_macro[i, t, item.labels.macro[t]] = 1.0
-                attention[i, t, item.labels.attention[t]] = 1.0
+                    raw[i, t, kk, item.labels.micro[t, kk]] = 1.0
+                macro[i, t, item.labels.macro[t]] = 1.0
+                attention[i, t, item.labels.attention[t]] = 0.5
         return {
-            "p_raw": p_raw,
-            "p_macro": p_macro if self.with_macro else None,
+            "raw": raw,
+            "macro": macro if self.with_macro else None,
             "attention": attention if self.with_attention else None,
-            "p_combined": p_raw,
+            "cc": None,
         }
 
 
@@ -82,11 +87,11 @@ class _ConstantClassPolicy:
         self.spec = spec
         self.index = index
 
-    def eval_sequence(self, inputs):
+    def eval_logits(self, inputs):
         n, t_steps = inputs.shape[:2]
-        p = np.zeros((n, t_steps, self.spec.lookahead_steps, self.spec.n_actions))
-        p[..., self.index] = 1.0
-        return {"p_raw": p, "p_macro": None, "attention": None, "p_combined": p}
+        raw = np.zeros((n, t_steps, self.spec.lookahead_steps, self.spec.n_actions))
+        raw[..., self.index] = 1.0
+        return {"raw": raw, "macro": None, "attention": None, "cc": None}
 
 
 class _RandomMacroPolicy:
@@ -96,12 +101,12 @@ class _RandomMacroPolicy:
         self.spec = spec
         self.rng = np.random.default_rng(seed)
 
-    def eval_sequence(self, inputs):
+    def eval_logits(self, inputs):
         n, t_steps = inputs.shape[:2]
-        p = np.zeros((n, t_steps, self.spec.lookahead_steps, self.spec.n_actions))
-        p[..., 0] = 1.0
-        p_macro = self.rng.random((n, t_steps, self.spec.n_macro_boxes))
-        return {"p_raw": p, "p_macro": p_macro, "attention": None, "p_combined": p}
+        raw = np.zeros((n, t_steps, self.spec.lookahead_steps, self.spec.n_actions))
+        raw[..., 0] = 1.0
+        macro = self.rng.random((n, t_steps, self.spec.n_macro_boxes))
+        return {"raw": raw, "macro": macro, "attention": None, "cc": None}
 
 
 def test_oracle_policy_scores_one():
@@ -183,9 +188,9 @@ def test_benchmark_deterministic_and_matches_per_op_calls():
 class _EarlyMacroPolicy(_OraclePolicy):
     """The oracle with every goal-box prediction from step 15 on wrong."""
 
-    def eval_sequence(self, inputs):
-        outs = super().eval_sequence(inputs)
-        outs["p_macro"][:, 15:] = np.roll(outs["p_macro"][:, 15:], 1, axis=-1)
+    def eval_logits(self, inputs):
+        outs = super().eval_logits(inputs)
+        outs["macro"][:, 15:] = np.roll(outs["macro"][:, 15:], 1, axis=-1)
         return outs
 
 
@@ -262,6 +267,102 @@ def _rollouts(horizon=10, seed=17):
     seqs = [item.sequence for item in DATA[:2]]
     cfg = RolloutConfig(burn_in_steps=20, horizon_steps=horizon)
     return batch_rollout(model, seqs, cfg, SPEC), seqs
+
+
+# evaluation on logits against the probability route it replaced
+
+
+@pytest.fixture(scope="module")
+def models():
+    """Every variant at random init (False) and after one epoch of each of
+    its training stages, two batches each (True)."""
+    cfg = TrainConfig(batch_size=4, epochs_pretrain=1, epochs_finetune=1, lr_finetune=1e-3)
+    out = {}
+    for variant in Variant:
+        out[variant, False] = HPNModel(SPEC, ARCH, variant, 3)
+        trained = HPNModel(SPEC, ARCH, variant, 3)
+        for stage in stage_schedule(variant):
+            run_stage(trained, DATA[:8], [], stage, cfg, SPEC, seed=4)
+        out[variant, True] = trained
+    return out
+
+
+SHAPES = pytest.mark.parametrize("n,t_steps", [(1, 1), (1, 7), (3, 1), (3, 7)])
+STATES = pytest.mark.parametrize("trained", [False, True])
+VARIANTS = pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+
+
+@SHAPES
+@STATES
+@VARIANTS
+def test_infer_matches_probability_oracle(models, variant, trained, n, t_steps):
+    m = models[variant, trained]
+    inputs = assemble([shorten(it, t_steps) for it in DATA[:n]], SPEC)["inputs"]
+    got_mem, want_mem = m.reset_memory(n), m.reset_memory(n)
+    for _ in range(2):  # from fresh memory, then from the memory it returned
+        got, got_mem = m.infer(inputs, got_mem)
+        want, want_mem = oracle_infer(m, inputs, want_mem)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if value is None:
+                assert got[key] is None, key
+            else:
+                assert got[key].dtype == np.float64
+                np.testing.assert_array_equal(got[key], value, err_msg=key)
+        assert got_mem.keys() == want_mem.keys()
+        for key in ("micro", "macro"):
+            if key in want_mem:
+                np.testing.assert_array_equal(got_mem[key], want_mem[key])
+
+
+@SHAPES
+@STATES
+@VARIANTS
+def test_evaluate_matches_probability_oracle(models, variant, trained, n, t_steps):
+    # every field equal, tv_monitor bit for bit; n = 3 runs two chunks
+    m = models[variant, trained]
+    data = [shorten(it, t_steps) for it in DATA[:n]]
+    want = oracle_evaluate(m, data, SPEC, batch_size=2, burn_in=3)
+    assert evaluate(m, data, SPEC, batch_size=2, burn_in=3) == want
+    assert (want.tv_monitor is not None) == m.has_attention
+
+
+@VARIANTS
+def test_evaluate_softmaxes_only_head_zero_and_attention(monkeypatch, variant):
+    # no full probability arrays: per chunk, the TV monitor's two
+    # softmaxes for attention variants and none otherwise
+    calls = {"bench": 0, "model": 0}
+
+    def counting(module, where):
+        real = module.softmax_array
+
+        def count(x):
+            calls[where] += 1
+            return real(x)
+
+        monkeypatch.setattr(module, "softmax_array", count)
+
+    counting(bench_mod, "bench")
+    counting(model_mod, "model")
+    m = HPNModel(SPEC, ARCH, variant, 1)
+    evaluate(m, DATA[:6], SPEC, batch_size=3)  # two chunks
+    assert calls == {"bench": 2 * 2 if m.has_attention else 0, "model": 0}
+
+
+@pytest.mark.parametrize("variant,layer,value,head", [
+    (Variant.CNN, "micro_head0", np.nan, "raw"),
+    (Variant.H_ATT, "macro_head", np.nan, "macro"),
+    (Variant.H_ATT, "transfer_out_layer", np.inf, "attention"),
+    (Variant.H_CC, "combine_head1", np.nan, "cc"),
+])
+def test_non_finite_logit_raises_naming_the_head(variant, layer, value, head):
+    m = HPNModel(SPEC, ARCH, variant, 1)
+    getattr(m, layer).bias.data[5] = value
+    inputs = assemble(DATA[:2], SPEC)["inputs"]
+    with pytest.raises(FloatingPointError, match=f"in the {head} logits"):
+        m.infer(inputs, m.reset_memory(2))
+    with pytest.raises(FloatingPointError, match=f"in the {head} logits"):
+        evaluate(m, DATA[:2], SPEC)
 
 
 def test_render_basic_svg():

@@ -42,6 +42,7 @@ from _oracles import (
     oracle_channelize,
     oracle_pool,
     oracle_spatial_encoder,
+    shorten,
 )
 
 SPEC = CourtSpec()
@@ -305,25 +306,6 @@ def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
     monkeypatch.setattr(SpatialEncoder, "__call__", lambda enc, x, *args: oracle_spatial_encoder(
         enc, x.transpose(0, 3, 1, 2), *args))
     assert tape_size() - fused == 14
-
-
-def shorten(item, steps):
-    from hoopnet.data import TrainingSequence
-    from hoopnet.labels import WeakLabels
-
-    seq = item.sequence
-    raw = steps * SPEC.subsample_stride
-    seq_s = TrainingSequence(
-        seq.possession_id, seq.focal_agent, seq.t0,
-        seq.raw_positions[:steps], seq.raw_frame_positions[:raw],
-        seq.ball_positions[:steps], seq.teammate_positions[:steps],
-        seq.opponent_positions[:steps],
-    )
-    lab = item.labels
-    lab_s = WeakLabels(lab.micro[:steps], lab.micro_padded[:steps], lab.macro[:steps],
-                       lab.macro_target_xy[:steps], lab.attention[:steps],
-                       lab.attention_magnitudes[:steps])
-    return LabeledSequence(seq_s, lab_s)
 
 
 def test_finetune_gradcheck_tiny_model():
