@@ -10,6 +10,7 @@ fields never live in the document: the CLI derives them from its single
 
 from __future__ import annotations
 
+import functools
 import typing
 from dataclasses import dataclass, field, fields, replace
 
@@ -83,6 +84,7 @@ def _coerce(value: str, ftype, where: str):
     raise ConfigError(f"{where}: unsupported config field type {ftype}")
 
 
+@functools.cache
 def _field_types(cls) -> dict[str, type]:
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}

@@ -97,13 +97,13 @@ class CourtSpec:
         positions, clamped to the grid."""
         cols = np.floor(xy[..., 0] / self.micro_cell_ft).astype(np.int64)
         rows = np.floor(xy[..., 1] / self.micro_cell_ft).astype(np.int64)
-        return np.clip(cols, 0, self.micro_cols - 1), np.clip(rows, 0, self.micro_rows - 1)
+        return _clamp(cols, 0, self.micro_cols - 1), _clamp(rows, 0, self.micro_rows - 1)
 
     def boxes_from_positions(self, xy: np.ndarray) -> np.ndarray:
         """Ids of the macro boxes holding an (..., 2) array of positions,
         clamped to the grid; id = col + macro_cols * row."""
-        bc = np.clip(np.floor(xy[..., 0] / self.macro_box_ft).astype(np.int64), 0, self.macro_cols - 1)
-        br = np.clip(np.floor(xy[..., 1] / self.macro_box_ft).astype(np.int64), 0, self.macro_rows - 1)
+        bc = _clamp(np.floor(xy[..., 0] / self.macro_box_ft).astype(np.int64), 0, self.macro_cols - 1)
+        br = _clamp(np.floor(xy[..., 1] / self.macro_box_ft).astype(np.int64), 0, self.macro_rows - 1)
         return bc + self.macro_cols * br
 
     def macro_box_centers(self, box_ids: np.ndarray) -> np.ndarray:
@@ -122,9 +122,14 @@ class CourtSpec:
         index is (dy + R) * (2R + 1) + (dx + R).
         """
         r = self.velocity_radius_cells
-        cx = np.clip(_round_ties_to_zero(dx / self.micro_cell_ft), -r, r)
-        cy = np.clip(_round_ties_to_zero(dy / self.micro_cell_ft), -r, r)
+        cx = _clamp(_round_ties_to_zero(dx / self.micro_cell_ft), -r, r)
+        cy = _clamp(_round_ties_to_zero(dy / self.micro_cell_ft), -r, r)
         return (cy + r) * self.velocity_side + (cx + r)
+
+
+def _clamp(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # np.clip's Python wrapper costs more than the two ufuncs on small arrays
+    return np.minimum(np.maximum(v, lo), hi)
 
 
 def _round_ties_to_zero(v: np.ndarray) -> np.ndarray:

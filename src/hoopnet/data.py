@@ -3,7 +3,8 @@
 The ingest format is JSONL: one possession per line,
 ``{"id": str, "tracks": [{"agent_id": str, "role": ..., "points": [[x, y], ...]}]}``
 with coordinates in feet at an implied 25 Hz.  The synthetic generator
-emits the identical format so both paths share one pipeline.
+emits the identical format so both paths share one pipeline; its agent
+walks are scalar IEEE float arithmetic, one Python float per coordinate.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def possession_to_json(p: Possession) -> str:
             {
                 "agent_id": t.agent_id,
                 "role": t.role,
-                "points": [[float(x), float(y)] for x, y in t.points],
+                "points": t.points.tolist(),
             }
             for t in p.tracks
         ],
@@ -321,66 +322,82 @@ def split(sequences: list, holdout_fraction: float, seed: int):
 # synthetic generation
 
 
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def _walk(
     rng: np.random.Generator, spec: CourtSpec, cfg: SynthConfig, length: int
-) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """One agent's waypoint walk; returns positions and (dwell_start, dwell_end, box) log."""
+) -> tuple[np.ndarray, list[tuple[int, int, int, bool]]]:
+    """One agent's waypoint walk; returns positions and its goal log.
+
+    Each log entry is (dwell_start, dwell_end, box, reached): the frames
+    dwell_start..dwell_end (inclusive) are spent in box.  A possession
+    that ends mid-move logs that move's goal as (length, length - 1, box,
+    False), a dwell of no frames, so every frame has a logged goal: the
+    first entry whose dwell_end is not before it.
+
+    Positions are Python floats, one frame at a time, with math.atan2,
+    cos, sin and sqrt (see synthesize); only the noise is an array draw.
+    """
     margin = min(2.0, spec.width_ft / 10, spec.height_ft / 10)
-    pos = np.array(
-        [rng.uniform(margin, spec.width_ft - margin), rng.uniform(margin, spec.height_ft - margin)]
-    )
+    x_max = spec.width_ft - 1e-9
+    y_max = spec.height_ft - 1e-9
+    box_ft = spec.macro_box_ft
+    x = rng.uniform(margin, spec.width_ft - margin)
+    y = rng.uniform(margin, spec.height_ft - margin)
     heading = rng.uniform(-math.pi, math.pi)
     # relaxation of heading toward the goal bearing; curvature -> inf turns instantly
     alpha = 1.0 - math.exp(-cfg.curvature)
+    pi, tau = math.pi, 2.0 * math.pi
     traj = np.empty((length, 2))
-    dwells: list[tuple[int, int, int]] = []
+    dwells: list[tuple[int, int, int, bool]] = []
     t = 0
     while t < length:
         while True:
             box = int(rng.integers(spec.n_macro_boxes))
-            center = spec.macro_box_centers(box)
             # aim anywhere inside the box, not its center: a single frame
             # must not reveal whether the agent is dwelling there
-            jitter = rng.uniform(-0.5, 0.5, 2) * (spec.macro_box_ft - 1.0)
-            target = center + jitter
-            if np.linalg.norm(target - pos) > spec.macro_box_ft:
+            jx, jy = rng.uniform(-0.5, 0.5, 2).tolist()
+            tx = ((box % spec.macro_cols) + 0.5) * box_ft + jx * (box_ft - 1.0)
+            ty = ((box // spec.macro_cols) + 0.5) * box_ft + jy * (box_ft - 1.0)
+            if math.sqrt((tx - x) * (tx - x) + (ty - y) * (ty - y)) > box_ft:
                 break
         speed = rng.uniform(cfg.speed_min_ft_per_frame, cfg.speed_max_ft_per_frame)
-        while t < length and np.linalg.norm(target - pos) > speed:
-            bearing = math.atan2(target[1] - pos[1], target[0] - pos[0])
-            heading = _wrap_angle(heading + alpha * _wrap_angle(bearing - heading))
-            pos = pos + speed * np.array([math.cos(heading), math.sin(heading)])
-            pos[0] = min(max(pos[0], 0.0), spec.width_ft - 1e-9)
-            pos[1] = min(max(pos[1], 0.0), spec.height_ft - 1e-9)
-            traj[t] = pos
-            t += 1
+        move = []
+        dx, dy = tx - x, ty - y
+        while t + len(move) < length and math.sqrt(dx * dx + dy * dy) > speed:
+            bearing = math.atan2(dy, dx)
+            # angles wrap into [-pi, pi) as (a + pi) % tau - pi, inline for speed
+            turn = (bearing - heading + pi) % tau - pi
+            heading = (heading + alpha * turn + pi) % tau - pi
+            x = min(max(x + speed * math.cos(heading), 0.0), x_max)
+            y = min(max(y + speed * math.sin(heading), 0.0), y_max)
+            move.append((x, y))
+            dx, dy = tx - x, ty - y
+        if move:
+            traj[t:t + len(move)] = move
+            t += len(move)
         if t >= length:
+            dwells.append((length, length - 1, box, False))
             break
-        pos = target.copy()
+        x, y = tx, ty
         heading = rng.uniform(-math.pi, math.pi)
         dwell = int(rng.integers(cfg.dwell_frames_min, cfg.dwell_frames_max + 1))
-        start = t
-        while t < length and dwell > 0:
-            traj[t] = pos
-            t += 1
-            dwell -= 1
-        dwells.append((start, t - 1, box))
+        start, t = t, min(t + dwell, length)
+        traj[start:t] = (x, y)
+        dwells.append((start, t - 1, box, True))
     if cfg.noise_std_ft > 0:
         traj = traj + rng.normal(0.0, cfg.noise_std_ft, traj.shape)
-        np.clip(traj[:, 0], 0.0, spec.width_ft - 1e-9, out=traj[:, 0])
-        np.clip(traj[:, 1], 0.0, spec.height_ft - 1e-9, out=traj[:, 1])
+        np.clip(traj[:, 0], 0.0, x_max, out=traj[:, 0])
+        np.clip(traj[:, 1], 0.0, y_max, out=traj[:, 1])
     return traj, dwells
 
 
-GoalLog = dict[tuple[str, str], list[tuple[int, int, int]]]
+GoalLog = dict[tuple[str, str], list[tuple[int, int, int, bool]]]
 
 
 def synthesize_with_goals(cfg: SynthConfig, spec: CourtSpec) -> tuple[list[Possession], GoalLog]:
-    """Like synthesize() but also returns each agent's ground-truth dwell boxes."""
+    """Like synthesize() but also returns each agent's ground-truth goal
+    log, keyed by (possession id, agent id); see ``_walk`` for its entries.
+    The log is not written anywhere, so it leaves the possessions' bytes
+    alone."""
     cfg.validate(spec)
     possessions = []
     goals: GoalLog = {}
@@ -414,6 +431,11 @@ def synthesize_with_goals(cfg: SynthConfig, spec: CourtSpec) -> tuple[list[Posse
 
 
 def synthesize(cfg: SynthConfig, spec: CourtSpec) -> list[Possession]:
-    """Generate waypoint-process possessions; deterministic in cfg.seed."""
+    """Generate waypoint-process possessions; deterministic in cfg.seed.
+
+    The agents' walks are scalar IEEE float arithmetic, so the bytes of a
+    given seed do not depend on the BLAS build, only on the platform's
+    libm (atan2, cos, sin, exp).
+    """
     possessions, _ = synthesize_with_goals(cfg, spec)
     return possessions

@@ -209,7 +209,7 @@ def labels_to_json(seq: TrainingSequence, lab: WeakLabels) -> str:
         "micro": lab.micro.tolist(),
         "micro_padded": lab.micro_padded.astype(int).tolist(),
         "macro": lab.macro.tolist(),
-        "macro_target_xy": [[float(x), float(y)] for x, y in lab.macro_target_xy],
+        "macro_target_xy": lab.macro_target_xy.tolist(),
         "attention": lab.attention.tolist(),
         "attention_magnitudes": lab.attention_magnitudes.tolist(),
     }

@@ -18,18 +18,23 @@ widens a model to float64 for the tests whose tolerances are set for
 float64 arithmetic.  ``oracle_infer`` and ``oracle_evaluate`` are
 inference and teacher-forced evaluation by the probability route: float64
 softmaxes of every head, argmaxes taken on the probabilities.
-``shorten`` cuts a labeled sequence to its first steps.
+``shorten`` cuts a labeled sequence to its first steps.  ``oracle_walk``
+is the synthetic agent walk on 2-element numpy arrays with
+``np.linalg.norm`` distances, logging (dwell_start, dwell_end, box) for
+finished moves only; ``oracle_possession_to_json`` and
+``oracle_labels_to_json`` serialize with one ``float()`` per coordinate.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from hoopnet.bench import EvalMetrics
 from hoopnet.court import CourtSpec
-from hoopnet.data import TrainingSequence, agent_positions
+from hoopnet.data import Possession, SynthConfig, TrainingSequence, agent_positions
 from numpy.lib.stride_tricks import as_strided
 
 from hoopnet.engine.tensor import (
@@ -623,3 +628,85 @@ def oracle_evaluate(model, data: list[LabeledSequence], spec: CourtSpec, batch_s
         tv_monitor=(tv_sum / tv_n) if tv_n else None,
         n_sequences=len(data),
     )
+
+
+def _wrap_angle(a: float) -> float:
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def oracle_walk(rng: np.random.Generator, spec: CourtSpec, cfg: SynthConfig, length: int):
+    """``data._walk`` frame by frame on numpy 2-vectors; same RNG calls in
+    the same order.  Its log holds (dwell_start, dwell_end, box) of the
+    moves that reached their goal."""
+    margin = min(2.0, spec.width_ft / 10, spec.height_ft / 10)
+    pos = np.array(
+        [rng.uniform(margin, spec.width_ft - margin), rng.uniform(margin, spec.height_ft - margin)]
+    )
+    heading = rng.uniform(-math.pi, math.pi)
+    alpha = 1.0 - math.exp(-cfg.curvature)
+    traj = np.empty((length, 2))
+    dwells = []
+    t = 0
+    while t < length:
+        while True:
+            box = int(rng.integers(spec.n_macro_boxes))
+            center = spec.macro_box_centers(box)
+            jitter = rng.uniform(-0.5, 0.5, 2) * (spec.macro_box_ft - 1.0)
+            target = center + jitter
+            if np.linalg.norm(target - pos) > spec.macro_box_ft:
+                break
+        speed = rng.uniform(cfg.speed_min_ft_per_frame, cfg.speed_max_ft_per_frame)
+        while t < length and np.linalg.norm(target - pos) > speed:
+            bearing = math.atan2(target[1] - pos[1], target[0] - pos[0])
+            heading = _wrap_angle(heading + alpha * _wrap_angle(bearing - heading))
+            pos = pos + speed * np.array([math.cos(heading), math.sin(heading)])
+            pos[0] = min(max(pos[0], 0.0), spec.width_ft - 1e-9)
+            pos[1] = min(max(pos[1], 0.0), spec.height_ft - 1e-9)
+            traj[t] = pos
+            t += 1
+        if t >= length:
+            break
+        pos = target.copy()
+        heading = rng.uniform(-math.pi, math.pi)
+        dwell = int(rng.integers(cfg.dwell_frames_min, cfg.dwell_frames_max + 1))
+        start = t
+        while t < length and dwell > 0:
+            traj[t] = pos
+            t += 1
+            dwell -= 1
+        dwells.append((start, t - 1, box))
+    if cfg.noise_std_ft > 0:
+        traj = traj + rng.normal(0.0, cfg.noise_std_ft, traj.shape)
+        np.clip(traj[:, 0], 0.0, spec.width_ft - 1e-9, out=traj[:, 0])
+        np.clip(traj[:, 1], 0.0, spec.height_ft - 1e-9, out=traj[:, 1])
+    return traj, dwells
+
+
+def oracle_possession_to_json(p: Possession) -> str:
+    obj = {
+        "id": p.id,
+        "tracks": [
+            {
+                "agent_id": t.agent_id,
+                "role": t.role,
+                "points": [[float(x), float(y)] for x, y in t.points],
+            }
+            for t in p.tracks
+        ],
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def oracle_labels_to_json(seq: TrainingSequence, lab: WeakLabels) -> str:
+    obj = {
+        "possession_id": seq.possession_id,
+        "focal_agent": seq.focal_agent,
+        "t0": seq.t0,
+        "micro": lab.micro.tolist(),
+        "micro_padded": lab.micro_padded.astype(int).tolist(),
+        "macro": lab.macro.tolist(),
+        "macro_target_xy": [[float(x), float(y)] for x, y in lab.macro_target_xy],
+        "attention": lab.attention.tolist(),
+        "attention_magnitudes": lab.attention_magnitudes.tolist(),
+    }
+    return json.dumps(obj, separators=(",", ":"))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoopnet.court import CourtSpec
+from hoopnet.court import CourtSpec, _round_ties_to_zero
 
 from _oracles import (
     action_index_of,
@@ -155,6 +155,43 @@ def test_vectorized_action_indices():
     assert idx.tolist() == [action_index_of(PAPER, a, b) for a, b in zip(dx, dy)]
     back = displacements_from_action_indices(PAPER, idx)
     assert back[1].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("spec", [DESK, PAPER], ids=["desk", "paper"])
+def test_converters_equal_their_clip_form(spec):
+    # on-court points, points up to a court's size off every edge, and
+    # displacements past the velocity radius with exact half-cell ties
+    rng = np.random.default_rng(23)
+    extent = np.array([spec.width_ft, spec.height_ft])
+    xy = np.concatenate([
+        rng.uniform(0.0, extent, (400, 2)),
+        rng.uniform(-extent, 2.0 * extent, (400, 2)),
+    ]).reshape(20, 40, 2)
+    cols, rows = spec.cells_from_positions(xy)
+    cell = np.floor(xy / spec.micro_cell_ft).astype(np.int64)
+    np.testing.assert_array_equal(cols, np.clip(cell[..., 0], 0, spec.micro_cols - 1))
+    np.testing.assert_array_equal(rows, np.clip(cell[..., 1], 0, spec.micro_rows - 1))
+    box = np.floor(xy / spec.macro_box_ft).astype(np.int64)
+    expect = np.clip(box[..., 0], 0, spec.macro_cols - 1) + spec.macro_cols * np.clip(
+        box[..., 1], 0, spec.macro_rows - 1
+    )
+    boxes = spec.boxes_from_positions(xy)
+    np.testing.assert_array_equal(boxes, expect)
+    r = spec.velocity_radius_cells
+    reach = 2 * r * spec.micro_cell_ft
+    dx, dy = np.concatenate([
+        rng.uniform(-reach, reach, (2, 600)),
+        (rng.integers(-4 * r, 4 * r + 1, (2, 200)) + 0.5) * spec.micro_cell_ft,
+    ], axis=1)
+    actions = spec.actions_from_displacements(dx, dy)
+    cx = np.clip(_round_ties_to_zero(dx / spec.micro_cell_ft), -r, r)
+    cy = np.clip(_round_ties_to_zero(dy / spec.micro_cell_ft), -r, r)
+    np.testing.assert_array_equal(actions, (cy + r) * spec.velocity_side + (cx + r))
+    for a in (cols, rows, boxes, actions):
+        assert a.dtype == np.int64
+    # the off-court draws do reach every clamp
+    assert cols.min() == 0 and cols.max() == spec.micro_cols - 1
+    assert np.abs(cx).max() == r
 
 
 def test_config_document_round_trip():

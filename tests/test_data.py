@@ -1,11 +1,17 @@
 import json
 import math
+from bisect import bisect_left
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hoopnet import data as data_mod
+from hoopnet.config import load_run_config
 from hoopnet.court import CourtSpec
 from hoopnet.data import (
+    SEQUENCE_STEPS,
     Possession,
     RawTrack,
     SynthConfig,
@@ -18,9 +24,16 @@ from hoopnet.data import (
     window,
 )
 from hoopnet.errors import DataError
+from hoopnet.labels import label_sequence, labels_to_json
 from hoopnet.util import rng_for
 
-from _oracles import cell_of, oracle_channelize
+from _oracles import (
+    cell_of,
+    oracle_channelize,
+    oracle_labels_to_json,
+    oracle_possession_to_json,
+    oracle_walk,
+)
 
 SPEC = CourtSpec()
 
@@ -226,15 +239,111 @@ def test_synthesize_straight_line_limit():
             continue
         dwells = goals[(p.id, track.agent_id)]
         prev_end = 0
-        for start, end, box in dwells:
+        for start, end, box, reached in dwells:
             leg = track.points[prev_end:start + 1]
             if len(leg) >= 3:
                 v = np.diff(leg, axis=0)
                 v = v / np.linalg.norm(v, axis=1, keepdims=True)
                 # all unit headings in the leg agree (straight line)
                 assert np.allclose(v, v[0], atol=1e-9)
+            if not reached:  # the possession ended on this leg
+                continue
             # the dwell point lies inside the goal box (not necessarily at
             # its center: dwell spots are jittered within the box)
             assert SPEC.boxes_from_positions(track.points[end][None])[0] == box
             np.testing.assert_array_equal(track.points[start], track.points[end])
             prev_end = end + 1
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _run_config(name: str, **synth):
+    cfg = load_run_config((REPO / "configs" / f"{name}.cfg").read_text())
+    return replace(cfg, synth=replace(cfg.synth, **synth))
+
+
+SYNTH_CASES = {
+    "desk": dict(name="desk", n_possessions=3),
+    "quick": dict(name="quick"),
+    "straight": dict(name="desk", n_possessions=3, curvature=1e9, noise_std_ft=0.0),
+}
+
+
+def _label_rows(cfg, possessions, seed, to_json):
+    labels_cfg = replace(cfg.labels, seed=seed)
+    rows = []
+    for p in possessions:
+        rng = rng_for(seed, "window", p.id)
+        for seq in window(p, cfg.court, rng, cfg.data.windows_per_player):
+            rows.append(to_json(seq, label_sequence(seq, cfg.court, labels_cfg)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2026])
+@pytest.mark.parametrize("case", sorted(SYNTH_CASES))
+def test_synthesis_and_writers_match_numpy_oracles(case, seed, monkeypatch):
+    # the scalar walk and the .tolist() writers give the bytes of the
+    # per-frame numpy walk and the per-coordinate float() writers
+    cfg = _run_config(**SYNTH_CASES[case], seed=seed)
+    possessions, goals = synthesize_with_goals(cfg.synth, cfg.court)
+    with monkeypatch.context() as m:
+        m.setattr(data_mod, "_walk", oracle_walk)
+        expected, expected_goals = synthesize_with_goals(cfg.synth, cfg.court)
+    assert [possession_to_json(p) for p in possessions] == [
+        oracle_possession_to_json(p) for p in expected
+    ]
+    assert _label_rows(cfg, possessions, seed, labels_to_json) == _label_rows(
+        cfg, expected, seed, oracle_labels_to_json
+    )
+    # the reached goals are the oracle's log; only a final move may be unfinished
+    assert goals.keys() == expected_goals.keys()
+    for key, log in goals.items():
+        assert [entry[:3] for entry in log if entry[3]] == expected_goals[key]
+        assert all(reached for *_, reached in log[:-1])
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_every_window_step_has_a_logged_goal(seed):
+    cfg = _run_config("desk", n_possessions=6, seed=seed)
+    possessions, goals = synthesize_with_goals(cfg.synth, cfg.court)
+    raw_len = SEQUENCE_STEPS * cfg.court.subsample_stride
+    unfinished = 0
+    steps = 0
+    for p in possessions:
+        for seq in window(p, cfg.court, rng_for(seed, "window", p.id), cfg.data.windows_per_player):
+            log = goals[(p.id, seq.focal_agent)]
+            ends = [end for _, end, _, _ in log]
+            assert ends == sorted(ends) and ends[-1] == p.length_frames - 1
+            focal = seq.raw_frame_positions
+            for k in range(0, raw_len, cfg.court.subsample_stride):
+                t = seq.t0 + k
+                i = bisect_left(ends, t)  # the goal the agent is at or heading to
+                assert i < len(log), (p.id, seq.focal_agent, t)
+                start, _, box, reached = log[i]
+                unfinished += not reached
+                steps += 1
+                if start <= t:  # dwelling: the agent stands in its goal box
+                    assert cfg.court.boxes_from_positions(focal[k]) == box
+    # the unfinished final moves are a real share of the steps
+    assert steps >= 3000 and unfinished > steps // 10
+
+
+def test_synthesis_norm_calls_do_not_grow_with_length(monkeypatch):
+    # the walk must not return to a numpy distance per frame
+    calls = []
+    norm = np.linalg.norm
+
+    def counting_norm(*args, **kwargs):
+        calls.append(None)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    counts = {}
+    for stride in (1, 6):  # 50-300 raw frames per possession, then 300
+        calls.clear()
+        possessions = synthesize(SynthConfig(n_possessions=4, seed=3), CourtSpec(subsample_stride=stride))
+        counts[sum(p.length_frames for p in possessions)] = len(calls)
+    (short, short_calls), (long, long_calls) = sorted(counts.items())
+    assert long >= 1.5 * short
+    assert long_calls == short_calls

@@ -258,7 +258,9 @@ def test_macro_recovers_generator_waypoints():
             # if that stretch overlaps the window by >= min_segment_steps
             expected = []
             prev_mid = None
-            for start, end, box in dwells:
+            for start, end, box, reached in dwells:
+                if not reached:  # the possession ended on the way there
+                    continue
                 mid = (start + end) // 2
                 seg_start = w0 if prev_mid is None else max(prev_mid, w0)
                 if min(mid, w1) - seg_start >= margin and mid < w1 and (
