@@ -71,10 +71,11 @@ def evaluate(
     stub policies can too.
 
     Predictions are argmaxes of the logits (``model.combined_scores`` for
-    the look-ahead heads), so they equal the argmaxes of ``infer``'s
-    probabilities except where two scores tie exactly; there the lower
-    index wins.  Only the TV monitor needs probabilities: the float64
-    softmaxes of head 0 and of the attention logits.
+    the look-ahead heads), as rollouts' argmax-mode choices are, so they
+    equal the argmaxes of the heads' probabilities except where two
+    scores tie exactly; there the lower index wins.  Only the TV monitor
+    needs probabilities: the float64 softmaxes of head 0 and of the
+    attention logits.
     """
     if not data:
         raise DataError("cannot evaluate on an empty holdout")

@@ -14,7 +14,6 @@ dtype.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Parameter, Tensor, _grad_enabled, _node, add, matmul
 
@@ -116,11 +115,13 @@ ROW_BLOCK = 64
 
 def _im2col(xp: np.ndarray, stride: int, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
     """The (n*oh*ow, kh*kw*C) patch matrix of zero-padded channels-last
-    (n, H, W, C) rows, one row per output position."""
+    (n, H, W, C) rows, one row per output position, copied out of a
+    strided view straight over the C-contiguous buffer of ``xp``."""
     n, _, _, c = xp.shape
     sn, sh, sw, sc = xp.strides
-    return as_strided(xp, (n, oh, ow, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc),
-                      writeable=False).reshape(n * oh * ow, kh * kw * c)
+    view = np.ndarray((n, oh, ow, kh, kw, c), xp.dtype, xp, 0,
+                      (sn, sh * stride, sw * stride, sh, sw, sc))
+    return view.reshape(n * oh * ow, kh * kw * c)
 
 
 def _col_blocks(xp: np.ndarray, stride: int, kh: int, kw: int, oh: int, ow: int):

@@ -23,17 +23,17 @@ GRU cells step through time, each inside one engine op
 encoder is one engine op too (``engine.nn.spatial_encoder``, one tape
 node per call).  Training losses, teacher-forced evaluation
 (``eval_logits``: ``bench.evaluate`` takes argmaxes of the logits) and
-rollouts (``infer``, the logits' float64 softmaxes, on all N rollout
-sequences: the whole burn-in in one call, then T = 1 per horizon step)
-all go through it.
+rollouts (``logits`` on all N rollout sequences: the whole burn-in in
+one call, then T = 1 per horizon step; ``rollout.choose_step`` picks on
+``combined_scores``) all go through it.
 
 Models compute in ``COMPUTE_DTYPE``, float32: the glorot initialisation
 is drawn in float64 and rounded once at construction, and the pooled
 input, the recurrent memory and the training noise follow the
 parameters' dtype.  Scale-setting reductions (batch-norm statistics, the
-loss sums) accumulate in float64, and ``infer`` returns float64
-probabilities.  Checkpoints store float64, so a float32 model's save and
-load round trip is exact.
+loss sums) accumulate in float64, and so do ``combined_scores`` and
+every probability computed from the logits.  Checkpoints store float64,
+so a float32 model's save and load round trip is exact.
 """
 
 from __future__ import annotations
@@ -423,19 +423,16 @@ class HPNModel(Module):
         """Teacher-forced ``logits`` over (N, T, ...) from fresh memory."""
         return self.logits(inputs, self.reset_memory(len(inputs)))[0]
 
-    def infer(self, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
-        """Inference over (N, T, ...) from ``memory``; returns float64
-        probability arrays shaped (N, T, ...), each the softmax of a head's
-        ``logits`` widened to float64, and the memory after step T.
-
-        ``p_raw`` and ``p_combined`` are (N, T, lookahead, n_actions),
-        ``p_macro`` (N, T, n_boxes) and ``attention`` (N, T, n_actions),
-        None where the variant lacks the head.  ``p_combined`` is the
-        combine heads' softmax for h_cc, ``p_raw`` masked by ``attention``
-        for attention variants and ``p_raw`` otherwise; ``combined_scores``
-        ranks actions as it does.
-        """
-        logits, memory = self.logits(inputs, memory)
+    def eval_sequence(self, inputs: np.ndarray) -> dict:
+        """Teacher-forced probabilities over (N, T, ...) from fresh memory,
+        each the softmax of an ``eval_logits`` head widened to float64:
+        ``p_raw``, ``p_macro``, ``attention`` (None where the variant lacks
+        the head) and ``p_combined``, the combine heads' softmax for h_cc,
+        ``p_raw`` masked by ``attention`` for attention variants and
+        ``p_raw`` otherwise.  The package chooses on logits and never needs
+        these; the benchmark's checkpoint and probability checks
+        (``perfbench/workloads.py``) still call it."""
+        logits = self.eval_logits(inputs)
 
         def probs(key: str) -> np.ndarray | None:
             value = logits[key]
@@ -448,27 +445,21 @@ class HPNModel(Module):
             p_combined = p_raw * attention[:, :, None, :]
         else:
             p_combined = p_raw
-        result = {"p_raw": p_raw, "p_macro": probs("macro"), "attention": attention,
-                  "p_combined": p_combined}
-        return result, memory
-
-    def eval_sequence(self, inputs: np.ndarray) -> dict:
-        """Teacher-forced inference over (N, T, ...) from fresh memory."""
-        return self.infer(inputs, self.reset_memory(len(inputs)))[0]
+        return {"p_raw": p_raw, "p_macro": probs("macro"), "attention": attention,
+                "p_combined": p_combined}
 
 
 def combined_scores(logits: dict) -> np.ndarray:
     """(N, T, lookahead, n_actions) scores from ``HPNModel.logits`` whose
-    argmax over the last axis is that of ``infer``'s ``p_combined``: the
-    ``cc`` logits for h_cc, ``raw`` plus ``attention`` widened to float64
-    for attention variants (the log of the masked product, up to a
-    per-row constant), ``raw`` otherwise.
-
-    Softmax is monotone, so the argmaxes agree except where two actions'
-    scores tie exactly; there ``argmax`` takes the lower index.
+    softmax is the combined policy: the ``cc`` logits for h_cc, ``raw``
+    plus ``attention`` summed in float64 for attention variants (the raw
+    softmax masked by the attention softmax, renormalised, up to
+    rounding), ``raw`` otherwise.  Softmax is monotone, so the argmaxes
+    agree with the probabilities' except where two actions' scores tie
+    exactly; there ``argmax`` takes the lower index.
     """
     if logits["cc"] is not None:
         return logits["cc"]
     if logits["attention"] is not None:
-        return logits["raw"].astype(np.float64) + logits["attention"][:, :, None, :]
+        return np.add(logits["raw"], logits["attention"][:, :, None, :], dtype=np.float64)
     return logits["raw"]

@@ -8,11 +8,12 @@ freezes once that runs out.
 
 ``batch_rollout`` steps N sequences together as one recurrence.  The
 burn-in replays ground truth, so it is one teacher-forced
-``HPNModel.infer`` call on the (N, burn_in, 11, 2) prefix; each horizon
+``HPNModel.logits`` call on the (N, burn_in, 11, 2) prefix; each horizon
 step depends on the choices before it and is one call on an
 (N, 1, 11, 2) batch.  ``choose_step`` takes the choices of every step
-of a call for all N over arrays.  Each sequence draws from its own RNG,
-so a rollout does not depend on the other sequences in its batch.
+of a call for all N over arrays, on the logits: no probability array is
+built in argmax mode.  Each sequence draws from its own RNG, so a
+rollout does not depend on the other sequences in its batch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from .court import CourtSpec
 from .data import SEQUENCE_STEPS, TrainingSequence, agent_positions
 from .errors import ConfigError
-from .model import HPNModel
+from .engine.tensor import softmax_array
+from .model import HPNModel, combined_scores
 from .util import atomic_open, rng_for
 
 
@@ -59,7 +61,6 @@ class RolloutResult:
     actions: np.ndarray          # (burn_in + horizon, lookahead) flattened indices
     attention_argmax: np.ndarray # (burn_in + horizon,), -1 when no attention
     clamp_events: int
-    zero_mass_fallbacks: int
 
     @property
     def macro_switches(self) -> int:
@@ -71,43 +72,43 @@ class RolloutResult:
 
 
 def choose_step(
-    outs: dict, mode: str, rngs: list[np.random.Generator] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    logits: dict, mode: str, rngs: list[np.random.Generator] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rollout's choices at T steps for N sequences.
 
-    ``outs`` holds ``infer`` outputs: ``p_combined`` and ``p_raw``
-    (N, T, lookahead, n_actions), ``p_macro`` (N, T, n_boxes) and
+    ``logits`` holds ``HPNModel.logits`` output: ``raw`` and ``cc``
+    (N, T, lookahead, n_actions), ``macro`` (N, T, n_boxes) and
     ``attention`` (N, T, n_actions), each None when the variant lacks it.
-    A ``p_combined`` row with no mass falls back to its ``p_raw`` row.
-    argmax mode breaks ties to the lowest index; sample mode draws
-    sequence i's heads step by step and in order from ``rngs[i]``, each
-    from its row normalised to one.
+    Each look-ahead head chooses on ``model.combined_scores``: argmax mode
+    takes its argmax, the lowest index on ties; sample mode draws from its
+    float64 softmax, sequence i's heads step by step and in order from
+    ``rngs[i]``.  Logits always give a distribution with mass, however
+    extreme they are.
 
-    Returns (N, T, lookahead) flattened action indices, the (N, T) number
-    of heads that fell back, and the (N, T) argmax of ``p_macro`` and of
-    ``attention`` (-1 without that head).
+    Returns (N, T, lookahead) flattened action indices and the (N, T)
+    argmax of the ``macro`` and of the ``attention`` logits (-1 without
+    that head).
     """
-    fell_back = outs["p_combined"].sum(axis=-1) <= 0.0
-    scores = np.where(fell_back[..., None], outs["p_raw"], outs["p_combined"])
+    scores = combined_scores(logits)
     if mode == "argmax":
         actions = scores.argmax(axis=-1)
     elif mode == "sample":
         if rngs is None or len(rngs) != len(scores):
             raise ValueError("sample mode needs one RNG per sequence")
-        # Generator.choice(len(row), p=row / row.sum()) head by head, over
-        # arrays: the same cumulative sums and the same uniform draws
+        # Generator.choice(len(p), p=p) head by head, over arrays: the same
+        # cumulative sums and the same uniform draws
         draws = np.stack([rng.random(scores.shape[1:3]) for rng in rngs])
-        cdf = (scores / scores.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
+        cdf = softmax_array(scores.astype(np.float64, copy=False)).cumsum(axis=-1)
         cdf /= cdf[..., -1:]
         actions = (cdf <= draws[..., None]).sum(axis=-1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     macro, attention = (
-        np.full(scores.shape[:2], -1, dtype=np.int64) if outs[key] is None
-        else outs[key].argmax(axis=-1)
-        for key in ("p_macro", "attention")
+        np.full(scores.shape[:2], -1, dtype=np.int64) if logits[key] is None
+        else logits[key].argmax(axis=-1)
+        for key in ("macro", "attention")
     )
-    return actions, fell_back.sum(axis=-1), macro, attention
+    return actions, macro, attention
 
 
 def batch_rollout(
@@ -140,7 +141,6 @@ def batch_rollout(
     actions = np.empty((n, total, spec.lookahead_steps), dtype=np.int64)
     att_argmax = np.empty((n, total), dtype=np.int64)
     clamps = np.zeros(n, dtype=np.int64)
-    fallbacks = np.zeros(n, dtype=np.int64)
     upper = np.array([spec.width_ft, spec.height_ft]) - 1e-9  # just inside the far edges
     r, side = spec.velocity_radius_cells, spec.velocity_side
     memory = model.reset_memory(n)
@@ -157,11 +157,10 @@ def batch_rollout(
             clamps += (path[:, t] != target).any(axis=1)
             agents[:, t, 1] = path[:, t]
         steps = slice(t, stop)
-        out, memory = model.infer(agents[:, steps], memory)
-        actions[:, steps], fell_back, macro_goals[:, steps], att_argmax[:, steps] = choose_step(
-            out, config.mode, rngs
+        logits, memory = model.logits(agents[:, steps], memory)
+        actions[:, steps], macro_goals[:, steps], att_argmax[:, steps] = choose_step(
+            logits, config.mode, rngs
         )
-        fallbacks += fell_back.sum(axis=1)
     return [
         RolloutResult(
             possession_id=s.possession_id,
@@ -175,7 +174,6 @@ def batch_rollout(
             actions=actions[i],
             attention_argmax=att_argmax[i],
             clamp_events=int(clamps[i]),
-            zero_mass_fallbacks=int(fallbacks[i]),
         )
         for i, s in enumerate(sequences)
     ]
@@ -194,7 +192,6 @@ def rollout_to_json(r: RolloutResult) -> str:
         "actions": r.actions.tolist(),
         "attention_argmax": r.attention_argmax.tolist(),
         "clamp_events": r.clamp_events,
-        "zero_mass_fallbacks": r.zero_mass_fallbacks,
         "macro_switches": r.macro_switches,
     }
     return json.dumps(obj, separators=(",", ":"))
@@ -208,6 +205,8 @@ def save_rollouts(results: list[RolloutResult], path: str | Path) -> None:
 
 
 def load_rollouts(path: str | Path) -> list[RolloutResult]:
+    """Read ``save_rollouts`` output.  Keys the result does not hold are
+    ignored, so older files with a ``zero_mass_fallbacks`` count load."""
     results = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -228,7 +227,6 @@ def load_rollouts(path: str | Path) -> list[RolloutResult]:
                     actions=np.asarray(obj["actions"], dtype=np.int64),
                     attention_argmax=np.asarray(obj["attention_argmax"], dtype=np.int64),
                     clamp_events=int(obj["clamp_events"]),
-                    zero_mass_fallbacks=int(obj["zero_mass_fallbacks"]),
                 )
             )
     return results

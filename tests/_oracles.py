@@ -226,15 +226,15 @@ def oracle_pool(x: np.ndarray, kernels: tuple[int, ...]) -> np.ndarray:
 
 
 def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
-    """One sequence rolled out alone: ``infer`` on a (1, 1, 11, 2) batch
-    per step, then a scalar choice per look-ahead head (argmax with the
-    lowest index on ties, or a draw from the normalised row; a row of
-    ``p_combined`` with no mass falls back to ``p_raw``)."""
+    """One sequence rolled out alone by the probability route:
+    ``oracle_infer`` on a (1, 1, 11, 2) batch per step, then a scalar
+    choice per look-ahead head on ``p_combined`` (argmax with the lowest
+    index on ties, or a draw from the normalised row), and argmaxes of
+    ``p_macro`` and ``attention``."""
     total = config.burn_in_steps + config.horizon_steps
     lookahead = spec.lookahead_steps
     rng = rng_for(config.seed, "rollout", seq.possession_id, seq.focal_agent, seq.t0)
     clamps = 0
-    fallbacks = 0
 
     path = np.empty((total, 2))
     macro_goals = np.full(total, -1, dtype=np.int64)
@@ -259,13 +259,10 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
         # is agent 1
         x = agents[min(t, seq.steps - 1)].copy()
         x[1] = cur
-        out, memory = model.infer(x[None, None], memory)
+        out, memory = oracle_infer(model, x[None, None], memory)
         pending[:] = 0.0
         for k in range(lookahead):
             scores = out["p_combined"][0, 0, k]
-            if scores.sum() <= 0.0:
-                fallbacks += 1
-                scores = out["p_raw"][0, 0, k]
             if config.mode == "argmax":
                 index = int(np.argmax(scores))
             else:
@@ -288,7 +285,6 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
         actions=actions,
         attention_argmax=att_argmax,
         clamp_events=clamps,
-        zero_mass_fallbacks=fallbacks,
     )
 
 
@@ -546,7 +542,7 @@ def shorten(item: LabeledSequence, steps: int) -> LabeledSequence:
 
 
 def oracle_infer(model, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
-    """``HPNModel.infer`` by the probability route: each head's logits
+    """Inference from ``memory`` by the probability route: each head's logits
     widened to float64 and softmaxed time-major, one look-ahead head at a
     time, then stacked batch-major; ``p_combined`` the product of
     ``p_raw`` and ``attention`` for attention variants; every output

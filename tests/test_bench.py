@@ -12,6 +12,7 @@ from hoopnet.bench import (
 )
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, synthesize, window
+from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError, DataError
 from hoopnet.labels import SegmentationConfig, label_sequence
 from hoopnet.model import ArchitectureConfig, HPNModel, Variant
@@ -296,19 +297,28 @@ VARIANTS = pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.val
 @STATES
 @VARIANTS
 def test_infer_matches_probability_oracle(models, variant, trained, n, t_steps):
+    # the float64 softmaxes of the logits, and eval_sequence from fresh
+    # memory, equal the probability route bit for bit
     m = models[variant, trained]
     inputs = assemble([shorten(it, t_steps) for it in DATA[:n]], SPEC)["inputs"]
     got_mem, want_mem = m.reset_memory(n), m.reset_memory(n)
-    for _ in range(2):  # from fresh memory, then from the memory it returned
-        got, got_mem = m.infer(inputs, got_mem)
+    for step in range(2):  # from fresh memory, then from the memory it returned
+        logits, got_mem = m.logits(inputs, got_mem)
         want, want_mem = oracle_infer(m, inputs, want_mem)
-        assert got.keys() == want.keys()
-        for key, value in want.items():
-            if value is None:
-                assert got[key] is None, key
+        for key, head in (("p_raw", "raw"), ("p_macro", "macro"), ("attention", "attention")):
+            if want[key] is None:
+                assert logits[head] is None, key
             else:
-                assert got[key].dtype == np.float64
-                np.testing.assert_array_equal(got[key], value, err_msg=key)
+                got = softmax_array(logits[head].astype(np.float64))
+                np.testing.assert_array_equal(got, want[key], err_msg=key)
+        if step == 0:
+            probs = m.eval_sequence(inputs)
+            assert probs.keys() == want.keys()
+            for key, value in want.items():
+                assert (probs[key] is None) == (value is None), key
+                if value is not None:
+                    assert probs[key].dtype == np.float64
+                    np.testing.assert_array_equal(probs[key], value, err_msg=key)
         assert got_mem.keys() == want_mem.keys()
         for key in ("micro", "macro"):
             if key in want_mem:
@@ -360,7 +370,7 @@ def test_non_finite_logit_raises_naming_the_head(variant, layer, value, head):
     getattr(m, layer).bias.data[5] = value
     inputs = assemble(DATA[:2], SPEC)["inputs"]
     with pytest.raises(FloatingPointError, match=f"in the {head} logits"):
-        m.infer(inputs, m.reset_memory(2))
+        m.logits(inputs, m.reset_memory(2))
     with pytest.raises(FloatingPointError, match=f"in the {head} logits"):
         evaluate(m, DATA[:2], SPEC)
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from hoopnet.config import (
     parse_document,
 )
 from hoopnet.errors import ConfigError
+from hoopnet.model import HPNModel
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -302,6 +304,32 @@ def test_readme_commands_parse_and_load():
         assert args.seed is not None, command
         text = (REPO / args.config).read_text(encoding="utf-8") if args.config else None
         load_run_config(text, args.set or [])
+
+
+def test_readme_names_exist():
+    # every backticked HPNModel.<attr> and hoopnet.<module>[.<name>] in the
+    # README names something in the tree, so a removed name cannot stay
+    # documented
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    names = sorted(set(re.findall(r"`(HPNModel(?:\.\w+)+|hoopnet(?:\.\w+)+)`", readme)))
+    assert "HPNModel.logits" in names and "hoopnet.rollout" in names
+    for name in names:
+        parts = name.split(".")
+        if parts[0] == "HPNModel":
+            obj, depth = HPNModel, 1
+        else:
+            # the longest importable module prefix, then attributes
+            depth = len(parts)
+            while True:
+                try:
+                    obj = importlib.import_module(".".join(parts[:depth]))
+                    break
+                except ModuleNotFoundError:
+                    depth -= 1
+                    assert depth > 1, f"README names no module: {name}"
+        for attr in parts[depth:]:
+            assert hasattr(obj, attr), f"README names a missing attribute: {name}"
+            obj = getattr(obj, attr)
 
 
 def test_defaults_command_prints_document(tmp_path, capsys):

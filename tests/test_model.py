@@ -4,10 +4,11 @@ import pytest
 from hoopnet.court import CourtSpec
 from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
 from hoopnet.errors import CheckpointError
-from hoopnet.model import ArchitectureConfig, HPNModel, Variant, pooled_occupancy
+from hoopnet.engine.tensor import softmax_array
+from hoopnet.model import ArchitectureConfig, HPNModel, Variant, combined_scores, pooled_occupancy
 from hoopnet.rollout import choose_step
 
-from _oracles import float64_model
+from _oracles import float64_model, oracle_infer
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -24,17 +25,24 @@ def fresh(variant, seed=3, arch=ARCH):
     return HPNModel(SPEC, arch, variant, seed)
 
 
-def one_step(m, positions, memory):
-    """``infer`` on the (11, 2) positions of one step of one sequence;
-    the outputs come without their N and T axes."""
-    outs, memory = m.infer(positions[None, None], memory)
+def one_step(m, positions, memory, route=None):
+    """``m.logits`` (or ``route``, such as ``oracle_infer``) on the
+    (11, 2) positions of one step of one sequence; the outputs come
+    without their N and T axes."""
+    x = positions[None, None]
+    outs, memory = route(m, x, memory) if route else m.logits(x, memory)
     return {k: None if v is None else v[0, 0] for k, v in outs.items()}, memory
 
 
-def step_outputs(p_combined, p_raw, p_macro=None, attention=None):
-    """One sequence's head values at one step in the form ``choose_step``
+def one_step_probs(m, positions, memory):
+    """``one_step`` by the probability route."""
+    return one_step(m, positions, memory, oracle_infer)
+
+
+def step_logits(raw, macro=None, attention=None, cc=None):
+    """One sequence's logits at one step in the form ``choose_step``
     takes (N = 1, T = 1)."""
-    outs = {"p_combined": p_combined, "p_raw": p_raw, "p_macro": p_macro, "attention": attention}
+    outs = {"raw": raw, "macro": macro, "attention": attention, "cc": cc}
     return {k: None if v is None else v[None, None] for k, v in outs.items()}
 
 
@@ -46,7 +54,7 @@ def actions_of(outs, mode="argmax", rng=None):
 
 def test_output_simplexes():
     m = fresh(Variant.H_ATT)
-    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    out, _ = one_step_probs(m, random_positions(RNG)[0], m.reset_memory(1))
     np.testing.assert_allclose(out["p_raw"].sum(axis=-1), 1.0, atol=1e-9)
     np.testing.assert_allclose(out["p_macro"].sum(), 1.0, atol=1e-9)
     np.testing.assert_allclose(out["attention"].sum(), 1.0, atol=1e-9)
@@ -55,39 +63,43 @@ def test_output_simplexes():
 
 def test_combined_is_elementwise_product():
     m = fresh(Variant.H_ATT)
-    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
+    out, _ = one_step_probs(m, random_positions(RNG)[0], m.reset_memory(1))
     for k in range(SPEC.lookahead_steps):
         recomputed = np.array([out["p_raw"][k][j] * out["attention"][j] for j in range(SPEC.n_actions)])
         np.testing.assert_allclose(out["p_combined"][k], recomputed, atol=1e-12)
 
 
 def test_combined_log_identity():
+    # the softmax of combined_scores is the masked product renormalised:
+    # log p_combined = raw + attention up to a per-row constant
     m = fresh(Variant.H_ATT)
-    out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
-    logs = np.log(out["p_combined"][0])
-    np.testing.assert_allclose(logs, np.log(out["p_raw"][0]) + np.log(out["attention"]), atol=1e-9)
+    x = random_positions(RNG)[0]
+    logits, _ = one_step(m, x, m.reset_memory(1))
+    probs, _ = one_step_probs(m, x, m.reset_memory(1))
+    scores = combined_scores(step_logits(**logits))[0, 0]
+    want = probs["p_combined"] / probs["p_combined"].sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(softmax_array(scores), want, rtol=1e-12, atol=0)
 
 
 def test_uniform_attention_preserves_argmax():
     m = fresh(Variant.H_ATT)
     out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
-    uniform = np.full(SPEC.n_actions, 1.0 / SPEC.n_actions)
-    forced = step_outputs(out["p_raw"] * uniform, out["p_raw"], out["p_macro"], uniform)
-    np.testing.assert_array_equal(
-        actions_of(forced), actions_of(step_outputs(out["p_raw"], out["p_raw"]))
-    )
+    uniform = np.zeros(SPEC.n_actions, np.float32)
+    forced = step_logits(out["raw"], out["macro"], uniform)
+    np.testing.assert_array_equal(actions_of(forced), actions_of(step_logits(out["raw"])))
 
 
 def test_positive_scaling_invariance():
+    # scaling the attention mask by c > 0 adds log c to its logits
     m = fresh(Variant.H_ATT, seed=11)
     out, _ = one_step(m, random_positions(RNG)[0], m.reset_memory(1))
-    base = step_outputs(out["p_combined"], out["p_raw"], out["p_macro"], out["attention"])
+    base = step_logits(out["raw"], out["macro"], out["attention"].astype(np.float64))
     for scale in (1e-6, 0.5, 3.0, 1e6):
-        attention = out["attention"] * scale
-        scaled = step_outputs(out["p_raw"] * attention, out["p_raw"], out["p_macro"], attention)
+        attention = out["attention"].astype(np.float64) + np.log(scale)
+        scaled = step_logits(out["raw"], out["macro"], attention)
         np.testing.assert_array_equal(actions_of(scaled), actions_of(base))
-        np.testing.assert_array_equal(choose_step(scaled, "argmax")[3],
-                                      choose_step(base, "argmax")[3])
+        np.testing.assert_array_equal(choose_step(scaled, "argmax")[2],
+                                      choose_step(base, "argmax")[2])
         np.testing.assert_array_equal(
             actions_of(scaled, "sample", np.random.default_rng(5)),
             actions_of(base, "sample", np.random.default_rng(5)),
@@ -95,15 +107,15 @@ def test_positive_scaling_invariance():
 
 
 def test_predict_action_modes():
-    p_combined = np.zeros((4, SPEC.n_actions))
-    p_combined[:, 17] = 1.0
-    out = step_outputs(p_combined, p_combined.copy())
+    raw = np.zeros((4, SPEC.n_actions), np.float32)
+    raw[:, 17] = 50.0
+    out = step_logits(raw)
     assert actions_of(out).tolist() == [17] * 4
     assert actions_of(out, "sample", np.random.default_rng(0)).tolist() == [17] * 4
     # tie at two maxima: lower flattened index wins
-    tie = np.zeros((4, SPEC.n_actions))
-    tie[:, 5] = tie[:, 9] = 0.5
-    tied = step_outputs(tie, tie.copy())
+    tie = np.zeros((4, SPEC.n_actions), np.float32)
+    tie[:, 5] = tie[:, 9] = 3.0
+    tied = step_logits(tie)
     assert actions_of(tied).tolist() == [5] * 4
     # rows of a batch are chosen independently
     both = {k: None if v is None else np.concatenate([v, tied[k]]) for k, v in out.items()}
@@ -115,14 +127,14 @@ def test_predict_action_modes():
 
 
 def test_predict_action_sampling_frequencies():
-    scores = np.zeros((1, 1, 1, SPEC.n_actions))
+    scores = np.full((1, 1, 1, SPEC.n_actions), -1e4)  # no mass off idx
     probs = np.array([0.5, 0.3, 0.2])
     idx = [10, 20, 30]
-    scores[0, 0, 0, idx] = probs * 7.0  # unnormalized on purpose
+    scores[0, 0, 0, idx] = np.log(probs * 7.0)  # unnormalized on purpose
     rng = np.random.default_rng(123)
     n, chunk = 100_000, 1000
     rows = np.broadcast_to(scores, (chunk, 1, 1, SPEC.n_actions))
-    out = {"p_combined": rows, "p_raw": rows, "p_macro": None, "attention": None}
+    out = {"raw": rows, "macro": None, "attention": None, "cc": None}
     picks = np.concatenate(
         [choose_step(out, "sample", [rng] * chunk)[0][:, 0, 0] for _ in range(n // chunk)]
     )
@@ -133,28 +145,35 @@ def test_predict_action_sampling_frequencies():
         assert abs(counts[i] - n * p) < 3 * sigma
 
 
-def test_predict_action_zero_mass_fallback():
-    p_raw = np.zeros((4, SPEC.n_actions))
-    p_raw[:, 100] = 1.0
-    p_combined = np.zeros((4, SPEC.n_actions))
-    p_combined[1:, 7] = 1.0  # head 0 has no mass
-    out = step_outputs(p_combined, p_raw)
-    for mode, rng in (("argmax", None), ("sample", [np.random.default_rng(0)])):
-        actions, fell_back, _, _ = choose_step(out, mode, rng)
-        assert actions.tolist() == [[[100, 7, 7, 7]]]
-        assert fell_back.tolist() == [[1]]
+def test_choose_step_survives_an_underflowing_product():
+    # +800 on action 7 and -1000 there, as float32 logits: the float64
+    # softmax product of the probability route has no mass at all, while
+    # the scores still rank every action
+    raw = np.tile(np.arange(SPEC.n_actions, dtype=np.float32) / 1000, (4, 1))
+    raw[:, 7] = 800.0
+    attention = np.zeros(SPEC.n_actions, np.float32)
+    attention[7] = -1000.0
+    product = softmax_array(raw.astype(np.float64)) * softmax_array(attention.astype(np.float64))
+    assert not product.any()
+    out = step_logits(raw, attention=attention)
+    want = (raw.astype(np.float64) + attention).argmax(axis=-1)
+    assert want.tolist() == [SPEC.n_actions - 1] * 4
+    assert actions_of(out).tolist() == want.tolist()
+    for seed in range(5):
+        picked = actions_of(out, "sample", np.random.default_rng(seed))
+        assert ((picked >= 0) & (picked < SPEC.n_actions) & (picked != 7)).all()
 
 
 def test_predict_macro():
-    p = np.full((4, 289), 1 / 289)
-    p_macro = np.zeros(90)
-    p_macro[42] = 1.0
-    assert choose_step(step_outputs(p, p, p_macro), "argmax")[2].tolist() == [[42]]
-    uniform = np.full(90, 1 / 90)
-    _, _, macro, attention = choose_step(step_outputs(p, p, uniform, p[0]), "argmax")
+    raw = np.zeros((4, 289), np.float32)
+    macro = np.zeros(90, np.float32)
+    macro[42] = 2.0
+    assert choose_step(step_logits(raw, macro), "argmax")[1].tolist() == [[42]]
+    uniform = np.zeros(90, np.float32)
+    _, macro, attention = choose_step(step_logits(raw, uniform, raw[0]), "argmax")
     assert macro.tolist() == attention.tolist() == [[0]]  # tie rule
     # a variant without a macro head or attention reports -1
-    _, _, macro, attention = choose_step(step_outputs(p, p), "argmax")
+    _, macro, attention = choose_step(step_logits(raw), "argmax")
     assert macro.tolist() == attention.tolist() == [[-1]]
 
 
@@ -165,7 +184,7 @@ def test_choose_step_over_steps_matches_one_step_calls():
     n, t_steps = 3, 6
     inputs = np.stack([random_positions(rng, n=n) for _ in range(t_steps)], axis=1)
     m = fresh(Variant.H_ATT, seed=13)
-    outs, _ = m.infer(inputs, m.reset_memory(n))
+    outs, _ = m.logits(inputs, m.reset_memory(n))
     for mode in ("argmax", "sample"):
         whole = choose_step(outs, mode, [np.random.default_rng(i) for i in range(n)])
         rngs = [np.random.default_rng(i) for i in range(n)]
@@ -179,16 +198,16 @@ def test_variant_structure():
     cnn = fresh(Variant.CNN)
     assert not cnn.hierarchical and cnn.reset_memory(1).keys() == {"_owner", "_batch"}
     out, _ = one_step(cnn, random_positions(RNG)[0], cnn.reset_memory(1))
-    assert out["p_macro"] is None and out["attention"] is None
-    np.testing.assert_array_equal(out["p_combined"], out["p_raw"])
+    assert out["macro"] is None and out["attention"] is None and out["cc"] is None
+    np.testing.assert_array_equal(combined_scores(step_logits(**out))[0, 0], out["raw"])
 
     gru = fresh(Variant.GRU_CNN)
     assert not gru.hierarchical and "micro" in gru.reset_memory(1)
 
     cc = fresh(Variant.H_CC)
     out, _ = one_step(cc, random_positions(RNG)[0], cc.reset_memory(1))
-    assert out["attention"] is None and out["p_macro"] is not None
-    np.testing.assert_allclose(out["p_combined"].sum(axis=-1), 1.0, atol=1e-9)
+    assert out["attention"] is None and out["macro"] is not None
+    np.testing.assert_array_equal(combined_scores(step_logits(**out))[0, 0], out["cc"])
 
     stack = fresh(Variant.H_STACK)
     out, _ = one_step(stack, random_positions(RNG)[0], stack.reset_memory(1))
@@ -202,9 +221,9 @@ def test_memory_ownership_checked():
     a = fresh(Variant.GRU_CNN, seed=1)
     b = fresh(Variant.GRU_CNN, seed=2)
     with pytest.raises(ValueError, match="different model"):
-        a.infer(random_positions(RNG)[:, None], b.reset_memory(1))
+        a.logits(random_positions(RNG)[:, None], b.reset_memory(1))
     with pytest.raises(ValueError, match="batch"):
-        a.infer(random_positions(RNG, n=2)[:, None], a.reset_memory(1))
+        a.logits(random_positions(RNG, n=2)[:, None], a.reset_memory(1))
 
 
 def test_dense_grid_input_rejected():
@@ -230,22 +249,22 @@ def test_reset_and_replay_determinism():
 
     first, second = run(), run()
     for a, b in zip(first, second):
-        np.testing.assert_array_equal(a["p_combined"], b["p_combined"])
-        np.testing.assert_array_equal(a["p_macro"], b["p_macro"])
+        for key in ("raw", "macro", "attention"):
+            np.testing.assert_array_equal(a[key], b[key])
 
 
 def test_sequence_path_matches_step_path():
-    # one T-step infer equals T one-step calls with carried memory, for
+    # one T-step logits call equals T one-step calls with carried memory, for
     # every variant and a batch of two sequences
     rng = np.random.default_rng(1)
     n, t_steps = 2, 6
     inputs = np.stack([random_positions(rng, n=n) for _ in range(t_steps)], axis=1)
     for variant in Variant:
         m = float64_model(fresh(variant, seed=21))
-        whole, mem_whole = m.infer(inputs, m.reset_memory(n))
+        whole, mem_whole = m.logits(inputs, m.reset_memory(n))
         mem = m.reset_memory(n)
         for t in range(t_steps):
-            step, mem = m.infer(inputs[:, t:t + 1], mem)
+            step, mem = m.logits(inputs[:, t:t + 1], mem)
             for key, value in whole.items():
                 if value is None:
                     assert step[key] is None, (variant, key)
@@ -257,8 +276,8 @@ def test_sequence_path_matches_step_path():
             if key in mem:
                 np.testing.assert_allclose(mem_whole[key], mem[key], atol=1e-12)
         # a sequence's outputs do not depend on the rest of its batch
-        alone, _ = m.infer(inputs[1:, :1], m.reset_memory(1))
-        np.testing.assert_allclose(alone["p_combined"][0, 0], whole["p_combined"][1, 0],
+        alone, _ = m.logits(inputs[1:, :1], m.reset_memory(1))
+        np.testing.assert_allclose(combined_scores(alone)[0, 0], combined_scores(whole)[1, 0],
                                    atol=1e-12)
 
 
@@ -272,19 +291,21 @@ def test_uniform_attention_ablation_equals_gru_cnn():
     rng = np.random.default_rng(2)
     mem_a = h_att.reset_memory(1)
     mem_b = gru_cnn.reset_memory(1)
+    probs_a, probs_b = h_att.reset_memory(1), gru_cnn.reset_memory(1)
     for _ in range(10):
         x = random_positions(rng)[0]
         out_a, mem_a = one_step(h_att, x, mem_a)
         out_b, mem_b = one_step(gru_cnn, x, mem_b)
-        np.testing.assert_allclose(out_a["attention"], 1.0 / SPEC.n_actions, atol=1e-15)
-        np.testing.assert_allclose(out_a["p_raw"], out_b["p_raw"], atol=1e-12)
-        np.testing.assert_array_equal(
-            actions_of(step_outputs(out_a["p_combined"], out_a["p_raw"])),
-            actions_of(step_outputs(out_b["p_combined"], out_b["p_raw"])),
-        )
+        assert not out_a["attention"].any()
+        np.testing.assert_array_equal(out_a["raw"], out_b["raw"])
+        np.testing.assert_array_equal(actions_of(step_logits(**out_a)),
+                                      actions_of(step_logits(**out_b)))
+        p_a, probs_a = one_step_probs(h_att, x, probs_a)
+        p_b, probs_b = one_step_probs(gru_cnn, x, probs_b)
+        np.testing.assert_allclose(p_a["attention"], 1.0 / SPEC.n_actions, atol=1e-15)
         for k in range(4):
-            renorm = out_a["p_combined"][k] / out_a["p_combined"][k].sum()
-            np.testing.assert_allclose(renorm, out_b["p_combined"][k], atol=1e-12)
+            renorm = p_a["p_combined"][k] / p_a["p_combined"][k].sum()
+            np.testing.assert_allclose(renorm, p_b["p_combined"][k], atol=1e-12)
 
 
 def test_h_stack_chains_heads():

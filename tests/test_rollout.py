@@ -3,8 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hoopnet.engine.tensor as tensor_mod
+import hoopnet.model as model_mod
+import hoopnet.rollout as rollout_mod
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, agent_positions, synthesize, window
+from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError
 from hoopnet.model import ArchitectureConfig, HPNModel, Variant
 from hoopnet.rollout import (
@@ -17,7 +21,7 @@ from hoopnet.rollout import (
 )
 from hoopnet.util import rng_for
 
-from _oracles import action_index_of, oracle_rollout
+from _oracles import action_index_of, oracle_infer, oracle_rollout
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
@@ -52,30 +56,35 @@ def rollout(model, seq, config):
     return batch_rollout(model, [seq], config, SPEC)[0]
 
 
+def one_hot(index, value=10.0):
+    """(n_actions,) float32 logits favouring one action."""
+    row = np.zeros(SPEC.n_actions, np.float32)
+    row[index] = value
+    return row
+
+
 class _ConstantModel:
-    """Stub emitting a fixed action for every look-ahead head."""
+    """Stub emitting the same logits at every step: one (n_actions,) row
+    for every look-ahead head and, if given, attention logits."""
 
-    variant = Variant.GRU_CNN
-    hierarchical = False
-
-    def __init__(self, spec, action_index, combined_mass=True):
+    def __init__(self, spec, raw, attention=None):
         self.spec = spec
-        self.index = action_index
-        self.combined_mass = combined_mass
+        self.raw = raw
+        self.attention = attention
 
     def reset_memory(self, batch=1):
         return {"_owner": id(self), "_batch": batch}
 
-    def infer(self, x, mem):
+    def logits(self, x, mem):
         n, t_steps = x.shape[:2]
-        p = np.zeros((n, t_steps, self.spec.lookahead_steps, self.spec.n_actions))
-        p[..., self.index] = 1.0
-        combined = p if self.combined_mass else np.zeros_like(p)
-        return {"p_raw": p, "p_macro": None, "attention": None, "p_combined": combined}, mem
+        raw = np.broadcast_to(self.raw, (n, t_steps, self.spec.lookahead_steps, self.spec.n_actions))
+        attention = None if self.attention is None else \
+            np.broadcast_to(self.attention, (n, t_steps, self.spec.n_actions))
+        return {"raw": raw, "macro": None, "attention": attention, "cc": None}, mem
 
 
 class _CountingModel:
-    """Wraps a model, recording the number of steps of each ``infer`` call."""
+    """Wraps a model, recording the number of steps of each ``logits`` call."""
 
     def __init__(self, model):
         self.model = model
@@ -84,9 +93,9 @@ class _CountingModel:
     def reset_memory(self, batch=1):
         return self.model.reset_memory(batch)
 
-    def infer(self, x, mem):
+    def logits(self, x, mem):
         self.steps.append(x.shape[1])
-        return self.model.infer(x, mem)
+        return self.model.logits(x, mem)
 
 
 @pytest.mark.parametrize("horizon", [0, 7])
@@ -98,7 +107,7 @@ def test_burn_in_is_one_infer_call(horizon):
 
 @pytest.mark.parametrize("variant", [Variant.H_ATT, Variant.H_CC, Variant.CNN])
 def test_burn_in_choices_equal_teacher_forced_eval(variant):
-    # the burn-in picks what choose_step picks from eval_sequence of the
+    # the burn-in picks what choose_step picks from eval_logits of the
     # ground-truth prefix, drawing first from each sequence's rollout RNG
     m = HPNModel(SPEC, ARCH, variant, 23)
     burn_in = 20
@@ -107,7 +116,7 @@ def test_burn_in_choices_equal_teacher_forced_eval(variant):
         cfg = RolloutConfig(burn_in_steps=burn_in, horizon_steps=5, mode=mode, seed=8)
         results = batch_rollout(m, SEQS, cfg, SPEC)
         rngs = [rng_for(cfg.seed, "rollout", s.possession_id, s.focal_agent, s.t0) for s in SEQS]
-        actions, _, macro, attention = choose_step(m.eval_sequence(prefix), mode, rngs)
+        actions, macro, attention = choose_step(m.eval_logits(prefix), mode, rngs)
         for i, r in enumerate(results):
             np.testing.assert_array_equal(r.actions[:burn_in], actions[i])
             np.testing.assert_array_equal(r.macro_goals[:burn_in], macro[i])
@@ -131,7 +140,7 @@ def test_burn_in_exactness_bit_for_bit():
 
 
 def test_stationary_model_freezes_focal():
-    m = _ConstantModel(SPEC, SPEC.stationary_action_index)
+    m = _ConstantModel(SPEC, one_hot(SPEC.stationary_action_index))
     cfg = RolloutConfig(burn_in_steps=5, horizon_steps=10)
     result = rollout(m, SEQS[0], cfg)
     anchor = SEQS[0].raw_positions[4]
@@ -142,7 +151,7 @@ def test_stationary_model_freezes_focal():
 def test_constant_motion_advances_and_clamps():
     # each of the 4 look-ahead actions moves one cell east: +4 ft per step
     east = action_index_of(SPEC, 1.0, 0.0)
-    m = _ConstantModel(SPEC, east)
+    m = _ConstantModel(SPEC, one_hot(east))
     cfg = RolloutConfig(burn_in_steps=2, horizon_steps=30)
     result = rollout(m, SEQS[0], cfg)
     x0 = result.path[1][0]
@@ -196,9 +205,11 @@ def test_sample_mode_seeded_determinism():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_batch_rollout_matches_one_sequence_oracle(variant):
-    # one batched recurrence equals rolling each sequence out alone; the
-    # horizon runs past the 50 recorded steps (and the short sequence's
-    # 30), so the other agents freeze at different steps
+    # one batched recurrence on the logits equals rolling each sequence out
+    # alone by the probability route in argmax mode, and equals rolling it
+    # out alone in sample mode; the horizon runs past the 50 recorded steps
+    # (and the short sequence's 30), so the other agents freeze at
+    # different steps
     m = HPNModel(SPEC, ARCH, variant, 19)
     batch = SEQS + [truncated(SEQS[2], 30)]
     for mode in ("argmax", "sample"):
@@ -207,7 +218,50 @@ def test_batch_rollout_matches_one_sequence_oracle(variant):
         assert len(results) == len(batch)
         assert sum(r.clamp_events for r in results) > 0
         for seq, r in zip(batch, results):
-            assert rollout_to_json(r) == rollout_to_json(oracle_rollout(m, seq, cfg, SPEC))
+            alone = (oracle_rollout(m, seq, cfg, SPEC) if mode == "argmax"
+                     else batch_rollout(m, [seq], cfg, SPEC)[0])
+            assert rollout_to_json(r) == rollout_to_json(alone)
+
+
+# sample mode draws from softmax(raw + attention) where the probability
+# route normalises softmax(raw) * softmax(attention); the two agree to
+# rounding: at most 6.5e-16 relative for these models, checked at 1e-12
+SAMPLE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sample_probabilities_match_probability_oracle(monkeypatch, variant):
+    used = []
+
+    def keep(x):
+        used.append(real(x))
+        return used[-1]
+
+    real = rollout_mod.softmax_array
+    monkeypatch.setattr(rollout_mod, "softmax_array", keep)
+    m = HPNModel(SPEC, ARCH, variant, 19)
+    inputs = np.stack([agent_positions(s) for s in SEQS])
+    rngs = [np.random.default_rng(i) for i in range(len(SEQS))]
+    choose_step(m.eval_logits(inputs), "sample", rngs)
+    want = oracle_infer(m, inputs, m.reset_memory(len(SEQS)))[0]["p_combined"]
+    assert len(used) == 1 and used[0].dtype == np.float64
+    np.testing.assert_allclose(used[0], want / want.sum(axis=-1, keepdims=True),
+                               rtol=SAMPLE_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("variant,per_call", [(Variant.H_ATT, 1), (Variant.CNN, 0)])
+def test_argmax_step_softmax_count(monkeypatch, variant, per_call):
+    # an argmax-mode model call softmaxes only the transfer net's input,
+    # h_att's goal distribution, and nothing for cnn
+    calls = []
+    for module in (tensor_mod, model_mod, rollout_mod):
+        real = module.softmax_array
+        monkeypatch.setattr(module, "softmax_array",
+                            lambda x, real=real: calls.append(x.shape) or real(x))
+    m = HPNModel(SPEC, ARCH, variant, 3)
+    batch_rollout(m, SEQS, RolloutConfig(burn_in_steps=20, horizon_steps=3), SPEC)
+    assert len(calls) == (1 + 3) * per_call
+    assert all(shape[-1] == SPEC.n_macro_boxes for shape in calls)
 
 
 def test_batch_rollout_duplicates_and_short_sequence():
@@ -220,17 +274,22 @@ def test_batch_rollout_duplicates_and_short_sequence():
         batch_rollout(m, [SEQS[0], truncated(SEQS[1], 19)], cfg, SPEC)
 
 
-def test_zero_mass_steps_fall_back_to_raw():
-    east = action_index_of(SPEC, 1.0, 0.0)
-    cfg = RolloutConfig(burn_in_steps=2, horizon_steps=5)
+def test_underflowing_product_still_moves_by_the_scores():
+    # raw favours east by 760 over west, attention puts -1000 on east: the
+    # float64 product of their softmaxes has no mass anywhere, and both
+    # modes follow the largest raw + attention, west
+    east, west = action_index_of(SPEC, 1.0, 0.0), action_index_of(SPEC, -1.0, 0.0)
+    raw = one_hot(east, 800.0)
+    raw[west] = 40.0
+    attention = one_hot(east, -1000.0)
+    product = softmax_array(raw.astype(np.float64)) * softmax_array(attention.astype(np.float64))
+    assert not product.any()
+    m = _ConstantModel(SPEC, raw, attention)
+    west_only = rollout(_ConstantModel(SPEC, one_hot(west)), SEQS[0], RolloutConfig(2, 5))
     for mode in ("argmax", "sample"):
-        cfg = replace(cfg, mode=mode)
-        fallen = rollout(_ConstantModel(SPEC, east, combined_mass=False), SEQS[0], cfg)
-        assert fallen.zero_mass_fallbacks == 7 * SPEC.lookahead_steps
-        assert (fallen.actions == east).all()
-        ok = rollout(_ConstantModel(SPEC, east), SEQS[0], cfg)
-        assert ok.zero_mass_fallbacks == 0
-        np.testing.assert_array_equal(fallen.path, ok.path)
+        r = rollout(m, SEQS[0], RolloutConfig(burn_in_steps=2, horizon_steps=5, mode=mode))
+        assert (r.actions == west).all()
+        np.testing.assert_array_equal(r.path, west_only.path)
 
 
 def test_batch_rollout_empty_rejected():
@@ -265,6 +324,22 @@ def test_macro_goal_switch_metric_and_json_round_trip(tmp_path):
         np.testing.assert_array_equal(a.actions, b.actions)
         assert a.macro_switches == b.macro_switches
         assert rollout_to_json(a) == rollout_to_json(b)
+
+
+def test_load_rollouts_reads_a_line_with_the_dropped_fallback_count(tmp_path):
+    # rollout files once held a zero_mass_fallbacks count; they still load
+    line = ('{"possession_id":"p0","focal_agent":"a2","t0":8,"burn_in":1,"horizon":1,'
+            '"mode":"argmax","path":[[1.5,2.0],[5.5,2.0]],"macro_goals":[3,3],'
+            '"actions":[[170,170,170,170],[170,170,170,170]],"attention_argmax":[9,9],'
+            '"clamp_events":0,"zero_mass_fallbacks":0,"macro_switches":0}')
+    path = tmp_path / "old.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    (r,) = load_rollouts(path)
+    assert (r.possession_id, r.focal_agent, r.t0, r.burn_in, r.horizon) == ("p0", "a2", 8, 1, 1)
+    np.testing.assert_array_equal(r.path, [[1.5, 2.0], [5.5, 2.0]])
+    assert r.macro_goals.tolist() == [3, 3] and r.attention_argmax.tolist() == [9, 9]
+    assert r.actions.shape == (2, 4) and r.clamp_events == 0 and r.macro_switches == 0
+    assert rollout_to_json(r) == line.replace(',"zero_mass_fallbacks":0', "")
 
 
 def test_failed_rollout_write_keeps_previous_file(tmp_path):

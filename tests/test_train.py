@@ -327,7 +327,7 @@ def test_finetune_gradcheck_tiny_model():
 
 def test_finetune_batch_stays_float32():
     # a model computes in float32: its outputs, memory, gradients and
-    # optimizer state; the loss and infer's probabilities are float64
+    # optimizer state; the loss and eval_sequence's probabilities are float64
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 4)
     assert all(a.dtype == np.float32 for _, a in m.named_state())
     cfg = small_cfg(noise_sigma=1e-3)
@@ -347,8 +347,10 @@ def test_finetune_batch_stays_float32():
     state = optimizer.cache + optimizer.buf + [a for _, a in m.named_state()]
     assert all(a.dtype == np.float32 for a in state)
     assert any(b.any() for b in optimizer.buf)
-    probs, memory = m.infer(arrays["inputs"], m.reset_memory(4))
+    logits, memory = m.logits(arrays["inputs"], m.reset_memory(4))
     assert memory["micro"].dtype == memory["macro"].dtype == np.float32
+    assert all(v.dtype == np.float32 for v in logits.values() if v is not None)
+    probs = m.eval_sequence(arrays["inputs"])
     assert all(v.dtype == np.float64 for v in probs.values())
     for key in ("p_raw", "p_macro", "attention"):
         assert np.abs(probs[key].sum(axis=-1) - 1.0).max() < 1e-9, key
