@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage/config, 2 data, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +27,6 @@ from .model import HPNModel, Variant
 from .train import LabeledSequence, TrainConfig, train_full
 from .util import atomic_open, derive_seed, rng_for
 
-CONFIG_ENV = "HOOPNET_CONFIG"
 ALL_VARIANTS = [v.value for v in Variant]
 REPRO_VARIANTS = ["cnn", "gru_cnn", "h_cc", "h_att", "h_aux"]
 
@@ -57,12 +55,11 @@ class _Paths:
 
 def _load_config(args) -> RunConfig:
     text = None
-    path = args.config or os.environ.get(CONFIG_ENV)
-    if path:
+    if args.config:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     return load_run_config(text, args.set or [])
 
 
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hoopnet",
         description="Train and evaluate hierarchical trajectory policies on court tracking data.",
     )
-    parser.add_argument("--config", help=f"config document (default: ${CONFIG_ENV})")
+    parser.add_argument("--config", help="config document (default: every key at its default)")
     parser.add_argument(
         "--set", action="append", metavar="SECTION.KEY=VALUE", help="override one config key"
     )

@@ -18,24 +18,25 @@ from .court import CourtSpec
 from .data import TrainingSequence
 from .util import atomic_open, rng_for
 
+# a raw-frame step shorter than this (ft) is stationary
+STATIONARY_SPEED_FT_PER_RAW_FRAME = 0.25
+# attention labels draw step sizes uniformly from this range (velocity cells)
+MAGNITUDE_MIN = 1
+MAGNITUDE_MAX = 7
+
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    stationary_speed_ft_per_raw_frame: float = 0.25
     min_segment_steps: int = 15
-    magnitude_min: int = 1
-    magnitude_max: int = 7
     seed: int = 0
 
     def validate(self, spec: CourtSpec) -> None:
-        if self.stationary_speed_ft_per_raw_frame <= 0:
-            raise ValueError("stationary_speed_ft_per_raw_frame must be positive")
         if self.min_segment_steps < 1:
             raise ValueError("min_segment_steps must be >= 1")
-        if not 1 <= self.magnitude_min <= self.magnitude_max <= spec.velocity_radius_cells:
+        if MAGNITUDE_MAX > spec.velocity_radius_cells:
             raise ValueError(
-                "magnitude_min and magnitude_max must satisfy 1 <= magnitude_min <= "
-                f"magnitude_max <= court.velocity_radius_cells ({spec.velocity_radius_cells})"
+                f"attention step sizes reach {MAGNITUDE_MAX} velocity cells, beyond "
+                f"court.velocity_radius_cells ({spec.velocity_radius_cells})"
             )
 
 
@@ -76,11 +77,11 @@ def micro_labels(
     return labels, padded
 
 
-def find_stationary(raw_frame_positions: np.ndarray, cfg: SegmentationConfig) -> np.ndarray:
+def find_stationary(raw_frame_positions: np.ndarray) -> np.ndarray:
     """Frames of near-zero speed: one midpoint per maximal slow run, plus the final frame."""
     pts = np.asarray(raw_frame_positions, dtype=np.float64)
     speeds = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    slow = speeds < cfg.stationary_speed_ft_per_raw_frame
+    slow = speeds < STATIONARY_SPEED_FT_PER_RAW_FRAME
     points = []
     edges = np.flatnonzero(np.diff(np.concatenate(([False], slow, [False])).astype(np.int8)))
     for start, stop in edges.reshape(-1, 2):  # slow run over speed indices [start, stop)
@@ -179,12 +180,11 @@ def attention_labels(
     raw_positions: np.ndarray,
     macro_ids: np.ndarray,
     spec: CourtSpec,
-    cfg: SegmentationConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw per-step magnitudes and build straight-line labels."""
     t_steps = np.asarray(raw_positions).shape[0]
-    magnitudes = rng.integers(cfg.magnitude_min, cfg.magnitude_max + 1, size=t_steps)
+    magnitudes = rng.integers(MAGNITUDE_MIN, MAGNITUDE_MAX + 1, size=t_steps)
     return attention_targets(raw_positions, macro_ids, magnitudes, spec), magnitudes
 
 
@@ -192,10 +192,10 @@ def label_sequence(seq: TrainingSequence, spec: CourtSpec, cfg: SegmentationConf
     """All three weak-label streams for one sequence; RNG derives from
     (config seed, possession id, focal agent, window start)."""
     micro, padded = micro_labels(seq.raw_frame_positions, spec)
-    sps = find_stationary(seq.raw_frame_positions, cfg)
+    sps = find_stationary(seq.raw_frame_positions)
     macro, target_xy = macro_labels(seq.raw_frame_positions, sps, spec, cfg)
     rng = rng_for(cfg.seed, "labels", seq.possession_id, seq.focal_agent, seq.t0)
-    attention, magnitudes = attention_labels(seq.raw_positions, macro, spec, cfg, rng)
+    attention, magnitudes = attention_labels(seq.raw_positions, macro, spec, rng)
     for a in (micro, padded, macro, target_xy, attention, magnitudes):
         a.flags.writeable = False
     return WeakLabels(micro, padded, macro, target_xy, attention, magnitudes)

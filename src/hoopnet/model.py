@@ -79,36 +79,34 @@ HIERARCHICAL_VARIANTS = frozenset({Variant.H_CC, Variant.H_STACK, Variant.H_ATT,
 ATTENTION_VARIANTS = frozenset({Variant.H_STACK, Variant.H_ATT, Variant.H_AUX})
 
 
+# max-pool kernels of the input pyramid, one per level
+PYRAMID = (2, 2)
+# every encoder conv layer's (odd) kernel size
+CONV_KERNEL = 3
+
+
 @dataclass(frozen=True)
 class ArchitectureConfig:
     """Network sizes; output dims always derive from the CourtSpec.
 
-    conv_kernels and conv_strides are per layer and must match
-    conv_filters in length.
+    conv_strides is per layer and must match conv_filters in length.
     """
 
-    pyramid: tuple[int, ...] = (2, 2)
     conv_filters: tuple[int, ...] = (8, 16)
-    conv_kernels: tuple[int, ...] = (3, 3)
     conv_strides: tuple[int, ...] = (1, 1)
     gru_cells: int = 128
     transfer_hidden: int = 64
 
     def validate(self, spec: CourtSpec) -> None:
-        if not self.pyramid or any(k < 1 for k in self.pyramid):
-            raise ValueError("pyramid must list pool kernels >= 1")
         rows, cols = spec.micro_rows, spec.micro_cols
-        for k in self.pyramid:
+        for k in PYRAMID:
             if k > rows or k > cols:
                 raise ValueError(f"pyramid kernel {k} exceeds grid {rows}x{cols}")
             rows, cols = _pool_out(rows, k), _pool_out(cols, k)
         if not self.conv_filters or any(f < 1 for f in self.conv_filters):
             raise ValueError("conv_filters must list positive filter counts")
-        if len(self.conv_kernels) != len(self.conv_filters) or \
-           len(self.conv_strides) != len(self.conv_filters):
-            raise ValueError("conv_kernels and conv_strides must match conv_filters in length")
-        if any(k % 2 == 0 or k < 1 for k in self.conv_kernels):
-            raise ValueError("conv_kernels must be odd and positive")
+        if len(self.conv_strides) != len(self.conv_filters):
+            raise ValueError("conv_strides must match conv_filters in length")
         if any(s < 1 for s in self.conv_strides):
             raise ValueError("conv_strides must be >= 1")
         if self.gru_cells < 1 or self.transfer_hidden < 1:
@@ -170,21 +168,19 @@ class SpatialEncoder(Module):
     def __init__(self, spec: CourtSpec, arch: ArchitectureConfig, rng: np.random.Generator):
         super().__init__()
         rows, cols = spec.micro_rows, spec.micro_cols
-        for k in arch.pyramid:
+        for k in PYRAMID:
             rows, cols = _pool_out(rows, k), _pool_out(cols, k)
         convs, bns = [], []
         channels = 4
-        for i, (f, kernel, stride) in enumerate(
-            zip(arch.conv_filters, arch.conv_kernels, arch.conv_strides)
-        ):
-            conv = Conv2d(channels, f, kernel, stride, rng)
+        for i, (f, stride) in enumerate(zip(arch.conv_filters, arch.conv_strides)):
+            conv = Conv2d(channels, f, CONV_KERNEL, stride, rng)
             bn = BatchNorm(f)
             setattr(self, f"conv{i}", conv)
             setattr(self, f"bn{i}", bn)
             convs.append(conv)
             bns.append(bn)
-            rows = _conv_out(rows, kernel, stride)
-            cols = _conv_out(cols, kernel, stride)
+            rows = _conv_out(rows, CONV_KERNEL, stride)
+            cols = _conv_out(cols, CONV_KERNEL, stride)
             channels = f
         self.convs = convs
         self.bns = bns
@@ -345,7 +341,7 @@ class HPNModel(Module):
         self._check_memory(memory, n)
         branches = branches if branches is not None else self.branch_set()
         branches = branches & self.branch_set()
-        k = math.prod(self.arch.pyramid)
+        k = math.prod(PYRAMID)
         pooled = pooled_occupancy(time_major(inputs), self.spec, k, self.dtype)
         new_mem = dict(memory)
         outs: dict = {}

@@ -32,18 +32,24 @@ class Stage(str, Enum):
     FINETUNE = "finetune"
 
 
+# RMSprop's inverse-time learning-rate decay, momentum and squared-gradient
+# average, the same in every stage
+DECAY = 1e-6
+MOMENTUM = 0.9
+RHO = 0.9
+# each batch's gradients are clipped to this global L2 norm
+GRAD_CLIP_NORM = 10.0
+# fine-tuning penalises the sum of squared action probabilities by this weight
+L2_ACTIVATION_WEIGHT = 1e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr_pretrain: float = 1e-3
     lr_finetune: float = 1e-5
-    decay: float = 1e-6
-    momentum: float = 0.9
-    rho: float = 0.9
     batch_size: int = 16
     epochs_pretrain: int = 2
     epochs_finetune: int = 2
-    grad_clip_norm: float = 10.0
-    l2_activation_weight: float = 1e-4
     noise_sigma: float = 1e-3
     translate_max_cells: int = 8
     holdout_eval_max: int = 128
@@ -54,16 +60,10 @@ class TrainConfig:
             raise ConfigError("lr_pretrain and lr_finetune must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batch normalization)")
-        if self.grad_clip_norm <= 0:
-            raise ConfigError("grad_clip_norm must be positive")
-        for name in ("momentum", "rho"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
-        # 0 turns decay, the penalty, noise, translation and early stopping
-        # off; holdout_eval_max = 0 evaluates the whole holdout
-        for name in ("epochs_pretrain", "epochs_finetune", "decay", "l2_activation_weight",
-                     "noise_sigma", "translate_max_cells", "holdout_eval_max",
-                     "early_stop_patience"):
+        # 0 turns noise, translation and early stopping off;
+        # holdout_eval_max = 0 evaluates the whole holdout
+        for name in ("epochs_pretrain", "epochs_finetune", "noise_sigma",
+                     "translate_max_cells", "holdout_eval_max", "early_stop_patience"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
 
@@ -258,13 +258,12 @@ def compute_loss(
             for k, logits in enumerate(outs["raw_logits"]):
                 terms.append(softmax_nll(logits, micro[:, k]).sum())
                 terms.append(softmax_nll(outs["attention_logits"], micro[:, k]).sum())
-        if cfg.l2_activation_weight > 0:
-            reg = list(outs["raw_logits"])
-            if "attention_logits" in outs:
-                reg.append(outs["attention_logits"])
-            for logits in reg:
-                p = softmax(logits)
-                terms.append((p * p).sum() * cfg.l2_activation_weight)
+        reg = list(outs["raw_logits"])
+        if "attention_logits" in outs:
+            reg.append(outs["attention_logits"])
+        for logits in reg:
+            p = softmax(logits)
+            terms.append((p * p).sum() * L2_ACTIVATION_WEIGHT)
 
     total = terms[0]
     for t in terms[1:]:
@@ -294,7 +293,7 @@ def run_stage(
     for p in model.parameters():
         p.grad = None
     lr = cfg.lr_finetune if stage is Stage.FINETUNE else cfg.lr_pretrain
-    optimizer = RMSProp(model.parameters(), lr, cfg.decay, cfg.momentum, cfg.rho)
+    optimizer = RMSProp(model.parameters(), lr, DECAY, MOMENTUM, RHO)
     rng = rng_for(seed, "stage", stage.value)
     epochs = cfg.epochs_finetune if stage is Stage.FINETUNE else cfg.epochs_pretrain
 
@@ -318,7 +317,7 @@ def run_stage(
             if not np.isfinite(loss.data):
                 raise DivergenceError(f"non-finite loss in stage {stage.value}")
             backward(loss)
-            norm_sum += clip_gradients(model.parameters(), cfg.grad_clip_norm)
+            norm_sum += clip_gradients(model.parameters(), GRAD_CLIP_NORM)
             optimizer.step()
             loss_sum += float(loss.data)
             n_batches += 1

@@ -19,7 +19,9 @@ from hoopnet.config import (
     parse_document,
 )
 from hoopnet.errors import ConfigError
-from hoopnet.model import HPNModel
+from hoopnet.labels import MAGNITUDE_MAX, MAGNITUDE_MIN, STATIONARY_SPEED_FT_PER_RAW_FRAME
+from hoopnet.model import CONV_KERNEL, PYRAMID, HPNModel
+from hoopnet.train import DECAY, GRAD_CLIP_NORM, L2_ACTIVATION_WEIGHT, MOMENTUM, RHO
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -29,7 +31,6 @@ synth.n_possessions = 3
 data.windows_per_player = 1
 data.holdout_fraction = 0.34
 arch.conv_filters = 4,6
-arch.conv_kernels = 3,3
 arch.conv_strides = 2,1
 arch.gru_cells = 12
 arch.transfer_hidden = 8
@@ -61,9 +62,9 @@ def test_parse_document_basics():
 
 
 def test_load_run_config_defaults_and_overrides():
-    cfg = load_run_config(None, ["train.batch_size=8", "arch.pyramid=2,2,2"])
+    cfg = load_run_config(None, ["train.batch_size=8", "arch.conv_strides=2,1"])
     assert cfg.train.batch_size == 8
-    assert cfg.arch.pyramid == (2, 2, 2)
+    assert cfg.arch.conv_strides == (2, 1)
     assert cfg.court.width_ft == 50.0
 
 
@@ -80,7 +81,26 @@ def test_unknown_keys_rejected():
         load_run_config("train.batch_size = soup")
 
 
+# keys that became module constants, with the constant that holds each one's
+# value; a per-layer key holds a scalar constant in every layer
+FIXED_KEYS = {
+    "labels.stationary_speed_ft_per_raw_frame": STATIONARY_SPEED_FT_PER_RAW_FRAME,
+    "labels.magnitude_min": MAGNITUDE_MIN,
+    "labels.magnitude_max": MAGNITUDE_MAX,
+    "arch.pyramid": PYRAMID,
+    "arch.conv_kernels": CONV_KERNEL,
+    "train.decay": DECAY,
+    "train.momentum": MOMENTUM,
+    "train.rho": RHO,
+    "train.grad_clip_norm": GRAD_CLIP_NORM,
+    "train.l2_activation_weight": L2_ACTIVATION_WEIGHT,
+}
+
 REMOVED_KEYS = [
+    *FIXED_KEYS,
+    "train.checkpoint_every_epochs",
+    "train.microbatch_size",
+    "run.threads",
     "arch.shared_encoder",
     "train.attention_label_fraction",
     "render.trail_policy",
@@ -94,6 +114,35 @@ REMOVED_KEYS = [
 def test_removed_keys_rejected(key):
     with pytest.raises(ConfigError, match=f"unknown config key {key}"):
         load_run_config(f"{key} = 1")
+
+
+def _holds(value: str, constant) -> bool:
+    if isinstance(constant, tuple):
+        return tuple(int(v) for v in value.split(",")) == constant
+    return all(type(constant)(v) == constant for v in value.split(","))
+
+
+@pytest.mark.parametrize("name", ["desk", "quick"])
+def test_benchmark_workloads_hold_the_fixed_values(name):
+    # the benchmark's configs still name removed keys; dropping them must
+    # leave its workloads as they ran
+    text = (REPO / "perfbench" / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+    entries = parse_document(text)
+    for (section, key), value in entries.items():
+        try:
+            load_run_config(f"{section}.{key} = {value}")
+        except ConfigError as exc:
+            assert "unknown config key" in str(exc), exc
+            assert f"{section}.{key}" in REMOVED_KEYS
+    for dotted, constant in FIXED_KEYS.items():
+        value = entries[tuple(dotted.split("."))]
+        assert _holds(value, constant), f"{dotted} = {value}, the program fixes {constant}"
+
+
+def test_readme_states_the_key_count():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    n_keys = len(parse_document(dump_run_config(RunConfig())))
+    assert re.findall(r"all\s+(\d+)\s+keys", readme) == [str(n_keys)]
 
 
 def test_dump_round_trips():
@@ -120,17 +169,10 @@ def test_desk_config_sets_every_key():
 
 @pytest.mark.parametrize("override", [
     "court.micro_cell_ft=0.3",  # does not divide the court
-    "arch.conv_kernels=2,2",  # even kernels
-    "labels.magnitude_max=20",  # beyond the velocity radius
-    "arch.pyramid=64",  # a pool kernel larger than the 45x50 grid
     "data.holdout_fraction=0",  # no holdout split
     "data.windows_per_player=0",  # no training sequences
     "train.holdout_eval_max=-1",  # would drop the last holdout sequence
     "train.noise_sigma=-1",  # would fail mid-training
-    "train.decay=-1",
-    "train.momentum=1",
-    "train.rho=-0.5",
-    "train.l2_activation_weight=-1",
     "train.early_stop_patience=-1",
     "rollout.burn_in_steps=51",  # longer than a sequence
     "run.n_rollouts=0",  # would fail only after training
@@ -144,6 +186,23 @@ def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
     assert err.startswith(f"error: {section}: ") and key in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, section", [
+    # a velocity radius below MAGNITUDE_MAX
+    ([f"court.velocity_radius_cells={MAGNITUDE_MAX - 1}"], "labels"),
+    # a 1x1 fine grid, smaller than the first kernel of PYRAMID
+    ([f"court.{key}=5" for key in ("width_ft", "height_ft", "micro_cell_ft", "macro_box_ft")],
+     "arch"),
+])
+def test_court_too_small_for_a_constant_stops_at_load(tmp_path, capsys, overrides, section):
+    path = write_config(tmp_path)
+    args = [arg for override in overrides for arg in ("--set", override)]
+    assert main(["--config", str(path), "--seed", "1", *args, "synth"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}: ")
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -339,13 +398,6 @@ def test_defaults_command_prints_document(tmp_path, capsys):
     assert "train.batch_size = 16" in out
     cfg = load_run_config(out)
     assert cfg == RunConfig()
-
-
-def test_config_env_var(tmp_path, monkeypatch):
-    path = write_config(tmp_path)
-    monkeypatch.setenv("HOOPNET_CONFIG", str(path))
-    assert main(["--seed", "2", "synth"]) == 0
-    assert (tmp_path / "out" / "possessions.jsonl").exists()
 
 
 def test_repro_prepares_sequences_once(tmp_path, monkeypatch):

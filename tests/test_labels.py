@@ -5,6 +5,9 @@ from scipy import stats
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, synthesize_with_goals, window
 from hoopnet.labels import (
+    MAGNITUDE_MAX,
+    MAGNITUDE_MIN,
+    STATIONARY_SPEED_FT_PER_RAW_FRAME,
     SegmentationConfig,
     attention_labels,
     attention_targets,
@@ -72,13 +75,13 @@ def test_micro_lookahead_consistency_bound():
 
 def test_stationary_fully_still():
     pts = np.full((200, 2), 10.0)
-    points = find_stationary(pts, CFG)
+    points = find_stationary(pts)
     assert points.tolist() == [99, 199]
 
 
 def test_stationary_always_fast():
     pts = make_track([(1.0, 0.0, 40)], start=(1.0, 1.0))
-    points = find_stationary(pts, CFG)
+    points = find_stationary(pts)
     assert points.tolist() == [len(pts) - 1]
 
 
@@ -87,8 +90,8 @@ def test_stationary_two_dwells():
         [(0.0, 0.0, 30), (1.0, 0.0, 20), (0.0, 0.0, 30), (1.0, 0.0, 10)],
         start=(2.0, 10.0),
     )
-    points = find_stationary(track, CFG)
-    expect = brute_stationary(track, CFG.stationary_speed_ft_per_raw_frame)
+    points = find_stationary(track)
+    expect = brute_stationary(track, STATIONARY_SPEED_FT_PER_RAW_FRAME)
     assert points.tolist() == expect
     assert len(points) == 3  # two dwell midpoints plus the final frame
 
@@ -102,8 +105,8 @@ def test_stationary_matches_brute_force_random():
         else:
             segs.append((rng.uniform(0.3, 1.0), rng.uniform(-0.5, 0.5), int(rng.integers(5, 40))))
     track = make_track(segs, start=(5.0, 20.0))
-    assert find_stationary(track, CFG).tolist() == brute_stationary(
-        track, CFG.stationary_speed_ft_per_raw_frame
+    assert find_stationary(track).tolist() == brute_stationary(
+        track, STATIONARY_SPEED_FT_PER_RAW_FRAME
     )
 
 
@@ -113,7 +116,7 @@ def test_stationary_matches_brute_force_random():
 def test_macro_single_dwell_labels_whole_window():
     target = SPEC.macro_box_centers(42)
     pts = np.tile(target, (200, 1))
-    sps = find_stationary(pts, CFG)
+    sps = find_stationary(pts)
     ids, target_xy = macro_labels(pts, sps, SPEC, CFG)
     assert (ids == 42).all()
     np.testing.assert_allclose(target_xy, np.tile(target, (50, 1)))
@@ -130,7 +133,7 @@ def test_macro_two_goal_switch():
         [(0.0, 0.0, 140), (unit[0], unit[1], n_travel), (0.0, 0.0, 200)],
         start=c10,
     )[:280]
-    sps = find_stationary(track, CFG)
+    sps = find_stationary(track)
     ids, _ = macro_labels(track, sps, SPEC, CFG)
     expect = brute_macro_labels(track, list(sps), SPEC, CFG.min_segment_steps)
     np.testing.assert_array_equal(ids, expect)
@@ -147,7 +150,7 @@ def test_macro_short_final_segment_absorbed():
     # previous label
     track = make_track([(0.25, 0.0, 188), (0.0, 0.0, 8), (0.0, 1.0, 3)], start=(1.0, 22.0))
     assert len(track) == 200
-    sps = find_stationary(track, CFG)
+    sps = find_stationary(track)
     assert len(sps) == 2  # late dwell midpoint plus final frame
     raw_targets = SPEC.boxes_from_positions(track[sps])
     assert raw_targets[0] != raw_targets[1]
@@ -165,7 +168,7 @@ def test_macro_piecewise_segments_bounded_by_stationary_points():
         segs.append((0.0, 0.0, int(rng.integers(40, 80))))
     track = make_track(segs, start=(4.0, 4.0))[:400]
     track = np.clip(track, 0.1, 44.9)
-    sps = find_stationary(track, CFG)
+    sps = find_stationary(track)
     ids, _ = macro_labels(track, sps, SPEC, CFG)
     n_segments = 1 + int(np.count_nonzero(np.diff(ids)))
     assert n_segments <= len(sps)
@@ -178,7 +181,7 @@ def test_attention_inside_goal_box_is_stationary():
     pos = np.tile(SPEC.macro_box_centers(33), (50, 1))
     ids = np.full(50, 33)
     rng = rng_for(1, "att")
-    labels, mags = attention_labels(pos, ids, SPEC, CFG, rng)
+    labels, mags = attention_labels(pos, ids, SPEC, rng)
     assert (labels == SPEC.stationary_action_index).all()
     assert mags.shape == (50,)
 
@@ -196,8 +199,8 @@ def test_attention_magnitudes_uniform_chi_square():
     pos = np.tile([2.0, 2.0], (10_000, 1))
     ids = np.full(10_000, 89)
     rng = rng_for(2, "att")
-    _, mags = attention_labels(pos, ids, SPEC, CFG, rng)
-    counts = np.bincount(mags, minlength=8)[1:8]
+    _, mags = attention_labels(pos, ids, SPEC, rng)
+    counts = np.bincount(mags, minlength=MAGNITUDE_MAX + 1)[MAGNITUDE_MIN:]
     assert counts.sum() == 10_000
     _, p = stats.chisquare(counts)
     assert p > 0.01
@@ -207,7 +210,7 @@ def test_attention_dot_product_nonnegative():
     rng = np.random.default_rng(12)
     pos = rng.uniform(1, 44, (200, 2))
     ids = rng.integers(0, 90, 200)
-    labels, _ = attention_labels(pos, ids, SPEC, CFG, rng_for(3, "att"))
+    labels, _ = attention_labels(pos, ids, SPEC, rng_for(3, "att"))
     centers = SPEC.macro_box_centers(ids)
     outside = SPEC.boxes_from_positions(pos) != ids
     vec = centers - pos
@@ -303,8 +306,8 @@ def test_label_oracle_suite_hand_tracks():
         expect, expect_pad = brute_micro_labels(pts, SPEC)
         np.testing.assert_array_equal(labels, expect, err_msg=f"case {i}")
         np.testing.assert_array_equal(padded, expect_pad, err_msg=f"case {i}")
-        sps = find_stationary(pts, CFG)
-        assert sps.tolist() == brute_stationary(pts, CFG.stationary_speed_ft_per_raw_frame)
+        sps = find_stationary(pts)
+        assert sps.tolist() == brute_stationary(pts, STATIONARY_SPEED_FT_PER_RAW_FRAME)
         ids, _ = macro_labels(pts, sps, SPEC, CFG)
         np.testing.assert_array_equal(
             ids, brute_macro_labels(pts, list(sps), SPEC, CFG.min_segment_steps),
@@ -313,10 +316,8 @@ def test_label_oracle_suite_hand_tracks():
 
 
 def test_segmentation_config_validation():
-    with pytest.raises(ValueError):
-        SegmentationConfig(stationary_speed_ft_per_raw_frame=0.0).validate(SPEC)
-    with pytest.raises(ValueError):
-        SegmentationConfig(magnitude_min=0).validate(SPEC)
-    with pytest.raises(ValueError):
-        SegmentationConfig(magnitude_max=99).validate(SPEC)
-    SegmentationConfig().validate(SPEC)
+    with pytest.raises(ValueError, match="min_segment_steps"):
+        SegmentationConfig(min_segment_steps=0).validate(SPEC)
+    with pytest.raises(ValueError, match="velocity_radius_cells"):
+        SegmentationConfig().validate(CourtSpec(velocity_radius_cells=MAGNITUDE_MAX - 1))
+    SegmentationConfig().validate(CourtSpec(velocity_radius_cells=MAGNITUDE_MAX))

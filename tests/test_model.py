@@ -11,7 +11,7 @@ from hoopnet.rollout import choose_step
 from _oracles import float64_model, oracle_infer
 
 SPEC = CourtSpec()
-ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
+ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_strides=(2, 1),
                           gru_cells=16, transfer_hidden=12)
 RNG = np.random.default_rng(7)
 
@@ -339,8 +339,8 @@ def test_checkpoint_config_hash_guard(tmp_path):
     m = fresh(Variant.H_ATT, seed=1)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, m.state_for_checkpoint(), m.config_hash())
-    other_arch = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3),
-                                    conv_strides=(2, 1), gru_cells=17, transfer_hidden=12)
+    other_arch = ArchitectureConfig(conv_filters=(4, 6), conv_strides=(2, 1), gru_cells=17,
+                                    transfer_hidden=12)
     other = HPNModel(SPEC, other_arch, Variant.H_ATT, 1)
     with pytest.raises(CheckpointError):
         load_checkpoint(path, other.state_for_checkpoint(), other.config_hash())

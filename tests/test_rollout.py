@@ -24,7 +24,7 @@ from hoopnet.util import rng_for
 from _oracles import action_index_of, oracle_infer, oracle_rollout
 
 SPEC = CourtSpec()
-ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
+ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_strides=(2, 1),
                           gru_cells=16, transfer_hidden=12)
 
 

@@ -23,6 +23,7 @@ from hoopnet.model import (
     time_major,
 )
 from hoopnet.train import (
+    L2_ACTIVATION_WEIGHT,
     LabeledSequence,
     Stage,
     TrainConfig,
@@ -46,7 +47,7 @@ from _oracles import (
 )
 
 SPEC = CourtSpec()
-ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_kernels=(3, 3), conv_strides=(2, 1),
+ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_strides=(2, 1),
                           gru_cells=16, transfer_hidden=12)
 SEG = SegmentationConfig(seed=55)
 
@@ -226,8 +227,7 @@ def test_pooled_occupancy_single_step_edges(pyramid):
 def test_finetune_loss_decomposition_recomputed():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
     batch = DATA[:4]
-    cfg = small_cfg(l2_activation_weight=1e-3)
-    loss = compute_loss(m, batch, Stage.FINETUNE, cfg, SPEC, rng=None)
+    loss = compute_loss(m, batch, Stage.FINETUNE, small_cfg(), SPEC, rng=None)
     # training-mode batch norm uses batch statistics, so a second run over
     # the same inputs reproduces the loss's forward pass
     n, t_steps = len(batch), batch[0].sequence.steps
@@ -242,7 +242,7 @@ def test_finetune_loss_decomposition_recomputed():
                 target = item.labels.micro[t, k]
                 total += -math.log(p_raw[k][row, target])
                 total += -math.log(attention[row, target])
-            total += cfg.l2_activation_weight * float(
+            total += L2_ACTIVATION_WEIGHT * float(
                 sum((p[row] ** 2).sum() for p in p_raw) + (attention[row] ** 2).sum()
             )
     np.testing.assert_allclose(float(loss.data), total / (n * t_steps), atol=1e-10)
@@ -309,10 +309,10 @@ def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
 
 
 def test_finetune_gradcheck_tiny_model():
-    arch = ArchitectureConfig(pyramid=(5, 3), conv_filters=(2,), conv_kernels=(3,),
-                              conv_strides=(2,), gru_cells=4, transfer_hidden=4)
+    arch = ArchitectureConfig(conv_filters=(2,), conv_strides=(2,), gru_cells=4,
+                              transfer_hidden=4)
     m = float64_model(HPNModel(SPEC, arch, Variant.H_ATT, 2))
-    cfg = small_cfg(l2_activation_weight=1e-3)
+    cfg = small_cfg()
     short = [shorten(item, 3) for item in DATA[:2]]
 
     from _gradcheck import gradcheck
