@@ -114,7 +114,7 @@ def parse_document(text: str) -> dict[tuple[str, str], str]:
     return entries
 
 
-def _apply(entries: dict[tuple[str, str], str], base: RunConfig) -> RunConfig:
+def _apply(entries: dict[tuple[str, str], str]) -> RunConfig:
     updates: dict[str, dict] = {}
     for (section, key), value in entries.items():
         cls = _SECTIONS.get(section)
@@ -126,7 +126,7 @@ def _apply(entries: dict[tuple[str, str], str], base: RunConfig) -> RunConfig:
         if key not in types:
             raise ConfigError(f"unknown config key {section}.{key}")
         updates.setdefault(section, {})[key] = _coerce(value, types[key], f"{section}.{key}")
-    out = base
+    out = RunConfig()
     for section, kv in updates.items():
         try:
             value = replace(getattr(out, section), **kv)
@@ -160,14 +160,15 @@ def load_run_config(
     text: str | None = None, overrides: list[str] | None = None
 ) -> RunConfig:
     """Build a RunConfig from a document plus ``section.key=value`` overrides,
-    then check every section; a bad value raises ConfigError."""
-    cfg = RunConfig()
-    if text is not None:
-        cfg = _apply(parse_document(text), cfg)
+    then check every section; a bad value raises ConfigError.  Document and
+    overrides (a later one wins) apply as one update, so a change of
+    several court keys is checked only as a whole."""
+    entries = parse_document(text) if text is not None else {}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected section.key=value")
-        cfg = _apply(parse_document(item), cfg)
+        entries.update(parse_document(item))
+    cfg = _apply(entries)
     _validate(cfg)
     return cfg
 

@@ -14,9 +14,10 @@ batch normalization and ReLU per layer, then Gaussian noise and flatten)
 runs as one op (``nn.spatial_encoder``: one tape node, hand-written
 backward pass), and so does a GRU cell over every step of a sequence
 batch (``nn.gru_sequence``: hand-written backpropagation through time).
-The model's input, agent occupancy max-pooled as one k x k max over
-counts per fine cell, is built on plain arrays outside the tape
-(``hoopnet.model.pooled_occupancy``).
+So is a linear map (``nn.Linear``: ``x @ W + b``, one tape node); there
+is no separate matrix-product op.  The model's input, agent occupancy
+max-pooled as one k x k max over counts per fine cell, is built on plain
+arrays outside the tape (``hoopnet.model.pooled_occupancy``).
 
 Importing the package sets glibc's malloc thresholds so that freed heap
 memory stays with the process: a training pass frees and reallocates

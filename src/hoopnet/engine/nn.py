@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, _grad_enabled, _node, add, matmul
+from .tensor import Parameter, Tensor, _grad_enabled, _node
 
 
 class Module:
@@ -204,7 +204,7 @@ def spatial_encoder(
         inv = (1.0 / np.sqrt(var + bn.eps)).astype(dtype)
         xhat = y
         xhat *= inv[:, None]
-        out = xhat * bn.gamma.data[:, None]
+        out = np.multiply(xhat, bn.gamma.data[:, None], out=None if record else xhat)  # tape keeps x-hat
         out += bn.beta.data[:, None]
         np.maximum(out, 0.0, out=out)
         out = out.reshape(f, n, oh, ow)
@@ -267,7 +267,11 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.weight), self.bias)
+        """``x @ weight + bias`` over (N, in) rows, as one tape node."""
+        def vjp(g):
+            return (g @ self.weight.data.T, x.data.T @ g, g.sum(axis=0))
+
+        return _node(x.data @ self.weight.data + self.bias.data, (x, self.weight, self.bias), vjp)
 
 
 # GRU

@@ -177,19 +177,6 @@ def mul(a, b) -> Tensor:
     return _node(a.data * b.data, (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-d operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
-
-    def vjp(g):
-        return (g @ b.data.T, a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), vjp)
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 

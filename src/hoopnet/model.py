@@ -11,7 +11,7 @@ player, teammates, opponents) max-pooled over the input pyramid.
 ``pooled_occupancy`` builds them straight from the positions, channels
 last: agent counts per fine cell, then one k x k max with k the product
 of the pyramid kernels (the pyramid's pools do not overlap, so they
-compose into one).
+compose into one); the counts compare agent pairs' cells, with no sort.
 
 There is one forward implementation, ``HPNModel.run``, over an
 (N, T, 11, 2) batch of agent positions and a recurrent memory.  It
@@ -117,6 +117,13 @@ def _pool_out(dim: int, kernel: int) -> int:
     return -(-(dim - kernel) // kernel) + 1
 
 
+# the 27 pairs of agents i <= j that share a channel (each agent with
+# itself too), and a (27, 11) matrix marking the agents of each pair
+_CHANNELS = np.asarray(AGENT_CHANNELS)
+_PAIRS = np.nonzero(np.triu(np.equal.outer(_CHANNELS, _CHANNELS)))
+_PAIR_AGENTS = np.equal.outer(_PAIRS, np.arange(len(_CHANNELS))).any(axis=0)
+
+
 def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int, dtype) -> np.ndarray:
     """(M, 11, 2) agent positions -> (M, ceil(rows/k), ceil(cols/k), 4)
     occupancy in ``dtype``, channels-last: ball, focal, teammates,
@@ -127,19 +134,20 @@ def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int, dtype) -> n
     Each output cell holds the largest number of agents of its channel in
     any one fine cell of its k x k block (blocks at the far edges cover
     only the cells that exist).  Positions off the court count in the
-    nearest edge cell.
+    nearest edge cell.  Nothing is sorted: each row compares the cells of
+    its 27 same-channel agent pairs, which gives every agent the count of
+    its channel's agents in its cell, and ``np.maximum.at`` keeps the
+    largest count per block and channel.
     """
     m = positions.shape[0]
     rows, cols = spec.micro_rows, spec.micro_cols
     cell_cols, cell_rows = spec.cells_from_positions(positions)
-    planes = np.arange(m)[:, None] * 4 + np.asarray(AGENT_CHANNELS)
-    cells, counts = np.unique((planes * rows + cell_rows) * cols + cell_cols, return_counts=True)
-    plane, cell = np.divmod(cells, rows * cols)
+    cell = cell_rows * cols + cell_cols
+    counts = (cell[:, _PAIRS[0]] == cell[:, _PAIRS[1]]).astype(dtype) @ _PAIR_AGENTS.astype(dtype)
     out_rows, out_cols = -(-rows // k), -(-cols // k)
     out = np.zeros(m * out_rows * out_cols * 4, dtype)
-    step, channel = np.divmod(plane, 4)
-    blocks = ((step * out_rows + cell // cols // k) * out_cols + cell % cols // k) * 4 + channel
-    np.maximum.at(out, blocks, counts.astype(dtype))
+    blocks = ((np.arange(m)[:, None] * out_rows + cell_rows // k) * out_cols + cell_cols // k) * 4
+    np.maximum.at(out, (blocks + _CHANNELS).ravel(), counts.ravel())
     return out.reshape(m, out_rows, out_cols, 4)
 
 
@@ -402,17 +410,16 @@ class HPNModel(Module):
         with no_grad():
             outs, memory = self.run(inputs, memory, training=False)
         n = memory["_batch"]
-
-        def head(key: str) -> np.ndarray | None:
+        result: dict = {}
+        for key in ("raw", "macro", "attention", "cc"):
             value = outs.get(f"{key}_logits")
-            if isinstance(value, list):
-                return np.stack([batch_major(t.data, n) for t in value], axis=2)
-            return None if value is None else batch_major(value.data, n)
-
-        result = {key: head(key) for key in ("raw", "macro", "attention", "cc")}
-        for key, value in result.items():
+            if isinstance(value, list):  # look-ahead heads: (T*N, lookahead, n_actions)
+                value = np.stack([t.data for t in value], axis=1)
+            elif value is not None:
+                value = value.data
             if value is not None and not np.isfinite(value).all():
                 raise FloatingPointError(f"non-finite values in the {key} logits")
+            result[key] = None if value is None else batch_major(value, n)
         return result, memory
 
     def eval_logits(self, inputs: np.ndarray) -> dict:

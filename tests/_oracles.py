@@ -6,8 +6,9 @@ grid shapes.  The scalar court conversions below are the references the
 package's array conversions are checked against.  ``oracle_rollout``
 drives a model, one sequence and one look-ahead head at a time;
 ``oracle_gru_sequence`` steps a GRU cell through time with elementary
-tape ops, including the ``row_block``, ``sigmoid``, ``tanh`` and ``sub``
-defined here;
+tape ops, including the ``matmul``, ``row_block``, ``sigmoid``, ``tanh``
+and ``sub`` defined here (``matmul`` with ``add`` is also the two-node
+form of ``Linear``);
 ``oracle_spatial_encoder`` runs a spatial encoder as a channels-first tape
 of ``conv2d``, ``batch_norm``, ``relu``, ``gaussian_noise`` and
 ``reshape`` nodes, 8 for two layers.  ``oracle_augment_translate`` translates one
@@ -44,7 +45,6 @@ from hoopnet.engine.tensor import (
     _wrap,
     add,
     concat,
-    matmul,
     mul,
     no_grad,
     relu,
@@ -286,6 +286,20 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
         attention_argmax=att_argmax,
         clamp_events=clamps,
     )
+
+
+def matmul(a, b) -> Tensor:
+    """2-d ``a @ b`` as a tape node, the product the GRU oracle steps with."""
+    a, b = _wrap(a), _wrap(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError("matmul expects 2-d operands")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
+
+    def vjp(g):
+        return (g @ b.data.T, a.data.T @ g)
+
+    return _node(a.data @ b.data, (a, b), vjp)
 
 
 def row_block(x: Tensor, start: int, stop: int) -> Tensor:

@@ -68,6 +68,27 @@ def test_load_run_config_defaults_and_overrides():
     assert cfg.court.width_ft == 50.0
 
 
+# an 8 x 8 ft court of 2 ft cells and boxes: each key alone leaves a court
+# that fails its own checks (8 ft is no multiple of the default 5 ft box)
+SMALL_COURT = {"width_ft": "8", "height_ft": "8", "micro_cell_ft": "2", "macro_box_ft": "2"}
+SMALL_COURT_FLAGS = [f"court.{key}={value}" for key, value in SMALL_COURT.items()]
+
+
+def test_overrides_apply_as_one_update():
+    document = "".join(f"court.{key} = {value}\n" for key, value in SMALL_COURT.items())
+    cfg = load_run_config(None, SMALL_COURT_FLAGS)
+    assert cfg == load_run_config(document)
+    assert (cfg.court.width_ft, cfg.court.macro_box_ft) == (8.0, 2.0)
+    # overrides replace the document's values, and a later flag wins
+    assert load_run_config("court.width_ft = 10", SMALL_COURT_FLAGS) == cfg
+    assert load_run_config(None, ["court.width_ft=9", *SMALL_COURT_FLAGS]) == cfg
+
+
+def test_invalid_final_court_names_the_court():
+    with pytest.raises(ConfigError, match=r"^court: court extents \(9.0 x 8.0\)"):
+        load_run_config(None, [*SMALL_COURT_FLAGS, "court.width_ft=9"])
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         load_run_config("court.depth = 3")

@@ -29,11 +29,12 @@ from hoopnet.engine import (
 )
 from hoopnet.engine import checkpoint, nn
 from hoopnet.engine.nn import Module
-from hoopnet.engine.tensor import mul
+from hoopnet.engine.tensor import add, mul
 from hoopnet.errors import CheckpointError
 
 from _gradcheck import gradcheck, relative_error
 from _oracles import (
+    matmul,
     oracle_gru_sequence,
     oracle_pool,
     oracle_spatial_encoder,
@@ -513,6 +514,28 @@ def test_linear_and_concat_gradcheck():
         return (concat([lin(x), lin(y)], axis=-1) * fixed).sum()
 
     assert gradcheck(loss, [x, y] + lin.parameters()) < TOL
+
+
+@pytest.mark.parametrize("rows", [1, 16, 800])
+def test_linear_matches_matmul_add_tape(rows):
+    # the one-node Linear equals the two-node matmul + add tape bit for bit:
+    # forward, input gradient and both parameter gradients, in float32
+    lin = Linear(64, 289, np.random.default_rng(rows))
+    lin.cast(np.float32)
+    x_data = RNG.normal(size=(rows, 64)).astype(np.float32)
+    upstream = Tensor(RNG.normal(size=(rows, 289)).astype(np.float32))
+    results = []
+    for forward in (lin, lambda x: add(matmul(x, lin.weight), lin.bias)):
+        x = Tensor(x_data, requires_grad=True)
+        for p in lin.parameters():
+            p.grad = None
+        out = forward(x)
+        backward((out * upstream).sum())
+        results.append([out.data, x.grad, lin.weight.grad, lin.bias.grad])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_row_block_gradcheck():

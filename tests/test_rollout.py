@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hoopnet.engine.nn as nn_mod
 import hoopnet.engine.tensor as tensor_mod
 import hoopnet.model as model_mod
 import hoopnet.rollout as rollout_mod
@@ -262,6 +263,22 @@ def test_argmax_step_softmax_count(monkeypatch, variant, per_call):
     batch_rollout(m, SEQS, RolloutConfig(burn_in_steps=20, horizon_steps=3), SPEC)
     assert len(calls) == (1 + 3) * per_call
     assert all(shape[-1] == SPEC.n_macro_boxes for shape in calls)
+
+
+@pytest.mark.parametrize("variant,nodes", [(Variant.H_ATT, 13), (Variant.CNN, 7)])
+def test_step_tensor_node_count(monkeypatch, variant, nodes):
+    # a T = 1 model call builds one Tensor per op, each Linear one: for
+    # h_att two encoders, two GRUs, four look-ahead heads, the goal head,
+    # its softmax and the transfer net's two layers and ReLU; for cnn one
+    # encoder, the linear core and its ReLU, and four heads
+    m = HPNModel(SPEC, ARCH, variant, 3)
+    inputs = np.stack([agent_positions(s)[:1] for s in SEQS])  # (N, 1, 11, 2)
+    made = []
+    for module in (tensor_mod, nn_mod):
+        real = module._node
+        monkeypatch.setattr(module, "_node", lambda *args, real=real: made.append(1) or real(*args))
+    m.logits(inputs, m.reset_memory(len(SEQS)))
+    assert len(made) == nodes
 
 
 def test_batch_rollout_duplicates_and_short_sequence():

@@ -224,6 +224,44 @@ def test_pooled_occupancy_single_step_edges(pyramid):
     _check_against_dense_oracle(agents[None, None], pyramid)
 
 
+def _counting_cases(rng, m, k):
+    """(m, 11, 2) steps cycling through three cases: all eleven agents in
+    one fine cell; in one k x k block, a stack of three teammates and one
+    teammate in another cell, two opponents with them and three more in a
+    third cell; and every agent up to 3 ft off an edge (several clamp into
+    the same edge cell)."""
+    cell = SPEC.micro_cell_ft
+    steps = []
+    for i in range(m):
+        case = i % 3
+        if case == 0:
+            step = np.repeat(rng.uniform(-3.0, SPEC.width_ft + 3.0, (1, 2)), 11, axis=0)
+        elif case == 1:
+            corner = (rng.integers(0, [SPEC.micro_cols // k, SPEC.micro_rows // k]) * k + 0.5) * cell
+            far = corner + (k - 1) * cell
+            side = corner + [(k - 1) * cell, 0.0]
+            step = rng.uniform(0.0, [SPEC.width_ft, SPEC.height_ft], (11, 2))
+            step[2:5], step[5], step[6:8], step[8:11] = corner, far, corner, side
+        else:
+            xs = np.concatenate([rng.uniform(-3.0, 0.0, 6), rng.uniform(SPEC.width_ft, SPEC.width_ft + 3.0, 5)])
+            ys = np.concatenate([rng.uniform(SPEC.height_ft, SPEC.height_ft + 3.0, 5), rng.uniform(-3.0, 0.0, 6)])
+            step = np.stack([rng.permutation(xs), ys], axis=-1)
+        steps.append(step)
+    return np.stack(steps)
+
+
+@pytest.mark.parametrize("pyramid", PYRAMIDS)
+def test_pooled_occupancy_counting_cases(pyramid):
+    k = math.prod(pyramid)
+    steps = _counting_cases(np.random.default_rng(k), 1600, k)
+    # all eleven in one cell: one ball, one focal, 4 teammates, 5 opponents
+    one_cell = pooled_occupancy(steps[:1], SPEC, k, np.float32)
+    assert sorted(one_cell[one_cell > 0].tolist()) == [1.0, 1.0, 4.0, 5.0]
+    for i in range(3):  # M = 1, each case
+        _check_against_dense_oracle(steps[i][None, None], pyramid)
+    _check_against_dense_oracle(steps.reshape(32, 50, 11, 2), pyramid)  # M = 1,600
+
+
 def test_finetune_loss_decomposition_recomputed():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 5)
     batch = DATA[:4]
