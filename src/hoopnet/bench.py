@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .court import CourtSpec
+from .data import agent_positions
 from .engine.tensor import softmax_array
 from .errors import ConfigError, DataError
 from .model import Variant, combined_scores
-from .train import LabeledSequence, assemble
+from .train import LabeledSequence
 from .util import atomic_open
 
 VARIANT_ORDER = [
@@ -52,6 +53,17 @@ class BenchmarkRow:
     n_eval: int
 
 
+def assemble(chunk: list[LabeledSequence]) -> dict:
+    """Stack a chunk's model inputs under ``inputs`` and the label streams
+    ``evaluate`` reads under their names, as ``train.assemble`` does for a
+    training batch; the streams only translation needs
+    (``macro_target_xy``, ``attention_magnitudes``) stay unstacked."""
+    arrays = {"inputs": np.stack([agent_positions(it.sequence) for it in chunk])}
+    for name in ("micro", "micro_padded", "macro", "attention"):
+        arrays[name] = np.stack([getattr(it.labels, name) for it in chunk])
+    return arrays
+
+
 def evaluate(
     policy,
     data: list[LabeledSequence],
@@ -63,7 +75,7 @@ def evaluate(
     """Teacher-forced pass over labeled sequences.
 
     ``policy`` needs one method, ``eval_logits(inputs)``, taking an
-    (N, T, 11, 2) batch of agent positions (``train.assemble``) and
+    (N, T, 11, 2) batch of agent positions (``assemble``) and
     returning batch-major logits as ``HPNModel.logits`` does: ``raw``
     (N, T, lookahead, n_actions), ``macro`` (N, T, n_boxes), ``attention``
     (N, T, n_actions) and ``cc`` (N, T, lookahead, n_actions), None where
@@ -92,10 +104,15 @@ def evaluate(
 
     for start in range(0, len(subset), batch_size):
         chunk = subset[start:start + batch_size]
-        arrays = assemble(chunk, spec)
+        arrays = assemble(chunk)
         n, t_steps = arrays["inputs"].shape[:2]
         logits = policy.eval_logits(arrays["inputs"])
-        pred = combined_scores(logits).argmax(axis=-1)  # (n, t, lookahead)
+        # head by head: a desk chunk's float64 scores of all four heads at
+        # once would be one 15 MB array
+        heads = [{**logits, "raw": logits["raw"][:, :, k:k + 1],
+                  "cc": None if logits["cc"] is None else logits["cc"][:, :, k:k + 1]}
+                 for k in range(lookahead)]
+        pred = np.concatenate([combined_scores(h).argmax(axis=-1) for h in heads], axis=-1)
         valid = ~arrays["micro_padded"]
         hits = (pred == arrays["micro"]) & valid
         correct += hits.sum(axis=(0, 1))

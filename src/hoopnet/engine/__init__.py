@@ -3,16 +3,20 @@
 Ops compute in the dtype of the arrays they are given; the model holds
 its parameters, and so all its activations and gradients, in float32.
 Reductions that set a scale accumulate in float64: the batch-norm
-statistics, the cross-entropy's exp-sum and every scalar loss sum.
-Layers are built in float64 and ``Module.cast`` converts a model.
+statistics, and the training loss's exp-sums and sums.  Layers are built
+in float64 and ``Module.cast`` converts a model.
 
 Forward ops record a tape; backward() walks it once.  The layer set is
 exactly what the policy networks need: the spatial encoder, linear maps,
-GRU cells, ReLU, softmax / cross-entropy, plus RMSprop-with-momentum and
-global gradient clipping.  The spatial encoder (bias-free convolution,
-batch normalization and ReLU per layer, then Gaussian noise and flatten)
-runs as one op (``nn.spatial_encoder``: one tape node, hand-written
-backward pass), and so does a GRU cell over every step of a sequence
+GRU cells, ReLU, concatenation and softmax, plus RMSprop-with-momentum
+and global gradient clipping; no elementwise sums or products.  A
+stage's whole training loss, every cross-entropy and activation
+penalty, is one op (``softmax_nll``: one tape node, each logits array's
+softmax computed once), and a test asserts that every name this package
+exports has a caller in ``hoopnet``.  The spatial encoder (bias-free
+convolution, batch normalization and ReLU per layer, then Gaussian noise
+and flatten) runs as one op (``nn.spatial_encoder``: one tape node,
+hand-written backward pass), and so does a GRU cell over every step of a sequence
 batch (``nn.gru_sequence``: hand-written backpropagation through time).
 So is a linear map (``nn.Linear``: ``x @ W + b``, one tape node); there
 is no separate matrix-product op.  The model's input, agent occupancy

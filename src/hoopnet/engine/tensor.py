@@ -1,11 +1,9 @@
 """Tape-based reverse-mode autodiff over dense numpy float arrays.
 
-Ops compute in their inputs' dtype (the model's is float32): a plain
-number or array operand takes the dtype of the Tensor it meets, so a
-Python-scalar weight never widens a float32 array.  Reductions that set
-a scale accumulate in float64: ``tsum`` returns a float64 scalar (its
-gradient goes back in its input's dtype), and so does ``softmax_nll``'s
-log-sum-exp, so the training loss is float64.
+Ops compute in their inputs' dtype (the model's is float32).  Reductions
+that set a scale accumulate in float64; here that is the training loss,
+``softmax_nll``, one node that returns a float64 scalar and passes back
+gradients in its logits' dtype.
 
 Graph nodes are Tensors; each op attaches a vector-Jacobian closure.
 Gradients accumulate out-of-place (``p.grad = p.grad + g``) so a returned
@@ -62,21 +60,6 @@ class Tensor:
     def _needs(self) -> bool:
         return self.requires_grad
 
-    # convenience mirrors of the free functions
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return tsum(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -101,26 +84,6 @@ def _node(data: np.ndarray, parents: tuple, vjp) -> Tensor:
         out._parents = parents
         out._vjp = vjp
     return out
-
-
-def _wrap(x, like=None) -> Tensor:
-    """``x`` as a Tensor; a plain number or array takes the dtype of the
-    Tensor ``like`` (float64 without one)."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype if isinstance(like, Tensor) else np.float64))
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def backward(loss: Tensor) -> None:
@@ -159,24 +122,6 @@ def backward(loss: Tensor) -> None:
 # elementwise / shape ops
 
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
-
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-
-    return _node(a.data + b.data, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
-
-    def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), vjp)
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
@@ -187,7 +132,6 @@ def relu(x: Tensor) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
 
@@ -197,23 +141,21 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), vjp)
 
 
-def tsum(x: Tensor) -> Tensor:
-    """Sum of every element as a float64 scalar, whatever ``x``'s dtype."""
-    shape, dtype = x.data.shape, x.data.dtype
-
-    def vjp(g):
-        return (np.broadcast_to(g.astype(dtype), shape),)
-
-    return _node(np.asarray(x.data.sum(dtype=np.float64)), (x,), vjp)
-
-
 # softmax family (always along the last axis)
+
+
+def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(x - max)`` in ``x``'s dtype, and the (..., 1) max: the one
+    exponential that every softmax and the loss are built on."""
+    m = x.max(axis=-1, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    return e, m
 
 
 def softmax_array(x: np.ndarray) -> np.ndarray:
     """Softmax of a plain array; the one softmax every caller shares."""
-    e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
+    e, _ = _shifted_exp(x)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
@@ -228,33 +170,65 @@ def softmax(x: Tensor) -> Tensor:
     return _node(p, (x,), vjp)
 
 
-def softmax_nll(logits: Tensor, targets) -> Tensor:
-    """Per-row negative log likelihood ``-log softmax(logits)[target]``.
+def softmax_nll(terms: list[tuple[Tensor, np.ndarray, float]], scale: float = 1.0) -> Tensor:
+    """A whole training loss as one float64 scalar node.
 
-    ``targets`` are class indices of shape (N,).  Returns a length-N
-    float64 tensor, the exp-sum accumulated in float64; reduce with
-    .sum().  The logits' gradient keeps their dtype.
+    Each term is ``(logits, targets, weight)``: (R, C) logits, (R, K)
+    class indices with K >= 0, and an activation-penalty weight w.  With
+    ``p = softmax(logits)`` the term adds
+    ``sum_r (sum_k -log p[r, targets[r, k]] + w * sum_j p[r, j]**2)``,
+    and the node holds ``scale`` times the sum of the terms.
+
+    Each logits array's shifted exponential and float64 exp-sum are
+    computed once, in the forward pass, and the loss is summed in float64
+    (each row's sum of squared exponentials in the logits' dtype).  The
+    backward pass forms the probabilities from them and gives each logits
+    array, in its own dtype,
+    ``scale * g * (K p - sum_k onehot(t_k) + 2 w p (p - sum_j p_j**2))``.
     """
-    x = logits.data
-    if x.ndim != 2:
-        raise ValueError("softmax_nll expects (N, K) logits")
-    n, k = x.shape
-    idx = np.asarray(targets).astype(np.int64)
-    if idx.shape != (n,):
-        raise ValueError(f"targets shape {idx.shape} does not match logits rows {n}")
-    if (idx < 0).any() or (idx >= k).any():
-        raise ValueError("target index out of range")
-    m = x.max(axis=-1)
-    e = x - m[:, None]
-    np.exp(e, out=e)
-    lse = np.log(e.sum(axis=-1, dtype=np.float64)) + m
-    losses = lse - x[np.arange(n), idx]
+    logits, saved = [], []
+    total = 0.0
+    for tensor, targets, weight in terms:
+        x = tensor.data
+        if x.ndim != 2:
+            raise ValueError("softmax_nll expects (R, C) logits")
+        rows, classes = x.shape
+        idx = np.asarray(targets)
+        if idx.ndim != 2 or idx.shape[0] != rows:
+            raise ValueError(f"targets shape {idx.shape} is not ({rows}, K)")
+        idx = idx.astype(np.int64, copy=False)
+        if idx.size and (idx.min() < 0 or idx.max() >= classes):
+            raise ValueError("target index out of range")
+        e, m = _shifted_exp(x)
+        s = e.sum(axis=-1, dtype=np.float64)
+        if idx.size:
+            lse = np.log(s) + m[:, 0]
+            total += (lse[:, None] - x[np.arange(rows)[:, None], idx]).sum()
+        q = None
+        if weight:
+            q = np.einsum("ij,ij->i", e, e) / (s * s)  # sum_j p_j**2 per row
+            total += weight * q.sum()
+        logits.append(tensor)
+        saved.append((e, (1.0 / s).astype(x.dtype), idx, weight, q))
 
     def vjp(g):
-        g = g.astype(x.dtype)
-        gi = softmax_array(x)
-        gi *= g[:, None]
-        gi[np.arange(n), idx] -= g
-        return (gi,)
+        c = scale * float(g)
+        grads = []
+        for e, inv_s, idx, weight, q in saved:
+            k = idx.shape[1]
+            if weight:
+                p = e * inv_s[:, None]
+                gx = p - q.astype(p.dtype)[:, None]
+                gx *= 2.0 * weight * c
+                if k:
+                    gx += k * c
+                gx *= p
+            else:
+                gx = e * (k * c * inv_s)[:, None]
+            rows = np.arange(len(e))
+            for col in idx.T:
+                gx[rows, col] -= c
+            grads.append(gx)
+        return tuple(grads)
 
-    return _node(losses, (logits,), vjp)
+    return _node(np.asarray(total * scale), tuple(logits), vjp)

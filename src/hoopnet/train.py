@@ -17,7 +17,7 @@ import numpy as np
 
 from .court import CourtSpec
 from .data import TrainingSequence, agent_positions
-from .engine import RMSProp, Tensor, backward, clip_gradients, softmax, softmax_nll
+from .engine import RMSProp, Tensor, backward, clip_gradients, softmax_nll
 from .engine.checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DivergenceError
 from .labels import WeakLabels, attention_targets
@@ -225,8 +225,14 @@ def compute_loss(
     product of the raw action distribution and the attention mask (for the
     concatenation variant, under its combined head), plus an L2 penalty on
     the attention and raw-action output distributions.  The scalar is the
-    per-(sequence, step) mean.  Every term covers all T*N time-major rows
-    of one ``model.run`` at once.
+    per-(sequence, step) mean.
+
+    This builds the stage's term list for ``softmax_nll``, one term per
+    logits array over all T*N time-major rows of one ``model.run``: each
+    micro head with its own look-ahead target column, the fine-tune
+    attention logits with every look-ahead column and the penalty, and
+    h_cc's raw heads with the penalty alone.  So the whole loss is one tape
+    node, and each logits array's softmax is computed once.
 
     ``arrays`` is a batch as ``assemble`` stacks it, augmented or not; a
     list of labeled sequences is assembled here first.
@@ -236,39 +242,25 @@ def compute_loss(
         arrays = assemble(arrays, spec)
     inputs = arrays["inputs"]
     n, t_steps = inputs.shape[:2]
-    scale = 1.0 / (n * t_steps)
     outs, _ = model.run(
         inputs, model.reset_memory(n), training=True, rng=rng,
         noise_sigma=cfg.noise_sigma, branches=branches,
     )
     micro = time_major(arrays["micro"])  # (T*N, lookahead)
-    terms: list[Tensor] = []
+    columns = [micro[:, k:k + 1] for k in range(micro.shape[1])]  # one per look-ahead head
     if stage is Stage.PRETRAIN_MICRO:
-        for k, logits in enumerate(outs["raw_logits"]):
-            terms.append(softmax_nll(logits, micro[:, k]).sum())
-    elif stage is Stage.PRETRAIN_MACRO:
-        terms.append(softmax_nll(outs["macro_logits"], time_major(arrays["macro"])).sum())
-    elif stage is Stage.PRETRAIN_ATTENTION:
-        terms.append(softmax_nll(outs["attention_logits"], time_major(arrays["attention"])).sum())
-    else:  # fine-tune
-        if model.variant is Variant.H_CC:
-            for k, logits in enumerate(outs["cc_logits"]):
-                terms.append(softmax_nll(logits, micro[:, k]).sum())
-        else:
-            for k, logits in enumerate(outs["raw_logits"]):
-                terms.append(softmax_nll(logits, micro[:, k]).sum())
-                terms.append(softmax_nll(outs["attention_logits"], micro[:, k]).sum())
-        reg = list(outs["raw_logits"])
-        if "attention_logits" in outs:
-            reg.append(outs["attention_logits"])
-        for logits in reg:
-            p = softmax(logits)
-            terms.append((p * p).sum() * L2_ACTIVATION_WEIGHT)
-
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * scale
+        terms = [(logits, target, 0.0) for logits, target in zip(outs["raw_logits"], columns)]
+    elif stage in (Stage.PRETRAIN_MACRO, Stage.PRETRAIN_ATTENTION):
+        key = "macro" if stage is Stage.PRETRAIN_MACRO else "attention"
+        terms = [(outs[f"{key}_logits"], time_major(arrays[key])[:, None], 0.0)]
+    elif model.variant is Variant.H_CC:
+        terms = [(logits, target, 0.0) for logits, target in zip(outs["cc_logits"], columns)]
+        terms += [(logits, micro[:, :0], L2_ACTIVATION_WEIGHT) for logits in outs["raw_logits"]]
+    else:  # fine-tune with an attention mask
+        terms = [(logits, target, L2_ACTIVATION_WEIGHT)
+                 for logits, target in zip(outs["raw_logits"], columns)]
+        terms.append((outs["attention_logits"], micro, L2_ACTIVATION_WEIGHT))
+    return softmax_nll(terms, 1.0 / (n * t_steps))
 
 
 # stage loop

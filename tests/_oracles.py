@@ -6,9 +6,12 @@ grid shapes.  The scalar court conversions below are the references the
 package's array conversions are checked against.  ``oracle_rollout``
 drives a model, one sequence and one look-ahead head at a time;
 ``oracle_gru_sequence`` steps a GRU cell through time with elementary
-tape ops, including the ``matmul``, ``row_block``, ``sigmoid``, ``tanh``
-and ``sub`` defined here (``matmul`` with ``add`` is also the two-node
-form of ``Linear``);
+tape ops, including the ``add``, ``mul``, ``matmul``, ``row_block``,
+``sigmoid``, ``tanh`` and ``sub`` defined here (``matmul`` with ``add``
+is also the two-node form of ``Linear``).  ``oracle_compute_loss`` is the
+stage loss as a composed tape of per-row cross-entropies
+(``softmax_nll_rows``), softmax penalties and ``tsum``/``add``/``mul``
+nodes, against which the one-node ``softmax_nll`` is checked;
 ``oracle_spatial_encoder`` runs a spatial encoder as a channels-first tape
 of ``conv2d``, ``batch_norm``, ``relu``, ``gaussian_noise`` and
 ``reshape`` nodes, 8 for two layers.  ``oracle_augment_translate`` translates one
@@ -41,19 +44,16 @@ from numpy.lib.stride_tricks import as_strided
 from hoopnet.engine.tensor import (
     Tensor,
     _node,
-    _unbroadcast,
-    _wrap,
-    add,
     concat,
-    mul,
     no_grad,
     relu,
+    softmax,
     softmax_array,
 )
 from hoopnet.labels import WeakLabels, attention_targets
-from hoopnet.model import Variant, batch_major
+from hoopnet.model import Variant, batch_major, time_major
 from hoopnet.rollout import RolloutResult
-from hoopnet.train import LabeledSequence, assemble
+from hoopnet.train import L2_ACTIVATION_WEIGHT, LabeledSequence, Stage, assemble, stage_branches
 from hoopnet.util import rng_for
 
 
@@ -286,6 +286,122 @@ def oracle_rollout(model, seq, config, spec: CourtSpec) -> RolloutResult:
         attention_argmax=att_argmax,
         clamp_events=clamps,
     )
+
+
+def _wrap(x, like=None) -> Tensor:
+    """``x`` as a Tensor; a plain number or array takes the dtype of the
+    Tensor ``like`` (float64 without one)."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=like.data.dtype if isinstance(like, Tensor) else np.float64))
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a, b) -> Tensor:
+    """Broadcasting ``a + b``; a plain operand takes the other's dtype."""
+    a, b = _wrap(a, b), _wrap(b, a)
+
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+
+    return _node(a.data + b.data, (a, b), vjp)
+
+
+def mul(a, b) -> Tensor:
+    """Broadcasting ``a * b``; a plain operand takes the other's dtype."""
+    a, b = _wrap(a, b), _wrap(b, a)
+
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
+
+    return _node(a.data * b.data, (a, b), vjp)
+
+
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every element as a float64 scalar, whatever ``x``'s dtype."""
+    shape, dtype = x.data.shape, x.data.dtype
+
+    def vjp(g):
+        return (np.broadcast_to(g.astype(dtype), shape),)
+
+    return _node(np.asarray(x.data.sum(dtype=np.float64)), (x,), vjp)
+
+
+def softmax_nll_rows(logits: Tensor, targets) -> Tensor:
+    """Per-row negative log likelihood ``-log softmax(logits)[target]``
+    for (N,) class indices, as a length-N float64 tensor (the exp-sum in
+    float64); its backward pass computes the softmax again."""
+    x = logits.data
+    if x.ndim != 2:
+        raise ValueError("softmax_nll_rows expects (N, K) logits")
+    n, k = x.shape
+    idx = np.asarray(targets).astype(np.int64)
+    if idx.shape != (n,):
+        raise ValueError(f"targets shape {idx.shape} does not match logits rows {n}")
+    if (idx < 0).any() or (idx >= k).any():
+        raise ValueError("target index out of range")
+    m = x.max(axis=-1)
+    e = x - m[:, None]
+    np.exp(e, out=e)
+    lse = np.log(e.sum(axis=-1, dtype=np.float64)) + m
+    losses = lse - x[np.arange(n), idx]
+
+    def vjp(g):
+        g = g.astype(x.dtype)
+        gi = softmax_array(x)
+        gi *= g[:, None]
+        gi[np.arange(n), idx] -= g
+        return (gi,)
+
+    return _node(losses, (logits,), vjp)
+
+
+def oracle_compute_loss(model, arrays: dict, stage: Stage, cfg, rng=None) -> Tensor:
+    """``train.compute_loss`` as a composed tape: one ``softmax_nll_rows``
+    node per (logits, target column), a ``softmax`` and ``mul`` node per
+    penalised logits array, and a chain of ``tsum``, ``add`` and ``mul``."""
+    inputs = arrays["inputs"]
+    n, t_steps = inputs.shape[:2]
+    outs, _ = model.run(inputs, model.reset_memory(n), training=True, rng=rng,
+                        noise_sigma=cfg.noise_sigma, branches=stage_branches(model, stage))
+    micro = time_major(arrays["micro"])
+    terms: list[Tensor] = []
+    if stage is Stage.PRETRAIN_MICRO:
+        for k, logits in enumerate(outs["raw_logits"]):
+            terms.append(tsum(softmax_nll_rows(logits, micro[:, k])))
+    elif stage is Stage.PRETRAIN_MACRO:
+        terms.append(tsum(softmax_nll_rows(outs["macro_logits"], time_major(arrays["macro"]))))
+    elif stage is Stage.PRETRAIN_ATTENTION:
+        terms.append(tsum(softmax_nll_rows(outs["attention_logits"], time_major(arrays["attention"]))))
+    else:
+        if model.variant is Variant.H_CC:
+            for k, logits in enumerate(outs["cc_logits"]):
+                terms.append(tsum(softmax_nll_rows(logits, micro[:, k])))
+        else:
+            for k, logits in enumerate(outs["raw_logits"]):
+                terms.append(tsum(softmax_nll_rows(logits, micro[:, k])))
+                terms.append(tsum(softmax_nll_rows(outs["attention_logits"], micro[:, k])))
+        penalised = list(outs["raw_logits"])
+        if "attention_logits" in outs:
+            penalised.append(outs["attention_logits"])
+        for logits in penalised:
+            p = softmax(logits)
+            terms.append(mul(tsum(mul(p, p)), L2_ACTIVATION_WEIGHT))
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t)
+    return mul(total, 1.0 / (n * t_steps))
 
 
 def matmul(a, b) -> Tensor:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,19 @@ def test_random_macro_head_near_chance():
     p = 1.0 / SPEC.n_macro_boxes
     sigma = (p * (1 - p) / (len(DATA) * 7 * 50)) ** 0.5
     assert abs(m.macro_acc - p) < 3 * sigma + 1e-9
+
+
+def test_evaluate_leaves_translation_labels_unstacked():
+    # evaluate reads neither macro_target_xy nor attention_magnitudes, so
+    # a chunk whose two streams could not be stacked still evaluates
+    chunk = [DATA[0], DATA[1]]
+    odd = replace(chunk[1].labels, macro_target_xy=np.zeros((3, 5)),
+                  attention_magnitudes=np.zeros(7))
+    chunk[1] = LabeledSequence(chunk[1].sequence, odd)
+    with pytest.raises(ValueError):
+        assemble(chunk, SPEC)
+    assert evaluate(_OraclePolicy(chunk, SPEC), chunk, SPEC) == \
+        evaluate(_OraclePolicy(DATA[:2], SPEC), DATA[:2], SPEC)
 
 
 def test_empty_holdout_rejected():

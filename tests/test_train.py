@@ -1,3 +1,4 @@
+import inspect
 import math
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from hoopnet.model import (
     time_major,
 )
 from hoopnet.train import (
+    _STAGES,
     L2_ACTIVATION_WEIGHT,
     LabeledSequence,
     Stage,
@@ -41,6 +43,7 @@ from _oracles import (
     float64_model,
     oracle_augment_translate,
     oracle_channelize,
+    oracle_compute_loss,
     oracle_pool,
     oracle_spatial_encoder,
     shorten,
@@ -147,10 +150,10 @@ def test_finetune_loss_single_head_value():
 
     from hoopnet.engine import Tensor, softmax_nll
 
-    nll_raw = softmax_nll(Tensor(np.log(p_raw)[None]), np.array([7]))
-    nll_att = softmax_nll(Tensor(np.log(att)[None]), np.array([7]))
-    total = float(nll_raw.data[0] + nll_att.data[0])
-    np.testing.assert_allclose(total, -math.log(0.2), rtol=1e-9)
+    target = np.array([[7]])
+    total = softmax_nll([(Tensor(np.log(p_raw)[None]), target, 0.0),
+                         (Tensor(np.log(att)[None]), target, 0.0)])
+    np.testing.assert_allclose(float(total.data), -math.log(0.2), rtol=1e-9)
 
 
 def test_pretrain_loss_zero_for_perfect_heads():
@@ -159,7 +162,7 @@ def test_pretrain_loss_zero_for_perfect_heads():
     logits = np.full((8, 90), -60.0)
     targets = np.arange(8)
     logits[np.arange(8), targets] = 60.0
-    loss = softmax_nll(Tensor(logits), targets).sum()
+    loss = softmax_nll([(Tensor(logits), targets[:, None], 0.0)])
     assert float(loss.data) < 1e-6
 
 
@@ -314,18 +317,25 @@ def _finetune_tapes(steps):
 
 
 def test_finetune_softmax_nll_nodes_independent_of_steps():
-    # every loss term covers all T*N rows at once, so longer sequences
-    # add no cross-entropy nodes to the tape
-    counts = [_count_op_nodes(tape, "softmax_nll") for tape in _finetune_tapes((3, 6))]
-    assert counts[0] == counts[1] == 2 * SPEC.lookahead_steps
+    # the whole loss is one node over all T*N rows at once, whatever the
+    # sequence length: its parents are the four look-ahead heads' logits
+    # and the attention logits
+    tapes = _finetune_tapes((3, 6))
+    assert [_count_op_nodes(tape, "softmax_nll") for tape in tapes] == [1, 1]
+    for tape in tapes:
+        assert _count_op_nodes(tape[:1], "softmax_nll") == 1  # the root
+        assert len(tape[0]._parents) == SPEC.lookahead_steps + 1
 
 
 def test_finetune_tape_nodes_independent_of_steps():
     # each GRU recurrence is one node whatever the sequence length, so
-    # the whole tape is the same size at T = 3 and T = 6
+    # the whole tape is the same size at T = 3 and T = 6.  Below the loss
+    # node, the only softmax is the model's goal distribution, and no
+    # per-term sums, products or additions remain
     short, long = _finetune_tapes((3, 6))
-    assert len(short) == len(long)
+    assert len(short) == len(long) == 58
     assert _count_op_nodes(short, "gru_sequence") == _count_op_nodes(long, "gru_sequence") == 2
+    assert _count_op_nodes(short, "softmax") == 1
 
 
 def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
@@ -344,6 +354,56 @@ def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
     monkeypatch.setattr(SpatialEncoder, "__call__", lambda enc, x, *args: oracle_spatial_encoder(
         enc, x.transpose(0, 3, 1, 2), *args))
     assert tape_size() - fused == 14
+
+
+@pytest.mark.parametrize("variant,stage", [
+    (v, st) for v in Variant for st in Stage if st in STAGE_BRANCHES[v]])
+def test_compute_loss_matches_composed_tape_oracle(variant, stage):
+    # the one loss node against the tape of one cross-entropy per (logits,
+    # target column), one softmax per penalty and a chain of sums, on a
+    # tiny float64 model with every parameter trainable: the value and
+    # every parameter gradient
+    arch = ArchitectureConfig(conv_filters=(2, 3), conv_strides=(2, 1), gru_cells=5,
+                              transfer_hidden=4)
+    arrays = assemble([shorten(it, 4) for it in DATA[:3]], SPEC)
+    cfg = small_cfg(noise_sigma=1e-3)
+    results = []
+    for loss_fn in (compute_loss, oracle_compute_loss):
+        m = float64_model(HPNModel(SPEC, arch, variant, 8))
+        loss = loss_fn(m, arrays, stage, cfg, rng=rng_for(8, "noise"))
+        backward(loss)
+        results.append((float(loss.data), [p.grad for p in m.parameters()]))
+    (value, grads), (want, want_grads) = results
+    np.testing.assert_allclose(value, want, rtol=1e-12)
+    for g, w in zip(grads, want_grads):
+        assert (g is None) == (w is None)
+        if g is not None:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("stage,exps", [
+    (Stage.PRETRAIN_MICRO, 4), (Stage.PRETRAIN_MACRO, 1), (Stage.FINETUNE, 6)])
+def test_training_step_exponential_count(monkeypatch, stage, exps):
+    # desk shapes: each logits array's softmax is computed once per loss
+    # and backward pass (the h_att fine-tune's six are its four look-ahead
+    # heads, the attention logits and the model's goal distribution).
+    # Every exponential in the engine's tensor module goes through one
+    # helper, so counting its calls counts them all.
+    import hoopnet.engine.tensor as tensor_mod
+
+    assert inspect.getsource(tensor_mod).count("np.exp(") == 1
+    assert "np.exp(" in inspect.getsource(tensor_mod._shifted_exp)
+    desk = load_run_config((Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_text())
+    m = HPNModel(SPEC, desk.arch, Variant.H_ATT, 5)
+    m.set_trainable(_STAGES[stage][0])
+    batch = [DATA[i % len(DATA)] for i in range(desk.train.batch_size)]
+    calls = []
+    real = tensor_mod._shifted_exp
+    monkeypatch.setattr(tensor_mod, "_shifted_exp", lambda x: calls.append(x.shape) or real(x))
+    loss = compute_loss(m, batch, stage, desk.train, SPEC, rng=rng_for(5, "noise"))
+    backward(loss)
+    assert len(calls) == exps
+    assert all(rows == desk.train.batch_size * batch[0].sequence.steps for rows, _ in calls)
 
 
 def test_finetune_gradcheck_tiny_model():
