@@ -53,17 +53,6 @@ class BenchmarkRow:
     n_eval: int
 
 
-def assemble(chunk: list[LabeledSequence]) -> dict:
-    """Stack a chunk's model inputs under ``inputs`` and the label streams
-    ``evaluate`` reads under their names, as ``train.assemble`` does for a
-    training batch; the streams only translation needs
-    (``macro_target_xy``, ``attention_magnitudes``) stay unstacked."""
-    arrays = {"inputs": np.stack([agent_positions(it.sequence) for it in chunk])}
-    for name in ("micro", "micro_padded", "macro", "attention"):
-        arrays[name] = np.stack([getattr(it.labels, name) for it in chunk])
-    return arrays
-
-
 def evaluate(
     policy,
     data: list[LabeledSequence],
@@ -75,7 +64,7 @@ def evaluate(
     """Teacher-forced pass over labeled sequences.
 
     ``policy`` needs one method, ``eval_logits(inputs)``, taking an
-    (N, T, 11, 2) batch of agent positions (``assemble``) and
+    (N, T, 11, 2) batch of agent positions (``train.assemble``) and
     returning batch-major logits as ``HPNModel.logits`` does: ``raw``
     (N, T, lookahead, n_actions), ``macro`` (N, T, n_boxes), ``attention``
     (N, T, n_actions) and ``cc`` (N, T, lookahead, n_actions), None where
@@ -104,7 +93,11 @@ def evaluate(
 
     for start in range(0, len(subset), batch_size):
         chunk = subset[start:start + batch_size]
-        arrays = assemble(chunk)
+        # only the streams read below: those only translation needs
+        # (macro_target_xy, attention_magnitudes) stay unstacked
+        arrays = {name: np.stack([getattr(it.labels, name) for it in chunk])
+                  for name in ("micro", "micro_padded", "macro", "attention")}
+        arrays["inputs"] = np.stack([agent_positions(it.sequence) for it in chunk])
         n, t_steps = arrays["inputs"].shape[:2]
         logits = policy.eval_logits(arrays["inputs"])
         # head by head: a desk chunk's float64 scores of all four heads at

@@ -174,7 +174,7 @@ def softmax_nll(terms: list[tuple[Tensor, np.ndarray, float]], scale: float = 1.
     """A whole training loss as one float64 scalar node.
 
     Each term is ``(logits, targets, weight)``: (R, C) logits, (R, K)
-    class indices with K >= 0, and an activation-penalty weight w.  With
+    integer class indices with K >= 0, and an activation-penalty weight w.  With
     ``p = softmax(logits)`` the term adds
     ``sum_r (sum_k -log p[r, targets[r, k]] + w * sum_j p[r, j]**2)``,
     and the node holds ``scale`` times the sum of the terms.
@@ -196,6 +196,8 @@ def softmax_nll(terms: list[tuple[Tensor, np.ndarray, float]], scale: float = 1.
         idx = np.asarray(targets)
         if idx.ndim != 2 or idx.shape[0] != rows:
             raise ValueError(f"targets shape {idx.shape} is not ({rows}, K)")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"targets are {idx.dtype}, not integer class indices")
         idx = idx.astype(np.int64, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= classes):
             raise ValueError("target index out of range")

@@ -457,10 +457,14 @@ def test_softmax_nll_matches_direct_evaluation():
 
 def test_softmax_nll_refuses_bad_targets():
     logits = Tensor(RNG.normal(size=(5, 11)))
-    # targets are (R, K) class indices: (R,) vectors, one-hot rows and a
-    # wrong row count are refused, and so is an index outside [0, C)
+    # targets are (R, K) integer class indices: (R,) vectors and a wrong
+    # row count are refused, one-hot rows even with the right row count,
+    # and an index outside [0, C)
     for bad in (np.arange(5), np.eye(11)[:4], np.zeros((4, 1), dtype=int)):
         with pytest.raises(ValueError, match="targets shape"):
+            softmax_nll([(logits, bad, 0.0)])
+    for bad in (np.eye(11)[np.array([3, 0, 10, 7, 1])], np.zeros((5, 1))):
+        with pytest.raises(ValueError, match="not integer class indices"):
             softmax_nll([(logits, bad, 0.0)])
     for bad in (np.full((5, 2), 11), np.full((5, 1), -1)):
         with pytest.raises(ValueError, match="out of range"):
