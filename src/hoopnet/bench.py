@@ -31,6 +31,11 @@ VARIANT_ORDER = [
 CLAIM_MARGIN = 0.05
 CLAIM_MACRO_BOXES = 10
 
+# sequences per scoring block of an evaluation chunk: a desk block's
+# float64 softmaxes are about 0.5 MB each, where a 32-sequence chunk's
+# are 3.7 MB
+SCORE_BLOCK = 4
+
 
 @dataclass(frozen=True)
 class EvalMetrics:
@@ -76,7 +81,9 @@ def evaluate(
     equal the argmaxes of the heads' probabilities except where two
     scores tie exactly; there the lower index wins.  Only the TV monitor
     needs probabilities: the float64 softmaxes of head 0 and of the
-    attention logits.
+    attention logits.  Each chunk is scored SCORE_BLOCK sequences at a
+    time; the TV monitor's per-step distances fill one (N, T) array that
+    is summed once, so no metric depends on the block size.
     """
     if not data:
         raise DataError("cannot evaluate on an empty holdout")
@@ -100,12 +107,24 @@ def evaluate(
         arrays["inputs"] = np.stack([agent_positions(it.sequence) for it in chunk])
         n, t_steps = arrays["inputs"].shape[:2]
         logits = policy.eval_logits(arrays["inputs"])
-        # head by head: a desk chunk's float64 scores of all four heads at
-        # once would be one 15 MB array
-        heads = [{**logits, "raw": logits["raw"][:, :, k:k + 1],
-                  "cc": None if logits["cc"] is None else logits["cc"][:, :, k:k + 1]}
-                 for k in range(lookahead)]
-        pred = np.concatenate([combined_scores(h).argmax(axis=-1) for h in heads], axis=-1)
+        has_attention = logits["attention"] is not None
+        pred = np.empty((n, t_steps, lookahead), np.int64)
+        # laid out in memory as the logits are (time-major for HPNModel),
+        # so its one sum adds in the order of a whole-chunk sum
+        tv_steps = np.empty_like(logits["attention"][..., 0], np.float64) if has_attention else None
+        # SCORE_BLOCK sequences and one head at a time, so that every
+        # float64 temporary stays a block's size
+        for b in range(0, n, SCORE_BLOCK):
+            block = {key: None if value is None else value[b:b + SCORE_BLOCK]
+                     for key, value in logits.items()}
+            for k in range(lookahead):
+                head = {**block, "raw": block["raw"][:, :, k:k + 1],
+                        "cc": None if block["cc"] is None else block["cc"][:, :, k:k + 1]}
+                pred[b:b + SCORE_BLOCK, :, k:k + 1] = combined_scores(head).argmax(axis=-1)
+            if has_attention:
+                p0 = softmax_array(block["raw"][:, :, 0, :].astype(np.float64))
+                attention = softmax_array(block["attention"].astype(np.float64))
+                tv_steps[b:b + SCORE_BLOCK] = np.abs(p0 - attention).sum(axis=-1)
         valid = ~arrays["micro_padded"]
         hits = (pred == arrays["micro"]) & valid
         correct += hits.sum(axis=(0, 1))
@@ -118,14 +137,12 @@ def evaluate(
             macro_counted += n * t_steps
             late_correct += int(eq[:, burn_in:].sum())
             late_counted += n * max(t_steps - burn_in, 0)
-        if logits["attention"] is not None:
+        if has_attention:
             saw_attention = True
             ap = logits["attention"].argmax(axis=-1)
             att_correct += int((ap == arrays["attention"]).sum())
             att_counted += n * t_steps
-            p0 = softmax_array(logits["raw"][:, :, 0, :].astype(np.float64))
-            attention = softmax_array(logits["attention"].astype(np.float64))
-            tv_sum += float(0.5 * np.abs(p0 - attention).sum(axis=-1).sum())
+            tv_sum += float(0.5 * tv_steps.sum())
             tv_n += n * t_steps
     return EvalMetrics(
         acc_delta=tuple(correct / np.maximum(counted, 1)),

@@ -196,17 +196,20 @@ def _validate_possession(p: Possession, spec: CourtSpec, tolerance_ft: float, wh
     length = lengths.pop()
     if not LENGTH_BAND[0] <= length <= LENGTH_BAND[1]:
         log.warning("%s: possession length %d frames outside typical band %s", where, length, LENGTH_BAND)
-    lo = -tolerance_ft
-    for t in p.tracks:
-        x, y = t.points[:, 0], t.points[:, 1]
-        if (x < lo).any() or (x > spec.width_ft + tolerance_ft).any() or \
-           (y < lo).any() or (y > spec.height_ft + tolerance_ft).any():
+    # every track at once; the first offending track in p.tracks order
+    # raises, its bounds checked before its jumps
+    points = np.stack([t.points for t in p.tracks])
+    x, y = points[..., 0], points[..., 1]
+    off = ((x < -tolerance_ft) | (x > spec.width_ft + tolerance_ft)
+           | (y < -tolerance_ft) | (y > spec.height_ft + tolerance_ft)).any(axis=1)
+    jumps = (np.linalg.norm(np.diff(points, axis=1), axis=2)
+             >= math.hypot(spec.width_ft, spec.height_ft)).any(axis=1)
+    bad = np.flatnonzero(off | jumps)
+    if bad.size:
+        t = p.tracks[bad[0]]
+        if off[bad[0]]:
             raise DataError(f"{where}: track {t.agent_id!r} leaves the court by more than {tolerance_ft} ft")
-        if length > 1:
-            step = np.linalg.norm(np.diff(t.points, axis=0), axis=1)
-            diag = math.hypot(spec.width_ft, spec.height_ft)
-            if (step >= diag).any():
-                raise DataError(f"{where}: track {t.agent_id!r} jumps farther than the court diagonal")
+        raise DataError(f"{where}: track {t.agent_id!r} jumps farther than the court diagonal")
 
 
 def ingest(path: str | Path, spec: CourtSpec, bounds_tolerance_ft: float = 3.0) -> list[Possession]:

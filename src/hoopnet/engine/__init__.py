@@ -15,9 +15,11 @@ penalty, is one op (``softmax_nll``: one tape node, each logits array's
 softmax computed once), and a test asserts that every name this package
 exports has a caller in ``hoopnet``.  The spatial encoder (bias-free
 convolution, batch normalization and ReLU per layer, then Gaussian noise
-and flatten) runs as one op (``nn.spatial_encoder``: one tape node,
-hand-written backward pass), and so does a GRU cell over every step of a sequence
-batch (``nn.gru_sequence``: hand-written backpropagation through time).
+and flatten) runs as one op (``nn.spatial_encoder``: one tape node per
+encoder, hand-written backward pass), which takes every encoder that reads
+one input and runs their first layer once, as one matmul over their stacked
+filters.  So does a GRU cell over every step of a sequence batch
+(``nn.gru_sequence``: hand-written backpropagation through time).
 So is a linear map (``nn.Linear``: ``x @ W + b``, one tape node); there
 is no separate matrix-product op.  The model's input, agent occupancy
 max-pooled as one k x k max over counts per fine cell, is built on plain

@@ -1,10 +1,11 @@
-"""Layers: the spatial encoder (convolution, batch normalization), linear,
+"""Layers: the spatial encoders (convolution, batch normalization), linear,
 GRU cell.
 
 Encoder input is channels-last, (N, H, W, C), and so is every layer
 inside the encoder; weights are (filters, C, k, k) and the flattened
 output is in (filters, oh, ow) order.  Convolution keeps spatial dims at
-stride 1 via zero padding.
+stride 1 via zero padding.  Encoders that read the same input run as one
+op whose first layer is one matmul over their stacked filters.
 
 Layers are built in float64 (``Module.cast`` rounds a whole model to its
 compute dtype once), and the fused ops compute in their parameters'
@@ -133,61 +134,105 @@ def _col_blocks(xp: np.ndarray, stride: int, kh: int, kw: int, oh: int, ow: int)
         yield slice(b * m, b * m + cols.shape[0]), cols
 
 
+def _padded(a: np.ndarray, conv: Conv2d, dtype) -> tuple[np.ndarray, int, int]:
+    """Channels-last (n, h, w, C) ``a`` zero-padded in ``dtype`` for
+    ``conv``'s 'same' convolution, and that convolution's output height
+    and width."""
+    _, c, kh, kw = conv.weight.data.shape
+    if a.shape[3] != c:
+        raise ValueError(f"spatial_encoder channel mismatch: input {a.shape[3]}, weight {c}")
+    n, h, w, _ = a.shape
+    s, ph, pw = conv.stride, kh // 2, kw // 2
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype)
+    xp[:, ph:ph + h, pw:pw + w] = a
+    return xp, (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
+
+
+def _conv_rows(xp: np.ndarray, convs: list[Conv2d], oh: int, ow: int) -> np.ndarray:
+    """The (F, n*oh*ow) output of convolutions that share kernel size and
+    stride over the padded input ``xp``, their F filters stacked in order:
+    one matmul per row block, each into its columns."""
+    weight = np.concatenate([conv.weight.data.transpose(0, 2, 3, 1).reshape(len(conv.weight.data), -1)
+                             for conv in convs])
+    kh, kw = convs[0].weight.data.shape[2:]
+    y = np.empty((len(weight), xp.shape[0] * oh * ow), xp.dtype)
+    for cs, cols in _col_blocks(xp, convs[0].stride, kh, kw, oh, ow):
+        np.matmul(weight, cols.T, out=y[:, cs])
+    return y
+
+
 def spatial_encoder(
     x: np.ndarray,
-    convs: list[Conv2d],
-    bns: list[BatchNorm],
+    encoders: list,
     training: bool,
     rng: np.random.Generator | None,
     noise_sigma: float,
-) -> Tensor:
-    """A conv -> batch norm -> ReLU stack over constant channels-last
-    (N, H, W, C) input, then additive Gaussian noise and flatten to
-    (N, F*oh*ow) in (F, oh, ow) order, as one tape node.
+) -> list[Tensor]:
+    """Every encoder of ``encoders`` over the same constant channels-last
+    (N, H, W, C) input ``x``: each a conv -> batch norm -> ReLU stack (its
+    ``convs`` and ``bns`` lists), then additive Gaussian noise and flatten
+    to (N, F*oh*ow) in (F, oh, ow) order.  Returns one feature Tensor per
+    encoder, in order, each its own tape node.
 
-    Each layer zero-pads its input channels-last and multiplies the
-    weights by the im2col matrix of ROW_BLOCK input rows at a time, each
-    block into its columns of one (F, P) array over all P = N*oh*ow
-    output positions, so no im2col matrix outgrows a block.  Everything
-    runs in the weights' dtype, except that batch norm's mean and variance
-    accumulate in float64.  Batch norm reduces the rows of that whole
-    array: training mode uses the statistics of the P positions (at least
-    2) and advances the running buffers; inference mode reads them.
+    Layer 0 runs once for all of them, so their first convolutions must
+    share input channels, kernel size and stride: one zero-padded copy of
+    ``x``, one im2col matrix per ROW_BLOCK input rows and one matmul over
+    the encoders' stacked filters, each block into its columns of one
+    (F, P) array over all P = N*oh*ow output positions.  Each encoder then
+    goes on from its rows of that array, one encoder after the other: its
+    batch norm, its later layers (each zero-padded and multiplied by its
+    own im2col blocks) and its noise.  Everything runs in the weights'
+    dtype, except that batch norm's mean and variance accumulate in
+    float64.  Batch norm reduces the rows of a layer's (F, P) output:
+    training mode uses the statistics of the P positions (at least 2) and
+    advances the running buffers; inference mode reads them.
     Training-mode noise is one float64 (N, F, oh, ow) standard-normal draw
-    scaled by ``noise_sigma`` and then rounded to the weights' dtype, the
-    same values and generator state as ``rng.normal(0, noise_sigma, ...)``;
-    the gradient passes through it.  The tape keeps each layer's padded
-    input, and the backward pass rebuilds the im2col blocks from it to
-    sum the weight gradient block by block.  ``x`` gets no gradient: the
-    backward pass stops below the lowest layer with a trainable parameter.
+    per encoder, in encoder order, scaled by ``noise_sigma`` and then
+    rounded to the weights' dtype, the same values and generator state as
+    ``rng.normal(0, noise_sigma, ...)``; the gradient passes through it.
+    Each node's tape keeps its layers' padded inputs (layer 0's is shared),
+    and its backward pass rebuilds the im2col blocks from them to sum the
+    weight gradient block by block.  ``x`` gets no gradient: the backward
+    pass stops below the lowest layer with a trainable parameter.
     """
     if noise_sigma < 0:
         raise ValueError("sigma must be >= 0")
-    noisy = training and noise_sigma > 0.0
-    if noisy and rng is None:
+    if training and noise_sigma > 0.0 and rng is None:
         raise ValueError("training-mode noise needs an RNG")
     if x.ndim != 4:
         raise ValueError("spatial_encoder expects (N, H, W, C) input")
+    if not encoders:
+        raise ValueError("spatial_encoder needs at least one encoder")
+    firsts = [enc.convs[0] for enc in encoders]
+    if len({(conv.weight.data.shape[1:], conv.stride) for conv in firsts}) > 1:
+        raise ValueError("spatial_encoder: the encoders' first layers differ in input "
+                         "channels, kernel or stride")
+    xp, oh, ow = _padded(x, firsts[0], firsts[0].weight.data.dtype)
+    y = _conv_rows(xp, firsts, oh, ow)
+    feats, row = [], 0
+    for enc, conv in zip(encoders, firsts):
+        f = len(conv.weight.data)
+        feats.append(_encoder_node(x, enc.convs, enc.bns, (xp, y[row:row + f], oh, ow),
+                                   training, rng, noise_sigma))
+        row += f
+    return feats
+
+
+def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
+    """One encoder of ``spatial_encoder``, from ``layer0``: the padded
+    input, the (F, P) convolution output and the output height and width
+    of its first layer."""
     params = tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
     record = _grad_enabled() and any(p._needs() for p in params)
-    n = x.shape[0]
-    dtype = convs[0].weight.data.dtype
+    xp, y, oh, ow = layer0
+    n, dtype = x.shape[0], y.dtype
     a = x
     saved = []  # per layer: input shape, padded input, x-hat, 1/std, output
-    for conv, bn in zip(convs, bns):
-        f, c, kh, kw = conv.weight.data.shape
-        if a.shape[3] != c:
-            raise ValueError(f"spatial_encoder channel mismatch: input {a.shape[3]}, weight {c}")
-        _, h, w, _ = a.shape
-        s, ph, pw = conv.stride, kh // 2, kw // 2
-        oh, ow = (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
-        xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype)
-        xp[:, ph:ph + h, pw:pw + w] = a
-        # (F, P): one row per filter, so the batch statistics are row sums
-        weight = conv.weight.data.transpose(0, 2, 3, 1).reshape(f, -1)
-        y = np.empty((f, n * oh * ow), dtype)
-        for cs, cols in _col_blocks(xp, s, kh, kw, oh, ow):
-            np.matmul(weight, cols.T, out=y[:, cs])
+    for i, (conv, bn) in enumerate(zip(convs, bns)):
+        if i:
+            xp, oh, ow = _padded(a, conv, dtype)
+            y = _conv_rows(xp, [conv], oh, ow)
+        f = len(y)
         if training:
             if y.shape[1] < 2:
                 raise ValueError("batch norm in training mode needs batch size >= 2")
@@ -209,9 +254,9 @@ def spatial_encoder(
         np.maximum(out, 0.0, out=out)
         out = out.reshape(f, n, oh, ow)
         if record:
-            saved.append(((h, w, c), xp, xhat, inv, out))
+            saved.append((a.shape[1:], xp, xhat, inv, out))
         a = out.transpose(1, 2, 3, 0)
-    if noisy:
+    if training and noise_sigma > 0.0:
         feat = np.empty((n, f, oh, ow), dtype)
         np.multiply(rng.standard_normal((n, f, oh, ow)), noise_sigma, out=feat)
         feat += out.transpose(1, 0, 2, 3)

@@ -19,13 +19,14 @@ works on time-major rows: row ``t * N + i`` holds sequence i at step t
 (see ``time_major``).  The occupancy, the encoders, every head, the
 transfer net and the combine heads run once over all T*N rows; only the
 GRU cells step through time, each inside one engine op
-(``engine.nn.gru_sequence``, one tape node per recurrence).  Each
-encoder is one engine op too (``engine.nn.spatial_encoder``, one tape
-node per call).  Training losses, teacher-forced evaluation
-(``eval_logits``: ``bench.evaluate`` takes argmaxes of the logits) and
-rollouts (``logits`` on all N rollout sequences: the whole burn-in in
-one call, then T = 1 per horizon step; ``rollout.choose_step`` picks on
-``combined_scores``) all go through it.
+(``engine.nn.gru_sequence``, one tape node per recurrence).  The
+encoders a call needs (micro, macro or both) run in one engine op
+(``engine.nn.spatial_encoder``, one tape node per encoder), which runs
+their first layer over the shared input once.  Training losses,
+teacher-forced evaluation (``eval_logits``: ``bench.evaluate`` takes
+argmaxes of the logits) and rollouts (``logits`` on all N rollout
+sequences: the whole burn-in in one call, then T = 1 per horizon step;
+``rollout.choose_step`` picks on ``combined_scores``) all go through it.
 
 Models compute in ``COMPUTE_DTYPE``, float32: the glorot initialisation
 is drawn in float64 and rounded once at construction, and the pooled
@@ -169,9 +170,10 @@ def batch_major(x: np.ndarray, n: int) -> np.ndarray:
 
 class SpatialEncoder(Module):
     """Conv/bn/relu stack over channels-last (M, rows, cols, 4) pooled
-    occupancy, then noise and flatten; one ``engine.nn.spatial_encoder``
-    op (one tape node) per call.  The ``conv{i}``/``bn{i}`` modules hold
-    its weights and batch-norm buffers."""
+    occupancy, then noise and flatten, run by ``engine.nn.spatial_encoder``
+    together with the other encoders of the same input (one tape node
+    each).  The ``conv{i}``/``bn{i}`` modules hold its weights and
+    batch-norm buffers."""
 
     def __init__(self, spec: CourtSpec, arch: ArchitectureConfig, rng: np.random.Generator):
         super().__init__()
@@ -193,9 +195,6 @@ class SpatialEncoder(Module):
         self.convs = convs
         self.bns = bns
         self.out_dim = channels * rows * cols
-
-    def __call__(self, x: np.ndarray, training: bool, rng, noise_sigma: float) -> Tensor:
-        return spatial_encoder(x, self.convs, self.bns, training, rng, noise_sigma)
 
 
 class HPNModel(Module):
@@ -353,19 +352,24 @@ class HPNModel(Module):
         pooled = pooled_occupancy(time_major(inputs), self.spec, k, self.dtype)
         new_mem = dict(memory)
         outs: dict = {}
+        run_micro = bool(branches & {"micro", "combine"})
+        run_macro = self.hierarchical and bool(branches & {"macro", "attention", "combine"})
+        # one call for both encoders, micro first (its noise is drawn first)
+        encoders = [self.micro_encoder] if run_micro else []
+        if run_macro:
+            encoders.append(self.macro_encoder)
+        features = spatial_encoder(pooled, encoders, training, rng, noise_sigma)
 
-        if "micro" in branches or "combine" in branches:
-            f_micro = self.micro_encoder(pooled, training, rng, noise_sigma)
+        if run_micro:
             if self.variant is Variant.CNN:
-                h = relu(self.micro_core(f_micro))
+                h = relu(self.micro_core(features[0]))
             else:
-                h = self.micro_core(f_micro, memory["micro"])
+                h = self.micro_core(features[0], memory["micro"])
                 new_mem["micro"] = h.data[-n:]
             outs["raw_logits"] = self._raw_logits(h)
 
-        if self.hierarchical and branches & {"macro", "attention", "combine"}:
-            f_macro = self.macro_encoder(pooled, training, rng, noise_sigma)
-            hm = self.macro_core(f_macro, memory["macro"])
+        if run_macro:
+            hm = self.macro_core(features[-1], memory["macro"])
             new_mem["macro"] = hm.data[-n:]
             macro_logits = self.macro_head(hm)
             outs["macro_logits"] = macro_logits

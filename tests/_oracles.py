@@ -22,7 +22,11 @@ widens a model to float64 for the tests whose tolerances are set for
 float64 arithmetic.  ``oracle_infer`` and ``oracle_evaluate`` are
 inference and teacher-forced evaluation by the probability route: float64
 softmaxes of every head, argmaxes taken on the probabilities.
-``shorten`` cuts a labeled sequence to its first steps.  ``oracle_walk``
+``oracle_evaluate_whole_chunks`` is ``bench.evaluate`` scoring each chunk
+whole rather than in blocks of sequences.
+``shorten`` cuts a labeled sequence to its first steps.
+``oracle_track_checks`` is possession validation's bounds and jump
+checks as a loop over the tracks.  ``oracle_walk``
 is the synthetic agent walk on 2-element numpy arrays with
 ``np.linalg.norm`` distances, logging (dwell_start, dwell_end, box) for
 finished moves only; ``oracle_possession_to_json`` and
@@ -38,6 +42,7 @@ import numpy as np
 
 from hoopnet.bench import EvalMetrics
 from hoopnet.court import CourtSpec
+from hoopnet.errors import DataError
 from hoopnet.data import Possession, SynthConfig, TrainingSequence, agent_positions
 from numpy.lib.stride_tricks import as_strided
 
@@ -51,7 +56,7 @@ from hoopnet.engine.tensor import (
     softmax_array,
 )
 from hoopnet.labels import WeakLabels, attention_targets
-from hoopnet.model import Variant, batch_major, time_major
+from hoopnet.model import Variant, batch_major, combined_scores, time_major
 from hoopnet.rollout import RolloutResult
 from hoopnet.train import L2_ACTIVATION_WEIGHT, LabeledSequence, Stage, assemble, stage_branches
 from hoopnet.util import rng_for
@@ -210,6 +215,25 @@ def oracle_channelize(seq, spec: CourtSpec) -> np.ndarray:
             col, row = cell_of(spec, float(x), float(y))
             out[t, channel, row, col] += 1.0
     return out
+
+
+def oracle_track_checks(p: Possession, spec: CourtSpec, tolerance_ft: float, where: str) -> None:
+    """``data._validate_possession``'s bounds and jump checks, one track
+    at a time in ``p.tracks`` order: raises DataError for the first track
+    that leaves the court by more than ``tolerance_ft`` or moves at least
+    the court diagonal in one frame."""
+    lo = -tolerance_ft
+    length = p.tracks[0].points.shape[0]
+    for t in p.tracks:
+        x, y = t.points[:, 0], t.points[:, 1]
+        if (x < lo).any() or (x > spec.width_ft + tolerance_ft).any() or \
+           (y < lo).any() or (y > spec.height_ft + tolerance_ft).any():
+            raise DataError(f"{where}: track {t.agent_id!r} leaves the court by more than {tolerance_ft} ft")
+        if length > 1:
+            step = np.linalg.norm(np.diff(t.points, axis=0), axis=1)
+            diag = math.hypot(spec.width_ft, spec.height_ft)
+            if (step >= diag).any():
+                raise DataError(f"{where}: track {t.agent_id!r} jumps farther than the court diagonal")
 
 
 def oracle_pool(x: np.ndarray, kernels: tuple[int, ...]) -> np.ndarray:
@@ -744,6 +768,59 @@ def oracle_evaluate(model, data: list[LabeledSequence], spec: CourtSpec, batch_s
             tv_sum += float(
                 0.5 * np.abs(outs["p_raw"][:, :, 0, :] - outs["attention"]).sum(axis=-1).sum()
             )
+            tv_n += n * t_steps
+    return EvalMetrics(
+        acc_delta=tuple(correct / np.maximum(counted, 1)),
+        n_delta=tuple(int(c) for c in counted),
+        macro_acc=(macro_correct / macro_counted) if saw_macro and macro_counted else None,
+        macro_acc_excl_burnin=(late_correct / late_counted) if saw_macro and late_counted else None,
+        attention_acc=(att_correct / att_counted) if saw_attention and att_counted else None,
+        tv_monitor=(tv_sum / tv_n) if tv_n else None,
+        n_sequences=len(data),
+    )
+
+
+def oracle_evaluate_whole_chunks(policy, data: list[LabeledSequence], spec: CourtSpec,
+                                 batch_size: int = 32, burn_in: int = 20) -> EvalMetrics:
+    """``bench.evaluate`` scoring each chunk whole: the look-ahead argmaxes
+    one head at a time over all the chunk's sequences, and the TV
+    monitor's float64 softmaxes over the whole chunk, summed at once."""
+    lookahead = spec.lookahead_steps
+    correct = np.zeros(lookahead, dtype=np.int64)
+    counted = np.zeros(lookahead, dtype=np.int64)
+    macro_correct = macro_counted = 0
+    late_correct = late_counted = 0
+    att_correct = att_counted = 0
+    tv_sum = 0.0
+    tv_n = 0
+    saw_macro = saw_attention = False
+
+    for start in range(0, len(data), batch_size):
+        arrays = assemble(data[start:start + batch_size], spec)
+        n, t_steps = arrays["inputs"].shape[:2]
+        logits = policy.eval_logits(arrays["inputs"])
+        heads = [{**logits, "raw": logits["raw"][:, :, k:k + 1],
+                  "cc": None if logits["cc"] is None else logits["cc"][:, :, k:k + 1]}
+                 for k in range(lookahead)]
+        pred = np.concatenate([combined_scores(h).argmax(axis=-1) for h in heads], axis=-1)
+        valid = ~arrays["micro_padded"]
+        hits = (pred == arrays["micro"]) & valid
+        correct += hits.sum(axis=(0, 1))
+        counted += valid.sum(axis=(0, 1))
+        if logits["macro"] is not None:
+            saw_macro = True
+            eq = logits["macro"].argmax(axis=-1) == arrays["macro"]
+            macro_correct += int(eq.sum())
+            macro_counted += n * t_steps
+            late_correct += int(eq[:, burn_in:].sum())
+            late_counted += n * max(t_steps - burn_in, 0)
+        if logits["attention"] is not None:
+            saw_attention = True
+            att_correct += int((logits["attention"].argmax(axis=-1) == arrays["attention"]).sum())
+            att_counted += n * t_steps
+            p0 = softmax_array(logits["raw"][:, :, 0, :].astype(np.float64))
+            attention = softmax_array(logits["attention"].astype(np.float64))
+            tv_sum += float(0.5 * np.abs(p0 - attention).sum(axis=-1).sum())
             tv_n += n * t_steps
     return EvalMetrics(
         acc_delta=tuple(correct / np.maximum(counted, 1)),

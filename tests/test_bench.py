@@ -30,7 +30,7 @@ from hoopnet.rollout import RolloutConfig, batch_rollout
 from hoopnet.train import LabeledSequence, TrainConfig, assemble, run_stage, stage_schedule
 from hoopnet.util import rng_for
 
-from _oracles import oracle_evaluate, oracle_infer, shorten
+from _oracles import oracle_evaluate, oracle_evaluate_whole_chunks, oracle_infer, shorten
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_strides=(2, 1),
@@ -349,6 +349,20 @@ def test_evaluate_matches_probability_oracle(models, variant, trained, n, t_step
     data = [shorten(it, t_steps) for it in DATA[:n]]
     want = oracle_evaluate(m, data, SPEC, batch_size=2, burn_in=3)
     assert evaluate(m, data, SPEC, batch_size=2, burn_in=3) == want
+    assert (want.tv_monitor is not None) == m.has_attention
+
+
+@pytest.mark.parametrize("score_block", [bench_mod.SCORE_BLOCK, 2])
+@STATES
+@VARIANTS
+def test_evaluate_in_score_blocks_matches_whole_chunk_scoring(models, variant, trained, score_block,
+                                                             monkeypatch):
+    # every field bit for bit, tv_monitor included: 15 sequences in chunks
+    # of 7, 7 and 1, none of them a whole number of blocks but the last
+    monkeypatch.setattr(bench_mod, "SCORE_BLOCK", score_block)
+    m = models[variant, trained]
+    want = oracle_evaluate_whole_chunks(m, DATA, SPEC, batch_size=7, burn_in=3)
+    assert evaluate(m, DATA, SPEC, batch_size=7, burn_in=3) == want
     assert (want.tv_monitor is not None) == m.has_attention
 
 

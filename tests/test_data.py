@@ -32,6 +32,7 @@ from _oracles import (
     oracle_channelize,
     oracle_labels_to_json,
     oracle_possession_to_json,
+    oracle_track_checks,
     oracle_walk,
 )
 
@@ -103,6 +104,35 @@ def test_ingest_geometry_error(tmp_path):
     path.write_text(possession_to_json(p) + "\n")
     with pytest.raises(DataError, match="leaves the court"):
         ingest(path, SPEC, bounds_tolerance_ft=3.0)
+
+
+def test_validation_names_the_first_bad_track_like_the_track_loop():
+    # tracks that leave the court, jump a court diagonal in one frame, or
+    # both, at random frames of random tracks: the same DataError text as
+    # checking one track at a time
+    w, h = SPEC.width_ft, SPEC.height_ft
+    rng = np.random.default_rng(5)
+    kinds = {"off": 0, "jump": 0, "both": 0}
+    for _ in range(60):
+        p = make_possession(length=int(rng.integers(2, 40)))
+        points = [t.points.copy() for t in p.tracks]
+        for k in rng.choice(len(points), size=int(rng.integers(1, 4)), replace=False):
+            kind = rng.choice(list(kinds))
+            kinds[kind] += 1
+            f = int(rng.integers(0, len(points[k]) - 1))
+            if kind in ("off", "both"):
+                points[k][int(rng.integers(0, len(points[k])))] = (w + 3.5, h / 2)
+            if kind in ("jump", "both"):
+                points[k][f:f + 2] = (-2.0, -2.0), (w + 2.0, h + 2.0)
+        bad = Possession(p.id, tuple(RawTrack(t.agent_id, t.role, q) for t, q in zip(p.tracks, points)))
+        messages = []
+        for check in (data_mod._validate_possession, oracle_track_checks):
+            with pytest.raises(DataError) as exc:
+                check(bad, SPEC, 3.0, "line 9")
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+    assert min(kinds.values()) > 0
+    data_mod._validate_possession(make_possession(length=40), SPEC, 3.0, "line 9")
 
 
 def test_round_trip_lossless(tmp_path):

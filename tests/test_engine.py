@@ -82,7 +82,7 @@ class _Encoder:
         return [b for bn in self.bns for b in (bn.running_mean, bn.running_var)]
 
     def __call__(self, x, training=True, rng=None, noise_sigma=0.0):
-        return spatial_encoder(x, self.convs, self.bns, training, rng, noise_sigma)
+        return spatial_encoder(x, [self], training, rng, noise_sigma)[0]
 
     def oracle(self, x, training=True, rng=None, noise_sigma=0.0):
         return oracle_spatial_encoder(self, x.transpose(0, 3, 1, 2), training, rng, noise_sigma)
@@ -237,6 +237,78 @@ def test_spatial_encoder_frozen_parameters_get_no_gradient():
     for p in params:
         p.frozen = True
     assert enc(x)._vjp is None
+
+
+# several encoders over one input: layer 0 as one stacked matmul, the
+# rest encoder by encoder
+
+
+def _joint_encoders(n_encoders, dtype=np.float64):
+    """The first ``n_encoders`` of two encoders whose first layers share
+    kernel size and stride but not their filter count, in ``dtype``."""
+    layers = ([(3, 3, 2), (4, 3, 1)], [(5, 3, 2), (2, 3, 1)])
+    encoders = [_Encoder(4, layers[e], seed=e) for e in range(n_encoders)]
+    for enc in encoders:
+        for p in enc.parameters():
+            p.data = p.data.astype(dtype)
+        for bn in enc.bns:
+            for name in ("running_mean", "running_var"):
+                bn.set_buffer(name, getattr(bn, name).astype(dtype))
+    return encoders
+
+
+@pytest.mark.parametrize("row_block", [None, 2], ids=["one-block", "blocks-of-2"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("n_encoders", [1, 2])
+def test_spatial_encoder_joint_call_equals_separate_calls(n_encoders, training, dtype, row_block,
+                                                          monkeypatch):
+    # bit for bit: features, running buffers, the generator's state after
+    # the noise draws and every parameter gradient, over two passes (the
+    # second from advanced running buffers); 5 rows in blocks of 2, 2 and 1
+    if row_block:
+        monkeypatch.setattr(nn, "ROW_BLOCK", row_block)
+    joint, separate = _joint_encoders(n_encoders, dtype), _joint_encoders(n_encoders, dtype)
+    x = np.random.default_rng(12).poisson(0.3, size=(5, 9, 8, 4)).astype(dtype)
+    rng_joint, rng_separate = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(2):
+        got = spatial_encoder(x, joint, training, rng_joint, 0.05)
+        want = [spatial_encoder(x, [enc], training, rng_separate, 0.05)[0] for enc in separate]
+        assert rng_joint.bit_generator.state == rng_separate.bit_generator.state
+        assert len(got) == n_encoders
+        for a, b, u, v in zip(got, want, joint, separate):
+            assert a.data.dtype == dtype
+            np.testing.assert_array_equal(a.data, b.data)
+            fixed = Tensor(_fixed_like(a.data.shape).astype(dtype))
+            backward(tsum(mul(a, fixed)))
+            backward(tsum(mul(b, fixed)))
+            for p, q in zip(u.parameters(), v.parameters()):
+                np.testing.assert_array_equal(p.grad, q.grad)
+                p.grad = q.grad = None
+            for r, w in zip(u.buffers(), v.buffers()):
+                np.testing.assert_array_equal(r, w)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_spatial_encoder_two_encoder_gradcheck(training):
+    encoders = _joint_encoders(2)
+    x = np.random.default_rng(11).normal(size=(3, 7, 5, 4))
+    fixed = [Tensor(_fixed_like(f.data.shape)) for f in spatial_encoder(x, encoders, False, None, 0.0)]
+
+    def loss():
+        feats = spatial_encoder(x, encoders, training, np.random.default_rng(5), 0.1)
+        return add(*(tsum(mul(f, w)) for f, w in zip(feats, fixed)))
+
+    assert gradcheck(loss, [p for enc in encoders for p in enc.parameters()]) < TOL
+
+
+def test_spatial_encoder_refuses_unstackable_first_layers():
+    a, b = _Encoder(4, [(3, 3, 2)]), _Encoder(4, [(3, 3, 1)])
+    x = np.zeros((2, 5, 5, 4))
+    with pytest.raises(ValueError, match="first layers differ"):
+        spatial_encoder(x, [a, b], False, None, 0.0)
+    with pytest.raises(ValueError, match="at least one encoder"):
+        spatial_encoder(x, [], False, None, 0.0)
 
 
 def _fixed_like(shape):

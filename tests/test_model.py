@@ -1,7 +1,12 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hoopnet.config import load_run_config
 from hoopnet.court import CourtSpec
+from hoopnet.engine import nn, spatial_encoder
 from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
 from hoopnet.errors import CheckpointError
 from hoopnet.engine.tensor import softmax_array
@@ -330,9 +335,30 @@ def test_parameter_groups_and_freezing():
 def test_spatial_encoder_call_is_one_tape_node():
     m = fresh(Variant.H_ATT)
     pooled = pooled_occupancy(random_positions(RNG, n=6), SPEC, 4, np.float32)
-    out = m.micro_encoder(pooled, True, np.random.default_rng(0), 1e-3)
-    assert out._vjp is not None
-    assert out._parents and all(p._vjp is None for p in out._parents)  # leaves only
+    outs = spatial_encoder(pooled, [m.micro_encoder, m.macro_encoder], True,
+                           np.random.default_rng(0), 1e-3)
+    assert len(outs) == 2
+    for out, enc in zip(outs, (m.micro_encoder, m.macro_encoder)):
+        assert out._vjp is not None
+        assert all(p._vjp is None for p in out._parents)  # leaves only
+        assert list(out._parents) == [p for _, p in enc.named_parameters()]
+
+
+def test_desk_eval_logits_builds_one_layer0_im2col_per_row_block(monkeypatch):
+    # both h_att encoders read one im2col of the pooled occupancy (its 4
+    # channels) per ROW_BLOCK input rows: 150 rows are 3 blocks, not 6
+    desk = load_run_config((Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_text())
+    m = HPNModel(desk.court, desk.arch, Variant.H_ATT, 1)
+    im2col, channels = nn._im2col, []
+
+    def spy(xp, *args):
+        channels.append(xp.shape[-1])
+        return im2col(xp, *args)
+
+    monkeypatch.setattr(nn, "_im2col", spy)
+    positions = RNG.uniform(0.0, 1.0, size=(3, 50, 11, 2)) * [desk.court.width_ft, desk.court.height_ft]
+    m.eval_logits(positions)
+    assert channels.count(4) == math.ceil(3 * 50 / nn.ROW_BLOCK) == 3
 
 
 def test_checkpoint_config_hash_guard(tmp_path):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoopnet import model as model_mod
+from hoopnet import train as train_mod
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, agent_positions, synthesize, window
 from hoopnet.engine import RMSProp, backward
@@ -18,7 +21,6 @@ from hoopnet.config import load_run_config
 from hoopnet.model import (
     ArchitectureConfig,
     HPNModel,
-    SpatialEncoder,
     Variant,
     pooled_occupancy,
     time_major,
@@ -289,6 +291,23 @@ def test_finetune_loss_decomposition_recomputed():
     np.testing.assert_allclose(float(loss.data), total / (n * t_steps), atol=1e-10)
 
 
+def test_run_stage_frees_each_batch_tape_before_the_next_forward_pass(monkeypatch):
+    # the loss node's VJP closure holds its whole tape; once batch k is
+    # stepped, nothing may keep it alive into batch k + 1's compute_loss
+    closures = []
+
+    def tracking(*args, **kwargs):
+        assert all(ref() is None for ref in closures)
+        loss = compute_loss(*args, **kwargs)
+        closures.append(weakref.ref(loss._vjp))
+        return loss
+
+    monkeypatch.setattr(train_mod, "compute_loss", tracking)
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 1)
+    run_stage(m, DATA[:6], [], Stage.FINETUNE, small_cfg(batch_size=2), SPEC, seed=1)
+    assert len(closures) == 3
+
+
 def _tape(loss):
     """Every node reachable from ``loss`` that needs a gradient: the tape
     backward() walks."""
@@ -351,8 +370,8 @@ def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
         return len(_tape(loss))
 
     fused = tape_size()
-    monkeypatch.setattr(SpatialEncoder, "__call__", lambda enc, x, *args: oracle_spatial_encoder(
-        enc, x.transpose(0, 3, 1, 2), *args))
+    monkeypatch.setattr(model_mod, "spatial_encoder", lambda x, encoders, *args: [
+        oracle_spatial_encoder(enc, x.transpose(0, 3, 1, 2), *args) for enc in encoders])
     assert tape_size() - fused == 14
 
 
