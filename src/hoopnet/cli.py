@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render saved rollouts to SVG")
     p.add_argument("--variant", required=True, choices=ALL_VARIANTS)
     p = sub.add_parser("repro", help="full pipeline over all baseline variants")
-    p.add_argument("--variants", nargs="*", choices=ALL_VARIANTS, default=REPRO_VARIANTS)
+    p.add_argument("--variants", nargs="+", choices=ALL_VARIANTS, default=REPRO_VARIANTS)
     sub.add_parser("defaults", help="print a complete config document with defaults")
     return parser
 

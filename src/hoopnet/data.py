@@ -89,35 +89,31 @@ class Possession:
         return self.track_by_role(ROLE_BALL)[0]
 
 
+# the synthetic walk (see _walk, which reads them at call time): dwell
+# length and speed ranges in raw frames, heading relaxation, position noise
+DWELL_FRAMES_MIN = 40
+DWELL_FRAMES_MAX = 90
+CURVATURE = 0.15
+SPEED_MIN_FT_PER_FRAME = 0.8
+SPEED_MAX_FT_PER_FRAME = 1.3
+NOISE_STD_FT = 0.04
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Waypoint-process generator settings (stand-in for real tracking data)."""
 
     n_possessions: int = 220
     seed: int = 0
-    dwell_frames_min: int = 40
-    dwell_frames_max: int = 90
-    curvature: float = 0.15
-    speed_min_ft_per_frame: float = 0.8
-    speed_max_ft_per_frame: float = 1.3
-    noise_std_ft: float = 0.04
 
     def validate(self, spec: CourtSpec) -> None:
         if self.n_possessions < 0:
             raise DataError("n_possessions must be >= 0")
-        if not (0 < self.dwell_frames_min <= self.dwell_frames_max):
-            raise DataError("dwell_frames_min must be positive and <= dwell_frames_max")
-        if not (0 < self.speed_min_ft_per_frame <= self.speed_max_ft_per_frame):
-            raise DataError("speed_min_ft_per_frame must be positive and <= speed_max_ft_per_frame")
-        if self.curvature <= 0:
-            raise DataError("curvature must be positive")
-        if self.noise_std_ft < 0:
-            raise DataError("noise_std_ft must be >= 0")
-        max_cells = spec.velocity_radius_cells * spec.micro_cell_ft
-        if self.speed_max_ft_per_frame > max_cells:
+        max_ft = spec.velocity_radius_cells * spec.micro_cell_ft
+        if SPEED_MAX_FT_PER_FRAME > max_ft:
             raise DataError(
-                f"speed_max_ft_per_frame {self.speed_max_ft_per_frame} exceeds the velocity "
-                f"grid radius ({max_cells} ft/frame); labels would always clip"
+                f"walk speeds reach {SPEED_MAX_FT_PER_FRAME} ft/frame, beyond the velocity "
+                f"grid radius ({max_ft} ft/frame); labels would always clip"
             )
 
 
@@ -183,6 +179,10 @@ def save_possessions(possessions: list[Possession], path: str | Path) -> None:
 
 
 def _validate_possession(p: Possession, spec: CourtSpec, tolerance_ft: float, where: str) -> None:
+    ids = [t.agent_id for t in p.tracks]
+    for i, agent_id in enumerate(ids):
+        if agent_id in ids[:i]:
+            raise DataError(f"{where}: duplicate agent id {agent_id!r}")
     n_ball = len(p.track_by_role(ROLE_BALL))
     if n_ball != 1:
         raise DataError(f"{where}: missing ball track" if n_ball == 0 else f"{where}: {n_ball} ball tracks")
@@ -326,7 +326,7 @@ def split(sequences: list, holdout_fraction: float, seed: int):
 
 
 def _walk(
-    rng: np.random.Generator, spec: CourtSpec, cfg: SynthConfig, length: int
+    rng: np.random.Generator, spec: CourtSpec, length: int
 ) -> tuple[np.ndarray, list[tuple[int, int, int, bool]]]:
     """One agent's waypoint walk; returns positions and its goal log.
 
@@ -347,7 +347,7 @@ def _walk(
     y = rng.uniform(margin, spec.height_ft - margin)
     heading = rng.uniform(-math.pi, math.pi)
     # relaxation of heading toward the goal bearing; curvature -> inf turns instantly
-    alpha = 1.0 - math.exp(-cfg.curvature)
+    alpha = 1.0 - math.exp(-CURVATURE)
     pi, tau = math.pi, 2.0 * math.pi
     traj = np.empty((length, 2))
     dwells: list[tuple[int, int, int, bool]] = []
@@ -362,7 +362,7 @@ def _walk(
             ty = ((box // spec.macro_cols) + 0.5) * box_ft + jy * (box_ft - 1.0)
             if math.sqrt((tx - x) * (tx - x) + (ty - y) * (ty - y)) > box_ft:
                 break
-        speed = rng.uniform(cfg.speed_min_ft_per_frame, cfg.speed_max_ft_per_frame)
+        speed = rng.uniform(SPEED_MIN_FT_PER_FRAME, SPEED_MAX_FT_PER_FRAME)
         move = []
         dx, dy = tx - x, ty - y
         while t + len(move) < length and math.sqrt(dx * dx + dy * dy) > speed:
@@ -382,14 +382,13 @@ def _walk(
             break
         x, y = tx, ty
         heading = rng.uniform(-math.pi, math.pi)
-        dwell = int(rng.integers(cfg.dwell_frames_min, cfg.dwell_frames_max + 1))
+        dwell = int(rng.integers(DWELL_FRAMES_MIN, DWELL_FRAMES_MAX + 1))
         start, t = t, min(t + dwell, length)
         traj[start:t] = (x, y)
         dwells.append((start, t - 1, box, True))
-    if cfg.noise_std_ft > 0:
-        traj = traj + rng.normal(0.0, cfg.noise_std_ft, traj.shape)
-        np.clip(traj[:, 0], 0.0, x_max, out=traj[:, 0])
-        np.clip(traj[:, 1], 0.0, y_max, out=traj[:, 1])
+    traj = traj + rng.normal(0.0, NOISE_STD_FT, traj.shape)
+    np.clip(traj[:, 0], 0.0, x_max, out=traj[:, 0])
+    np.clip(traj[:, 1], 0.0, y_max, out=traj[:, 1])
     return traj, dwells
 
 
@@ -414,13 +413,13 @@ def synthesize_with_goals(cfg: SynthConfig, spec: CourtSpec) -> tuple[list[Posse
         offense_traj = []
         followed = int(rng.integers(5))
         for j in range(5):
-            traj, dwells = _walk(rng, spec, cfg, length)
+            traj, dwells = _walk(rng, spec, length)
             offense_traj.append(traj)
             role = ROLE_FOCAL if j == followed else ROLE_TEAMMATE
             tracks.append(RawTrack(f"off{j}", role, _freeze(traj)))
             goals[(pid, f"off{j}")] = dwells
         for j in range(5):
-            traj, dwells = _walk(rng, spec, cfg, length)
+            traj, dwells = _walk(rng, spec, length)
             tracks.append(RawTrack(f"def{j}", ROLE_OPPONENT, _freeze(traj)))
             goals[(pid, f"def{j}")] = dwells
         carrier = offense_traj[followed]

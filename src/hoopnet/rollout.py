@@ -26,7 +26,7 @@ import numpy as np
 
 from .court import CourtSpec
 from .data import SEQUENCE_STEPS, TrainingSequence, agent_positions
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .engine.tensor import softmax_array
 from .model import HPNModel, combined_scores
 from .util import atomic_open, rng_for
@@ -204,29 +204,46 @@ def save_rollouts(results: list[RolloutResult], path: str | Path) -> None:
             fh.write("\n")
 
 
+# each field of a rollout line: a JSON scalar's type, or an array's dtype and rank
+_ROLLOUT_FIELDS = {
+    "possession_id": str, "focal_agent": str, "t0": int, "burn_in": int, "horizon": int,
+    "mode": str, "path": (np.float64, 2), "macro_goals": (np.int64, 1),
+    "actions": (np.int64, 2), "attention_argmax": (np.int64, 1), "clamp_events": int,
+}
+
+
+def _field(obj: dict, name: str, kind):
+    """``obj[name]`` as ``kind``, or a ValueError saying what is wrong."""
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    if isinstance(kind, type):
+        if type(obj[name]) is not kind:
+            raise ValueError(f"field {name!r} must be {kind.__name__}")
+        return obj[name]
+    dtype, rank = kind
+    array = np.asarray(obj[name])  # a ragged list raises ValueError
+    if array.ndim != rank or not np.can_cast(array.dtype, dtype, "same_kind"):
+        raise ValueError(f"field {name!r} must be a rank-{rank} {np.dtype(dtype).name} array")
+    return array.astype(dtype)
+
+
 def load_rollouts(path: str | Path) -> list[RolloutResult]:
     """Read ``save_rollouts`` output.  Keys the result does not hold are
-    ignored, so older files with a ``zero_mass_fallbacks`` count load."""
+    ignored, so older files with a ``zero_mass_fallbacks`` count load.  A
+    line that is not a JSON object, or that lacks a field or holds one of
+    the wrong type, raises DataError naming the file and the line."""
     results = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            results.append(
-                RolloutResult(
-                    possession_id=obj["possession_id"],
-                    focal_agent=obj["focal_agent"],
-                    t0=int(obj["t0"]),
-                    burn_in=int(obj["burn_in"]),
-                    horizon=int(obj["horizon"]),
-                    mode=obj["mode"],
-                    path=np.asarray(obj["path"], dtype=np.float64),
-                    macro_goals=np.asarray(obj["macro_goals"], dtype=np.int64),
-                    actions=np.asarray(obj["actions"], dtype=np.int64),
-                    attention_argmax=np.asarray(obj["attention_argmax"], dtype=np.int64),
-                    clamp_events=int(obj["clamp_events"]),
-                )
-            )
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("not a JSON object")
+                values = {name: _field(obj, name, kind) for name, kind in _ROLLOUT_FIELDS.items()}
+            except ValueError as exc:  # json.JSONDecodeError is one
+                raise DataError(f"{path} line {lineno}: {exc}") from exc
+            results.append(RolloutResult(**values))
     return results

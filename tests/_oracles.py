@@ -43,7 +43,8 @@ import numpy as np
 from hoopnet.bench import EvalMetrics
 from hoopnet.court import CourtSpec
 from hoopnet.errors import DataError
-from hoopnet.data import Possession, SynthConfig, TrainingSequence, agent_positions
+from hoopnet import data as data_mod
+from hoopnet.data import Possession, TrainingSequence, agent_positions
 from numpy.lib.stride_tricks import as_strided
 
 from hoopnet.engine.tensor import (
@@ -837,16 +838,17 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def oracle_walk(rng: np.random.Generator, spec: CourtSpec, cfg: SynthConfig, length: int):
+def oracle_walk(rng: np.random.Generator, spec: CourtSpec, length: int):
     """``data._walk`` frame by frame on numpy 2-vectors; same RNG calls in
-    the same order.  Its log holds (dwell_start, dwell_end, box) of the
+    the same order, and the same walk constants, read from ``hoopnet.data``
+    at call time.  Its log holds (dwell_start, dwell_end, box) of the
     moves that reached their goal."""
     margin = min(2.0, spec.width_ft / 10, spec.height_ft / 10)
     pos = np.array(
         [rng.uniform(margin, spec.width_ft - margin), rng.uniform(margin, spec.height_ft - margin)]
     )
     heading = rng.uniform(-math.pi, math.pi)
-    alpha = 1.0 - math.exp(-cfg.curvature)
+    alpha = 1.0 - math.exp(-data_mod.CURVATURE)
     traj = np.empty((length, 2))
     dwells = []
     t = 0
@@ -858,7 +860,7 @@ def oracle_walk(rng: np.random.Generator, spec: CourtSpec, cfg: SynthConfig, len
             target = center + jitter
             if np.linalg.norm(target - pos) > spec.macro_box_ft:
                 break
-        speed = rng.uniform(cfg.speed_min_ft_per_frame, cfg.speed_max_ft_per_frame)
+        speed = rng.uniform(data_mod.SPEED_MIN_FT_PER_FRAME, data_mod.SPEED_MAX_FT_PER_FRAME)
         while t < length and np.linalg.norm(target - pos) > speed:
             bearing = math.atan2(target[1] - pos[1], target[0] - pos[0])
             heading = _wrap_angle(heading + alpha * _wrap_angle(bearing - heading))
@@ -871,17 +873,16 @@ def oracle_walk(rng: np.random.Generator, spec: CourtSpec, cfg: SynthConfig, len
             break
         pos = target.copy()
         heading = rng.uniform(-math.pi, math.pi)
-        dwell = int(rng.integers(cfg.dwell_frames_min, cfg.dwell_frames_max + 1))
+        dwell = int(rng.integers(data_mod.DWELL_FRAMES_MIN, data_mod.DWELL_FRAMES_MAX + 1))
         start = t
         while t < length and dwell > 0:
             traj[t] = pos
             t += 1
             dwell -= 1
         dwells.append((start, t - 1, box))
-    if cfg.noise_std_ft > 0:
-        traj = traj + rng.normal(0.0, cfg.noise_std_ft, traj.shape)
-        np.clip(traj[:, 0], 0.0, spec.width_ft - 1e-9, out=traj[:, 0])
-        np.clip(traj[:, 1], 0.0, spec.height_ft - 1e-9, out=traj[:, 1])
+    traj = traj + rng.normal(0.0, data_mod.NOISE_STD_FT, traj.shape)
+    np.clip(traj[:, 0], 0.0, spec.width_ft - 1e-9, out=traj[:, 0])
+    np.clip(traj[:, 1], 0.0, spec.height_ft - 1e-9, out=traj[:, 1])
     return traj, dwells
 
 

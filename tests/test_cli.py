@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hoopnet import cli
+from hoopnet import data as data_mod
 from hoopnet.cli import main
 from hoopnet.config import (
     RunConfig,
@@ -115,6 +116,12 @@ FIXED_KEYS = {
     "train.rho": RHO,
     "train.grad_clip_norm": GRAD_CLIP_NORM,
     "train.l2_activation_weight": L2_ACTIVATION_WEIGHT,
+    "synth.dwell_frames_min": data_mod.DWELL_FRAMES_MIN,
+    "synth.dwell_frames_max": data_mod.DWELL_FRAMES_MAX,
+    "synth.curvature": data_mod.CURVATURE,
+    "synth.speed_min_ft_per_frame": data_mod.SPEED_MIN_FT_PER_FRAME,
+    "synth.speed_max_ft_per_frame": data_mod.SPEED_MAX_FT_PER_FRAME,
+    "synth.noise_std_ft": data_mod.NOISE_STD_FT,
 }
 
 REMOVED_KEYS = [
@@ -158,6 +165,38 @@ def test_benchmark_workloads_hold_the_fixed_values(name):
     for dotted, constant in FIXED_KEYS.items():
         value = entries[tuple(dotted.split("."))]
         assert _holds(value, constant), f"{dotted} = {value}, the program fixes {constant}"
+
+
+# every key that no configs/*.cfg sets away from its default, and why it
+# stays a key: a key with one value in use and no reason to vary becomes a
+# module constant (ROADMAP aim 2)
+COURT_DATA = "the court of the ingested data; test_court runs a paper-scale 0.25 ft court"
+PERFBENCH = "perfbench/workloads.py reads it"
+KEPT_AT_DEFAULT = {
+    **{f"court.{key}": COURT_DATA for key in (
+        "width_ft", "height_ft", "micro_cell_ft", "macro_box_ft", "velocity_radius_cells",
+        "lookahead_steps", "subsample_stride")},
+    "data.bounds_tolerance_ft": PERFBENCH,
+    "rollout.burn_in_steps": PERFBENCH,
+    "render.scale_px_per_ft": PERFBENCH,
+    "labels.min_segment_steps": "ROADMAP item 7 audits labels at min_segment_steps=1",
+    "train.lr_pretrain": "ROADMAP item 8's learning-rate runs",
+    "train.lr_finetune": "ROADMAP item 8's learning-rate runs",
+    "train.translate_max_cells": "ROADMAP item 8's clamping suspect",
+    "train.noise_sigma": "ROADMAP item 14 runs noise_sigma=0",
+    "rollout.mode": "ROADMAP item 6 rolls out in argmax and sample mode",
+}
+
+
+def test_every_key_at_its_default_has_a_reason_to_stay():
+    defaults = parse_document(dump_run_config(RunConfig()))
+    moved = set()
+    for path in sorted((REPO / "configs").glob("*.cfg")):
+        values = parse_document(dump_run_config(load_run_config(path.read_text(encoding="utf-8"))))
+        moved |= {key for key, value in values.items() if value != defaults[key]}
+    at_default = {".".join(key) for key in defaults.keys() - moved}
+    assert sorted(at_default - KEPT_AT_DEFAULT.keys()) == [], "make these module constants"
+    assert sorted(KEPT_AT_DEFAULT.keys() - at_default) == [], "a config moves these; drop them"
 
 
 def test_readme_states_the_key_count():
@@ -216,6 +255,8 @@ def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
     # a 1x1 fine grid, smaller than the first kernel of PYRAMID
     ([f"court.{key}=5" for key in ("width_ft", "height_ft", "micro_cell_ft", "macro_box_ft")],
      "arch"),
+    # a velocity radius of 1 ft/frame, below the walk's top speed
+    (["court.velocity_radius_cells=1"], "synth"),
 ])
 def test_court_too_small_for_a_constant_stops_at_load(tmp_path, capsys, overrides, section):
     path = write_config(tmp_path)
@@ -346,6 +387,27 @@ def test_train_line_says_how_many_holdout_sequences_it_scores(tmp_path, capsys, 
     covered = [re.search(r"holdout acc_delta0 \d\.\d{3} over (\d+) of (\d+) holdout sequences$", line)
                for line in lines]
     assert [m.groups() for m in covered] == [("4", str(total)), (str(total), str(total))]
+
+
+def test_repro_without_variant_names_is_a_usage_error(tmp_path):
+    # an empty list would benchmark whatever checkpoints sit in the output
+    # directory, then fail on its last name
+    path = write_config(tmp_path)
+    with pytest.raises(SystemExit):
+        main(["--config", str(path), "--seed", "1", "repro", "--variants"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_of_a_cut_rollout_file_is_a_data_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--seed", "4", "synth"]) == 0
+    rollouts = tmp_path / "out" / "rollouts" / "h_att.jsonl"
+    rollouts.parent.mkdir()
+    rollouts.write_text('{"possession_id":"synth-00000","focal_ag')
+    assert main(["--config", str(path), "--seed", "4", "render", "--variant", "h_att"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{rollouts} line 1: " in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_invalid_variant_usage_error(tmp_path):

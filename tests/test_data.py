@@ -98,6 +98,18 @@ def test_ingest_tracks_not_a_list_reports_line(tmp_path, tracks):
         ingest(path, SPEC)
 
 
+def test_ingest_duplicate_agent_id_reports_line(tmp_path):
+    # two 'off0' tracks would window into inputs of two shapes and collide
+    # in the label sidecar's keys
+    p = make_possession(length=120)
+    dup = Possession(p.id, tuple(replace(t, agent_id="off0") if t.agent_id == "off1" else t
+                                 for t in p.tracks))
+    path = tmp_path / "dup.jsonl"
+    path.write_text(possession_to_json(p) + "\n" + possession_to_json(dup) + "\n")
+    with pytest.raises(DataError, match=r"^line 2: duplicate agent id 'off0'$"):
+        ingest(path, SPEC)
+
+
 def test_ingest_geometry_error(tmp_path):
     p = make_possession(length=120, offset=500.0)
     path = tmp_path / "far.jsonl"
@@ -232,11 +244,11 @@ def test_synthesize_deterministic_bytes(tmp_path):
 
 
 def test_synthesize_validates():
-    cfg = SynthConfig(n_possessions=2, seed=1, speed_min_ft_per_frame=0.0)
-    with pytest.raises(DataError):
-        synthesize(cfg, SPEC)
-    with pytest.raises(DataError):
-        synthesize(SynthConfig(dwell_frames_min=50, dwell_frames_max=10), SPEC)
+    with pytest.raises(DataError, match="n_possessions"):
+        synthesize(SynthConfig(n_possessions=-1), SPEC)
+    # a velocity grid of radius 1 ft/frame, below the walk's top speed
+    with pytest.raises(DataError, match=f"walk speeds reach {data_mod.SPEED_MAX_FT_PER_FRAME} ft/frame"):
+        synthesize(SynthConfig(n_possessions=2, seed=1), CourtSpec(velocity_radius_cells=1))
 
 
 def test_synthesize_shape_and_reingest(tmp_path):
@@ -255,14 +267,15 @@ def test_synthesize_shape_and_reingest(tmp_path):
             np.testing.assert_array_equal(ta.points, tb.points)
 
 
-def test_synthesize_straight_line_limit():
-    # instant turning and no noise: between dwells the track is a straight
-    # line pointing at the goal box center
-    cfg = SynthConfig(
-        n_possessions=1, seed=9, curvature=1e9, noise_std_ft=0.0,
-        speed_min_ft_per_frame=0.9, speed_max_ft_per_frame=1.1,
-    )
-    possessions, goals = synthesize_with_goals(cfg, SPEC)
+# instant turning and no noise
+STRAIGHT = dict(CURVATURE=1e9, NOISE_STD_FT=0.0)
+
+
+def test_synthesize_straight_line_limit(monkeypatch):
+    # between dwells the track is a straight line pointing at the goal box
+    for name, value in dict(STRAIGHT, SPEED_MIN_FT_PER_FRAME=0.9, SPEED_MAX_FT_PER_FRAME=1.1).items():
+        monkeypatch.setattr(data_mod, name, value)
+    possessions, goals = synthesize_with_goals(SynthConfig(n_possessions=1, seed=9), SPEC)
     p = possessions[0]
     for track in p.tracks:
         if track.role == "ball":
@@ -293,10 +306,11 @@ def _run_config(name: str, **synth):
     return replace(cfg, synth=replace(cfg.synth, **synth))
 
 
+# (config, synth keys, walk constants) of each world
 SYNTH_CASES = {
-    "desk": dict(name="desk", n_possessions=3),
-    "quick": dict(name="quick"),
-    "straight": dict(name="desk", n_possessions=3, curvature=1e9, noise_std_ft=0.0),
+    "desk": ("desk", dict(n_possessions=3), {}),
+    "quick": ("quick", {}, {}),
+    "straight": ("desk", dict(n_possessions=3), STRAIGHT),
 }
 
 
@@ -315,7 +329,10 @@ def _label_rows(cfg, possessions, seed, to_json):
 def test_synthesis_and_writers_match_numpy_oracles(case, seed, monkeypatch):
     # the scalar walk and the .tolist() writers give the bytes of the
     # per-frame numpy walk and the per-coordinate float() writers
-    cfg = _run_config(**SYNTH_CASES[case], seed=seed)
+    name, synth, walk = SYNTH_CASES[case]
+    for constant, value in walk.items():
+        monkeypatch.setattr(data_mod, constant, value)
+    cfg = _run_config(name, **synth, seed=seed)
     possessions, goals = synthesize_with_goals(cfg.synth, cfg.court)
     with monkeypatch.context() as m:
         m.setattr(data_mod, "_walk", oracle_walk)

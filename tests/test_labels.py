@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hoopnet import data as data_mod
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, synthesize_with_goals, window
 from hoopnet.labels import (
@@ -222,18 +223,17 @@ def test_attention_dot_product_nonnegative():
 # whole-sequence labeling
 
 
-def _labeled_synthetic(n=2, dwell=(60, 80), noise=0.0, seed=31):
-    cfg = SynthConfig(
-        n_possessions=n, seed=seed,
-        dwell_frames_min=dwell[0], dwell_frames_max=dwell[1],
-        curvature=1e9, noise_std_ft=noise,
-        speed_min_ft_per_frame=0.9, speed_max_ft_per_frame=1.2,
-    )
-    return synthesize_with_goals(cfg, SPEC)
+def _labeled_synthetic(monkeypatch, n=2, dwell=(60, 80), seed=31):
+    # a noise-free, instantly turning walk with long dwells
+    walk = dict(DWELL_FRAMES_MIN=dwell[0], DWELL_FRAMES_MAX=dwell[1], CURVATURE=1e9,
+                NOISE_STD_FT=0.0, SPEED_MIN_FT_PER_FRAME=0.9, SPEED_MAX_FT_PER_FRAME=1.2)
+    for name, value in walk.items():
+        monkeypatch.setattr(data_mod, name, value)
+    return synthesize_with_goals(SynthConfig(n_possessions=n, seed=seed), SPEC)
 
 
-def test_label_sequence_alignment_and_determinism():
-    possessions, _ = _labeled_synthetic()
+def test_label_sequence_alignment_and_determinism(monkeypatch):
+    possessions, _ = _labeled_synthetic(monkeypatch)
     seq = window(possessions[0], SPEC, rng_for(0, "w"))[0]
     lab1 = label_sequence(seq, SPEC, CFG)
     lab2 = label_sequence(seq, SPEC, CFG)
@@ -244,10 +244,10 @@ def test_label_sequence_alignment_and_determinism():
     assert lab1.attention.shape == (50,)
 
 
-def test_macro_recovers_generator_waypoints():
+def test_macro_recovers_generator_waypoints(monkeypatch):
     # noise-free generator with long dwells: the label stream's distinct
     # boxes are exactly the generator's dwell boxes seen inside the window
-    possessions, goals = _labeled_synthetic(n=3, dwell=(60, 90))
+    possessions, goals = _labeled_synthetic(monkeypatch, n=3, dwell=(60, 90))
     margin = 4 * CFG.min_segment_steps  # a label segment must span this many raw frames
     checked = 0
     asserted = 0

@@ -1,3 +1,5 @@
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ import hoopnet.rollout as rollout_mod
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, agent_positions, synthesize, window
 from hoopnet.engine.tensor import softmax_array
-from hoopnet.errors import ConfigError
+from hoopnet.errors import ConfigError, DataError
 from hoopnet.model import ArchitectureConfig, HPNModel, Variant
 from hoopnet.rollout import (
     RolloutConfig,
@@ -343,12 +345,16 @@ def test_macro_goal_switch_metric_and_json_round_trip(tmp_path):
         assert rollout_to_json(a) == rollout_to_json(b)
 
 
-def test_load_rollouts_reads_a_line_with_the_dropped_fallback_count(tmp_path):
-    # rollout files once held a zero_mass_fallbacks count; they still load
-    line = ('{"possession_id":"p0","focal_agent":"a2","t0":8,"burn_in":1,"horizon":1,'
+# a rollout line from when rollout files held a zero_mass_fallbacks count
+OLD_LINE = ('{"possession_id":"p0","focal_agent":"a2","t0":8,"burn_in":1,"horizon":1,'
             '"mode":"argmax","path":[[1.5,2.0],[5.5,2.0]],"macro_goals":[3,3],'
             '"actions":[[170,170,170,170],[170,170,170,170]],"attention_argmax":[9,9],'
             '"clamp_events":0,"zero_mass_fallbacks":0,"macro_switches":0}')
+
+
+def test_load_rollouts_reads_a_line_with_the_dropped_fallback_count(tmp_path):
+    # old rollout files still load
+    line = OLD_LINE
     path = tmp_path / "old.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     (r,) = load_rollouts(path)
@@ -357,6 +363,25 @@ def test_load_rollouts_reads_a_line_with_the_dropped_fallback_count(tmp_path):
     assert r.macro_goals.tolist() == [3, 3] and r.attention_argmax.tolist() == [9, 9]
     assert r.actions.shape == (2, 4) and r.clamp_events == 0 and r.macro_switches == 0
     assert rollout_to_json(r) == line.replace(',"zero_mass_fallbacks":0', "")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda obj: OLD_LINE[:90], "Unterminated string"),  # a line cut short
+    (lambda obj: json.dumps([obj]), "not a JSON object"),
+    (lambda obj: json.dumps({k: v for k, v in obj.items() if k != "horizon"}), "missing field 'horizon'"),
+    (lambda obj: json.dumps({**obj, "t0": "8"}), "field 't0' must be int"),
+    (lambda obj: json.dumps({**obj, "t0": 8.0}), "field 't0' must be int"),
+    (lambda obj: json.dumps({**obj, "mode": None}), "field 'mode' must be str"),
+    (lambda obj: json.dumps({**obj, "path": [1.5, 2.0]}), "field 'path' must be a rank-2 float64 array"),
+    (lambda obj: json.dumps({**obj, "path": [[1.5, "x"]]}), "field 'path' must be a rank-2"),
+    (lambda obj: json.dumps({**obj, "macro_goals": [3.5, 3]}), "field 'macro_goals' must be a rank-1 int64"),
+    (lambda obj: json.dumps({**obj, "actions": [[170], [170, 170]]}), "inhomogeneous"),
+])
+def test_load_rollouts_names_the_file_and_line_of_a_bad_record(tmp_path, change, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(OLD_LINE + "\n\n" + change(json.loads(OLD_LINE)) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 3: .*{re.escape(message)}"):
+        load_rollouts(path)
 
 
 def test_failed_rollout_write_keeps_previous_file(tmp_path):

@@ -58,12 +58,7 @@ SEG = SegmentationConfig(seed=55)
 
 
 def make_data(n_possessions=3, seed=41):
-    cfg = SynthConfig(
-        n_possessions=n_possessions, seed=seed,
-        dwell_frames_min=40, dwell_frames_max=80,
-        speed_min_ft_per_frame=0.8, speed_max_ft_per_frame=1.2,
-        noise_std_ft=0.03,
-    )
+    cfg = SynthConfig(n_possessions=n_possessions, seed=seed)
     labeled = []
     for p in synthesize(cfg, SPEC):
         for s in window(p, SPEC, rng_for(seed, "w", p.id), 1):
