@@ -4,10 +4,10 @@ pipeline over ingested or synthetic tracking data."""
 
 from .court import CourtSpec
 from .data import Possession, RawTrack, SynthConfig, TrainingSequence
-from .labels import SegmentationConfig, WeakLabels
+from .labels import LabeledSequence, SegmentationConfig, WeakLabels
 from .model import ArchitectureConfig, HPNModel, Variant
 from .rollout import RolloutConfig, RolloutResult
-from .train import LabeledSequence, Stage, TrainConfig, TrainReport
+from .train import Stage, TrainConfig, TrainReport
 
 __all__ = [
     "CourtSpec",

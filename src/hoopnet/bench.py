@@ -17,13 +17,9 @@ from .court import CourtSpec
 from .data import agent_positions
 from .engine.tensor import softmax_array
 from .errors import ConfigError, DataError
+from .labels import LabeledSequence
 from .model import Variant, combined_scores
-from .train import LabeledSequence
 from .util import atomic_open
-
-VARIANT_ORDER = [
-    Variant.CNN, Variant.GRU_CNN, Variant.H_CC, Variant.H_STACK, Variant.H_ATT, Variant.H_AUX,
-]
 
 # The paper's claim as three criteria: h_att beats cnn on look-ahead-0
 # accuracy by CLAIM_MARGIN; h_att's late macro accuracy reaches
@@ -91,12 +87,11 @@ def evaluate(
     lookahead = spec.lookahead_steps
     correct = np.zeros(lookahead, dtype=np.int64)
     counted = np.zeros(lookahead, dtype=np.int64)
-    macro_correct = macro_counted = 0
-    late_correct = late_counted = 0
-    att_correct = att_counted = 0
+    macro_correct = late_correct = att_correct = 0
     tv_sum = 0.0
-    tv_n = 0
-    saw_macro = saw_attention = False
+    # the macro and attention scores count every step, or every step past
+    # the burn-in
+    steps = late_steps = 0
 
     for start in range(0, len(subset), batch_size):
         chunk = subset[start:start + batch_size]
@@ -129,28 +124,24 @@ def evaluate(
         hits = (pred == arrays["micro"]) & valid
         correct += hits.sum(axis=(0, 1))
         counted += valid.sum(axis=(0, 1))
+        steps += n * t_steps
+        late_steps += n * max(t_steps - burn_in, 0)
         if logits["macro"] is not None:
-            saw_macro = True
-            mp = logits["macro"].argmax(axis=-1)        # (n, t)
-            eq = mp == arrays["macro"]
+            eq = logits["macro"].argmax(axis=-1) == arrays["macro"]  # (n, t)
             macro_correct += int(eq.sum())
-            macro_counted += n * t_steps
             late_correct += int(eq[:, burn_in:].sum())
-            late_counted += n * max(t_steps - burn_in, 0)
         if has_attention:
-            saw_attention = True
-            ap = logits["attention"].argmax(axis=-1)
-            att_correct += int((ap == arrays["attention"]).sum())
-            att_counted += n * t_steps
+            att_correct += int((logits["attention"].argmax(axis=-1) == arrays["attention"]).sum())
             tv_sum += float(0.5 * tv_steps.sum())
-            tv_n += n * t_steps
+    # a policy has the same heads in every chunk
+    has_macro = logits["macro"] is not None
     return EvalMetrics(
         acc_delta=tuple(correct / np.maximum(counted, 1)),
         n_delta=tuple(int(c) for c in counted),
-        macro_acc=(macro_correct / macro_counted) if saw_macro and macro_counted else None,
-        macro_acc_excl_burnin=(late_correct / late_counted) if saw_macro and late_counted else None,
-        attention_acc=(att_correct / att_counted) if saw_attention and att_counted else None,
-        tv_monitor=(tv_sum / tv_n) if tv_n else None,
+        macro_acc=macro_correct / steps if has_macro and steps else None,
+        macro_acc_excl_burnin=late_correct / late_steps if has_macro and late_steps else None,
+        attention_acc=att_correct / steps if has_attention and steps else None,
+        tv_monitor=tv_sum / steps if has_attention and steps else None,
         n_sequences=len(subset),
     )
 
@@ -165,7 +156,7 @@ def benchmark(
     canonical variant order; the late macro accuracy excludes the first
     ``burn_in`` steps."""
     rows = []
-    for variant in VARIANT_ORDER:
+    for variant in Variant:
         model = models.get(variant.value)
         if model is None:
             continue

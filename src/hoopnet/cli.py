@@ -24,7 +24,7 @@ from .config import RunConfig, dump_run_config, load_run_config
 from .engine.checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HoopnetError
 from .model import HPNModel, Variant
-from .train import LabeledSequence, TrainConfig, train_full
+from .train import TrainConfig, train_full
 from .util import atomic_open, derive_seed, rng_for
 
 ALL_VARIANTS = [v.value for v in Variant]
@@ -75,13 +75,12 @@ def _seeded(cfg: RunConfig, seed: int) -> RunConfig:
 def _prepare_sequences(cfg: RunConfig, paths: _Paths, seed: int):
     """Shared deterministic pipeline: ingest -> window -> label -> split."""
     possessions = data_mod.ingest(paths.possessions, cfg.court, cfg.data.bounds_tolerance_ft)
-    labeled: list[LabeledSequence] = []
+    labeled: list[labels_mod.LabeledSequence] = []
     for p in sorted(possessions, key=lambda p: p.id):
         rng = rng_for(seed, "window", p.id)
         for seq in data_mod.window(p, cfg.court, rng, cfg.data.windows_per_player):
-            labeled.append(
-                LabeledSequence(seq, labels_mod.label_sequence(seq, cfg.court, cfg.labels))
-            )
+            labels = labels_mod.label_sequence(seq, cfg.court, cfg.labels)
+            labeled.append(labels_mod.LabeledSequence(seq, labels))
     if not labeled:
         raise DataError("no training sequences (all possessions shorter than a window?)")
     train, holdout = data_mod.split(labeled, cfg.data.holdout_fraction, derive_seed(seed, "split"))
@@ -136,8 +135,8 @@ def _train_variant(
         fh.write(report.to_csv())
     # the last epoch's holdout score covers at most train.holdout_eval_max
     # sequences, where bench scores them all
-    final = report.records[-1] if report.records else None
-    acc = (f"{final.acc_delta[0]:.3f} over {final.holdout_sequences} of {len(holdout)} "
+    final = report.records[-1].holdout if report.records else None
+    acc = (f"{final.acc_delta[0]:.3f} over {final.n_sequences} of {len(holdout)} "
            "holdout sequences") if final else "n/a"
     print(f"trained {variant}: checkpoint {paths.checkpoint(variant)}, holdout acc_delta0 {acc}")
 
@@ -162,7 +161,7 @@ def cmd_rollout(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
 def cmd_bench(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
     _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     variants = args.variants or [
-        v.value for v in bench_mod.VARIANT_ORDER if paths.checkpoint(v.value).exists()
+        v.value for v in Variant if paths.checkpoint(v.value).exists()
     ]
     if not variants:
         raise DataError("no trained checkpoints found to benchmark")

@@ -215,6 +215,7 @@ def _validate_possession(p: Possession, spec: CourtSpec, tolerance_ft: float, wh
 def ingest(path: str | Path, spec: CourtSpec, bounds_tolerance_ft: float = 3.0) -> list[Possession]:
     """Parse a JSONL possession file, failing fast on the first bad line."""
     possessions: list[Possession] = []
+    ids: set[str] = set()  # windows, the split and label keys all go by id
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -243,6 +244,9 @@ def ingest(path: str | Path, spec: CourtSpec, bounds_tolerance_ft: float = 3.0) 
                     raise DataError(f"{where}: {exc}") from exc
             p = Possession(str(pid), tuple(tracks))
             _validate_possession(p, spec, bounds_tolerance_ft, where)
+            if p.id in ids:
+                raise DataError(f"{where}: duplicate possession id {p.id!r}")
+            ids.add(p.id)
             possessions.append(p)
     return possessions
 

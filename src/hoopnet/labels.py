@@ -57,6 +57,16 @@ class WeakLabels:
     attention_magnitudes: np.ndarray  # (T,) drawn magnitudes in velocity cells
 
 
+@dataclass(frozen=True)
+class LabeledSequence:
+    sequence: TrainingSequence
+    labels: WeakLabels
+
+    @property
+    def possession_id(self) -> str:
+        return self.sequence.possession_id
+
+
 def micro_labels(
     raw_frame_positions: np.ndarray, spec: CourtSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -82,21 +92,19 @@ def find_stationary(raw_frame_positions: np.ndarray) -> np.ndarray:
     pts = np.asarray(raw_frame_positions, dtype=np.float64)
     speeds = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     slow = speeds < STATIONARY_SPEED_FT_PER_RAW_FRAME
-    points = []
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], slow, [False])).astype(np.int8)))
-    for start, stop in edges.reshape(-1, 2):  # slow run over speed indices [start, stop)
-        points.append((start + stop - 1) // 2)
+    # slow runs over speed indices [start, stop); a one-frame track has no speeds
+    points = [(start + stop - 1) // 2 for start, stop in zip(*_runs(slow))
+              if stop > start and slow[start]]
     final = pts.shape[0] - 1
     if not points or points[-1] != final:
         points.append(final)
     return np.asarray(points, dtype=np.int64)
 
 
-def _segments(ids: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of equal values as (start, stop) half-open index pairs."""
-    bounds = np.flatnonzero(np.diff(ids)) + 1
-    edges = np.concatenate(([0], bounds, [len(ids)]))
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(len(edges) - 1)]
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and (exclusive) stops of the maximal runs of equal values."""
+    change = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return np.r_[0, change], np.r_[change, len(values)]
 
 
 def macro_labels(
@@ -126,27 +134,27 @@ def macro_labels(
 def _merge_short_segments(
     ids: np.ndarray, target_xy: np.ndarray, min_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """``macro_labels``' merge in one left-to-right pass: a short run takes
+    the next run's first id and target, joining it (and the run before on
+    equal ids), and what it forms merges on while still short."""
     ids = ids.copy()
     target_xy = target_xy.copy()
-    while True:
-        segs = _segments(ids)
-        merged = False
-        for i, (start, stop) in enumerate(segs[:-1]):
-            if stop - start < min_steps:
-                nstart = segs[i + 1][0]
-                ids[start:stop] = ids[nstart]
-                target_xy[start:stop] = target_xy[nstart]
-                merged = True
-                break
-        if not merged:
-            break
-    segs = _segments(ids)
-    if len(segs) > 1:
-        start, stop = segs[-1]
+    short = last = None  # first step of the pending short steps, of the last long run
+    for start, stop in zip(*_runs(ids)):
+        if short is not None:
+            ids[short:start] = ids[start]
+            target_xy[short:start] = target_xy[start]
+            if last is not None and ids[last] == ids[start]:
+                short = None  # this run joins the last long run
+                continue
+            start = short
         if stop - start < min_steps:
-            pstart = segs[-2][0]
-            ids[start:stop] = ids[pstart]
-            target_xy[start:stop] = target_xy[pstart]
+            short = start
+        else:
+            last, short = start, None
+    if short is not None and last is not None:
+        ids[short:] = ids[last]
+        target_xy[short:] = target_xy[last]
     return ids, target_xy
 
 

@@ -230,8 +230,10 @@ def _field(obj: dict, name: str, kind):
 def load_rollouts(path: str | Path) -> list[RolloutResult]:
     """Read ``save_rollouts`` output.  Keys the result does not hold are
     ignored, so older files with a ``zero_mass_fallbacks`` count load.  A
-    line that is not a JSON object, or that lacks a field or holds one of
-    the wrong type, raises DataError naming the file and the line."""
+    line that is not a JSON object, that lacks a field or holds one of the
+    wrong type, or whose burn-in is under 1 step, horizon negative,
+    per-step fields not burn_in + horizon long or path not (x, y) pairs,
+    raises DataError naming the file and the line."""
     results = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -243,6 +245,15 @@ def load_rollouts(path: str | Path) -> list[RolloutResult]:
                 if not isinstance(obj, dict):
                     raise ValueError("not a JSON object")
                 values = {name: _field(obj, name, kind) for name, kind in _ROLLOUT_FIELDS.items()}
+                for name, low in (("burn_in", 1), ("horizon", 0)):
+                    if values[name] < low:
+                        raise ValueError(f"field {name!r} must be >= {low}")
+                steps = values["burn_in"] + values["horizon"]
+                for name in ("path", "macro_goals", "actions", "attention_argmax"):
+                    if len(values[name]) != steps:
+                        raise ValueError(f"field {name!r} must have burn_in + horizon = {steps} entries")
+                if values["path"].shape[1] != 2:
+                    raise ValueError("field 'path' must hold (x, y) pairs")
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise DataError(f"{path} line {lineno}: {exc}") from exc
             results.append(RolloutResult(**values))

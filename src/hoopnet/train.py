@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import bench
 from .court import CourtSpec
-from .data import TrainingSequence, agent_positions
+from .data import agent_positions
 from .engine import RMSProp, Tensor, backward, clip_gradients, softmax_nll
 from .engine.checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DivergenceError
-from .labels import WeakLabels, attention_targets
+from .labels import LabeledSequence, WeakLabels, attention_targets
 from .model import HPNModel, Variant, time_major
 from .util import rng_for
 
@@ -68,29 +69,15 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class LabeledSequence:
-    sequence: TrainingSequence
-    labels: WeakLabels
-
-    @property
-    def possession_id(self) -> str:
-        return self.sequence.possession_id
-
-
 @dataclass
 class EpochRecord:
     stage: str
     epoch: int
     loss: float
-    acc_delta: tuple[float, ...]
-    macro_acc: float | None
-    attention_acc: float | None
-    tv_monitor: float | None
     grad_norm_mean: float
     seconds: float
     clamped_sequences: int
-    holdout_sequences: int  # how many the accuracies cover, 0 without a holdout
+    holdout: bench.EvalMetrics | None  # None without a holdout
 
 
 @dataclass
@@ -106,16 +93,18 @@ class TrainReport:
         lines = [f"stage,epoch,loss,{acc},macro_acc,attention_acc,tv_monitor,grad_norm_mean,"
                  "seconds,clamped_sequences"]
         for r in self.records:
+            # zero accuracies and empty cells without a holdout
+            m = r.holdout
+            acc = m.acc_delta if m else (0.0,) * self.lookahead_steps
+            heads = (m.macro_acc, m.attention_acc, m.tv_monitor) if m else (None,) * 3
             lines.append(
                 ",".join(
                     [
                         r.stage,
                         str(r.epoch),
                         f"{r.loss:.6f}",
-                        *[f"{a:.6f}" for a in r.acc_delta],
-                        fmt(r.macro_acc),
-                        fmt(r.attention_acc),
-                        fmt(r.tv_monitor),
+                        *[f"{a:.6f}" for a in acc],
+                        *[fmt(v) for v in heads],
                         f"{r.grad_norm_mean:.6f}",
                         f"{r.seconds:.3f}",
                         str(r.clamped_sequences),
@@ -275,8 +264,6 @@ def run_stage(
     spec: CourtSpec,
     seed: int,
 ) -> list[EpochRecord]:
-    from .bench import evaluate  # local import; bench also imports model
-
     cfg.validate()
     stage_branches(model, stage)
     model.set_trainable(_STAGES[stage][0])
@@ -315,7 +302,7 @@ def run_stage(
             loss_sum += float(loss.data)
             n_batches += 1
         seconds = time.perf_counter() - tic
-        metrics = evaluate(
+        metrics = bench.evaluate(
             model, holdout_data, spec, max_sequences=cfg.holdout_eval_max
         ) if holdout_data else None
         records.append(
@@ -323,14 +310,10 @@ def run_stage(
                 stage=stage.value,
                 epoch=epoch,
                 loss=loss_sum / max(n_batches, 1),
-                acc_delta=tuple(metrics.acc_delta) if metrics else (0.0,) * spec.lookahead_steps,
-                macro_acc=metrics.macro_acc if metrics else None,
-                attention_acc=metrics.attention_acc if metrics else None,
-                tv_monitor=metrics.tv_monitor if metrics else None,
                 grad_norm_mean=norm_sum / max(n_batches, 1),
                 seconds=seconds,
                 clamped_sequences=clamped,
-                holdout_sequences=metrics.n_sequences if metrics else 0,
+                holdout=metrics,
             )
         )
         if metrics is not None and cfg.early_stop_patience > 0:

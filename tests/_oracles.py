@@ -31,6 +31,8 @@ is the synthetic agent walk on 2-element numpy arrays with
 ``np.linalg.norm`` distances, logging (dwell_start, dwell_end, box) for
 finished moves only; ``oracle_possession_to_json`` and
 ``oracle_labels_to_json`` serialize with one ``float()`` per coordinate.
+``oracle_merge_short_segments`` is the macro labels' short-run merge as
+a rescan of every run after each merge.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ from hoopnet.engine.tensor import (
     softmax,
     softmax_array,
 )
-from hoopnet.labels import WeakLabels, attention_targets
+from hoopnet.labels import LabeledSequence, WeakLabels, attention_targets
 from hoopnet.model import Variant, batch_major, combined_scores, time_major
 from hoopnet.rollout import RolloutResult
-from hoopnet.train import L2_ACTIVATION_WEIGHT, LabeledSequence, Stage, assemble, stage_branches
+from hoopnet.train import L2_ACTIVATION_WEIGHT, Stage, assemble, stage_branches
 from hoopnet.util import rng_for
 
 
@@ -192,6 +194,41 @@ def brute_macro_labels(
         for j in range(segs[-1][0], segs[-1][1]):
             ids[j] = ids[segs[-2][0]]
     return np.asarray(ids, dtype=np.int64)
+
+
+def oracle_merge_short_segments(
+    ids: np.ndarray, target_xy: np.ndarray, min_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the first short run but the last into the next run's first
+    step's id and target, and rebuild the runs, until none is short; then
+    a short final run takes the previous run's first step's."""
+    def segments(ids):
+        bounds = np.flatnonzero(np.diff(ids)) + 1
+        edges = np.concatenate(([0], bounds, [len(ids)]))
+        return [(int(edges[i]), int(edges[i + 1])) for i in range(len(edges) - 1)]
+
+    ids = ids.copy()
+    target_xy = target_xy.copy()
+    while True:
+        segs = segments(ids)
+        merged = False
+        for i, (start, stop) in enumerate(segs[:-1]):
+            if stop - start < min_steps:
+                nstart = segs[i + 1][0]
+                ids[start:stop] = ids[nstart]
+                target_xy[start:stop] = target_xy[nstart]
+                merged = True
+                break
+        if not merged:
+            break
+    segs = segments(ids)
+    if len(segs) > 1:
+        start, stop = segs[-1]
+        if stop - start < min_steps:
+            pstart = segs[-2][0]
+            ids[start:stop] = ids[pstart]
+            target_xy[start:stop] = target_xy[pstart]
+    return ids, target_xy
 
 
 def make_track(segments: list[tuple[float, float, int]], start=(5.0, 5.0)) -> np.ndarray:

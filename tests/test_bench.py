@@ -16,7 +16,7 @@ from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, synthesize, window
 from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError, DataError
-from hoopnet.labels import SegmentationConfig, label_sequence
+from hoopnet.labels import LabeledSequence, SegmentationConfig, label_sequence
 from hoopnet.model import ArchitectureConfig, HPNModel, Variant
 from hoopnet.render import (
     BOX_MAX_OPACITY,
@@ -27,7 +27,7 @@ from hoopnet.render import (
     render_rollouts,
 )
 from hoopnet.rollout import RolloutConfig, batch_rollout
-from hoopnet.train import LabeledSequence, TrainConfig, assemble, run_stage, stage_schedule
+from hoopnet.train import TrainConfig, assemble, run_stage, stage_schedule
 from hoopnet.util import rng_for
 
 from _oracles import oracle_evaluate, oracle_evaluate_whole_chunks, oracle_infer, shorten

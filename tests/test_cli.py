@@ -410,6 +410,29 @@ def test_render_of_a_cut_rollout_file_is_a_data_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"burn_in": 0}, "field 'burn_in' must be >= 1"),
+    ({"horizon": 2}, "field 'path' must have burn_in + horizon = 3 entries"),
+])
+def test_render_of_a_rollout_out_of_range_is_a_data_error(tmp_path, capsys, change, message):
+    # a line keyed to a holdout sequence, so only its range can fail it:
+    # no burn-in step to draw from, or a path shorter than its steps
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--seed", "4", "synth"]) == 0
+    cfg = cli._seeded(load_run_config(path.read_text(encoding="utf-8")), 4)
+    seq = cli._prepare_sequences(cfg, cli._Paths(cfg.paths.out_dir), 4)[1][0].sequence
+    line = {"possession_id": seq.possession_id, "focal_agent": seq.focal_agent, "t0": seq.t0,
+            "burn_in": 1, "horizon": 1, "mode": "argmax", "path": [[1.5, 2.0], [5.5, 2.0]],
+            "macro_goals": [3, 3], "actions": [[170] * 4] * 2, "attention_argmax": [9, 9],
+            "clamp_events": 0, **change}
+    rollouts = tmp_path / "out" / "rollouts" / "h_att.jsonl"
+    rollouts.parent.mkdir()
+    rollouts.write_text(json.dumps(line) + "\n")
+    assert main(["--config", str(path), "--seed", "4", "render", "--variant", "h_att"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {rollouts} line 1: {message}\n"
+
+
 def test_invalid_variant_usage_error(tmp_path):
     path = write_config(tmp_path)
     with pytest.raises(SystemExit):

@@ -110,6 +110,16 @@ def test_ingest_duplicate_agent_id_reports_line(tmp_path):
         ingest(path, SPEC)
 
 
+def test_ingest_duplicate_possession_id_reports_line(tmp_path):
+    # windows are seeded, the split is made and label keys are built by
+    # possession id, so two possessions with one id would collide
+    path = tmp_path / "dup.jsonl"
+    path.write_text(possession_to_json(make_possession("p1", length=120)) + "\n"
+                    + possession_to_json(make_possession("p1", length=130)) + "\n")
+    with pytest.raises(DataError, match=r"^line 2: duplicate possession id 'p1'$"):
+        ingest(path, SPEC)
+
+
 def test_ingest_geometry_error(tmp_path):
     p = make_possession(length=120, offset=500.0)
     path = tmp_path / "far.jsonl"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hoopnet import data as data_mod
+from hoopnet import labels as labels_mod
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, synthesize_with_goals, window
 from hoopnet.labels import (
@@ -26,6 +29,7 @@ from _oracles import (
     displacements_from_action_indices,
     brute_stationary,
     make_track,
+    oracle_merge_short_segments,
 )
 
 SPEC = CourtSpec()
@@ -313,6 +317,22 @@ def test_label_oracle_suite_hand_tracks():
             ids, brute_macro_labels(pts, list(sps), SPEC, CFG.min_segment_steps),
             err_msg=f"case {i}",
         )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 25)), max_size=12),
+    min_steps=st.integers(1, 40),
+)
+def test_merge_short_segments_in_one_pass_matches_the_rescanning_merge(runs, min_steps):
+    # runs of box ids, adjacent equal ones joining into longer runs; every
+    # step's target distinct, so each merged step shows whose it took
+    ids = np.repeat([box for box, _ in runs], [n for _, n in runs]).astype(np.int64)
+    target_xy = np.arange(2.0 * len(ids)).reshape(-1, 2)
+    got_ids, got_xy = labels_mod._merge_short_segments(ids, target_xy, min_steps)
+    want_ids, want_xy = oracle_merge_short_segments(ids, target_xy, min_steps)
+    np.testing.assert_array_equal(got_ids, want_ids)
+    np.testing.assert_array_equal(got_xy, want_xy)
 
 
 def test_segmentation_config_validation():

@@ -376,6 +376,13 @@ def test_load_rollouts_reads_a_line_with_the_dropped_fallback_count(tmp_path):
     (lambda obj: json.dumps({**obj, "path": [[1.5, "x"]]}), "field 'path' must be a rank-2"),
     (lambda obj: json.dumps({**obj, "macro_goals": [3.5, 3]}), "field 'macro_goals' must be a rank-1 int64"),
     (lambda obj: json.dumps({**obj, "actions": [[170], [170, 170]]}), "inhomogeneous"),
+    (lambda obj: json.dumps({**obj, "burn_in": 0}), "field 'burn_in' must be >= 1"),
+    (lambda obj: json.dumps({**obj, "horizon": -1}), "field 'horizon' must be >= 0"),
+    (lambda obj: json.dumps({**obj, "horizon": 2}), "field 'path' must have burn_in + horizon = 3 entries"),
+    (lambda obj: json.dumps({**obj, "macro_goals": [3]}), "field 'macro_goals' must have"),
+    (lambda obj: json.dumps({**obj, "actions": [[170] * 4] * 3}), "field 'actions' must have"),
+    (lambda obj: json.dumps({**obj, "attention_argmax": [9, 9, 9]}), "field 'attention_argmax' must have"),
+    (lambda obj: json.dumps({**obj, "path": [[1.5, 2.0, 0.0], [5.5, 2.0, 0.0]]}), "(x, y) pairs"),
 ])
 def test_load_rollouts_names_the_file_and_line_of_a_bad_record(tmp_path, change, message):
     path = tmp_path / "bad.jsonl"

@@ -16,7 +16,8 @@ from hoopnet.engine import RMSProp, backward
 from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
 from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError
-from hoopnet.labels import SegmentationConfig, label_sequence
+from hoopnet.bench import EvalMetrics, evaluate
+from hoopnet.labels import LabeledSequence, SegmentationConfig, label_sequence
 from hoopnet.config import load_run_config
 from hoopnet.model import (
     ArchitectureConfig,
@@ -28,9 +29,10 @@ from hoopnet.model import (
 from hoopnet.train import (
     _STAGES,
     L2_ACTIVATION_WEIGHT,
-    LabeledSequence,
+    EpochRecord,
     Stage,
     TrainConfig,
+    TrainReport,
     assemble,
     augment_translate,
     compute_loss,
@@ -667,7 +669,7 @@ def test_training_deterministic_same_seed(tmp_path):
     r2, b2 = train_once(tmp_path / "b.ckpt")
     assert b1 == b2
     assert [rec.loss for rec in r1.records] == [rec.loss for rec in r2.records]
-    assert [rec.acc_delta for rec in r1.records] == [rec.acc_delta for rec in r2.records]
+    assert [rec.holdout for rec in r1.records] == [rec.holdout for rec in r2.records]
 
 
 def test_resume_matches_uninterrupted(tmp_path):
@@ -697,9 +699,39 @@ def test_report_csv_columns():
     assert len(csv.splitlines()) == 1 + len(report.records)
     # tv monitor exists and is finite for the attention variant
     assert all(
-        rec.tv_monitor is not None and math.isfinite(rec.tv_monitor)
+        rec.holdout.tv_monitor is not None and math.isfinite(rec.holdout.tv_monitor)
         for rec in report.records
     )
+
+
+def test_report_rows_with_and_without_a_holdout_keep_their_bytes():
+    # a record's holdout scores as evaluate returns them; a stage run
+    # without a holdout writes zero accuracies and empty cells
+    scores = EvalMetrics(acc_delta=(0.5, 0.25, 0.125, 1 / 3), n_delta=(8, 8, 8, 6),
+                         macro_acc=0.1, macro_acc_excl_burnin=0.2, attention_acc=2 / 3,
+                         tv_monitor=0.4567891, n_sequences=3)
+    records = [
+        EpochRecord(stage="pretrain_macro", epoch=1, loss=1.2345678, grad_norm_mean=3.5,
+                    seconds=0.12345, clamped_sequences=2, holdout=scores),
+        EpochRecord(stage="finetune", epoch=0, loss=0.5, grad_norm_mean=0.25,
+                    seconds=1.0, clamped_sequences=0, holdout=None),
+    ]
+    assert TrainReport(records, 4).to_csv() == (
+        "stage,epoch,loss,acc_delta0,acc_delta1,acc_delta2,acc_delta3,macro_acc,attention_acc,"
+        "tv_monitor,grad_norm_mean,seconds,clamped_sequences\n"
+        "pretrain_macro,1,1.234568,0.500000,0.250000,0.125000,0.333333,0.100000,0.666667,"
+        "0.456789,3.500000,0.123,2\n"
+        "finetune,0,0.500000,0.000000,0.000000,0.000000,0.000000,,,,0.250000,1.000,0\n"
+    )
+
+
+def test_run_stage_stores_evaluate_result_and_none_without_a_holdout():
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 10)
+    cfg = small_cfg()
+    (rec,) = run_stage(m, DATA[:8], DATA[8:12], Stage.PRETRAIN_MICRO, cfg, SPEC, seed=5)
+    assert rec.holdout == evaluate(m, DATA[8:12], SPEC, max_sequences=cfg.holdout_eval_max)
+    (rec,) = run_stage(m, DATA[:8], [], Stage.PRETRAIN_MICRO, cfg, SPEC, seed=5)
+    assert rec.holdout is None
 
 
 def test_divergence_detection():
