@@ -158,7 +158,16 @@ def cmd_rollout(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
     return 0
 
 
+def _check_distinct(variants: list[str] | None) -> None:
+    """A usage error when ``--variants`` names a variant twice: repro would
+    train it twice and bench would score it twice."""
+    repeated = sorted({v for v in variants or () if variants.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"--variants names {', '.join(repeated)} more than once")
+
+
 def cmd_bench(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
+    _check_distinct(args.variants)
     _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
     variants = args.variants or [
         v.value for v in Variant if paths.checkpoint(v.value).exists()
@@ -208,6 +217,7 @@ def cmd_repro(cfg: RunConfig, paths: _Paths, args) -> int:
     """End-to-end desk-scale reproduction: synth, label, train every
     variant, benchmark, roll out and render the attention model.  The
     sequences are prepared once and shared by every step."""
+    _check_distinct(args.variants)
     cmd_synth(cfg, paths, args)
     split = _prepare_sequences(cfg, paths, args.seed)
     cmd_label(cfg, paths, args, split)

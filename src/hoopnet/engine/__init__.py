@@ -25,6 +25,13 @@ is no separate matrix-product op.  The model's input, agent occupancy
 max-pooled as one k x k max over counts per fine cell, is built on plain
 arrays outside the tape (``hoopnet.model.pooled_occupancy``).
 
+``nn.frozen_state()`` is a re-entrant scope in which parameters and
+buffers hold still: the constants a forward call derives from them (each
+conv group's weight matrix, each inference batch norm's columns) are
+built once, with the same arithmetic, and dropped when the outermost
+scope exits.  Inside it the writers ``RMSProp.step``, ``Module.cast``,
+``Module.set_buffer`` and ``load_checkpoint`` raise.
+
 Importing the package sets glibc's malloc thresholds so that freed heap
 memory stays with the process: a training pass frees and reallocates
 tens of megabytes every batch (57 MB at the ``tracemalloc`` peak of a
@@ -57,6 +64,7 @@ from .nn import (
     GRUCell,
     Linear,
     Module,
+    frozen_state,
     gru_sequence,
     spatial_encoder,
 )
@@ -101,7 +109,7 @@ __all__ = [
     "Tensor", "Parameter", "backward", "concat",
     "no_grad", "relu", "softmax", "softmax_nll",
     "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module",
-    "gru_sequence", "spatial_encoder",
+    "frozen_state", "gru_sequence", "spatial_encoder",
     "RMSProp", "clip_gradients",
     "load_checkpoint", "save_checkpoint",
 ]

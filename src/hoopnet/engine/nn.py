@@ -10,6 +10,11 @@ op whose first layer is one matmul over their stacked filters.
 Layers are built in float64 (``Module.cast`` rounds a whole model to its
 compute dtype once), and the fused ops compute in their parameters'
 dtype.
+
+Inside a ``frozen_state()`` scope the constants a forward call derives
+from parameters and buffers are built once per scope, not once per call.
+A call that records no tape builds no parameter tuples, saved arrays or
+backward closures.
 """
 
 from __future__ import annotations
@@ -17,6 +22,55 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Parameter, Tensor, _grad_enabled, _node
+
+# the number of open frozen_state() scopes, and the constants built inside
+# them, keyed by the module objects they derive from
+_frozen_depth = 0
+_frozen_cache: dict = {}
+
+
+class frozen_state:
+    """Context manager: parameters and buffers do not change inside it.
+
+    Each constant a forward call derives from them (each conv group's
+    (F, k*k*C) weight matrix, each inference batch norm's (F, 1) mean,
+    inverse standard deviation, gamma and beta) is built on first use,
+    with the same arithmetic as outside, and reused; the outermost
+    scope's exit drops them, also on an exception.  Scopes nest.  The
+    package's writers, ``RMSProp.step``, ``Module.cast``,
+    ``Module.set_buffer`` (so training-mode batch norm) and
+    ``load_checkpoint``, raise RuntimeError inside a scope; a write
+    straight into a parameter's ``data`` would go unseen, so make none.
+    """
+
+    def __enter__(self):
+        global _frozen_depth
+        _frozen_depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        global _frozen_depth
+        _frozen_depth -= 1
+        if not _frozen_depth:
+            _frozen_cache.clear()
+        return False
+
+
+def _refuse_if_frozen(writer: str) -> None:
+    if _frozen_depth:
+        raise RuntimeError(f"{writer} inside engine.nn.frozen_state(): "
+                           "parameters and buffers are frozen")
+
+
+def _frozen_constant(key, build, *args):
+    """``build(*args)``: once per frozen_state() scope for ``key``, and on
+    every call outside one."""
+    if not _frozen_depth:
+        return build(*args)
+    value = _frozen_cache.get(key)
+    if value is None:
+        value = _frozen_cache[key] = build(*args)
+    return value
 
 
 class Module:
@@ -39,6 +93,7 @@ class Module:
         object.__setattr__(self, name, array)
 
     def set_buffer(self, name: str, array: np.ndarray) -> None:
+        _refuse_if_frozen("Module.set_buffer")
         if name not in self._buffers:
             raise KeyError(name)
         self._buffers[name] = array
@@ -46,6 +101,7 @@ class Module:
 
     def cast(self, dtype) -> None:
         """Convert every parameter and buffer, recursively, to ``dtype``."""
+        _refuse_if_frozen("Module.cast")
         for p in self._params.values():
             p.data = p.data.astype(dtype)
         for name, b in self._buffers.items():
@@ -148,17 +204,37 @@ def _padded(a: np.ndarray, conv: Conv2d, dtype) -> tuple[np.ndarray, int, int]:
     return xp, (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
 
 
-def _conv_rows(xp: np.ndarray, convs: list[Conv2d], oh: int, ow: int) -> np.ndarray:
+def _weight_matrix(convs: tuple[Conv2d, ...]) -> np.ndarray:
+    """The (F, k*k*C) matrix of the convolutions' filters, stacked in
+    order, its columns in im2col order."""
+    return np.concatenate([conv.weight.data.transpose(0, 2, 3, 1).reshape(len(conv.weight.data), -1)
+                           for conv in convs])
+
+
+def _conv_rows(xp: np.ndarray, convs: tuple[Conv2d, ...], oh: int, ow: int) -> np.ndarray:
     """The (F, n*oh*ow) output of convolutions that share kernel size and
     stride over the padded input ``xp``, their F filters stacked in order:
     one matmul per row block, each into its columns."""
-    weight = np.concatenate([conv.weight.data.transpose(0, 2, 3, 1).reshape(len(conv.weight.data), -1)
-                             for conv in convs])
+    weight = _frozen_constant(convs, _weight_matrix, convs)
     kh, kw = convs[0].weight.data.shape[2:]
+    if len(xp) <= ROW_BLOCK:
+        return weight @ _im2col(xp, convs[0].stride, kh, kw, oh, ow).T
     y = np.empty((len(weight), xp.shape[0] * oh * ow), xp.dtype)
     for cs, cols in _col_blocks(xp, convs[0].stride, kh, kw, oh, ow):
         np.matmul(weight, cols.T, out=y[:, cs])
     return y
+
+
+def _inv_std(var: np.ndarray, bn: BatchNorm, dtype) -> np.ndarray:
+    """Batch norm's (F, 1) inverse standard deviation in ``dtype``."""
+    return (1.0 / np.sqrt(var + bn.eps)).astype(dtype)[:, None]
+
+
+def _bn_columns(bn: BatchNorm, dtype) -> tuple[np.ndarray, ...]:
+    """Inference batch norm's running mean, inverse standard deviation,
+    gamma and beta as (F, 1) columns."""
+    return (bn.running_mean[:, None], _inv_std(bn.running_var, bn, dtype),
+            bn.gamma.data[:, None], bn.beta.data[:, None])
 
 
 def spatial_encoder(
@@ -203,7 +279,7 @@ def spatial_encoder(
         raise ValueError("spatial_encoder expects (N, H, W, C) input")
     if not encoders:
         raise ValueError("spatial_encoder needs at least one encoder")
-    firsts = [enc.convs[0] for enc in encoders]
+    firsts = tuple(enc.convs[0] for enc in encoders)
     if len({(conv.weight.data.shape[1:], conv.stride) for conv in firsts}) > 1:
         raise ValueError("spatial_encoder: the encoders' first layers differ in input "
                          "channels, kernel or stride")
@@ -222,8 +298,9 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
     """One encoder of ``spatial_encoder``, from ``layer0``: the padded
     input, the (F, P) convolution output and the output height and width
     of its first layer."""
-    params = tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
-    record = _grad_enabled() and any(p._needs() for p in params)
+    params = (tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
+              if _grad_enabled() else ())
+    record = any(p._needs() for p in params)
     xp, y, oh, ow = layer0
     n, dtype = x.shape[0], y.dtype
     a = x
@@ -231,7 +308,7 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
     for i, (conv, bn) in enumerate(zip(convs, bns)):
         if i:
             xp, oh, ow = _padded(a, conv, dtype)
-            y = _conv_rows(xp, [conv], oh, ow)
+            y = _conv_rows(xp, (conv,), oh, ow)
         f = len(y)
         if training:
             if y.shape[1] < 2:
@@ -243,14 +320,14 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
                 running = getattr(bn, name)
                 bn.set_buffer(name, (bn.momentum * running.astype(np.float64)
                                      + (1.0 - bn.momentum) * stat).astype(running.dtype))
+            inv, gamma, beta = _inv_std(var, bn, dtype), bn.gamma.data[:, None], bn.beta.data[:, None]
         else:
-            y -= bn.running_mean[:, None]
-            var = bn.running_var
-        inv = (1.0 / np.sqrt(var + bn.eps)).astype(dtype)
+            mean, inv, gamma, beta = _frozen_constant(bn, _bn_columns, bn, dtype)
+            y -= mean
         xhat = y
-        xhat *= inv[:, None]
-        out = np.multiply(xhat, bn.gamma.data[:, None], out=None if record else xhat)  # tape keeps x-hat
-        out += bn.beta.data[:, None]
+        xhat *= inv
+        out = np.multiply(xhat, gamma, out=None if record else xhat)  # tape keeps x-hat
+        out += beta
         np.maximum(out, 0.0, out=out)
         out = out.reshape(f, n, oh, ow)
         if record:
@@ -263,6 +340,8 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
     else:
         feat = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     feat = feat.reshape(n, -1)
+    if not record:
+        return _node(feat, (), None)
 
     def vjp(g):
         grads = [None] * len(params)
@@ -274,15 +353,15 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
             gy *= out.reshape(f, -1) > 0
             dgamma, dbeta = np.einsum("fp,fp->f", gy, xhat), gy.sum(axis=1)
             grads[3 * i + 1], grads[3 * i + 2] = dgamma, dbeta
-            gamma = bns[i].gamma.data
+            gamma_inv = bns[i].gamma.data[:, None] * inv
             if training:
                 m = gy.shape[1]
                 gy *= m
                 gy -= dbeta[:, None]
                 gy -= xhat * dgamma[:, None]
-                gy *= (gamma * inv / m)[:, None]
+                gy *= gamma_inv / m
             else:
-                gy *= (gamma * inv)[:, None]
+                gy *= gamma_inv
             weight = convs[i].weight.data
             s, (kh, kw) = convs[i].stride, weight.shape[2:]
             dw = sum(gy[:, cs] @ cols for cs, cols in _col_blocks(xp, s, kh, kw, oh, ow))
@@ -313,10 +392,14 @@ class Linear(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         """``x @ weight + bias`` over (N, in) rows, as one tape node."""
+        y = x.data @ self.weight.data + self.bias.data
+        if not _grad_enabled():
+            return _node(y, (), None)
+
         def vjp(g):
             return (g @ self.weight.data.T, x.data.T @ g, g.sum(axis=0))
 
-        return _node(x.data @ self.weight.data + self.bias.data, (x, self.weight, self.bias), vjp)
+        return _node(y, (x, self.weight, self.bias), vjp)
 
 
 # GRU
@@ -364,10 +447,9 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
     dtype = cell.w_update.data.dtype
     if rows % n:
         raise ValueError(f"gru_sequence: {rows} input rows are not whole steps of {n}")
-    params = (cell.w_update, cell.u_update, cell.b_update, cell.w_reset, cell.u_reset,
-              cell.b_reset, cell.w_cand, cell.u_cand, cell.b_cand)
-    parents = (x,) + params
-    record = _grad_enabled() and any(p._needs() for p in parents)
+    parents = (x, cell.w_update, cell.u_update, cell.b_update, cell.w_reset, cell.u_reset,
+               cell.b_reset, cell.w_cand, cell.u_cand, cell.b_cand) if _grad_enabled() else ()
+    record = any(p._needs() for p in parents)
     u_z, u_r, u_c = cell.u_update.data, cell.u_reset.data, cell.u_cand.data
     x_z = x.data @ cell.w_update.data + cell.b_update.data
     x_r = x.data @ cell.w_reset.data + cell.b_reset.data
@@ -385,6 +467,9 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
         h = states[s]
         if record:
             saved[0, s], saved[1, s], saved[2, s] = z, r, c
+    if not record:
+        return _node(states, (), None)
+    params = parents[1:]
 
     def vjp(g):
         z, r, c = saved

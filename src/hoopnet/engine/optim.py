@@ -10,7 +10,8 @@ Per parameter and step t (t counts completed steps, starting at 0):
 The optimizer owns ``cache`` and ``buf``, zeros in each parameter's
 dtype when it is built; its hyperparameters are kept as Python floats,
 which never widen a float32 array.  Frozen parameters are skipped
-entirely; every step ends by clearing all gradient buffers.
+entirely; every step ends by clearing all gradient buffers.  A step
+inside ``nn.frozen_state()`` raises.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 
+from .nn import _refuse_if_frozen
 from .tensor import Parameter
 
 
@@ -66,6 +68,7 @@ class RMSProp:
 
     def step(self) -> None:
         """One update over params; clears every gradient buffer afterwards."""
+        _refuse_if_frozen("RMSProp.step")
         lr_t = self.lr / (1.0 + self.decay * self.t)
         for p, cache, buf in zip(self.params, self.cache, self.buf):
             g = p.grad

@@ -122,7 +122,9 @@ def _pool_out(dim: int, kernel: int) -> int:
 # itself too), and a (27, 11) matrix marking the agents of each pair
 _CHANNELS = np.asarray(AGENT_CHANNELS)
 _PAIRS = np.nonzero(np.triu(np.equal.outer(_CHANNELS, _CHANNELS)))
-_PAIR_AGENTS = np.equal.outer(_PAIRS, np.arange(len(_CHANNELS))).any(axis=0)
+# held as float32: its 0/1 entries, and the counts (at most 11) summed over
+# them, are exact in every float dtype
+_PAIR_AGENTS = np.equal.outer(_PAIRS, np.arange(len(_CHANNELS))).any(axis=0).astype(np.float32)
 
 
 def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int, dtype) -> np.ndarray:
@@ -144,7 +146,7 @@ def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int, dtype) -> n
     rows, cols = spec.micro_rows, spec.micro_cols
     cell_cols, cell_rows = spec.cells_from_positions(positions)
     cell = cell_rows * cols + cell_cols
-    counts = (cell[:, _PAIRS[0]] == cell[:, _PAIRS[1]]).astype(dtype) @ _PAIR_AGENTS.astype(dtype)
+    counts = (cell[:, _PAIRS[0]] == cell[:, _PAIRS[1]]).astype(dtype) @ _PAIR_AGENTS
     out_rows, out_cols = -(-rows // k), -(-cols // k)
     out = np.zeros(m * out_rows * out_cols * 4, dtype)
     blocks = ((np.arange(m)[:, None] * out_rows + cell_rows // k) * out_cols + cell_cols // k) * 4
@@ -212,6 +214,13 @@ class HPNModel(Module):
         self.spec = spec
         self.arch = arch
         self.variant = Variant(variant)
+        # every branch ``run`` can run, and runs by default
+        if not self.hierarchical:
+            self.branches = frozenset({"micro"})
+        elif self.variant is Variant.H_CC:
+            self.branches = frozenset({"micro", "macro", "combine"})
+        else:
+            self.branches = frozenset({"micro", "macro", "attention"})
         n_actions = spec.n_actions
         n_boxes = spec.n_macro_boxes
         lookahead = spec.lookahead_steps
@@ -263,13 +272,6 @@ class HPNModel(Module):
     @property
     def has_attention(self) -> bool:
         return self.variant in ATTENTION_VARIANTS
-
-    def branch_set(self) -> frozenset[str]:
-        if not self.hierarchical:
-            return frozenset({"micro"})
-        if self.variant is Variant.H_CC:
-            return frozenset({"micro", "macro", "combine"})
-        return frozenset({"micro", "macro", "attention"})
 
     def parameter_groups(self) -> dict[str, list]:
         groups: dict[str, list] = {"micro": [], "macro": [], "transfer": [], "combine": []}
@@ -346,14 +348,13 @@ class HPNModel(Module):
             )
         n = inputs.shape[0]
         self._check_memory(memory, n)
-        branches = branches if branches is not None else self.branch_set()
-        branches = branches & self.branch_set()
+        branches = self.branches if branches is None else branches & self.branches
         k = math.prod(PYRAMID)
         pooled = pooled_occupancy(time_major(inputs), self.spec, k, self.dtype)
         new_mem = dict(memory)
         outs: dict = {}
         run_micro = bool(branches & {"micro", "combine"})
-        run_macro = self.hierarchical and bool(branches & {"macro", "attention", "combine"})
+        run_macro = bool(branches & {"macro", "attention", "combine"})
         # one call for both encoders, micro first (its noise is drawn first)
         encoders = [self.micro_encoder] if run_micro else []
         if run_macro:
@@ -373,9 +374,9 @@ class HPNModel(Module):
             new_mem["macro"] = hm.data[-n:]
             macro_logits = self.macro_head(hm)
             outs["macro_logits"] = macro_logits
-            if self.has_attention and "attention" in branches:
+            if "attention" in branches:
                 outs["attention_logits"] = self._attention_logits(macro_logits)
-            if self.variant is Variant.H_CC and "combine" in branches:
+            if "combine" in branches:
                 outs["cc_logits"] = self._cc_logits(outs["raw_logits"], macro_logits)
         return outs, new_mem
 
@@ -418,7 +419,10 @@ class HPNModel(Module):
         for key in ("raw", "macro", "attention", "cc"):
             value = outs.get(f"{key}_logits")
             if isinstance(value, list):  # look-ahead heads: (T*N, lookahead, n_actions)
-                value = np.stack([t.data for t in value], axis=1)
+                # one concatenate: np.stack's Python wrapper costs more
+                # than the copy at T = 1
+                rows = len(value[0].data)
+                value = np.concatenate([t.data for t in value], axis=1).reshape(rows, len(value), -1)
             elif value is not None:
                 value = value.data
             if value is not None and not np.isfinite(value).all():

@@ -10,7 +10,10 @@ freezes once that runs out.
 burn-in replays ground truth, so it is one teacher-forced
 ``HPNModel.logits`` call on the (N, burn_in, 11, 2) prefix; each horizon
 step depends on the choices before it and is one call on an
-(N, 1, 11, 2) batch.  ``choose_step`` takes the choices of every step
+(N, 1, 11, 2) batch.  The calls run inside one ``engine.frozen_state()``
+scope, so the constants derived from the weights are built once per
+rollout, not once per call; the results are bit-identical to the same
+calls outside it.  ``choose_step`` takes the choices of every step
 of a call for all N over arrays, on the logits: no probability array is
 built in argmax mode.  Each sequence draws from its own RNG, so a
 rollout does not depend on the other sequences in its batch.
@@ -27,6 +30,7 @@ import numpy as np
 from .court import CourtSpec
 from .data import SEQUENCE_STEPS, TrainingSequence, agent_positions
 from .errors import ConfigError, DataError
+from .engine import frozen_state
 from .engine.tensor import softmax_array
 from .model import HPNModel, combined_scores
 from .util import atomic_open, rng_for
@@ -145,22 +149,26 @@ def batch_rollout(
     r, side = spec.velocity_radius_cells, spec.velocity_side
     memory = model.reset_memory(n)
     # one teacher-forced call over the whole burn-in, then one call per
-    # horizon step, whose input depends on the step before
-    for t, stop in zip([0, *range(burn_in, total)], range(burn_in, total + 1)):
-        if t >= burn_in:
-            # the last step's look-ahead actions are consecutive
-            # displacements of the focal player
-            last = actions[:, t - 1]
-            cells = np.stack([last % side - r, last // side - r], axis=-1)
-            target = path[:, t - 1] + (cells * spec.micro_cell_ft).sum(axis=1)
-            path[:, t] = np.minimum(np.maximum(target, 0.0), upper)
-            clamps += (path[:, t] != target).any(axis=1)
-            agents[:, t, 1] = path[:, t]
-        steps = slice(t, stop)
-        logits, memory = model.logits(agents[:, steps], memory)
-        actions[:, steps], macro_goals[:, steps], att_argmax[:, steps] = choose_step(
-            logits, config.mode, rngs
-        )
+    # horizon step, whose input depends on the step before; the weights
+    # hold still throughout, so their derived constants are built once
+    with frozen_state():
+        for t, stop in zip([0, *range(burn_in, total)], range(burn_in, total + 1)):
+            if t >= burn_in:
+                # the last step's look-ahead actions are consecutive
+                # displacements of the focal player, each action index
+                # (dy + r) * side + (dx + r)
+                cells = np.empty((n, spec.lookahead_steps, 2), np.int64)
+                np.divmod(actions[:, t - 1], side, out=(cells[..., 1], cells[..., 0]))
+                cells -= r
+                target = path[:, t - 1] + (cells * spec.micro_cell_ft).sum(axis=1)
+                path[:, t] = np.minimum(np.maximum(target, 0.0), upper)
+                clamps += (path[:, t] != target).any(axis=1)
+                agents[:, t, 1] = path[:, t]
+            steps = slice(t, stop)
+            logits, memory = model.logits(agents[:, steps], memory)
+            actions[:, steps], macro_goals[:, steps], att_argmax[:, steps] = choose_step(
+                logits, config.mode, rngs
+            )
     return [
         RolloutResult(
             possession_id=s.possession_id,

@@ -138,10 +138,10 @@ def stage_branches(model: HPNModel, stage: Stage) -> frozenset[str]:
     """Branches ``stage`` runs on ``model``; ConfigError when the model
     lacks one the stage needs."""
     needs = _STAGES[stage][1]
-    if not needs <= model.branch_set():
+    if not needs <= model.branches:
         raise ConfigError(f"{stage.value} needs branches {sorted(needs)}; "
-                          f"variant {model.variant.value} has {sorted(model.branch_set())}")
-    return model.branch_set() if stage is Stage.FINETUNE else needs
+                          f"variant {model.variant.value} has {sorted(model.branches)}")
+    return model.branches if stage is Stage.FINETUNE else needs
 
 
 # batch assembly and augmentation

@@ -398,6 +398,17 @@ def test_repro_without_variant_names_is_a_usage_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["repro", "bench"])
+def test_repeated_variant_is_a_usage_error(tmp_path, capsys, command):
+    # repro would train cnn twice and write its checkpoint twice; bench
+    # would score it twice.  Both stop before any work
+    path = write_config(tmp_path)
+    argv = ["--config", str(path), "--seed", "1", command, "--variants", "cnn", "h_att", "cnn"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --variants names cnn more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_of_a_cut_rollout_file_is_a_data_error(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--seed", "4", "synth"]) == 0

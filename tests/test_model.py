@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from hoopnet.config import load_run_config
 from hoopnet.court import CourtSpec
-from hoopnet.engine import nn, spatial_encoder
+from hoopnet.engine import RMSProp, frozen_state, nn, spatial_encoder
 from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
 from hoopnet.errors import CheckpointError
 from hoopnet.engine.tensor import softmax_array
@@ -388,3 +389,131 @@ def test_micro_init_identical_across_variants():
     )
     np.testing.assert_array_equal(b.micro_heads[0].weight.data, c.micro_heads[0].weight.data)
     np.testing.assert_array_equal(b.micro_core.w_update.data, c.micro_core.w_update.data)
+
+
+# frozen_state(): inference constants built once per scope
+
+
+def perturbed(variant, seed=3):
+    """``fresh`` with random batch-norm scales, shifts and running
+    statistics, so that every inference constant shows in the logits."""
+    m = fresh(variant, seed)
+    rng = np.random.default_rng(seed)
+    for enc in (m.micro_encoder, getattr(m, "macro_encoder", None)):
+        for bn in enc.bns if enc is not None else ():
+            f = len(bn.gamma.data)
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, f)
+            bn.beta.data[...] = rng.normal(scale=0.3, size=f)
+            bn.set_buffer("running_mean", rng.normal(scale=0.3, size=f).astype(bn.running_mean.dtype))
+            bn.set_buffer("running_var", rng.uniform(0.5, 2.0, f).astype(bn.running_var.dtype))
+    return m
+
+
+def positions(n, steps, seed=11):
+    """(n, steps, 11, 2) agent positions anywhere on the court."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, size=(n, steps, 11, 2)) * np.array([SPEC.width_ft, SPEC.height_ft])
+
+
+def logits_bytes(m, x):
+    """The bytes of every ``eval_logits`` head of ``m`` on ``x``."""
+    return b"".join(v.tobytes() for v in m.eval_logits(x).values() if v is not None)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_logits_inside_frozen_state_are_bit_identical(variant):
+    m = perturbed(variant)
+    for n, steps in ((1, 1), (1, 20), (3, 1), (3, 20)):
+        x = positions(n, steps)
+        memory = m.reset_memory(n)
+        for key in memory:  # a nonzero starting state
+            if not key.startswith("_"):
+                memory[key] = np.full_like(memory[key], 0.25)
+        want, want_memory = m.logits(x, memory)
+        with frozen_state():
+            for _ in range(2):  # the call that builds the constants, then one that reuses them
+                got, got_memory = m.logits(x, memory)
+                assert got.keys() == want.keys()
+                for key, value in want.items():
+                    assert (got[key] is None) == (value is None)
+                    if value is not None:
+                        assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes()
+                for key, value in want_memory.items():
+                    if not key.startswith("_"):
+                        assert got_memory[key].tobytes() == value.tobytes()
+
+
+def _writers(m, tmp_path):
+    """One call per writer of parameters and buffers, each changing every
+    output of ``m``: an RMSProp step, a cast, a running-mean update and a
+    checkpoint load of other weights."""
+    for p in m.parameters():
+        p.grad = np.ones_like(p.data)
+    opt = RMSProp(m.parameters(), lr=0.05)
+    other = perturbed(m.variant, seed=4)
+    path = tmp_path / "other.ckpt"
+    save_checkpoint(path, other.state_for_checkpoint(), other.config_hash())
+    bn = m.micro_encoder.bn0
+    return {
+        "RMSProp.step": opt.step,
+        "Module.cast": lambda: m.cast(np.float64),
+        "Module.set_buffer": lambda: bn.set_buffer("running_mean", bn.running_mean + 0.5),
+        "load_checkpoint": lambda: load_checkpoint(path, m.state_for_checkpoint(), m.config_hash()),
+    }
+
+
+def test_writers_raise_inside_frozen_state(tmp_path):
+    m = perturbed(Variant.H_ATT)
+    state = [a.tobytes() for _, a in m.named_state()]
+    writers = _writers(m, tmp_path)
+    x = positions(2, 3)
+    with frozen_state():
+        m.eval_logits(x)
+        for name, write in writers.items():
+            with pytest.raises(RuntimeError, match=f"^{re.escape(name)} inside engine.nn.frozen_state"):
+                write()
+        # training-mode batch norm advances its running statistics
+        with pytest.raises(RuntimeError, match="^Module.set_buffer"):
+            m.run(x, m.reset_memory(2), training=True)
+    assert [a.tobytes() for _, a in m.named_state()] == state
+
+
+@pytest.mark.parametrize("writer", ["RMSProp.step", "Module.cast", "Module.set_buffer",
+                                    "load_checkpoint", "in-place"])
+def test_a_write_after_frozen_state_shows_in_the_next_call(tmp_path, writer):
+    # the constants built in one scope do not reach the next: each
+    # writer's change, and a write straight into the arrays, shows in the
+    # next scope's logits, which equal the logits outside any scope
+    m = perturbed(Variant.H_ATT)
+    x = positions(2, 3)
+    with frozen_state():
+        before = logits_bytes(m, x)
+    if writer == "in-place":
+        rng = np.random.default_rng(5)
+        for conv, bn in zip(m.micro_encoder.convs, m.micro_encoder.bns):
+            conv.weight.data[...] = rng.normal(scale=0.3, size=conv.weight.data.shape)
+            bn.running_var[...] = rng.uniform(0.5, 2.0, bn.running_var.shape)
+    else:
+        _writers(m, tmp_path)[writer]()
+    with frozen_state():
+        after = logits_bytes(m, x)
+    assert after != before
+    assert after == logits_bytes(m, x)
+
+
+def test_frozen_state_scopes_nest():
+    m = perturbed(Variant.H_ATT)
+    x = positions(2, 3)
+    want = logits_bytes(m, x)
+    bn = m.micro_encoder.bn0
+    with frozen_state():
+        with frozen_state():
+            assert logits_bytes(m, x) == want
+        # the inner exit keeps the outer scope's constants and its refusals
+        assert nn._frozen_cache
+        with pytest.raises(RuntimeError, match="^Module.set_buffer"):
+            bn.set_buffer("running_mean", bn.running_mean + 0.5)
+        assert logits_bytes(m, x) == want
+    assert not nn._frozen_cache
+    bn.set_buffer("running_mean", bn.running_mean + 0.5)
+    assert logits_bytes(m, x) != want

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import hoopnet.engine.nn as nn_mod
 import hoopnet.engine.tensor as tensor_mod
 import hoopnet.model as model_mod
 import hoopnet.rollout as rollout_mod
+from hoopnet.config import load_run_config
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, agent_positions, synthesize, window
 from hoopnet.engine.tensor import softmax_array
@@ -281,6 +284,53 @@ def test_step_tensor_node_count(monkeypatch, variant, nodes):
         monkeypatch.setattr(module, "_node", lambda *args, real=real: made.append(1) or real(*args))
     m.logits(inputs, m.reset_memory(len(SEQS)))
     assert len(made) == nodes
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_batch_rollout_equals_its_steps_outside_frozen_state(monkeypatch, variant):
+    m = HPNModel(SPEC, ARCH, variant, 29)
+    for mode in ("argmax", "sample"):
+        cfg = RolloutConfig(burn_in_steps=20, horizon_steps=30, mode=mode, seed=6)
+        scoped = [rollout_to_json(r) for r in batch_rollout(m, SEQS, cfg, SPEC)]
+        with monkeypatch.context() as patch:
+            patch.setattr(rollout_mod, "frozen_state", contextlib.nullcontext)
+            plain = [rollout_to_json(r) for r in batch_rollout(m, SEQS, cfg, SPEC)]
+        assert scoped == plain
+
+
+@pytest.mark.parametrize("variant,weights,norms", [(Variant.H_ATT, 3, 4), (Variant.CNN, 2, 2)])
+def test_desk_rollout_builds_each_inference_constant_once(monkeypatch, variant, weights, norms):
+    # a 20 + 30 desk rollout is 31 model calls; it builds the stacked
+    # layer-0 weight matrix, each encoder's layer-1 matrix and each batch
+    # norm's columns once, where the same steps outside the scope build
+    # them on every call
+    desk_cfg = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+    desk = load_run_config(desk_cfg.read_text())
+    m = HPNModel(desk.court, desk.arch, variant, 1)
+    built = []
+    for name in ("_weight_matrix", "_bn_columns"):
+        real = getattr(nn_mod, name)
+        monkeypatch.setattr(nn_mod, name,
+                            lambda key, *args, real=real: built.append(key) or real(key, *args))
+    cfg = desk.rollout
+    assert (cfg.burn_in_steps, cfg.horizon_steps) == (20, 30)
+    batch_rollout(m, SEQS[:1], cfg, desk.court)
+    assert len(set(built)) == len(built) == weights + norms
+    assert sum(isinstance(key, nn_mod.BatchNorm) for key in built) == norms
+    built.clear()
+    monkeypatch.setattr(rollout_mod, "frozen_state", contextlib.nullcontext)
+    batch_rollout(m, SEQS[:1], cfg, desk.court)
+    assert len(built) == 31 * (weights + norms)
+
+
+def test_a_failing_rollout_leaves_no_frozen_state_open():
+    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 3)
+    m.micro_heads[0].bias.data[0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite values in the raw logits"):
+        batch_rollout(m, SEQS, RolloutConfig(burn_in_steps=20, horizon_steps=5), SPEC)
+    assert nn_mod._frozen_depth == 0 and not nn_mod._frozen_cache
+    bn = m.micro_encoder.bn0
+    bn.set_buffer("running_mean", bn.running_mean + 0.5)  # writers work again
 
 
 def test_batch_rollout_duplicates_and_short_sequence():
