@@ -131,6 +131,9 @@ def _train_variant(
         checkpoint_path=paths.checkpoint(variant),
         resume=resume,
     )
+    if report is None:  # a finished run's report stays as it was
+        print(f"trained {variant}: every stage was already done in {paths.checkpoint(variant)}")
+        return
     with atomic_open(paths.report(variant)) as fh:
         fh.write(report.to_csv())
     # the last epoch's holdout score covers at most train.holdout_eval_max

@@ -162,12 +162,15 @@ def load_run_config(
     """Build a RunConfig from a document plus ``section.key=value`` overrides,
     then check every section; a bad value raises ConfigError.  Document and
     overrides (a later one wins) apply as one update, so a change of
-    several court keys is checked only as a whole."""
+    several court keys is checked only as a whole.  Each override is one
+    line holding one ``section.key=value``; a comment, a blank or a
+    second line is rejected."""
     entries = parse_document(text) if text is not None else {}
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected section.key=value")
-        entries.update(parse_document(item))
+        entry = parse_document(item) if "=" in item and len(item.splitlines()) == 1 else {}
+        if len(entry) != 1:
+            raise ConfigError(f"--set {item!r}: expected one section.key=value")
+        entries.update(entry)
     cfg = _apply(entries)
     _validate(cfg)
     return cfg

@@ -90,6 +90,12 @@ class CourtSpec:
         r = self.velocity_radius_cells
         return r * self.velocity_side + r
 
+    @property
+    def far_edge(self) -> tuple[float, float]:
+        """The largest (x, y) a position is clamped to: just inside the far
+        edges, so it lands in the last cell and box, not one past them."""
+        return self.width_ft - 1e-9, self.height_ft - 1e-9
+
     # positions -> micro cells and macro boxes
 
     def cells_from_positions(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

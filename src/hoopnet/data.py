@@ -344,8 +344,7 @@ def _walk(
     cos, sin and sqrt (see synthesize); only the noise is an array draw.
     """
     margin = min(2.0, spec.width_ft / 10, spec.height_ft / 10)
-    x_max = spec.width_ft - 1e-9
-    y_max = spec.height_ft - 1e-9
+    x_max, y_max = spec.far_edge
     box_ft = spec.macro_box_ft
     x = rng.uniform(margin, spec.width_ft - margin)
     y = rng.uniform(margin, spec.height_ft - margin)
@@ -408,6 +407,7 @@ def synthesize_with_goals(cfg: SynthConfig, spec: CourtSpec) -> tuple[list[Posse
     possessions = []
     goals: GoalLog = {}
     ball_lag = 3
+    x_max, y_max = spec.far_edge
     for i in range(cfg.n_possessions):
         pid = f"synth-{i:05d}"
         rng = rng_for(cfg.seed, "possession", i)
@@ -429,8 +429,8 @@ def synthesize_with_goals(cfg: SynthConfig, spec: CourtSpec) -> tuple[list[Posse
         carrier = offense_traj[followed]
         idx = np.maximum(np.arange(length) - ball_lag, 0)
         ball = carrier[idx] + np.array([0.8, 0.0])
-        np.clip(ball[:, 0], 0.0, spec.width_ft - 1e-9, out=ball[:, 0])
-        np.clip(ball[:, 1], 0.0, spec.height_ft - 1e-9, out=ball[:, 1])
+        np.clip(ball[:, 0], 0.0, x_max, out=ball[:, 0])
+        np.clip(ball[:, 1], 0.0, y_max, out=ball[:, 1])
         tracks.insert(0, RawTrack("ball", ROLE_BALL, _freeze(ball)))
         possessions.append(Possession(pid, tuple(tracks)))
     return possessions, goals

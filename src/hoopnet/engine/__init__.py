@@ -6,8 +6,11 @@ Reductions that set a scale accumulate in float64: the batch-norm
 statistics, and the training loss's exp-sums and sums.  Layers are built
 in float64 and ``Module.cast`` converts a model.
 
-Forward ops record a tape; backward() walks it once.  The layer set is
-exactly what the policy networks need: the spatial encoder, linear maps,
+Forward ops record a tape; backward() walks it once.  Trainability is
+``requires_grad``: a ``Parameter`` trains while it is True; backward()
+gives no gradient to, and ``RMSProp.step`` skips, one whose flag is
+False, and an op records a tape node only when one of its inputs' flags
+is True.  The layer set is exactly what the policy networks need: the spatial encoder, linear maps,
 GRU cells, ReLU, concatenation and softmax, plus RMSprop-with-momentum
 and global gradient clipping; no elementwise sums or products.  A
 stage's whole training loss, every cross-entropy and activation

@@ -4,10 +4,10 @@ Layout: 8-byte magic, u32 version, u64 manifest length, UTF-8 manifest,
 then all tensors as little-endian float64 in manifest order, whatever
 the arrays' dtype (widening float32 is exact).  The manifest
 records the architecture config hash, free-form metadata, and one
-``tensor <name> <dims>`` line per array; loading verifies the hash and
-every shape before touching the model.  Saving goes through
-``util.atomic_open``, so a crash mid-write leaves the previous checkpoint
-intact.
+``tensor <name> <dims>`` line per array; loading verifies the hash,
+every shape and the file's length before touching the model.  Saving
+goes through ``util.atomic_open``, so a crash mid-write leaves the
+previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -107,14 +107,15 @@ def load_checkpoint(
         raise CheckpointError(
             f"{path}: tensor manifest does not match the current architecture"
         )
+    size, end = os.stat(path).st_size, offset
+    for name, arr in named_state:
+        end += 8 * arr.size
+        if end > size:
+            raise CheckpointError(f"{path}: truncated data for tensor {name}")
+    if size > end:
+        raise CheckpointError(f"{path}: trailing bytes after tensor data")
     with open(path, "rb") as fh:
         fh.seek(offset)
-        for name, arr in named_state:
-            n = arr.size
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise CheckpointError(f"{path}: truncated data for tensor {name}")
-            arr[...] = np.frombuffer(buf, dtype="<f8").reshape(arr.shape)
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after tensor data")
+        for _, arr in named_state:
+            arr[...] = np.frombuffer(fh.read(8 * arr.size), dtype="<f8").reshape(arr.shape)
     return meta

@@ -300,7 +300,7 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
     of its first layer."""
     params = (tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
               if _grad_enabled() else ())
-    record = any(p._needs() for p in params)
+    record = any(p.requires_grad for p in params)
     xp, y, oh, ow = layer0
     n, dtype = x.shape[0], y.dtype
     a = x
@@ -366,7 +366,7 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
             s, (kh, kw) = convs[i].stride, weight.shape[2:]
             dw = sum(gy[:, cs] @ cols for cs, cols in _col_blocks(xp, s, kh, kw, oh, ow))
             grads[3 * i] = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-            if not any(p._needs() for p in params[:3 * i]):
+            if not any(p.requires_grad for p in params[:3 * i]):
                 break
             # one kernel offset at a time, into a channels-last padded buffer
             ph, pw = kh // 2, kw // 2
@@ -376,7 +376,7 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
                     gxp[:, di:di + oh * s:s, dj:dj + ow * s:s] += \
                         (gy.T @ weight[:, :, di, dj]).reshape(n, oh, ow, c)
             gy = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)).reshape(c, -1)
-        return [gr if p._needs() else None for p, gr in zip(params, grads)]
+        return [gr if p.requires_grad else None for p, gr in zip(params, grads)]
 
     return _node(feat, params, vjp)
 
@@ -406,10 +406,8 @@ class Linear(Module):
 
 
 class GRUCell(Module):
-    """Gated recurrent cell: update/reset gates plus a tanh candidate.
-
-    ``cell(x, h0)`` runs every step of the time-major rows ``x`` from
-    the state array ``h0`` (see ``gru_sequence``)."""
+    """Gated recurrent cell weights: update/reset gates plus a tanh
+    candidate, run over a whole sequence batch by ``gru_sequence``."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         super().__init__()
@@ -424,10 +422,6 @@ class GRUCell(Module):
         self.w_cand = w((in_dim, hidden))
         self.u_cand = w((hidden, hidden))
         self.b_cand = Parameter(np.zeros(hidden))
-        self.hidden = hidden
-
-    def __call__(self, x: Tensor, h0: np.ndarray) -> Tensor:
-        return gru_sequence(self, x, h0)
 
 
 def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
@@ -449,7 +443,7 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
         raise ValueError(f"gru_sequence: {rows} input rows are not whole steps of {n}")
     parents = (x, cell.w_update, cell.u_update, cell.b_update, cell.w_reset, cell.u_reset,
                cell.b_reset, cell.w_cand, cell.u_cand, cell.b_cand) if _grad_enabled() else ()
-    record = any(p._needs() for p in parents)
+    record = any(p.requires_grad for p in parents)
     u_z, u_r, u_c = cell.u_update.data, cell.u_reset.data, cell.u_cand.data
     x_z = x.data @ cell.w_update.data + cell.b_update.data
     x_r = x.data @ cell.w_reset.data + cell.b_reset.data
@@ -495,10 +489,10 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
             if t:  # h0 gets no gradient, so step 0 carries no dh back
                 dh = dh * keep[s] + d_rh * r[s] + d_pre[s, :2 * hidden] @ u_zr_t
         grads = [None] * len(parents)
-        if x._needs():
+        if x.requires_grad:
             w_all = np.concatenate([cell.w_update.data, cell.w_reset.data, cell.w_cand.data], axis=1)
             grads[0] = d_pre @ w_all.T
-        if any(p._needs() for p in params):
+        if any(p.requires_grad for p in params):
             d_w = np.split(x.data.T @ d_pre, 3, axis=1)
             d_b = np.split(d_pre.sum(axis=0), 3)
             d_u = np.split(h_prev.T @ d_pre[:, :2 * hidden], 2, axis=1)

@@ -9,9 +9,9 @@ Per parameter and step t (t counts completed steps, starting at 0):
 
 The optimizer owns ``cache`` and ``buf``, zeros in each parameter's
 dtype when it is built; its hyperparameters are kept as Python floats,
-which never widen a float32 array.  Frozen parameters are skipped
-entirely; every step ends by clearing all gradient buffers.  A step
-inside ``nn.frozen_state()`` raises.
+which never widen a float32 array.  A parameter whose ``requires_grad``
+is False is skipped entirely; every step ends by clearing all gradient
+buffers.  A step inside ``nn.frozen_state()`` raises.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class RMSProp:
         lr_t = self.lr / (1.0 + self.decay * self.t)
         for p, cache, buf in zip(self.params, self.cache, self.buf):
             g = p.grad
-            if g is None or p.frozen:
+            if g is None or not p.requires_grad:
                 continue
             cache *= self.rho
             cache += (1.0 - self.rho) * g * g

@@ -57,29 +57,22 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _needs(self) -> bool:
-        return self.requires_grad
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class Parameter(Tensor):
-    """Trainable leaf with a freeze flag."""
+    """Leaf that trains while its ``requires_grad`` is True (the default)."""
 
-    __slots__ = ("frozen",)
+    __slots__ = ()
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.frozen = False
-
-    def _needs(self) -> bool:
-        return not self.frozen
 
 
 def _node(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled() and any(p._needs() for p in parents):
+    if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -113,7 +106,7 @@ def backward(loss: Tensor) -> None:
             continue
         grads = node._vjp(node.grad)
         for p, g in zip(node._parents, grads):
-            if g is None or not p._needs():
+            if g is None or not p.requires_grad:
                 continue
             p.grad = g if p.grad is None else p.grad + g
         node.grad = None  # free intermediate gradients as we go

@@ -4,7 +4,10 @@ Every variant maps the positions of the eleven agents to distributions
 over look-ahead velocity actions.  Hierarchical variants add a goal-box
 head; attention variants turn the goal distribution into a
 multiplicative mask over the action space; the concatenation variant
-learns the combined output with a fully-connected head instead.
+learns the combined output with a fully-connected head instead.  The
+one table ``BRANCHES`` names each variant's branches (``micro``,
+``macro``, ``attention``, ``combine``); the model builds, runs and
+trains by it.
 
 The network sees each step as four occupancy channels (ball, focal
 player, teammates, opponents) max-pooled over the input pyramid.
@@ -54,6 +57,7 @@ from .engine import (
     Module,
     Tensor,
     concat,
+    gru_sequence,
     no_grad,
     relu,
     softmax,
@@ -76,8 +80,15 @@ class Variant(str, Enum):
     H_AUX = "h_aux"
 
 
-HIERARCHICAL_VARIANTS = frozenset({Variant.H_CC, Variant.H_STACK, Variant.H_ATT, Variant.H_AUX})
-ATTENTION_VARIANTS = frozenset({Variant.H_STACK, Variant.H_ATT, Variant.H_AUX})
+# every branch each variant has, and so runs by default
+BRANCHES: dict[Variant, frozenset[str]] = {
+    Variant.CNN: frozenset({"micro"}),
+    Variant.GRU_CNN: frozenset({"micro"}),
+    Variant.H_CC: frozenset({"micro", "macro", "combine"}),
+    Variant.H_STACK: frozenset({"micro", "macro", "attention"}),
+    Variant.H_ATT: frozenset({"micro", "macro", "attention"}),
+    Variant.H_AUX: frozenset({"micro", "macro", "attention"}),
+}
 
 
 # max-pool kernels of the input pyramid, one per level
@@ -103,7 +114,7 @@ class ArchitectureConfig:
         for k in PYRAMID:
             if k > rows or k > cols:
                 raise ValueError(f"pyramid kernel {k} exceeds grid {rows}x{cols}")
-            rows, cols = _pool_out(rows, k), _pool_out(cols, k)
+            rows, cols = -(-rows // k), -(-cols // k)
         if not self.conv_filters or any(f < 1 for f in self.conv_filters):
             raise ValueError("conv_filters must list positive filter counts")
         if len(self.conv_strides) != len(self.conv_filters):
@@ -112,10 +123,6 @@ class ArchitectureConfig:
             raise ValueError("conv_strides must be >= 1")
         if self.gru_cells < 1 or self.transfer_hidden < 1:
             raise ValueError("gru_cells and transfer_hidden must be >= 1")
-
-
-def _pool_out(dim: int, kernel: int) -> int:
-    return -(-(dim - kernel) // kernel) + 1
 
 
 # the 27 pairs of agents i <= j that share a channel (each agent with
@@ -179,9 +186,8 @@ class SpatialEncoder(Module):
 
     def __init__(self, spec: CourtSpec, arch: ArchitectureConfig, rng: np.random.Generator):
         super().__init__()
-        rows, cols = spec.micro_rows, spec.micro_cols
-        for k in PYRAMID:
-            rows, cols = _pool_out(rows, k), _pool_out(cols, k)
+        k = math.prod(PYRAMID)
+        rows, cols = -(-spec.micro_rows // k), -(-spec.micro_cols // k)  # as pooled_occupancy
         convs, bns = [], []
         channels = 4
         for i, (f, stride) in enumerate(zip(arch.conv_filters, arch.conv_strides)):
@@ -214,13 +220,7 @@ class HPNModel(Module):
         self.spec = spec
         self.arch = arch
         self.variant = Variant(variant)
-        # every branch ``run`` can run, and runs by default
-        if not self.hierarchical:
-            self.branches = frozenset({"micro"})
-        elif self.variant is Variant.H_CC:
-            self.branches = frozenset({"micro", "macro", "combine"})
-        else:
-            self.branches = frozenset({"micro", "macro", "attention"})
+        self.branches = BRANCHES[self.variant]
         n_actions = spec.n_actions
         n_boxes = spec.n_macro_boxes
         lookahead = spec.lookahead_steps
@@ -242,14 +242,14 @@ class HPNModel(Module):
             heads.append(head)
         self.micro_heads = heads
 
-        if self.hierarchical:
+        if "macro" in self.branches:
             self.macro_encoder = SpatialEncoder(spec, arch, rng)
             self.macro_core = GRUCell(self.macro_encoder.out_dim, arch.gru_cells, rng)
             self.macro_head = Linear(arch.gru_cells, n_boxes, rng)
-        if self.has_attention:
+        if "attention" in self.branches:
             self.transfer_hidden_layer = Linear(n_boxes, arch.transfer_hidden, rng)
             self.transfer_out_layer = Linear(arch.transfer_hidden, n_actions, rng)
-        if self.variant is Variant.H_CC:
+        if "combine" in self.branches:
             cc = []
             for k in range(lookahead):
                 head = Linear(n_actions + n_boxes, n_actions, rng)
@@ -262,16 +262,6 @@ class HPNModel(Module):
     def dtype(self) -> np.dtype:
         """The parameters' dtype, which every activation follows."""
         return self.micro_heads[0].weight.data.dtype
-
-    # variant structure
-
-    @property
-    def hierarchical(self) -> bool:
-        return self.variant in HIERARCHICAL_VARIANTS
-
-    @property
-    def has_attention(self) -> bool:
-        return self.variant in ATTENTION_VARIANTS
 
     def parameter_groups(self) -> dict[str, list]:
         groups: dict[str, list] = {"micro": [], "macro": [], "transfer": [], "combine": []}
@@ -287,11 +277,10 @@ class HPNModel(Module):
         return groups
 
     def set_trainable(self, group_names: set[str]) -> None:
-        """Freeze every parameter group not listed."""
+        """Train the listed parameter groups and hold the others fixed."""
         for gname, params in self.parameter_groups().items():
-            frozen = gname not in group_names
             for p in params:
-                p.frozen = frozen
+                p.requires_grad = gname in group_names
 
     def config_hash(self) -> str:
         parts = [self.variant.value]
@@ -312,7 +301,7 @@ class HPNModel(Module):
         mem: dict = {"_owner": id(self), "_batch": batch}
         if self.variant is not Variant.CNN:
             mem["micro"] = np.zeros((batch, self.arch.gru_cells), self.dtype)
-        if self.hierarchical:
+        if "macro" in self.branches:
             mem["macro"] = np.zeros((batch, self.arch.gru_cells), self.dtype)
         return mem
 
@@ -365,12 +354,12 @@ class HPNModel(Module):
             if self.variant is Variant.CNN:
                 h = relu(self.micro_core(features[0]))
             else:
-                h = self.micro_core(features[0], memory["micro"])
+                h = gru_sequence(self.micro_core, features[0], memory["micro"])
                 new_mem["micro"] = h.data[-n:]
             outs["raw_logits"] = self._raw_logits(h)
 
         if run_macro:
-            hm = self.macro_core(features[-1], memory["macro"])
+            hm = gru_sequence(self.macro_core, features[-1], memory["macro"])
             new_mem["macro"] = hm.data[-n:]
             macro_logits = self.macro_head(hm)
             outs["macro_logits"] = macro_logits

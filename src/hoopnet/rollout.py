@@ -145,7 +145,7 @@ def batch_rollout(
     actions = np.empty((n, total, spec.lookahead_steps), dtype=np.int64)
     att_argmax = np.empty((n, total), dtype=np.int64)
     clamps = np.zeros(n, dtype=np.int64)
-    upper = np.array([spec.width_ft, spec.height_ft]) - 1e-9  # just inside the far edges
+    upper = np.array(spec.far_edge)
     r, side = spec.velocity_radius_cells, spec.velocity_side
     memory = model.reset_memory(n)
     # one teacher-forced call over the whole burn-in, then one call per

@@ -181,12 +181,11 @@ def augment_translate(
     offsets = np.stack([rng.integers(lo, hi, size=2) for _ in range(len(arrays["inputs"]))])
     rows = np.flatnonzero(offsets.any(axis=1))
     shift = offsets[rows] * spec.micro_cell_ft
-    upper = np.array([spec.width_ft - 1e-9, spec.height_ft - 1e-9])
     clamped = np.zeros(len(rows), dtype=bool)
     for key in ("inputs", "macro_target_xy"):
         moved = arrays[key][rows]
         moved += np.expand_dims(shift, tuple(range(1, moved.ndim - 1)))
-        on_court = np.clip(moved, 0.0, upper)
+        on_court = np.clip(moved, 0.0, spec.far_edge)
         clamped |= (on_court != moved).any(axis=tuple(range(1, moved.ndim)))
         arrays[key][rows] = on_court
     arrays["macro"] = spec.boxes_from_positions(arrays["macro_target_xy"])
@@ -337,13 +336,14 @@ def train_full(
     schedule: list[Stage] | None = None,
     checkpoint_path: str | Path | None = None,
     resume: bool = False,
-) -> TrainReport:
+) -> TrainReport | None:
     """Run the stage schedule in order, checkpointing at stage boundaries.
 
     With ``resume=True`` and an existing checkpoint, completed stages are
     skipped and training continues identically to an uninterrupted run
     (stage RNGs derive from the run seed, and each stage starts with a
-    fresh optimizer).
+    fresh optimizer); the report holds the stages this call trained, and
+    is None when every stage was already done.
     """
     schedule = stage_schedule(model.variant) if schedule is None else schedule
     if not schedule:
@@ -356,6 +356,8 @@ def train_full(
             checkpoint_path, model.state_for_checkpoint(), model.config_hash()
         )
         done = [s for s in meta.get("completed_stages", "").split(",") if s]
+        if all(stage.value in done for stage in schedule):
+            return None
     records: list[EpochRecord] = []
     completed = list(done)
     for stage in schedule:

@@ -577,7 +577,7 @@ def conv2d(x: Tensor, weight, stride: int = 1) -> Tensor:
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
         gw = (gmat.T @ cols).reshape(weight.data.shape)
         gx = None
-        if x._needs():
+        if x.requires_grad:
             gxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
             for i in range(kh):
                 for j in range(kw):
@@ -611,7 +611,7 @@ def batch_norm(x: Tensor, gamma, beta, running_mean, running_var, training: bool
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
         gx = None
-        if x._needs():
+        if x.requires_grad:
             dxhat = g * gamma.data.reshape(bshape)
             if training:
                 s1 = dxhat.sum(axis=axes).reshape(bshape)
@@ -754,7 +754,7 @@ def oracle_infer(model, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
         result["attention"] = probs(outs["attention_logits"])
     if model.variant is Variant.H_CC:
         result["p_combined"] = np.stack([probs(t) for t in outs["cc_logits"]], axis=2)
-    elif model.has_attention:
+    elif "attention" in model.branches:
         result["p_combined"] = p_raw * result["attention"][:, :, None, :]
     else:
         result["p_combined"] = p_raw

@@ -349,7 +349,7 @@ def test_evaluate_matches_probability_oracle(models, variant, trained, n, t_step
     data = [shorten(it, t_steps) for it in DATA[:n]]
     want = oracle_evaluate(m, data, SPEC, batch_size=2, burn_in=3)
     assert evaluate(m, data, SPEC, batch_size=2, burn_in=3) == want
-    assert (want.tv_monitor is not None) == m.has_attention
+    assert (want.tv_monitor is not None) == ("attention" in m.branches)
 
 
 @pytest.mark.parametrize("score_block", [bench_mod.SCORE_BLOCK, 2])
@@ -363,7 +363,7 @@ def test_evaluate_in_score_blocks_matches_whole_chunk_scoring(models, variant, t
     m = models[variant, trained]
     want = oracle_evaluate_whole_chunks(m, DATA, SPEC, batch_size=7, burn_in=3)
     assert evaluate(m, DATA, SPEC, batch_size=7, burn_in=3) == want
-    assert (want.tv_monitor is not None) == m.has_attention
+    assert (want.tv_monitor is not None) == ("attention" in m.branches)
 
 
 @VARIANTS
@@ -385,7 +385,7 @@ def test_evaluate_softmaxes_only_head_zero_and_attention(monkeypatch, variant):
     counting(model_mod, "model")
     m = HPNModel(SPEC, ARCH, variant, 1)
     evaluate(m, DATA[:6], SPEC, batch_size=3)  # two chunks
-    assert calls == {"bench": 2 * 2 if m.has_attention else 0, "model": 0}
+    assert calls == {"bench": 2 * 2 if "attention" in m.branches else 0, "model": 0}
 
 
 @pytest.mark.parametrize("variant,layer,value,head", [

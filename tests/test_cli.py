@@ -268,6 +268,20 @@ def test_court_too_small_for_a_constant_stops_at_load(tmp_path, capsys, override
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override", [
+    "# train.batch_size=8",  # a comment: would set nothing
+    "train.batch_size=8\ntrain.epochs_pretrain=0",  # two lines: would set two keys
+    "train.batch_size=8\n# more",
+    "   ",
+])
+def test_set_item_must_give_one_key(tmp_path, capsys, override):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--seed", "1", "--set", override, "synth"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --set {override!r}: expected one section.key=value\n"
+    assert not (tmp_path / "out").exists()
+
+
 # CLI plumbing
 
 
@@ -368,6 +382,21 @@ def test_train_epochs_zero_equals_initialization(tmp_path):
     load_checkpoint(ckpt, model.state_for_checkpoint(), model.config_hash())
     for loaded, init in zip(model.state_for_checkpoint(), fresh):
         np.testing.assert_array_equal(loaded[1], init)
+
+
+def test_resume_of_a_finished_variant_keeps_its_report(tmp_path, capsys):
+    path = write_config(tmp_path)
+    base = ["--config", str(path), "--seed", "3"]
+    assert main(base + ["synth"]) == 0
+    assert main(base + ["train", "--variant", "cnn"]) == 0
+    report = tmp_path / "out" / "reports" / "cnn.csv"
+    ckpt = tmp_path / "out" / "checkpoints" / "cnn.ckpt"
+    before, ckpt_before = report.read_bytes(), ckpt.read_bytes()
+    assert len(before.splitlines()) > 1
+    capsys.readouterr()
+    assert main(base + ["train", "--variant", "cnn", "--resume"]) == 0
+    assert capsys.readouterr().out == f"trained cnn: every stage was already done in {ckpt}\n"
+    assert report.read_bytes() == before and ckpt.read_bytes() == ckpt_before
 
 
 def test_train_line_says_how_many_holdout_sequences_it_scores(tmp_path, capsys, monkeypatch):

@@ -227,7 +227,7 @@ def test_spatial_encoder_frozen_parameters_get_no_gradient():
         p.grad = None
     frozen = {0, 4}  # the first conv weight and the second gamma
     for k in frozen:
-        params[k].frozen = True
+        params[k].requires_grad = False
     backward(tsum(mul(enc(x), fixed)))
     for k, p in enumerate(params):
         if k in frozen:
@@ -235,7 +235,7 @@ def test_spatial_encoder_frozen_parameters_get_no_gradient():
         else:
             np.testing.assert_array_equal(p.grad, full[k])
     for p in params:
-        p.frozen = True
+        p.requires_grad = False
     assert enc(x)._vjp is None
 
 
@@ -414,7 +414,7 @@ def test_gru_sequence_frozen_and_constant_inputs():
     x = Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
     h = RNG.normal(size=(2, 4))
     for p in cell.parameters():
-        p.frozen = True
+        p.requires_grad = False
     backward(tsum(gru_sequence(cell, x, h)))
     assert x.grad is not None
     assert all(p.grad is None for p in cell.parameters())
@@ -782,7 +782,7 @@ def test_rmsprop_zero_gradient_no_change():
 
 def test_rmsprop_frozen_parameter_unchanged():
     p = Parameter(np.array([1.0]))
-    p.frozen = True
+    p.requires_grad = False
     p.grad = np.array([5.0])
     RMSProp([p], lr=0.1).step()
     np.testing.assert_array_equal(p.data, [1.0])
@@ -877,7 +877,7 @@ def test_forward_determinism():
 def test_frozen_bits_invariant_under_many_steps():
     lin = Linear(3, 3, np.random.default_rng(6))
     frozen_bytes = lin.weight.data.tobytes()
-    lin.weight.frozen = True
+    lin.weight.requires_grad = False
     opt = RMSProp(lin.parameters(), lr=0.5, momentum=0.9)
     for _ in range(10):
         out = lin(Tensor(RNG.normal(size=(4, 3))))
@@ -975,6 +975,22 @@ def test_checkpoint_not_a_checkpoint(tmp_path):
     m = _TinyModel()
     with pytest.raises(CheckpointError, match="not a checkpoint"):
         load_checkpoint(path, list(m.named_state()), "h")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: data[:-8], "truncated data for tensor norm.running_var"),  # last tensor cut short
+    (lambda data: data + b"\x00", "trailing bytes after tensor data"),
+])
+def test_checkpoint_of_wrong_length_leaves_the_model_untouched(tmp_path, damage, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, list(_TinyModel(seed=1).named_state()), "h")
+    path.write_bytes(damage(path.read_bytes()))
+    target = _TinyModel(seed=2)
+    before = [a.copy() for _, a in target.named_state()]
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path, list(target.named_state()), "h")
+    for (name, after), want in zip(target.named_state(), before):
+        np.testing.assert_array_equal(after, want, err_msg=name)
 
 
 def _checkpoint_bytes(manifest, manifest_len=None):

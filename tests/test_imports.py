@@ -1,11 +1,12 @@
 """Package structure: every import at module level, so that an import
-cycle cannot hide inside a function."""
+cycle cannot hide inside a function, and facts that several modules use
+stated in one place."""
 
 import ast
 from pathlib import Path
 
 import hoopnet
-from hoopnet import labels, train
+from hoopnet import labels, model, train
 
 PACKAGE = Path(hoopnet.__file__).parent
 
@@ -21,3 +22,12 @@ def test_every_import_is_at_module_level():
 
 def test_labeled_sequence_lives_in_labels_and_still_resolves_from_train():
     assert train.LabeledSequence is labels.LabeledSequence
+
+
+def test_variant_branches_and_the_court_edge_are_stated_once():
+    # one BRANCHES entry per variant, and the clamp just inside the far
+    # court edges only as CourtSpec.far_edge
+    assert set(model.BRANCHES) == set(model.Variant)
+    restated = [str(path.relative_to(PACKAGE)) for path in sorted(PACKAGE.rglob("*.py"))
+                if path.name != "court.py" and "- 1e-9" in path.read_text(encoding="utf-8")]
+    assert restated == []

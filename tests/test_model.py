@@ -202,13 +202,13 @@ def test_choose_step_over_steps_matches_one_step_calls():
 
 def test_variant_structure():
     cnn = fresh(Variant.CNN)
-    assert not cnn.hierarchical and cnn.reset_memory(1).keys() == {"_owner", "_batch"}
+    assert "macro" not in cnn.branches and cnn.reset_memory(1).keys() == {"_owner", "_batch"}
     out, _ = one_step(cnn, random_positions(RNG)[0], cnn.reset_memory(1))
     assert out["macro"] is None and out["attention"] is None and out["cc"] is None
     np.testing.assert_array_equal(combined_scores(step_logits(**out))[0, 0], out["raw"])
 
     gru = fresh(Variant.GRU_CNN)
-    assert not gru.hierarchical and "micro" in gru.reset_memory(1)
+    assert "macro" not in gru.branches and "micro" in gru.reset_memory(1)
 
     cc = fresh(Variant.H_CC)
     out, _ = one_step(cc, random_positions(RNG)[0], cc.reset_memory(1))
@@ -220,7 +220,7 @@ def test_variant_structure():
     assert out["attention"] is not None
 
     aux = fresh(Variant.H_AUX)
-    assert aux.has_attention
+    assert "attention" in aux.branches
 
 
 def test_memory_ownership_checked():
@@ -327,10 +327,10 @@ def test_parameter_groups_and_freezing():
     assert groups["micro"] and groups["macro"] and groups["transfer"]
     assert not groups["combine"]
     m.set_trainable({"macro"})
-    assert all(p.frozen for p in groups["micro"])
-    assert all(not p.frozen for p in groups["macro"])
+    assert all(not p.requires_grad for p in groups["micro"])
+    assert all(p.requires_grad for p in groups["macro"])
     m.set_trainable({"micro", "macro", "transfer", "combine"})
-    assert all(not p.frozen for p in m.parameters())
+    assert all(p.requires_grad for p in m.parameters())
 
 
 def test_spatial_encoder_call_is_one_tape_node():
