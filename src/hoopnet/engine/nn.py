@@ -5,14 +5,17 @@ Encoder input is channels-last, (N, H, W, C), and so is every layer
 inside the encoder; weights are (filters, C, k, k) and the flattened
 output is in (filters, oh, ow) order.  Convolution keeps spatial dims at
 stride 1 via zero padding.  Encoders that read the same input run as one
-op whose first layer is one matmul over their stacked filters.
+op whose first layer is one matmul over their stacked filters.  In
+inference mode each batch norm is folded into its convolution's weights
+and a bias.
 
 Layers are built in float64 (``Module.cast`` rounds a whole model to its
 compute dtype once), and the fused ops compute in their parameters'
 dtype.
 
 Inside a ``frozen_state()`` scope the constants a forward call derives
-from parameters and buffers are built once per scope, not once per call.
+from parameters and buffers (the folded (weight, bias) pairs) are built
+once per scope, not once per call.
 A call that records no tape builds no parameter tuples, saved arrays or
 backward closures.
 """
@@ -32,10 +35,9 @@ _frozen_cache: dict = {}
 class frozen_state:
     """Context manager: parameters and buffers do not change inside it.
 
-    Each constant a forward call derives from them (each conv group's
-    (F, k*k*C) weight matrix, each inference batch norm's (F, 1) mean,
-    inverse standard deviation, gamma and beta) is built on first use,
-    with the same arithmetic as outside, and reused; the outermost
+    Each constant a forward call derives from them (each inference conv
+    group's folded (weight, bias) pair, ``_folded``) is built on first
+    use, with the same arithmetic as outside, and reused; the outermost
     scope's exit drops them, also on an exception.  Scopes nest.  The
     package's writers, ``RMSProp.step``, ``Module.cast``,
     ``Module.set_buffer`` (so training-mode batch norm) and
@@ -211,30 +213,52 @@ def _weight_matrix(convs: tuple[Conv2d, ...]) -> np.ndarray:
                            for conv in convs])
 
 
-def _conv_rows(xp: np.ndarray, convs: tuple[Conv2d, ...], oh: int, ow: int) -> np.ndarray:
+def _bn_scale(bn: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
+    """Inference batch norm's float64 inverse standard deviation and its
+    per-filter scale, gamma times it."""
+    inv = 1.0 / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+    return inv, bn.gamma.data * inv
+
+
+def _folded(convs: tuple[Conv2d, ...], bns: tuple[BatchNorm, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The convolutions' (F, k*k*C) weight matrix with each filter's
+    inference batch norm folded in, and the (F, 1) bias that goes with it:
+    ``scale * W`` and ``beta - running_mean * scale``, formed in float64
+    and rounded once to the weights' dtype."""
+    weight = _weight_matrix(convs)
+    scale = np.concatenate([_bn_scale(bn)[1] for bn in bns])
+    mean = np.concatenate([bn.running_mean for bn in bns])
+    beta = np.concatenate([bn.beta.data for bn in bns])
+    return ((weight * scale[:, None]).astype(weight.dtype),
+            (beta - mean * scale).astype(weight.dtype)[:, None])
+
+
+def _conv_rows(xp: np.ndarray, convs: tuple[Conv2d, ...], bns: tuple[BatchNorm, ...],
+               training: bool, oh: int, ow: int) -> tuple[np.ndarray, np.ndarray]:
     """The (F, n*oh*ow) output of convolutions that share kernel size and
-    stride over the padded input ``xp``, their F filters stacked in order:
-    one matmul per row block, each into its columns."""
-    weight = _frozen_constant(convs, _weight_matrix, convs)
+    stride over the padded input ``xp``, their F filters stacked in order,
+    and the (F, k*k*C) weight matrix it came from.  Training mode: the
+    plain convolution, for batch norm to follow.  Inference mode: the
+    folded convolution and its bias (``_folded``, built once per
+    frozen_state() scope), whose output is batch norm's.
+
+    Per row block one ``cols @ weight.T`` product, its transpose copied
+    into the block's columns.  BLAS runs this orientation faster than
+    ``weight @ cols.T`` at the encoders' few filters, and a test checks
+    that it gives the same bits."""
+    if training:
+        weight, bias = _weight_matrix(convs), None
+    else:
+        weight, bias = _frozen_constant(convs, _folded, convs, bns)
     kh, kw = convs[0].weight.data.shape[2:]
-    if len(xp) <= ROW_BLOCK:
-        return weight @ _im2col(xp, convs[0].stride, kh, kw, oh, ow).T
     y = np.empty((len(weight), xp.shape[0] * oh * ow), xp.dtype)
+    wt = weight.T
     for cs, cols in _col_blocks(xp, convs[0].stride, kh, kw, oh, ow):
-        np.matmul(weight, cols.T, out=y[:, cs])
-    return y
-
-
-def _inv_std(var: np.ndarray, bn: BatchNorm, dtype) -> np.ndarray:
-    """Batch norm's (F, 1) inverse standard deviation in ``dtype``."""
-    return (1.0 / np.sqrt(var + bn.eps)).astype(dtype)[:, None]
-
-
-def _bn_columns(bn: BatchNorm, dtype) -> tuple[np.ndarray, ...]:
-    """Inference batch norm's running mean, inverse standard deviation,
-    gamma and beta as (F, 1) columns."""
-    return (bn.running_mean[:, None], _inv_std(bn.running_var, bn, dtype),
-            bn.gamma.data[:, None], bn.beta.data[:, None])
+        if bias is None:
+            y[:, cs] = (cols @ wt).T
+        else:
+            np.add((cols @ wt).T, bias, out=y[:, cs])
+    return y, weight
 
 
 def spatial_encoder(
@@ -259,9 +283,15 @@ def spatial_encoder(
     batch norm, its later layers (each zero-padded and multiplied by its
     own im2col blocks) and its noise.  Everything runs in the weights'
     dtype, except that batch norm's mean and variance accumulate in
-    float64.  Batch norm reduces the rows of a layer's (F, P) output:
-    training mode uses the statistics of the P positions (at least 2) and
-    advances the running buffers; inference mode reads them.
+    float64.  Training-mode batch norm normalizes each row of a layer's
+    (F, P) output by the statistics of the P positions (at least 2) and
+    advances the running buffers.  Inference mode, taped or not, folds
+    each batch norm into its convolution (``_folded``): a layer is one
+    matmul per row block, a bias add and a ReLU, and the backward pass
+    turns the folded weight's gradient dW' into dW = scale * dW' and
+    dgamma = inv * (sum over W * dW' - running_mean * dbeta), with
+    inv = 1 / sqrt(running_var + eps) and scale = gamma * inv, and takes
+    the input gradient through the folded weight.
     Training-mode noise is one float64 (N, F, oh, ow) standard-normal draw
     per encoder, in encoder order, scaled by ``noise_sigma`` and then
     rounded to the weights' dtype, the same values and generator state as
@@ -284,32 +314,34 @@ def spatial_encoder(
         raise ValueError("spatial_encoder: the encoders' first layers differ in input "
                          "channels, kernel or stride")
     xp, oh, ow = _padded(x, firsts[0], firsts[0].weight.data.dtype)
-    y = _conv_rows(xp, firsts, oh, ow)
+    y, weight = _conv_rows(xp, firsts, tuple(enc.bns[0] for enc in encoders), training, oh, ow)
     feats, row = [], 0
     for enc, conv in zip(encoders, firsts):
-        f = len(conv.weight.data)
-        feats.append(_encoder_node(x, enc.convs, enc.bns, (xp, y[row:row + f], oh, ow),
+        rows = slice(row, row + len(conv.weight.data))
+        feats.append(_encoder_node(x, enc.convs, enc.bns, (xp, y[rows], weight[rows], oh, ow),
                                    training, rng, noise_sigma))
-        row += f
+        row = rows.stop
     return feats
 
 
 def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
     """One encoder of ``spatial_encoder``, from ``layer0``: the padded
-    input, the (F, P) convolution output and the output height and width
-    of its first layer."""
+    input, the (F, P) convolution output, the (F, k*k*C) weight matrix
+    and the output height and width of its first layer."""
     params = (tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
               if _grad_enabled() else ())
     record = any(p.requires_grad for p in params)
-    xp, y, oh, ow = layer0
+    xp, y, weight, oh, ow = layer0
     n, dtype = x.shape[0], y.dtype
     a = x
-    saved = []  # per layer: input shape, padded input, x-hat, 1/std, output
+    # per layer: input shape, padded input, x-hat and 1/std (training
+    # only), the layer's weight matrix, output
+    saved = []
     for i, (conv, bn) in enumerate(zip(convs, bns)):
         if i:
             xp, oh, ow = _padded(a, conv, dtype)
-            y = _conv_rows(xp, (conv,), oh, ow)
-        f = len(y)
+            y, weight = _conv_rows(xp, (conv,), (bn,), training, oh, ow)
+        f, out, xhat, inv = len(y), y, None, None
         if training:
             if y.shape[1] < 2:
                 raise ValueError("batch norm in training mode needs batch size >= 2")
@@ -320,18 +352,15 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
                 running = getattr(bn, name)
                 bn.set_buffer(name, (bn.momentum * running.astype(np.float64)
                                      + (1.0 - bn.momentum) * stat).astype(running.dtype))
-            inv, gamma, beta = _inv_std(var, bn, dtype), bn.gamma.data[:, None], bn.beta.data[:, None]
-        else:
-            mean, inv, gamma, beta = _frozen_constant(bn, _bn_columns, bn, dtype)
-            y -= mean
-        xhat = y
-        xhat *= inv
-        out = np.multiply(xhat, gamma, out=None if record else xhat)  # tape keeps x-hat
-        out += beta
+            inv = (1.0 / np.sqrt(var + bn.eps)).astype(dtype)[:, None]
+            xhat = y
+            xhat *= inv
+            out = np.multiply(xhat, bn.gamma.data[:, None], out=None if record else xhat)  # tape keeps x-hat
+            out += bn.beta.data[:, None]
         np.maximum(out, 0.0, out=out)
         out = out.reshape(f, n, oh, ow)
         if record:
-            saved.append((a.shape[1:], xp, xhat, inv, out))
+            saved.append((a.shape[1:], xp, xhat, inv, weight, out))
         a = out.transpose(1, 2, 3, 0)
     if training and noise_sigma > 0.0:
         feat = np.empty((n, f, oh, ow), dtype)
@@ -345,36 +374,43 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
 
     def vjp(g):
         grads = [None] * len(params)
-        f, _, oh, ow = saved[-1][4].shape
+        f, _, oh, ow = saved[-1][-1].shape
         gy = g.reshape(n, f, oh, ow).transpose(1, 0, 2, 3).copy().reshape(f, -1)
         for i in range(len(convs) - 1, -1, -1):
-            (h, w, c), xp, xhat, inv, out = saved[i]
+            (h, w, c), xp, xhat, inv, weight, out = saved[i]
             f, _, oh, ow = out.shape
+            s, (kh, kw) = convs[i].stride, convs[i].weight.data.shape[2:]
             gy *= out.reshape(f, -1) > 0
-            dgamma, dbeta = np.einsum("fp,fp->f", gy, xhat), gy.sum(axis=1)
-            grads[3 * i + 1], grads[3 * i + 2] = dgamma, dbeta
-            gamma_inv = bns[i].gamma.data[:, None] * inv
+            dbeta = gy.sum(axis=1)
             if training:
+                dgamma = np.einsum("fp,fp->f", gy, xhat)
                 m = gy.shape[1]
                 gy *= m
                 gy -= dbeta[:, None]
                 gy -= xhat * dgamma[:, None]
-                gy *= gamma_inv / m
-            else:
-                gy *= gamma_inv
-            weight = convs[i].weight.data
-            s, (kh, kw) = convs[i].stride, weight.shape[2:]
+                gy *= bns[i].gamma.data[:, None] * inv / m
+            # the weight gradient of the conv that produced gy: the plain
+            # one, or in inference mode the folded one, which carries the
+            # batch-norm parameters' gradients
             dw = sum(gy[:, cs] @ cols for cs, cols in _col_blocks(xp, s, kh, kw, oh, ow))
-            grads[3 * i] = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+            dw = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+            if not training:
+                inv, scale = _bn_scale(bns[i])
+                dgamma = (inv * (np.einsum("fchw,fchw->f", convs[i].weight.data, dw)
+                                 - bns[i].running_mean * dbeta)).astype(dtype)
+                dw = dw * scale.astype(dtype)[:, None, None, None]
+            grads[3 * i:3 * i + 3] = dw, dgamma, dbeta
             if not any(p.requires_grad for p in params[:3 * i]):
                 break
-            # one kernel offset at a time, into a channels-last padded buffer
+            # one kernel offset at a time, into a channels-last padded
+            # buffer, through the weights the forward pass used
+            weight = weight.reshape(f, kh, kw, c)
             ph, pw = kh // 2, kw // 2
             gxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype)
             for di in range(kh):
                 for dj in range(kw):
                     gxp[:, di:di + oh * s:s, dj:dj + ow * s:s] += \
-                        (gy.T @ weight[:, :, di, dj]).reshape(n, oh, ow, c)
+                        (gy.T @ weight[:, di, dj]).reshape(n, oh, ow, c)
             gy = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)).reshape(c, -1)
         return [gr if p.requires_grad else None for p, gr in zip(params, grads)]
 
@@ -432,6 +468,12 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
     gradient; returns the (T*N, H) states.
     Each step computes z = sigmoid(x W_z + b_z + h U_z), r likewise, the
     candidate c = tanh(x W_c + b_c + (r * h) U_c) and h' = (1 - z) * h + z * c.
+    The three input projections are separate products over all rows; the
+    update and reset gates take one (H, 2H) recurrent product per step,
+    ``h [U_z | U_r]``, and one sigmoid, and the backward pass reuses that
+    concatenation.  A test checks that the BLAS in use gives the merged
+    product the bits of the two separate ones; one (in, 3H) input product
+    differs from the three at some row counts, so they stay separate.
     The backward pass walks the steps in reverse carrying dh, then forms
     dx and every parameter gradient over all T*N rows at once.  States
     and gradients are held in the cell's parameters' dtype.
@@ -444,29 +486,37 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
     parents = (x, cell.w_update, cell.u_update, cell.b_update, cell.w_reset, cell.u_reset,
                cell.b_reset, cell.w_cand, cell.u_cand, cell.b_cand) if _grad_enabled() else ()
     record = any(p.requires_grad for p in parents)
-    u_z, u_r, u_c = cell.u_update.data, cell.u_reset.data, cell.u_cand.data
-    x_z = x.data @ cell.w_update.data + cell.b_update.data
-    x_r = x.data @ cell.w_reset.data + cell.b_reset.data
+    u_zr = np.concatenate([cell.u_update.data, cell.u_reset.data], axis=1)
+    u_c = cell.u_cand.data
+    # the gates' and the candidate's pre-activations for every step; each
+    # step adds its recurrent products in place and applies its
+    # nonlinearity there, leaving z | r and the candidate for the backward
+    # pass
+    x_zr = np.concatenate([x.data @ cell.w_update.data + cell.b_update.data,
+                           x.data @ cell.w_reset.data + cell.b_reset.data], axis=1)
     x_c = x.data @ cell.w_cand.data + cell.b_cand.data
     states = np.empty((rows, hidden), dtype)
-    # z, r and the candidate of every step, kept for the backward pass
-    saved = np.empty((3, rows, hidden), dtype) if record else None
     h = h0
     for t in range(0, rows, n):
         s = slice(t, t + n)
-        z = 1.0 / (1.0 + np.exp(-(x_z[s] + h @ u_z)))
-        r = 1.0 / (1.0 + np.exp(-(x_r[s] + h @ u_r)))
-        c = np.tanh(x_c[s] + (r * h) @ u_c)
+        zr = x_zr[s]
+        zr += h @ u_zr
+        np.negative(zr, out=zr)
+        np.exp(zr, out=zr)
+        zr += 1.0
+        np.divide(1.0, zr, out=zr)
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        c = x_c[s]
+        c += (r * h) @ u_c
+        np.tanh(c, out=c)
         states[s] = (1.0 - z) * h + z * c
         h = states[s]
-        if record:
-            saved[0, s], saved[1, s], saved[2, s] = z, r, c
     if not record:
         return _node(states, (), None)
     params = parents[1:]
 
     def vjp(g):
-        z, r, c = saved
+        z, r, c = x_zr[:, :hidden], x_zr[:, hidden:], x_c
         h_prev = np.concatenate([h0, states[:-n]])
         # per-row factors from dh (update, candidate) and from d(r * h)
         # (reset) to each gate's pre-activation gradient
@@ -477,7 +527,7 @@ def gru_sequence(cell: GRUCell, x: Tensor, h0: np.ndarray) -> Tensor:
         # pre-activation gradients, columns [update | reset | candidate]
         d_pre = np.empty((rows, 3 * hidden), dtype)
         d_z, d_r, d_c = d_pre[:, :hidden], d_pre[:, hidden:2 * hidden], d_pre[:, 2 * hidden:]
-        u_zr_t = np.concatenate([u_z, u_r], axis=1).T
+        u_zr_t = u_zr.T
         dh = np.zeros((n, hidden), dtype)
         for t in range(rows - n, -1, -n):
             s = slice(t, t + n)

@@ -25,6 +25,8 @@ softmaxes of every head, argmaxes taken on the probabilities.
 ``oracle_evaluate_whole_chunks`` is ``bench.evaluate`` scoring each chunk
 whole rather than in blocks of sequences.
 ``shorten`` cuts a labeled sequence to its first steps.
+``oracle_cells_from_positions`` and ``oracle_boxes_from_positions`` are
+the court's array conversions one axis at a time.
 ``oracle_track_checks`` is possession validation's bounds and jump
 checks as a loop over the tracks.  ``oracle_walk``
 is the synthetic agent walk on 2-element numpy arrays with
@@ -98,6 +100,21 @@ def box_of(spec: CourtSpec, x: float, y: float) -> int:
     """Id of the macro box holding one position, clamped to the grid."""
     bc = max(0, min(spec.macro_cols - 1, math.floor(x / spec.macro_box_ft)))
     br = max(0, min(spec.macro_rows - 1, math.floor(y / spec.macro_box_ft)))
+    return bc + spec.macro_cols * br
+
+
+def oracle_cells_from_positions(spec: CourtSpec, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``CourtSpec.cells_from_positions`` one axis at a time: each axis
+    divided, floored, cast and clamped on its own."""
+    cols = np.floor(xy[..., 0] / spec.micro_cell_ft).astype(np.int64)
+    rows = np.floor(xy[..., 1] / spec.micro_cell_ft).astype(np.int64)
+    return np.clip(cols, 0, spec.micro_cols - 1), np.clip(rows, 0, spec.micro_rows - 1)
+
+
+def oracle_boxes_from_positions(spec: CourtSpec, xy: np.ndarray) -> np.ndarray:
+    """``CourtSpec.boxes_from_positions`` one axis at a time."""
+    bc = np.clip(np.floor(xy[..., 0] / spec.macro_box_ft).astype(np.int64), 0, spec.macro_cols - 1)
+    br = np.clip(np.floor(xy[..., 1] / spec.macro_box_ft).astype(np.int64), 0, spec.macro_rows - 1)
     return bc + spec.macro_cols * br
 
 

@@ -11,6 +11,8 @@ from _oracles import (
     cell_center,
     cell_of,
     displacements_from_action_indices,
+    oracle_boxes_from_positions,
+    oracle_cells_from_positions,
 )
 
 DESK = CourtSpec()
@@ -100,6 +102,29 @@ def test_macro_micro_center_consistency():
     # every box center lies in its own box
     ids = np.arange(DESK.n_macro_boxes)
     np.testing.assert_array_equal(DESK.boxes_from_positions(DESK.macro_box_centers(ids)), ids)
+
+
+@pytest.mark.parametrize("spec", [DESK, PAPER], ids=["desk", "paper"])
+def test_cells_and_boxes_equal_their_per_axis_form(spec):
+    # on-court and up-to-3-ft off-court positions as (M, 11, 2) batches
+    # like the model's input, and every cell edge on both axes: both axes
+    # at once give the same cells and boxes as one axis at a time
+    rng = np.random.default_rng(41)
+    w, h = spec.width_ft, spec.height_ft
+    on = rng.uniform((0.0, 0.0), (w, h), size=(40, 11, 2))
+    off = rng.uniform((-3.0, -3.0), (w + 3.0, h + 3.0), size=(40, 11, 2))
+    xs = np.concatenate([np.arange(0.0, w + spec.micro_cell_ft, spec.micro_cell_ft),
+                         [-3.0, -1e-9, spec.far_edge[0], w + 3.0]])
+    ys = np.concatenate([np.arange(0.0, h + spec.micro_cell_ft, spec.micro_cell_ft),
+                         [-3.0, -1e-9, spec.far_edge[1], h + 3.0]])
+    edges = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    for xy in (on, off, edges):
+        for got, want in zip(spec.cells_from_positions(xy), oracle_cells_from_positions(spec, xy)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(spec.boxes_from_positions(xy), oracle_boxes_from_positions(spec, xy))
+    assert spec.cells_from_positions(off)[0].min() == 0
+    assert spec.boxes_from_positions(off).max() == spec.n_macro_boxes - 1
 
 
 def test_displacement_to_action_examples():

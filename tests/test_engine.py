@@ -29,9 +29,11 @@ from hoopnet.engine import (
     softmax_nll,
     spatial_encoder,
 )
+from hoopnet.config import load_run_config
 from hoopnet.engine import checkpoint, nn
 from hoopnet.engine.nn import Module
 from hoopnet.errors import CheckpointError
+from hoopnet.model import PYRAMID, HPNModel, Variant
 
 from _gradcheck import gradcheck, relative_error
 from _oracles import (
@@ -309,6 +311,52 @@ def test_spatial_encoder_refuses_unstackable_first_layers():
         spatial_encoder(x, [a, b], False, None, 0.0)
     with pytest.raises(ValueError, match="at least one encoder"):
         spatial_encoder(x, [], False, None, 0.0)
+
+
+# the BLAS numpy calls must give the engine's merged or reoriented
+# products the bits of the products they replaced, else training results
+# move with it
+
+
+def _desk_model():
+    desk = load_run_config((Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_text())
+    return desk, HPNModel(desk.court, desk.arch, Variant.H_ATT, 1)
+
+
+@pytest.mark.parametrize("rows", [1, 37, nn.ROW_BLOCK], ids=["one-row", "partial-block", "full-block"])
+def test_blas_conv_product_orientations_agree_at_desk_shapes(rows):
+    # (cols @ w.T).T == w @ cols.T for the stacked layer 0 (16 x 36) and
+    # a layer 1 (16 x 72) of a desk h_att model, over one row block
+    desk, m = _desk_model()
+    k = math.prod(PYRAMID)
+    h, w = -(-desk.court.micro_rows // k), -(-desk.court.micro_cols // k)
+    rng = np.random.default_rng(rows)
+    layer0 = (m.micro_encoder.convs[0], m.macro_encoder.convs[0])
+    layer1 = (m.micro_encoder.convs[1],)
+    inputs = (rng.poisson(0.3, size=(rows, h, w, 4)),  # occupancy counts, then ReLU features
+              np.maximum(rng.normal(size=(rows, -(-h // 2), -(-w // 2), 8)), 0.0))
+    shapes = []
+    for convs, a in zip((layer0, layer1), inputs):
+        weight = nn._weight_matrix(convs)
+        xp, oh, ow = nn._padded(a, convs[0], np.float32)
+        kh, kw = convs[0].weight.data.shape[2:]
+        cols = nn._im2col(xp, convs[0].stride, kh, kw, oh, ow)
+        np.testing.assert_array_equal((cols @ weight.T).T, weight @ cols.T)
+        np.testing.assert_array_equal(nn._conv_rows(xp, convs, None, True, oh, ow)[0], weight @ cols.T)
+        shapes.append(weight.shape)
+    assert shapes == [(16, 36), (16, 72)]
+
+
+@pytest.mark.parametrize("rows", [1, 16, 32, 800])
+def test_blas_gate_product_equals_two_products_at_desk_shapes(rows):
+    _, m = _desk_model()
+    cell = m.micro_core
+    u_z, u_r = cell.u_update.data, cell.u_reset.data
+    assert u_z.shape == (64, 64) and u_z.dtype == np.float32
+    h = np.tanh(np.random.default_rng(rows).normal(size=(rows, 64))).astype(np.float32)
+    both = h @ np.concatenate([u_z, u_r], axis=1)
+    np.testing.assert_array_equal(both[:, :64], h @ u_z)
+    np.testing.assert_array_equal(both[:, 64:], h @ u_r)
 
 
 def _fixed_like(shape):

@@ -11,10 +11,19 @@ from hoopnet.engine import RMSProp, frozen_state, nn, spatial_encoder
 from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
 from hoopnet.errors import CheckpointError
 from hoopnet.engine.tensor import softmax_array
-from hoopnet.model import ArchitectureConfig, HPNModel, Variant, combined_scores, pooled_occupancy
+from hoopnet import model as model_mod
+from hoopnet.model import (
+    PYRAMID,
+    ArchitectureConfig,
+    HPNModel,
+    Variant,
+    combined_scores,
+    pooled_occupancy,
+    time_major,
+)
 from hoopnet.rollout import choose_step
 
-from _oracles import float64_model, oracle_infer
+from _oracles import float64_model, oracle_infer, oracle_spatial_encoder
 
 SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_strides=(2, 1),
@@ -394,10 +403,10 @@ def test_micro_init_identical_across_variants():
 # frozen_state(): inference constants built once per scope
 
 
-def perturbed(variant, seed=3):
+def perturbed(variant, seed=3, arch=ARCH):
     """``fresh`` with random batch-norm scales, shifts and running
     statistics, so that every inference constant shows in the logits."""
-    m = fresh(variant, seed)
+    m = fresh(variant, seed, arch)
     rng = np.random.default_rng(seed)
     for enc in (m.micro_encoder, getattr(m, "macro_encoder", None)):
         for bn in enc.bns if enc is not None else ():
@@ -499,6 +508,50 @@ def test_a_write_after_frozen_state_shows_in_the_next_call(tmp_path, writer):
         after = logits_bytes(m, x)
     assert after != before
     assert after == logits_bytes(m, x)
+
+
+DESK_ARCH = load_run_config((Path(__file__).resolve().parent.parent / "configs" / "desk.cfg")
+                            .read_text()).arch
+
+
+def _unfolded_encoders(pooled, encoders, training, rng, noise_sigma):
+    """``spatial_encoder`` as the oracle's tape: conv, then batch norm."""
+    return [oracle_spatial_encoder(enc, pooled.transpose(0, 3, 1, 2), training, rng, noise_sigma)
+            for enc in encoders]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_folded_inference_features_match_the_unfolded_encoder(seed):
+    # inference folds batch norm into the convolutions: at desk shapes its
+    # float32 features lie within float32 rounding of the unfolded float64
+    # encoder, no further off than the unfolded float32 encoder is
+    m = perturbed(Variant.H_ATT, seed, DESK_ARCH)
+    pooled = pooled_occupancy(time_major(positions(8, 20, seed)), SPEC, math.prod(PYRAMID), np.float32)
+    encoders = [m.micro_encoder, m.macro_encoder]
+    folded = spatial_encoder(pooled, encoders, False, None, 0.0)
+    plain = _unfolded_encoders(pooled, encoders, False, None, 0.0)
+    float64_model(m)
+    wide = _unfolded_encoders(pooled.astype(np.float64), encoders, False, None, 0.0)
+    for got, unfolded, want in zip(folded, plain, wide):
+        assert got.data.dtype == unfolded.data.dtype == np.float32
+        bound = 4 * np.finfo(np.float32).eps * np.abs(want.data).max()
+        assert np.abs(got.data - want.data).max() <= bound
+        assert np.abs(unfolded.data - want.data).max() <= bound
+        assert not np.array_equal(got.data, unfolded.data)  # the fold is in use
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_folded_eval_logits_keep_their_argmaxes(monkeypatch, variant):
+    m = perturbed(variant, 1, DESK_ARCH)
+    x = positions(8, 20, 1)
+    folded = m.eval_logits(x)
+    monkeypatch.setattr(model_mod, "spatial_encoder", _unfolded_encoders)
+    unfolded = m.eval_logits(x)
+    for key, value in folded.items():
+        if value is not None:
+            np.testing.assert_allclose(value, unfolded[key], rtol=0,
+                                       atol=1e-5 * np.abs(unfolded[key]).max())
+            np.testing.assert_array_equal(value.argmax(axis=-1), unfolded[key].argmax(axis=-1))
 
 
 def test_frozen_state_scopes_nest():

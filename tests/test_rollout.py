@@ -298,29 +298,31 @@ def test_batch_rollout_equals_its_steps_outside_frozen_state(monkeypatch, varian
         assert scoped == plain
 
 
-@pytest.mark.parametrize("variant,weights,norms", [(Variant.H_ATT, 3, 4), (Variant.CNN, 2, 2)])
-def test_desk_rollout_builds_each_inference_constant_once(monkeypatch, variant, weights, norms):
-    # a 20 + 30 desk rollout is 31 model calls; it builds the stacked
-    # layer-0 weight matrix, each encoder's layer-1 matrix and each batch
-    # norm's columns once, where the same steps outside the scope build
-    # them on every call
+@pytest.mark.parametrize("variant,pairs", [(Variant.H_ATT, 3), (Variant.CNN, 2)])
+def test_desk_rollout_builds_each_inference_constant_once(monkeypatch, variant, pairs):
+    # a 20 + 30 desk rollout is 31 model calls; it builds the folded
+    # (weight, bias) pair of the stacked layer 0 and of each encoder's
+    # layer 1 once, where the same steps outside the scope build them on
+    # every call; no unfolded weight matrix is built beside them
     desk_cfg = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
     desk = load_run_config(desk_cfg.read_text())
     m = HPNModel(desk.court, desk.arch, variant, 1)
-    built = []
-    for name in ("_weight_matrix", "_bn_columns"):
-        real = getattr(nn_mod, name)
-        monkeypatch.setattr(nn_mod, name,
-                            lambda key, *args, real=real: built.append(key) or real(key, *args))
+    built, matrices = [], []
+    folded, weight_matrix = nn_mod._folded, nn_mod._weight_matrix
+    monkeypatch.setattr(nn_mod, "_folded", lambda convs, bns: built.append(convs) or folded(convs, bns))
+    monkeypatch.setattr(nn_mod, "_weight_matrix",
+                        lambda convs: matrices.append(convs) or weight_matrix(convs))
     cfg = desk.rollout
     assert (cfg.burn_in_steps, cfg.horizon_steps) == (20, 30)
     batch_rollout(m, SEQS[:1], cfg, desk.court)
-    assert len(set(built)) == len(built) == weights + norms
-    assert sum(isinstance(key, nn_mod.BatchNorm) for key in built) == norms
+    assert len(set(built)) == len(built) == pairs
+    assert matrices == built
     built.clear()
+    matrices.clear()
     monkeypatch.setattr(rollout_mod, "frozen_state", contextlib.nullcontext)
     batch_rollout(m, SEQS[:1], cfg, desk.court)
-    assert len(built) == 31 * (weights + norms)
+    assert len(built) == 31 * pairs
+    assert matrices == built
 
 
 def test_a_failing_rollout_leaves_no_frozen_state_open():
