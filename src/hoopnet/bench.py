@@ -18,7 +18,8 @@ from .data import agent_positions
 from .engine.tensor import softmax_array
 from .errors import ConfigError, DataError
 from .labels import LabeledSequence
-from .model import Variant, combined_scores
+from .model import Variant
+from .rollout import choose_step
 from .util import atomic_open
 
 # The paper's claim as three criteria: h_att beats cnn on look-ahead-0
@@ -42,6 +43,9 @@ class EvalMetrics:
     attention_acc: float | None
     tv_monitor: float | None
     n_sequences: int
+    # head 0 of the raw micro heads alone, which pre-training scores; None
+    # in records built without it
+    raw_acc_delta0: float | None = None
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,15 @@ def evaluate(
     the policy lacks the head.  HPNModel satisfies this, and oracle or
     stub policies can too.
 
-    Predictions are argmaxes of the logits (``model.combined_scores`` for
-    the look-ahead heads), as rollouts' argmax-mode choices are, so they
-    equal the argmaxes of the heads' probabilities except where two
-    scores tie exactly; there the lower index wins.  Only the TV monitor
-    needs probabilities: the float64 softmaxes of head 0 and of the
-    attention logits.  Each chunk is scored SCORE_BLOCK sequences at a
-    time; the TV monitor's per-step distances fill one (N, T) array that
-    is summed once, so no metric depends on the block size.
+    Predictions are the rollouts' argmax-mode choices
+    (``rollout.choose_step``), so they equal the argmaxes of the heads'
+    probabilities except where two scores tie exactly; there the lower
+    index wins.  ``raw_acc_delta0`` scores the argmax of raw head 0 alone.
+    Only the TV monitor needs probabilities: the float64 softmaxes of
+    head 0 and of the attention logits.  Each chunk is scored SCORE_BLOCK
+    sequences at a time; the TV monitor's per-step distances fill one
+    (N, T) array that is summed once, so no metric depends on the block
+    size.
     """
     if not data:
         raise DataError("cannot evaluate on an empty holdout")
@@ -87,7 +92,7 @@ def evaluate(
     lookahead = spec.lookahead_steps
     correct = np.zeros(lookahead, dtype=np.int64)
     counted = np.zeros(lookahead, dtype=np.int64)
-    macro_correct = late_correct = att_correct = 0
+    raw_correct = macro_correct = late_correct = att_correct = 0
     tv_sum = 0.0
     # the macro and attention scores count every step, or every step past
     # the burn-in
@@ -104,34 +109,34 @@ def evaluate(
         logits = policy.eval_logits(arrays["inputs"])
         has_attention = logits["attention"] is not None
         pred = np.empty((n, t_steps, lookahead), np.int64)
+        macro_pred, att_pred, raw_pred0 = np.empty((3, n, t_steps), np.int64)
         # laid out in memory as the logits are (time-major for HPNModel),
         # so its one sum adds in the order of a whole-chunk sum
         tv_steps = np.empty_like(logits["attention"][..., 0], np.float64) if has_attention else None
-        # SCORE_BLOCK sequences and one head at a time, so that every
-        # float64 temporary stays a block's size
+        # SCORE_BLOCK sequences at a time, so that every float64 temporary
+        # stays a block's size
         for b in range(0, n, SCORE_BLOCK):
-            block = {key: None if value is None else value[b:b + SCORE_BLOCK]
-                     for key, value in logits.items()}
-            for k in range(lookahead):
-                head = {**block, "raw": block["raw"][:, :, k:k + 1],
-                        "cc": None if block["cc"] is None else block["cc"][:, :, k:k + 1]}
-                pred[b:b + SCORE_BLOCK, :, k:k + 1] = combined_scores(head).argmax(axis=-1)
+            rows = slice(b, b + SCORE_BLOCK)
+            block = {key: None if value is None else value[rows] for key, value in logits.items()}
+            pred[rows], macro_pred[rows], att_pred[rows] = choose_step(block, "argmax")
+            raw_pred0[rows] = block["raw"][:, :, 0].argmax(axis=-1)
             if has_attention:
                 p0 = softmax_array(block["raw"][:, :, 0, :].astype(np.float64))
                 attention = softmax_array(block["attention"].astype(np.float64))
-                tv_steps[b:b + SCORE_BLOCK] = np.abs(p0 - attention).sum(axis=-1)
+                tv_steps[rows] = np.abs(p0 - attention).sum(axis=-1)
         valid = ~arrays["micro_padded"]
         hits = (pred == arrays["micro"]) & valid
         correct += hits.sum(axis=(0, 1))
         counted += valid.sum(axis=(0, 1))
+        raw_correct += int(((raw_pred0 == arrays["micro"][:, :, 0]) & valid[:, :, 0]).sum())
         steps += n * t_steps
         late_steps += n * max(t_steps - burn_in, 0)
         if logits["macro"] is not None:
-            eq = logits["macro"].argmax(axis=-1) == arrays["macro"]  # (n, t)
+            eq = macro_pred == arrays["macro"]  # (n, t)
             macro_correct += int(eq.sum())
             late_correct += int(eq[:, burn_in:].sum())
         if has_attention:
-            att_correct += int((logits["attention"].argmax(axis=-1) == arrays["attention"]).sum())
+            att_correct += int((att_pred == arrays["attention"]).sum())
             tv_sum += float(0.5 * tv_steps.sum())
     # a policy has the same heads in every chunk
     has_macro = logits["macro"] is not None
@@ -143,6 +148,7 @@ def evaluate(
         attention_acc=att_correct / steps if has_attention and steps else None,
         tv_monitor=tv_sum / steps if has_attention and steps else None,
         n_sequences=len(subset),
+        raw_acc_delta0=raw_correct / max(int(counted[0]), 1),
     )
 
 

@@ -28,12 +28,14 @@ is no separate matrix-product op.  The model's input, agent occupancy
 max-pooled as one k x k max over counts per fine cell, is built on plain
 arrays outside the tape (``hoopnet.model.pooled_occupancy``).
 
-``nn.frozen_state()`` is a re-entrant scope in which parameters and
-buffers hold still: the constants a forward call derives from them (each
-conv group's weight matrix, each inference batch norm's columns) are
-built once, with the same arithmetic, and dropped when the outermost
-scope exits.  Inside it the writers ``RMSProp.step``, ``Module.cast``,
-``Module.set_buffer`` and ``load_checkpoint`` raise.
+The tape is the one switch between training and inference.  With it
+on, the spatial encoder trains: batch statistics, running-buffer updates
+and noise.  ``no_grad()`` is inference: ops record no tape, the encoder
+folds each batch norm into its convolution, and parameters and buffers
+hold still.  It is a re-entrant scope: the folded (weight, bias) pairs
+are built once per outermost scope, with the same arithmetic, and
+dropped at its exit, and inside it the writers ``RMSProp.step``,
+``Module.cast``, ``Module.set_buffer`` and ``load_checkpoint`` raise.
 
 Importing the package sets glibc's malloc thresholds so that freed heap
 memory stays with the process: a training pass frees and reallocates
@@ -67,7 +69,6 @@ from .nn import (
     GRUCell,
     Linear,
     Module,
-    frozen_state,
     gru_sequence,
     spatial_encoder,
 )
@@ -112,7 +113,7 @@ __all__ = [
     "Tensor", "Parameter", "backward", "concat",
     "no_grad", "relu", "softmax", "softmax_nll",
     "BatchNorm", "Conv2d", "GRUCell", "Linear", "Module",
-    "frozen_state", "gru_sequence", "spatial_encoder",
+    "gru_sequence", "spatial_encoder",
     "RMSProp", "clip_gradients",
     "load_checkpoint", "save_checkpoint",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import CheckpointError
 from ..util import atomic_open
-from .nn import _refuse_if_frozen
+from .tensor import _refuse_in_no_grad
 
 MAGIC = b"HPNCKPT\x00"
 VERSION = 1
@@ -93,8 +93,9 @@ def load_checkpoint(
     expect_hash: str,
 ) -> dict[str, str]:
     """Copy stored tensors into the given arrays, rounded to each array's
-    dtype; returns the metadata.  Raises inside ``nn.frozen_state()``."""
-    _refuse_if_frozen("load_checkpoint")
+    dtype; returns the metadata.  Raises inside ``no_grad()``, where
+    parameters and buffers hold still."""
+    _refuse_in_no_grad("load_checkpoint")
     tensors, config_hash, meta, offset = read_manifest(path)
     if config_hash != expect_hash:
         raise CheckpointError(

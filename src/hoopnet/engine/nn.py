@@ -5,74 +5,25 @@ Encoder input is channels-last, (N, H, W, C), and so is every layer
 inside the encoder; weights are (filters, C, k, k) and the flattened
 output is in (filters, oh, ow) order.  Convolution keeps spatial dims at
 stride 1 via zero padding.  Encoders that read the same input run as one
-op whose first layer is one matmul over their stacked filters.  In
-inference mode each batch norm is folded into its convolution's weights
-and a bias.
+op whose first layer is one matmul over their stacked filters.
+
+The tape is the encoders' mode switch.  With it on they train: batch
+norm normalizes by batch statistics and advances its running buffers,
+and noise is added.  Under ``no_grad()`` they infer: each batch norm is
+folded into its convolution's weights and a bias, built once per
+outermost scope, not once per call.
 
 Layers are built in float64 (``Module.cast`` rounds a whole model to its
 compute dtype once), and the fused ops compute in their parameters'
-dtype.
-
-Inside a ``frozen_state()`` scope the constants a forward call derives
-from parameters and buffers (the folded (weight, bias) pairs) are built
-once per scope, not once per call.
-A call that records no tape builds no parameter tuples, saved arrays or
-backward closures.
+dtype.  A call that records no tape builds no parameter tuples, saved
+arrays or backward closures.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, _grad_enabled, _node
-
-# the number of open frozen_state() scopes, and the constants built inside
-# them, keyed by the module objects they derive from
-_frozen_depth = 0
-_frozen_cache: dict = {}
-
-
-class frozen_state:
-    """Context manager: parameters and buffers do not change inside it.
-
-    Each constant a forward call derives from them (each inference conv
-    group's folded (weight, bias) pair, ``_folded``) is built on first
-    use, with the same arithmetic as outside, and reused; the outermost
-    scope's exit drops them, also on an exception.  Scopes nest.  The
-    package's writers, ``RMSProp.step``, ``Module.cast``,
-    ``Module.set_buffer`` (so training-mode batch norm) and
-    ``load_checkpoint``, raise RuntimeError inside a scope; a write
-    straight into a parameter's ``data`` would go unseen, so make none.
-    """
-
-    def __enter__(self):
-        global _frozen_depth
-        _frozen_depth += 1
-        return self
-
-    def __exit__(self, *exc):
-        global _frozen_depth
-        _frozen_depth -= 1
-        if not _frozen_depth:
-            _frozen_cache.clear()
-        return False
-
-
-def _refuse_if_frozen(writer: str) -> None:
-    if _frozen_depth:
-        raise RuntimeError(f"{writer} inside engine.nn.frozen_state(): "
-                           "parameters and buffers are frozen")
-
-
-def _frozen_constant(key, build, *args):
-    """``build(*args)``: once per frozen_state() scope for ``key``, and on
-    every call outside one."""
-    if not _frozen_depth:
-        return build(*args)
-    value = _frozen_cache.get(key)
-    if value is None:
-        value = _frozen_cache[key] = build(*args)
-    return value
+from .tensor import _SCOPE_CONSTANTS, Parameter, Tensor, _grad_enabled, _node, _refuse_in_no_grad
 
 
 class Module:
@@ -95,7 +46,7 @@ class Module:
         object.__setattr__(self, name, array)
 
     def set_buffer(self, name: str, array: np.ndarray) -> None:
-        _refuse_if_frozen("Module.set_buffer")
+        _refuse_in_no_grad("Module.set_buffer")
         if name not in self._buffers:
             raise KeyError(name)
         self._buffers[name] = array
@@ -103,7 +54,7 @@ class Module:
 
     def cast(self, dtype) -> None:
         """Convert every parameter and buffer, recursively, to ``dtype``."""
-        _refuse_if_frozen("Module.cast")
+        _refuse_in_no_grad("Module.cast")
         for p in self._params.values():
             p.data = p.data.astype(dtype)
         for name, b in self._buffers.items():
@@ -150,6 +101,12 @@ class Conv2d(Module):
         self.weight = Parameter(glorot_uniform(rng, (filters, in_channels, kernel, kernel),
                                                fan_in, filters * kernel * kernel))
         self.stride = stride
+
+    def out_size(self, h: int, w: int) -> tuple[int, int]:
+        """The output height and width over an h x w input."""
+        kh, kw = self.weight.data.shape[2:]
+        s = self.stride
+        return (h + 2 * (kh // 2) - kh) // s + 1, (w + 2 * (kw // 2) - kw) // s + 1
 
 
 class BatchNorm(Module):
@@ -200,10 +157,10 @@ def _padded(a: np.ndarray, conv: Conv2d, dtype) -> tuple[np.ndarray, int, int]:
     if a.shape[3] != c:
         raise ValueError(f"spatial_encoder channel mismatch: input {a.shape[3]}, weight {c}")
     n, h, w, _ = a.shape
-    s, ph, pw = conv.stride, kh // 2, kw // 2
+    ph, pw = kh // 2, kw // 2
     xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype)
     xp[:, ph:ph + h, pw:pw + w] = a
-    return xp, (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
+    return (xp, *conv.out_size(h, w))
 
 
 def _weight_matrix(convs: tuple[Conv2d, ...]) -> np.ndarray:
@@ -213,20 +170,15 @@ def _weight_matrix(convs: tuple[Conv2d, ...]) -> np.ndarray:
                            for conv in convs])
 
 
-def _bn_scale(bn: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
-    """Inference batch norm's float64 inverse standard deviation and its
-    per-filter scale, gamma times it."""
-    inv = 1.0 / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
-    return inv, bn.gamma.data * inv
-
-
 def _folded(convs: tuple[Conv2d, ...], bns: tuple[BatchNorm, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The convolutions' (F, k*k*C) weight matrix with each filter's
     inference batch norm folded in, and the (F, 1) bias that goes with it:
-    ``scale * W`` and ``beta - running_mean * scale``, formed in float64
-    and rounded once to the weights' dtype."""
+    ``scale * W`` and ``beta - running_mean * scale`` with
+    ``scale = gamma / sqrt(running_var + eps)``, formed in float64 and
+    rounded once to the weights' dtype."""
     weight = _weight_matrix(convs)
-    scale = np.concatenate([_bn_scale(bn)[1] for bn in bns])
+    scale = np.concatenate([bn.gamma.data * (1.0 / np.sqrt(bn.running_var.astype(np.float64) + bn.eps))
+                            for bn in bns])
     mean = np.concatenate([bn.running_mean for bn in bns])
     beta = np.concatenate([bn.beta.data for bn in bns])
     return ((weight * scale[:, None]).astype(weight.dtype),
@@ -234,22 +186,24 @@ def _folded(convs: tuple[Conv2d, ...], bns: tuple[BatchNorm, ...]) -> tuple[np.n
 
 
 def _conv_rows(xp: np.ndarray, convs: tuple[Conv2d, ...], bns: tuple[BatchNorm, ...],
-               training: bool, oh: int, ow: int) -> tuple[np.ndarray, np.ndarray]:
+               oh: int, ow: int) -> tuple[np.ndarray, np.ndarray]:
     """The (F, n*oh*ow) output of convolutions that share kernel size and
     stride over the padded input ``xp``, their F filters stacked in order,
-    and the (F, k*k*C) weight matrix it came from.  Training mode: the
-    plain convolution, for batch norm to follow.  Inference mode: the
-    folded convolution and its bias (``_folded``, built once per
-    frozen_state() scope), whose output is batch norm's.
+    and the (F, k*k*C) weight matrix it came from.  With the tape on: the
+    plain convolution, for training batch norm to follow.  Under
+    ``no_grad()``: the folded convolution and its bias (``_folded``, built
+    once per outermost scope), whose output is batch norm's.
 
     Per row block one ``cols @ weight.T`` product, its transpose copied
     into the block's columns.  BLAS runs this orientation faster than
     ``weight @ cols.T`` at the encoders' few filters, and a test checks
     that it gives the same bits."""
-    if training:
+    if _grad_enabled():
         weight, bias = _weight_matrix(convs), None
     else:
-        weight, bias = _frozen_constant(convs, _folded, convs, bns)
+        if convs not in _SCOPE_CONSTANTS:
+            _SCOPE_CONSTANTS[convs] = _folded(convs, bns)
+        weight, bias = _SCOPE_CONSTANTS[convs]
     kh, kw = convs[0].weight.data.shape[2:]
     y = np.empty((len(weight), xp.shape[0] * oh * ow), xp.dtype)
     wt = weight.T
@@ -264,7 +218,6 @@ def _conv_rows(xp: np.ndarray, convs: tuple[Conv2d, ...], bns: tuple[BatchNorm, 
 def spatial_encoder(
     x: np.ndarray,
     encoders: list,
-    training: bool,
     rng: np.random.Generator | None,
     noise_sigma: float,
 ) -> list[Tensor]:
@@ -283,16 +236,16 @@ def spatial_encoder(
     batch norm, its later layers (each zero-padded and multiplied by its
     own im2col blocks) and its noise.  Everything runs in the weights'
     dtype, except that batch norm's mean and variance accumulate in
-    float64.  Training-mode batch norm normalizes each row of a layer's
-    (F, P) output by the statistics of the P positions (at least 2) and
-    advances the running buffers.  Inference mode, taped or not, folds
-    each batch norm into its convolution (``_folded``): a layer is one
-    matmul per row block, a bias add and a ReLU, and the backward pass
-    turns the folded weight's gradient dW' into dW = scale * dW' and
-    dgamma = inv * (sum over W * dW' - running_mean * dbeta), with
-    inv = 1 / sqrt(running_var + eps) and scale = gamma * inv, and takes
-    the input gradient through the folded weight.
-    Training-mode noise is one float64 (N, F, oh, ow) standard-normal draw
+    float64.
+
+    The tape sets the mode.  With it on, the encoders train, whether or
+    not any of their parameters does: batch norm normalizes each row of a
+    layer's (F, P) output by the statistics of the P positions (at least
+    2) and advances the running buffers, and noise is added.  Under
+    ``no_grad()`` they infer: each batch norm is folded into its
+    convolution (``_folded``), so a layer is one matmul per row block, a
+    bias add and a ReLU, and no noise is added.
+    Training noise is one float64 (N, F, oh, ow) standard-normal draw
     per encoder, in encoder order, scaled by ``noise_sigma`` and then
     rounded to the weights' dtype, the same values and generator state as
     ``rng.normal(0, noise_sigma, ...)``; the gradient passes through it.
@@ -303,7 +256,7 @@ def spatial_encoder(
     """
     if noise_sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if training and noise_sigma > 0.0 and rng is None:
+    if _grad_enabled() and noise_sigma > 0.0 and rng is None:
         raise ValueError("training-mode noise needs an RNG")
     if x.ndim != 4:
         raise ValueError("spatial_encoder expects (N, H, W, C) input")
@@ -314,33 +267,34 @@ def spatial_encoder(
         raise ValueError("spatial_encoder: the encoders' first layers differ in input "
                          "channels, kernel or stride")
     xp, oh, ow = _padded(x, firsts[0], firsts[0].weight.data.dtype)
-    y, weight = _conv_rows(xp, firsts, tuple(enc.bns[0] for enc in encoders), training, oh, ow)
+    y, weight = _conv_rows(xp, firsts, tuple(enc.bns[0] for enc in encoders), oh, ow)
     feats, row = [], 0
     for enc, conv in zip(encoders, firsts):
         rows = slice(row, row + len(conv.weight.data))
         feats.append(_encoder_node(x, enc.convs, enc.bns, (xp, y[rows], weight[rows], oh, ow),
-                                   training, rng, noise_sigma))
+                                   rng, noise_sigma))
         row = rows.stop
     return feats
 
 
-def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
+def _encoder_node(x, convs, bns, layer0, rng, noise_sigma) -> Tensor:
     """One encoder of ``spatial_encoder``, from ``layer0``: the padded
     input, the (F, P) convolution output, the (F, k*k*C) weight matrix
     and the output height and width of its first layer."""
+    training = _grad_enabled()
     params = (tuple(p for conv, bn in zip(convs, bns) for p in (conv.weight, bn.gamma, bn.beta))
-              if _grad_enabled() else ())
+              if training else ())
     record = any(p.requires_grad for p in params)
     xp, y, weight, oh, ow = layer0
     n, dtype = x.shape[0], y.dtype
     a = x
-    # per layer: input shape, padded input, x-hat and 1/std (training
-    # only), the layer's weight matrix, output
+    # per layer: input shape, padded input, x-hat and 1/std, the layer's
+    # weight matrix, output
     saved = []
     for i, (conv, bn) in enumerate(zip(convs, bns)):
         if i:
             xp, oh, ow = _padded(a, conv, dtype)
-            y, weight = _conv_rows(xp, (conv,), (bn,), training, oh, ow)
+            y, weight = _conv_rows(xp, (conv,), (bn,), oh, ow)
         f, out, xhat, inv = len(y), y, None, None
         if training:
             if y.shape[1] < 2:
@@ -382,24 +336,14 @@ def _encoder_node(x, convs, bns, layer0, training, rng, noise_sigma) -> Tensor:
             s, (kh, kw) = convs[i].stride, convs[i].weight.data.shape[2:]
             gy *= out.reshape(f, -1) > 0
             dbeta = gy.sum(axis=1)
-            if training:
-                dgamma = np.einsum("fp,fp->f", gy, xhat)
-                m = gy.shape[1]
-                gy *= m
-                gy -= dbeta[:, None]
-                gy -= xhat * dgamma[:, None]
-                gy *= bns[i].gamma.data[:, None] * inv / m
-            # the weight gradient of the conv that produced gy: the plain
-            # one, or in inference mode the folded one, which carries the
-            # batch-norm parameters' gradients
+            dgamma = np.einsum("fp,fp->f", gy, xhat)
+            m = gy.shape[1]
+            gy *= m
+            gy -= dbeta[:, None]
+            gy -= xhat * dgamma[:, None]
+            gy *= bns[i].gamma.data[:, None] * inv / m
             dw = sum(gy[:, cs] @ cols for cs, cols in _col_blocks(xp, s, kh, kw, oh, ow))
-            dw = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-            if not training:
-                inv, scale = _bn_scale(bns[i])
-                dgamma = (inv * (np.einsum("fchw,fchw->f", convs[i].weight.data, dw)
-                                 - bns[i].running_mean * dbeta)).astype(dtype)
-                dw = dw * scale.astype(dtype)[:, None, None, None]
-            grads[3 * i:3 * i + 3] = dw, dgamma, dbeta
+            grads[3 * i:3 * i + 3] = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2), dgamma, dbeta
             if not any(p.requires_grad for p in params[:3 * i]):
                 break
             # one kernel offset at a time, into a channels-last padded

@@ -11,7 +11,8 @@ The optimizer owns ``cache`` and ``buf``, zeros in each parameter's
 dtype when it is built; its hyperparameters are kept as Python floats,
 which never widen a float32 array.  A parameter whose ``requires_grad``
 is False is skipped entirely; every step ends by clearing all gradient
-buffers.  A step inside ``nn.frozen_state()`` raises.
+buffers.  A step inside ``no_grad()``, where parameters hold still,
+raises.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import math
 
 import numpy as np
 
-from .nn import _refuse_if_frozen
-from .tensor import Parameter
+from .tensor import Parameter, _refuse_in_no_grad
 
 
 def clip_gradients(params: list[Parameter], max_norm: float) -> float:
@@ -68,7 +68,7 @@ class RMSProp:
 
     def step(self) -> None:
         """One update over params; clears every gradient buffer afterwards."""
-        _refuse_if_frozen("RMSProp.step")
+        _refuse_in_no_grad("RMSProp.step")
         lr_t = self.lr / (1.0 + self.decay * self.t)
         for p, cache, buf in zip(self.params, self.cache, self.buf):
             g = p.grad

@@ -21,6 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 _GRAD_ENABLED = True
+# the constants built inside the open no_grad() scopes, keyed by the
+# module objects they derive from
+_SCOPE_CONSTANTS: dict = {}
 
 
 def _grad_enabled() -> bool:
@@ -28,18 +31,36 @@ def _grad_enabled() -> bool:
 
 
 class no_grad:
-    """Context manager: ops inside build no tape (inference mode)."""
+    """Context manager for inference: ops inside build no tape, and
+    parameters and buffers hold still.
+
+    Each constant a forward call derives from them (each inference conv
+    group's folded (weight, bias) pair, ``nn._folded``) is built on first
+    use, with the same arithmetic as in a scope of its own, and reused;
+    the outermost scope's exit drops them, also on an exception.  Scopes
+    nest.  The package's writers, ``RMSProp.step``, ``Module.cast``,
+    ``Module.set_buffer`` and ``load_checkpoint``, raise RuntimeError
+    inside a scope; a write straight into a parameter's ``data`` would go
+    unseen, so make none.
+    """
 
     def __enter__(self):
         global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
+        self._outermost = _GRAD_ENABLED
         _GRAD_ENABLED = False
         return self
 
     def __exit__(self, *exc):
         global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        if self._outermost:
+            _SCOPE_CONSTANTS.clear()
+            _GRAD_ENABLED = True
         return False
+
+
+def _refuse_in_no_grad(writer: str) -> None:
+    if not _GRAD_ENABLED:
+        raise RuntimeError(f"{writer} inside engine.no_grad(): parameters and buffers are frozen")
 
 
 class Tensor:

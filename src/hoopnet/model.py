@@ -161,11 +161,6 @@ def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int, dtype) -> n
     return out.reshape(m, out_rows, out_cols, 4)
 
 
-def _conv_out(dim: int, kernel: int, stride: int) -> int:
-    pad = (kernel - 1) // 2
-    return (dim + 2 * pad - kernel) // stride + 1
-
-
 def time_major(x: np.ndarray) -> np.ndarray:
     """(N, T, ...) -> (T*N, ...): row t*N + i holds sequence i at step t."""
     n, t_steps = x.shape[:2]
@@ -197,8 +192,7 @@ class SpatialEncoder(Module):
             setattr(self, f"bn{i}", bn)
             convs.append(conv)
             bns.append(bn)
-            rows = _conv_out(rows, CONV_KERNEL, stride)
-            cols = _conv_out(cols, CONV_KERNEL, stride)
+            rows, cols = conv.out_size(rows, cols)
             channels = f
         self.convs = convs
         self.bns = bns
@@ -316,7 +310,6 @@ class HPNModel(Module):
         inputs: np.ndarray,
         memory: dict,
         *,
-        training: bool,
         rng=None,
         noise_sigma: float = 0.0,
         branches: frozenset[str] | None = None,
@@ -328,6 +321,12 @@ class HPNModel(Module):
         requested branches (``raw_logits`` and ``cc_logits`` as one tensor
         per look-ahead head, ``macro_logits``, ``attention_logits``) and
         the memory after step T: each GRU's last N state rows.
+
+        The tape sets the mode.  With it on, the call trains: the encoders
+        normalize by batch statistics, advance their running buffers and
+        add ``noise_sigma`` noise drawn from ``rng``, even when none of
+        their parameters trains.  Under ``engine.no_grad()`` it infers:
+        batch norm is folded into the convolutions and no noise is drawn.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 4 or inputs.shape[2:] != (len(AGENT_CHANNELS), 2):
@@ -348,7 +347,7 @@ class HPNModel(Module):
         encoders = [self.micro_encoder] if run_micro else []
         if run_macro:
             encoders.append(self.macro_encoder)
-        features = spatial_encoder(pooled, encoders, training, rng, noise_sigma)
+        features = spatial_encoder(pooled, encoders, rng, noise_sigma)
 
         if run_micro:
             if self.variant is Variant.CNN:
@@ -392,9 +391,9 @@ class HPNModel(Module):
         ]
 
     def logits(self, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
-        """Inference over (N, T, ...) from ``memory``; returns the logits
-        as plain batch-major arrays in the compute dtype and the memory
-        after step T.
+        """Inference over (N, T, ...) from ``memory``, a ``run`` under
+        ``engine.no_grad()``; returns the logits as plain batch-major
+        arrays in the compute dtype and the memory after step T.
 
         The keys are ``raw`` and ``cc``, (N, T, lookahead, n_actions),
         ``macro``, (N, T, n_boxes), and ``attention``, (N, T, n_actions);
@@ -402,7 +401,7 @@ class HPNModel(Module):
         naming the first head with a non-finite logit.
         """
         with no_grad():
-            outs, memory = self.run(inputs, memory, training=False)
+            outs, memory = self.run(inputs, memory)
         n = memory["_batch"]
         result: dict = {}
         for key in ("raw", "macro", "attention", "cc"):

@@ -10,10 +10,10 @@ freezes once that runs out.
 burn-in replays ground truth, so it is one teacher-forced
 ``HPNModel.logits`` call on the (N, burn_in, 11, 2) prefix; each horizon
 step depends on the choices before it and is one call on an
-(N, 1, 11, 2) batch.  The calls run inside one ``engine.frozen_state()``
+(N, 1, 11, 2) batch.  The calls run inside one ``engine.no_grad()``
 scope, so the constants derived from the weights are built once per
 rollout, not once per call; the results are bit-identical to the same
-calls outside it.  ``choose_step`` takes the choices of every step
+calls each in a scope of its own.  ``choose_step`` takes the choices of every step
 of a call for all N over arrays, on the logits: no probability array is
 built in argmax mode.  Each sequence draws from its own RNG, so a
 rollout does not depend on the other sequences in its batch.
@@ -30,7 +30,7 @@ import numpy as np
 from .court import CourtSpec
 from .data import SEQUENCE_STEPS, TrainingSequence, agent_positions
 from .errors import ConfigError, DataError
-from .engine import frozen_state
+from .engine import no_grad
 from .engine.tensor import softmax_array
 from .model import HPNModel, combined_scores
 from .util import atomic_open, rng_for
@@ -151,7 +151,7 @@ def batch_rollout(
     # one teacher-forced call over the whole burn-in, then one call per
     # horizon step, whose input depends on the step before; the weights
     # hold still throughout, so their derived constants are built once
-    with frozen_state():
+    with no_grad():
         for t, stop in zip([0, *range(burn_in, total)], range(burn_in, total + 1)):
             if t >= burn_in:
                 # the last step's look-ahead actions are consecutive

@@ -144,6 +144,16 @@ def stage_branches(model: HPNModel, stage: Stage) -> frozenset[str]:
     return model.branches if stage is Stage.FINETUNE else needs
 
 
+# Per stage: the holdout accuracy of the head it trains, which early
+# stopping watches
+_STOP_SCORES = {
+    Stage.PRETRAIN_MICRO: lambda m: m.raw_acc_delta0,
+    Stage.PRETRAIN_MACRO: lambda m: m.macro_acc,
+    Stage.PRETRAIN_ATTENTION: lambda m: m.attention_acc,
+    Stage.FINETUNE: lambda m: m.acc_delta[0],
+}
+
+
 # batch assembly and augmentation
 
 
@@ -231,8 +241,7 @@ def compute_loss(
     inputs = arrays["inputs"]
     n, t_steps = inputs.shape[:2]
     outs, _ = model.run(
-        inputs, model.reset_memory(n), training=True, rng=rng,
-        noise_sigma=cfg.noise_sigma, branches=branches,
+        inputs, model.reset_memory(n), rng=rng, noise_sigma=cfg.noise_sigma, branches=branches,
     )
     micro = time_major(arrays["micro"])  # (T*N, lookahead)
     columns = [micro[:, k:k + 1] for k in range(micro.shape[1])]  # one per look-ahead head
@@ -316,8 +325,9 @@ def run_stage(
             )
         )
         if metrics is not None and cfg.early_stop_patience > 0:
-            if metrics.acc_delta[0] > best_acc + 1e-12:
-                best_acc = metrics.acc_delta[0]
+            score = _STOP_SCORES[stage](metrics)
+            if score > best_acc + 1e-12:
+                best_acc = score
                 since_best = 0
             else:
                 since_best += 1
@@ -333,11 +343,11 @@ def train_full(
     cfg: TrainConfig,
     spec: CourtSpec,
     seed: int,
-    schedule: list[Stage] | None = None,
     checkpoint_path: str | Path | None = None,
     resume: bool = False,
 ) -> TrainReport | None:
-    """Run the stage schedule in order, checkpointing at stage boundaries.
+    """Run the variant's ``stage_schedule`` in order, checkpointing at
+    stage boundaries.
 
     With ``resume=True`` and an existing checkpoint, completed stages are
     skipped and training continues identically to an uninterrupted run
@@ -345,11 +355,7 @@ def train_full(
     fresh optimizer); the report holds the stages this call trained, and
     is None when every stage was already done.
     """
-    schedule = stage_schedule(model.variant) if schedule is None else schedule
-    if not schedule:
-        raise ConfigError("no stages in training schedule")
-    for stage in schedule:
-        stage_branches(model, stage)
+    schedule = stage_schedule(model.variant)
     done: list[str] = []
     if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
         meta = load_checkpoint(

@@ -452,7 +452,7 @@ def oracle_compute_loss(model, arrays: dict, stage: Stage, cfg, rng=None) -> Ten
     penalised logits array, and a chain of ``tsum``, ``add`` and ``mul``."""
     inputs = arrays["inputs"]
     n, t_steps = inputs.shape[:2]
-    outs, _ = model.run(inputs, model.reset_memory(n), training=True, rng=rng,
+    outs, _ = model.run(inputs, model.reset_memory(n), rng=rng,
                         noise_sigma=cfg.noise_sigma, branches=stage_branches(model, stage))
     micro = time_major(arrays["micro"])
     terms: list[Tensor] = []
@@ -757,7 +757,7 @@ def oracle_infer(model, inputs: np.ndarray, memory: dict) -> tuple[dict, dict]:
     ``p_raw`` and ``attention`` for attention variants; every output
     checked for finiteness."""
     with no_grad():
-        outs, memory = model.run(inputs, memory, training=False)
+        outs, memory = model.run(inputs, memory)
     n = memory["_batch"]
 
     def probs(logits: Tensor) -> np.ndarray:
@@ -790,6 +790,7 @@ def oracle_evaluate(model, data: list[LabeledSequence], spec: CourtSpec, batch_s
     lookahead = spec.lookahead_steps
     correct = np.zeros(lookahead, dtype=np.int64)
     counted = np.zeros(lookahead, dtype=np.int64)
+    raw_correct = 0
     macro_correct = macro_counted = 0
     late_correct = late_counted = 0
     att_correct = att_counted = 0
@@ -807,6 +808,8 @@ def oracle_evaluate(model, data: list[LabeledSequence], spec: CourtSpec, batch_s
         hits = (pred == arrays["micro"]) & valid
         correct += hits.sum(axis=(0, 1))
         counted += valid.sum(axis=(0, 1))
+        raw_hits = (outs["p_raw"].argmax(axis=-1) == arrays["micro"]) & valid
+        raw_correct += int(raw_hits[:, :, 0].sum())
         if outs.get("p_macro") is not None:
             saw_macro = True
             mp = outs["p_macro"].argmax(axis=-1)        # (n, t)
@@ -832,6 +835,7 @@ def oracle_evaluate(model, data: list[LabeledSequence], spec: CourtSpec, batch_s
         attention_acc=(att_correct / att_counted) if saw_attention and att_counted else None,
         tv_monitor=(tv_sum / tv_n) if tv_n else None,
         n_sequences=len(data),
+        raw_acc_delta0=raw_correct / max(int(counted[0]), 1),
     )
 
 
@@ -843,6 +847,7 @@ def oracle_evaluate_whole_chunks(policy, data: list[LabeledSequence], spec: Cour
     lookahead = spec.lookahead_steps
     correct = np.zeros(lookahead, dtype=np.int64)
     counted = np.zeros(lookahead, dtype=np.int64)
+    raw_correct = 0
     macro_correct = macro_counted = 0
     late_correct = late_counted = 0
     att_correct = att_counted = 0
@@ -862,6 +867,8 @@ def oracle_evaluate_whole_chunks(policy, data: list[LabeledSequence], spec: Cour
         hits = (pred == arrays["micro"]) & valid
         correct += hits.sum(axis=(0, 1))
         counted += valid.sum(axis=(0, 1))
+        raw_hits = (logits["raw"].argmax(axis=-1) == arrays["micro"]) & valid
+        raw_correct += int(raw_hits[:, :, 0].sum())
         if logits["macro"] is not None:
             saw_macro = True
             eq = logits["macro"].argmax(axis=-1) == arrays["macro"]
@@ -885,6 +892,7 @@ def oracle_evaluate_whole_chunks(policy, data: list[LabeledSequence], spec: Cour
         attention_acc=(att_correct / att_counted) if saw_attention and att_counted else None,
         tv_monitor=(tv_sum / tv_n) if tv_n else None,
         n_sequences=len(data),
+        raw_acc_delta0=raw_correct / max(int(counted[0]), 1),
     )
 
 

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import ctypes
 import math
 import struct
@@ -57,12 +58,18 @@ TOL = 1e-4
 # the spatial encoder: conv -> batch norm -> ReLU per layer, noise, flatten
 
 
+def _mode(training):
+    """The scope the encoders train in (the tape on) or infer in."""
+    return contextlib.nullcontext() if training else no_grad()
+
+
 class _Encoder:
     """Conv2d/BatchNorm holders for ``spatial_encoder``, one (filters,
     kernel, stride) per layer, with random batch-norm scales, shifts and
-    running statistics; ``encoder(x, ...)`` runs the fused op and
-    ``oracle(x, ...)`` the channels-first tape of one node per layer op,
-    both on channels-last (N, H, W, C) input."""
+    running statistics; ``encoder(x, ...)`` runs the fused op, under
+    ``no_grad()`` when ``training`` is False, and ``oracle(x, ...)`` the
+    channels-first tape of one node per layer op, both on channels-last
+    (N, H, W, C) input."""
 
     def __init__(self, in_channels, layers, seed=0):
         rng = np.random.default_rng(seed)
@@ -84,7 +91,8 @@ class _Encoder:
         return [b for bn in self.bns for b in (bn.running_mean, bn.running_var)]
 
     def __call__(self, x, training=True, rng=None, noise_sigma=0.0):
-        return spatial_encoder(x, [self], training, rng, noise_sigma)[0]
+        with _mode(training):
+            return spatial_encoder(x, [self], rng, noise_sigma)[0]
 
     def oracle(self, x, training=True, rng=None, noise_sigma=0.0):
         return oracle_spatial_encoder(self, x.transpose(0, 3, 1, 2), training, rng, noise_sigma)
@@ -104,12 +112,15 @@ def _identity_encoder(channels, beta=0.0):
     return enc
 
 
+ENCODER_SHAPES = [(n_layers, stride) for n_layers in (1, 2) for stride in (1, 2)]
 ENCODER_CASES = [
     pytest.param(n_layers, stride, training, id=f"{n_layers}layer-stride{stride}-{mode}")
-    for n_layers in (1, 2)
-    for stride in (1, 2)
+    for n_layers, stride in ENCODER_SHAPES
     for training, mode in ((True, "train"), (False, "eval"))
 ]
+# gradients exist only with the tape on, where the encoders train
+TRAINING_CASES = [pytest.param(n_layers, stride, id=f"{n_layers}layer-stride{stride}-train")
+                  for n_layers, stride in ENCODER_SHAPES]
 
 
 def _layers(n_layers, stride):
@@ -143,8 +154,8 @@ def test_conv_shape_mismatch():
         enc(np.zeros((2, 4, 4, 3)))
 
 
-@pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
-def test_spatial_encoder_gradcheck(n_layers, stride, training):
+@pytest.mark.parametrize("n_layers,stride", TRAINING_CASES)
+def test_spatial_encoder_gradcheck(n_layers, stride):
     # an odd, non-square grid; in a two-layer stack the first layer's
     # gradients pass through the second layer's input gradient
     enc = _Encoder(4, _layers(n_layers, stride), seed=stride)
@@ -152,13 +163,15 @@ def test_spatial_encoder_gradcheck(n_layers, stride, training):
     fixed = Tensor(_fixed_like(enc(x).data.shape))
 
     def loss():
-        return tsum(mul(enc(x, training, np.random.default_rng(5), 0.1), fixed))
+        return tsum(mul(enc(x, True, np.random.default_rng(5), 0.1), fixed))
 
     assert gradcheck(loss, enc.parameters()) < TOL
 
 
 @pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
 def test_spatial_encoder_matches_oracle_tape(n_layers, stride, training):
+    # training: features, gradients and advanced running buffers;
+    # inference: the folded features, and buffers that hold still
     fused = _Encoder(4, _layers(n_layers, stride), seed=3)
     tape = _Encoder(4, _layers(n_layers, stride), seed=3)
     x = np.random.default_rng(12).poisson(0.3, size=(5, 9, 8, 4)).astype(np.float64)
@@ -166,21 +179,22 @@ def test_spatial_encoder_matches_oracle_tape(n_layers, stride, training):
         a = fused(x, training, np.random.default_rng(9), 0.05)
         b = tape.oracle(x, training, np.random.default_rng(9), 0.05)
         np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
-        fixed = Tensor(_fixed_like(a.data.shape))
-        backward(tsum(mul(a, fixed)))
-        backward(tsum(mul(b, fixed)))
-        for p, q in zip(fused.parameters(), tape.parameters()):
-            assert relative_error(p.grad, q.grad) < 1e-10
-            p.grad = q.grad = None
+        if training:
+            fixed = Tensor(_fixed_like(a.data.shape))
+            backward(tsum(mul(a, fixed)))
+            backward(tsum(mul(b, fixed)))
+            for p, q in zip(fused.parameters(), tape.parameters()):
+                assert relative_error(p.grad, q.grad) < 1e-10
+                p.grad = q.grad = None
         for u, v in zip(fused.buffers(), tape.buffers()):
             np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
-def test_spatial_encoder_gradcheck_in_row_blocks(n_layers, stride, training, monkeypatch):
+@pytest.mark.parametrize("n_layers,stride", TRAINING_CASES)
+def test_spatial_encoder_gradcheck_in_row_blocks(n_layers, stride, monkeypatch):
     # 3 rows in blocks of 2: a full block, then a short one
     monkeypatch.setattr(nn, "ROW_BLOCK", 2)
-    test_spatial_encoder_gradcheck(n_layers, stride, training)
+    test_spatial_encoder_gradcheck(n_layers, stride)
 
 
 @pytest.mark.parametrize("n_layers,stride,training", ENCODER_CASES)
@@ -211,11 +225,17 @@ def test_spatial_encoder_im2col_stays_within_a_row_block(monkeypatch):
 
 
 def test_spatial_encoder_no_grad_records_nothing():
+    # and, inferring, draws no noise and leaves the running buffers be
     enc = _Encoder(2, [(3, 3, 1), (2, 3, 2)])
     x = RNG.normal(size=(3, 5, 4, 2))
+    rng = np.random.default_rng(0)
+    before, buffers = _rng_state(rng), [b.copy() for b in enc.buffers()]
     with no_grad():
-        out = enc(x, training=True, rng=np.random.default_rng(0), noise_sigma=0.1)
+        out = spatial_encoder(x, [enc], rng, 0.1)[0]
     assert out._vjp is None and out._parents == () and not out.requires_grad
+    assert _rng_state(rng) == before
+    for b, was in zip(enc.buffers(), buffers):
+        np.testing.assert_array_equal(b, was)
 
 
 def test_spatial_encoder_frozen_parameters_get_no_gradient():
@@ -274,31 +294,36 @@ def test_spatial_encoder_joint_call_equals_separate_calls(n_encoders, training, 
     x = np.random.default_rng(12).poisson(0.3, size=(5, 9, 8, 4)).astype(dtype)
     rng_joint, rng_separate = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(2):
-        got = spatial_encoder(x, joint, training, rng_joint, 0.05)
-        want = [spatial_encoder(x, [enc], training, rng_separate, 0.05)[0] for enc in separate]
+        with _mode(training):
+            got = spatial_encoder(x, joint, rng_joint, 0.05)
+            want = [spatial_encoder(x, [enc], rng_separate, 0.05)[0] for enc in separate]
         assert rng_joint.bit_generator.state == rng_separate.bit_generator.state
         assert len(got) == n_encoders
         for a, b, u, v in zip(got, want, joint, separate):
             assert a.data.dtype == dtype
             np.testing.assert_array_equal(a.data, b.data)
-            fixed = Tensor(_fixed_like(a.data.shape).astype(dtype))
-            backward(tsum(mul(a, fixed)))
-            backward(tsum(mul(b, fixed)))
-            for p, q in zip(u.parameters(), v.parameters()):
-                np.testing.assert_array_equal(p.grad, q.grad)
-                p.grad = q.grad = None
+            if training:
+                fixed = Tensor(_fixed_like(a.data.shape).astype(dtype))
+                backward(tsum(mul(a, fixed)))
+                backward(tsum(mul(b, fixed)))
+                for p, q in zip(u.parameters(), v.parameters()):
+                    np.testing.assert_array_equal(p.grad, q.grad)
+                    p.grad = q.grad = None
             for r, w in zip(u.buffers(), v.buffers()):
                 np.testing.assert_array_equal(r, w)
 
 
-@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+# gradients exist only with the tape on, where the encoders train
+@pytest.mark.parametrize("training", [True], ids=["train"])
 def test_spatial_encoder_two_encoder_gradcheck(training):
     encoders = _joint_encoders(2)
     x = np.random.default_rng(11).normal(size=(3, 7, 5, 4))
-    fixed = [Tensor(_fixed_like(f.data.shape)) for f in spatial_encoder(x, encoders, False, None, 0.0)]
+    with no_grad():
+        fixed = [Tensor(_fixed_like(f.data.shape)) for f in spatial_encoder(x, encoders, None, 0.0)]
 
     def loss():
-        feats = spatial_encoder(x, encoders, training, np.random.default_rng(5), 0.1)
+        with _mode(training):
+            feats = spatial_encoder(x, encoders, np.random.default_rng(5), 0.1)
         return add(*(tsum(mul(f, w)) for f, w in zip(feats, fixed)))
 
     assert gradcheck(loss, [p for enc in encoders for p in enc.parameters()]) < TOL
@@ -308,9 +333,9 @@ def test_spatial_encoder_refuses_unstackable_first_layers():
     a, b = _Encoder(4, [(3, 3, 2)]), _Encoder(4, [(3, 3, 1)])
     x = np.zeros((2, 5, 5, 4))
     with pytest.raises(ValueError, match="first layers differ"):
-        spatial_encoder(x, [a, b], False, None, 0.0)
+        spatial_encoder(x, [a, b], None, 0.0)
     with pytest.raises(ValueError, match="at least one encoder"):
-        spatial_encoder(x, [], False, None, 0.0)
+        spatial_encoder(x, [], None, 0.0)
 
 
 # the BLAS numpy calls must give the engine's merged or reoriented
@@ -342,7 +367,7 @@ def test_blas_conv_product_orientations_agree_at_desk_shapes(rows):
         kh, kw = convs[0].weight.data.shape[2:]
         cols = nn._im2col(xp, convs[0].stride, kh, kw, oh, ow)
         np.testing.assert_array_equal((cols @ weight.T).T, weight @ cols.T)
-        np.testing.assert_array_equal(nn._conv_rows(xp, convs, None, True, oh, ow)[0], weight @ cols.T)
+        np.testing.assert_array_equal(nn._conv_rows(xp, convs, None, oh, ow)[0], weight @ cols.T)
         shapes.append(weight.shape)
     assert shapes == [(16, 36), (16, 72)]
 
@@ -534,8 +559,7 @@ def test_batchnorm_conv_layout_gradcheck():
     x = RNG.normal(size=(3, 4, 4, 2))
     fixed = Tensor(_fixed_like((3, 2 * 4 * 4)))
     bn = enc.bns[0]
-    for training in (True, False):
-        assert gradcheck(lambda: tsum(mul(enc(x, training), fixed)), [bn.gamma, bn.beta]) < TOL
+    assert gradcheck(lambda: tsum(mul(enc(x), fixed)), [bn.gamma, bn.beta]) < TOL
 
 
 # softmax / cross-entropy

@@ -3,10 +3,11 @@ cycle cannot hide inside a function, and facts that several modules use
 stated in one place."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import hoopnet
-from hoopnet import labels, model, train
+from hoopnet import engine, labels, model, train
 
 PACKAGE = Path(hoopnet.__file__).parent
 
@@ -31,3 +32,7 @@ def test_variant_branches_and_the_court_edge_are_stated_once():
     restated = [str(path.relative_to(PACKAGE)) for path in sorted(PACKAGE.rglob("*.py"))
                 if path.name != "court.py" and "- 1e-9" in path.read_text(encoding="utf-8")]
     assert restated == []
+    # training versus inference only as the tape: on, or under no_grad()
+    assert "training" not in inspect.signature(model.HPNModel.run).parameters
+    assert "training" not in inspect.signature(engine.spatial_encoder).parameters
+    assert not hasattr(engine, "frozen_state")

@@ -7,7 +7,8 @@ import pytest
 
 from hoopnet.config import load_run_config
 from hoopnet.court import CourtSpec
-from hoopnet.engine import RMSProp, frozen_state, nn, spatial_encoder
+from hoopnet.engine import RMSProp, nn, no_grad, spatial_encoder
+from hoopnet.engine import tensor as tensor_mod
 from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
 from hoopnet.errors import CheckpointError
 from hoopnet.engine.tensor import softmax_array
@@ -246,7 +247,7 @@ def test_dense_grid_input_rejected():
     m = fresh(Variant.H_ATT)
     grid = np.zeros((2, 3, 4, SPEC.micro_rows, SPEC.micro_cols))
     with pytest.raises(ValueError, match=r"\(N, T, 11, 2\)"):
-        m.run(grid, m.reset_memory(2), training=False)
+        m.run(grid, m.reset_memory(2))
 
 
 def test_reset_and_replay_determinism():
@@ -345,8 +346,7 @@ def test_parameter_groups_and_freezing():
 def test_spatial_encoder_call_is_one_tape_node():
     m = fresh(Variant.H_ATT)
     pooled = pooled_occupancy(random_positions(RNG, n=6), SPEC, 4, np.float32)
-    outs = spatial_encoder(pooled, [m.micro_encoder, m.macro_encoder], True,
-                           np.random.default_rng(0), 1e-3)
+    outs = spatial_encoder(pooled, [m.micro_encoder, m.macro_encoder], np.random.default_rng(0), 1e-3)
     assert len(outs) == 2
     for out, enc in zip(outs, (m.micro_encoder, m.macro_encoder)):
         assert out._vjp is not None
@@ -400,7 +400,7 @@ def test_micro_init_identical_across_variants():
     np.testing.assert_array_equal(b.micro_core.w_update.data, c.micro_core.w_update.data)
 
 
-# frozen_state(): inference constants built once per scope
+# no_grad(): inference constants built once per outermost scope
 
 
 def perturbed(variant, seed=3, arch=ARCH):
@@ -439,7 +439,7 @@ def test_logits_inside_frozen_state_are_bit_identical(variant):
             if not key.startswith("_"):
                 memory[key] = np.full_like(memory[key], 0.25)
         want, want_memory = m.logits(x, memory)
-        with frozen_state():
+        with no_grad():
             for _ in range(2):  # the call that builds the constants, then one that reuses them
                 got, got_memory = m.logits(x, memory)
                 assert got.keys() == want.keys()
@@ -476,14 +476,11 @@ def test_writers_raise_inside_frozen_state(tmp_path):
     state = [a.tobytes() for _, a in m.named_state()]
     writers = _writers(m, tmp_path)
     x = positions(2, 3)
-    with frozen_state():
+    with no_grad():
         m.eval_logits(x)
         for name, write in writers.items():
-            with pytest.raises(RuntimeError, match=f"^{re.escape(name)} inside engine.nn.frozen_state"):
+            with pytest.raises(RuntimeError, match=rf"^{re.escape(name)} inside engine\.no_grad\(\)"):
                 write()
-        # training-mode batch norm advances its running statistics
-        with pytest.raises(RuntimeError, match="^Module.set_buffer"):
-            m.run(x, m.reset_memory(2), training=True)
     assert [a.tobytes() for _, a in m.named_state()] == state
 
 
@@ -492,10 +489,11 @@ def test_writers_raise_inside_frozen_state(tmp_path):
 def test_a_write_after_frozen_state_shows_in_the_next_call(tmp_path, writer):
     # the constants built in one scope do not reach the next: each
     # writer's change, and a write straight into the arrays, shows in the
-    # next scope's logits, which equal the logits outside any scope
+    # next scope's logits, which equal the logits of a call in a scope of
+    # its own
     m = perturbed(Variant.H_ATT)
     x = positions(2, 3)
-    with frozen_state():
+    with no_grad():
         before = logits_bytes(m, x)
     if writer == "in-place":
         rng = np.random.default_rng(5)
@@ -504,7 +502,7 @@ def test_a_write_after_frozen_state_shows_in_the_next_call(tmp_path, writer):
             bn.running_var[...] = rng.uniform(0.5, 2.0, bn.running_var.shape)
     else:
         _writers(m, tmp_path)[writer]()
-    with frozen_state():
+    with no_grad():
         after = logits_bytes(m, x)
     assert after != before
     assert after == logits_bytes(m, x)
@@ -514,9 +512,10 @@ DESK_ARCH = load_run_config((Path(__file__).resolve().parent.parent / "configs" 
                             .read_text()).arch
 
 
-def _unfolded_encoders(pooled, encoders, training, rng, noise_sigma):
-    """``spatial_encoder`` as the oracle's tape: conv, then batch norm."""
-    return [oracle_spatial_encoder(enc, pooled.transpose(0, 3, 1, 2), training, rng, noise_sigma)
+def _unfolded_encoders(pooled, encoders, rng, noise_sigma):
+    """Inference ``spatial_encoder`` as the oracle's tape: conv, then
+    batch norm."""
+    return [oracle_spatial_encoder(enc, pooled.transpose(0, 3, 1, 2), False, rng, noise_sigma)
             for enc in encoders]
 
 
@@ -528,10 +527,11 @@ def test_folded_inference_features_match_the_unfolded_encoder(seed):
     m = perturbed(Variant.H_ATT, seed, DESK_ARCH)
     pooled = pooled_occupancy(time_major(positions(8, 20, seed)), SPEC, math.prod(PYRAMID), np.float32)
     encoders = [m.micro_encoder, m.macro_encoder]
-    folded = spatial_encoder(pooled, encoders, False, None, 0.0)
-    plain = _unfolded_encoders(pooled, encoders, False, None, 0.0)
+    with no_grad():
+        folded = spatial_encoder(pooled, encoders, None, 0.0)
+    plain = _unfolded_encoders(pooled, encoders, None, 0.0)
     float64_model(m)
-    wide = _unfolded_encoders(pooled.astype(np.float64), encoders, False, None, 0.0)
+    wide = _unfolded_encoders(pooled.astype(np.float64), encoders, None, 0.0)
     for got, unfolded, want in zip(folded, plain, wide):
         assert got.data.dtype == unfolded.data.dtype == np.float32
         bound = 4 * np.finfo(np.float32).eps * np.abs(want.data).max()
@@ -559,14 +559,60 @@ def test_frozen_state_scopes_nest():
     x = positions(2, 3)
     want = logits_bytes(m, x)
     bn = m.micro_encoder.bn0
-    with frozen_state():
-        with frozen_state():
+    with no_grad():
+        with no_grad():
             assert logits_bytes(m, x) == want
         # the inner exit keeps the outer scope's constants and its refusals
-        assert nn._frozen_cache
+        assert tensor_mod._SCOPE_CONSTANTS
         with pytest.raises(RuntimeError, match="^Module.set_buffer"):
             bn.set_buffer("running_mean", bn.running_mean + 0.5)
         assert logits_bytes(m, x) == want
-    assert not nn._frozen_cache
+    assert not tensor_mod._SCOPE_CONSTANTS
     bn.set_buffer("running_mean", bn.running_mean + 0.5)
     assert logits_bytes(m, x) != want
+
+
+# one switch: the tape on trains the encoders, no_grad() infers
+
+
+def _buffers(m):
+    return [b.copy() for enc in (m.micro_encoder, m.macro_encoder) for bn in enc.bns
+            for b in (bn.running_mean, bn.running_var)]
+
+
+def test_a_taped_run_trains_the_encoders_even_when_they_are_frozen():
+    # batch statistics, advanced running buffers and noise, whether or not
+    # the encoders' parameters train (the attention stage holds them
+    # fixed): both runs give the same bits, and neither is inference's
+    x = positions(4, 3)
+    runs = []
+    for trainable in ({"micro", "macro", "transfer"}, {"transfer"}):
+        m = perturbed(Variant.H_ATT)
+        m.set_trainable(trainable)
+        rng, before = np.random.default_rng(2), _buffers(m)
+        outs, _ = m.run(x, m.reset_memory(4), rng=rng, noise_sigma=0.1)
+        after = _buffers(m)
+        assert not any(np.array_equal(a, b) for a, b in zip(after, before))
+        assert rng.bit_generator.state != np.random.default_rng(2).bit_generator.state
+        runs.append((outs["macro_logits"].data, after, rng.bit_generator.state))
+    (trained, buffers, state), (frozen, frozen_buffers, frozen_rng_state) = runs
+    np.testing.assert_array_equal(frozen, trained)
+    for a, b in zip(frozen_buffers, buffers):
+        np.testing.assert_array_equal(a, b)
+    assert frozen_rng_state == state
+    m = perturbed(Variant.H_ATT)
+    with no_grad():
+        inferred = m.run(x, m.reset_memory(4))[0]["macro_logits"].data
+    assert not np.allclose(inferred, trained)
+
+
+def test_a_run_under_no_grad_leaves_buffers_and_generator_be():
+    m = perturbed(Variant.H_ATT)
+    x = positions(4, 3)
+    rng, before = np.random.default_rng(2), _buffers(m)
+    with no_grad():
+        outs, _ = m.run(x, m.reset_memory(4), rng=rng, noise_sigma=0.1)
+    assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
+    for a, b in zip(_buffers(m), before):
+        np.testing.assert_array_equal(a, b)
+    assert all(not out.requires_grad for out in outs["raw_logits"])

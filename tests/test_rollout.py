@@ -288,12 +288,13 @@ def test_step_tensor_node_count(monkeypatch, variant, nodes):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_batch_rollout_equals_its_steps_outside_frozen_state(monkeypatch, variant):
+    # one no_grad() scope over the rollout, or each call in a scope of its own
     m = HPNModel(SPEC, ARCH, variant, 29)
     for mode in ("argmax", "sample"):
         cfg = RolloutConfig(burn_in_steps=20, horizon_steps=30, mode=mode, seed=6)
         scoped = [rollout_to_json(r) for r in batch_rollout(m, SEQS, cfg, SPEC)]
         with monkeypatch.context() as patch:
-            patch.setattr(rollout_mod, "frozen_state", contextlib.nullcontext)
+            patch.setattr(rollout_mod, "no_grad", contextlib.nullcontext)
             plain = [rollout_to_json(r) for r in batch_rollout(m, SEQS, cfg, SPEC)]
         assert scoped == plain
 
@@ -302,8 +303,9 @@ def test_batch_rollout_equals_its_steps_outside_frozen_state(monkeypatch, varian
 def test_desk_rollout_builds_each_inference_constant_once(monkeypatch, variant, pairs):
     # a 20 + 30 desk rollout is 31 model calls; it builds the folded
     # (weight, bias) pair of the stacked layer 0 and of each encoder's
-    # layer 1 once, where the same steps outside the scope build them on
-    # every call; no unfolded weight matrix is built beside them
+    # layer 1 once, where the same steps each in a no_grad() scope of
+    # their own build them on every call; no unfolded weight matrix is
+    # built beside them
     desk_cfg = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
     desk = load_run_config(desk_cfg.read_text())
     m = HPNModel(desk.court, desk.arch, variant, 1)
@@ -319,7 +321,7 @@ def test_desk_rollout_builds_each_inference_constant_once(monkeypatch, variant, 
     assert matrices == built
     built.clear()
     matrices.clear()
-    monkeypatch.setattr(rollout_mod, "frozen_state", contextlib.nullcontext)
+    monkeypatch.setattr(rollout_mod, "no_grad", contextlib.nullcontext)
     batch_rollout(m, SEQS[:1], cfg, desk.court)
     assert len(built) == 31 * pairs
     assert matrices == built
@@ -330,7 +332,7 @@ def test_a_failing_rollout_leaves_no_frozen_state_open():
     m.micro_heads[0].bias.data[0] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite values in the raw logits"):
         batch_rollout(m, SEQS, RolloutConfig(burn_in_steps=20, horizon_steps=5), SPEC)
-    assert nn_mod._frozen_depth == 0 and not nn_mod._frozen_cache
+    assert tensor_mod._GRAD_ENABLED and not tensor_mod._SCOPE_CONSTANTS
     bn = m.micro_encoder.bn0
     bn.set_buffer("running_mean", bn.running_mean + 0.5)  # writers work again
 

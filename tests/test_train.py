@@ -13,7 +13,7 @@ from hoopnet import train as train_mod
 from hoopnet.court import CourtSpec
 from hoopnet.data import SynthConfig, agent_positions, synthesize, window
 from hoopnet.engine import RMSProp, backward
-from hoopnet.engine.checkpoint import load_checkpoint, save_checkpoint
+from hoopnet.engine.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from hoopnet.engine.tensor import softmax_array
 from hoopnet.errors import ConfigError
 from hoopnet.bench import EvalMetrics, evaluate
@@ -87,12 +87,6 @@ def test_stage_schedules():
     assert Stage.PRETRAIN_ATTENTION not in stage_schedule(Variant.H_ATT)
     assert Stage.PRETRAIN_ATTENTION in stage_schedule(Variant.H_AUX)
     assert stage_schedule(Variant.H_CC)[-1] is Stage.FINETUNE
-
-
-def test_empty_schedule_rejected():
-    m = HPNModel(SPEC, ARCH, Variant.H_ATT, 1)
-    with pytest.raises(ConfigError, match="no stages"):
-        train_full(m, DATA[:4], [], small_cfg(), SPEC, seed=1, schedule=[])
 
 
 def test_stage_variant_mismatch():
@@ -271,7 +265,7 @@ def test_finetune_loss_decomposition_recomputed():
     # training-mode batch norm uses batch statistics, so a second run over
     # the same inputs reproduces the loss's forward pass
     n, t_steps = len(batch), batch[0].sequence.steps
-    outs, _ = m.run(assemble(batch, SPEC)["inputs"], m.reset_memory(n), training=True)
+    outs, _ = m.run(assemble(batch, SPEC)["inputs"], m.reset_memory(n))
     p_raw = [softmax_array(t.data) for t in outs["raw_logits"]]
     attention = softmax_array(outs["attention_logits"].data)
     total = 0.0
@@ -368,7 +362,7 @@ def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
 
     fused = tape_size()
     monkeypatch.setattr(model_mod, "spatial_encoder", lambda x, encoders, *args: [
-        oracle_spatial_encoder(enc, x.transpose(0, 3, 1, 2), *args) for enc in encoders])
+        oracle_spatial_encoder(enc, x.transpose(0, 3, 1, 2), True, *args) for enc in encoders])
     assert tape_size() - fused == 14
 
 
@@ -446,8 +440,8 @@ def test_finetune_batch_stays_float32():
     assert all(a.dtype == np.float32 for _, a in m.named_state())
     cfg = small_cfg(noise_sigma=1e-3)
     arrays = assemble(DATA[:4], SPEC)
-    outs, memory = m.run(arrays["inputs"], m.reset_memory(4), training=True,
-                         rng=rng_for(4, "noise"), noise_sigma=cfg.noise_sigma)
+    outs, memory = m.run(arrays["inputs"], m.reset_memory(4), rng=rng_for(4, "noise"),
+                         noise_sigma=cfg.noise_sigma)
     assert [t.data.dtype for t in (*outs["raw_logits"], outs["macro_logits"],
                                     outs["attention_logits"])] == [np.float32] * 6
     assert memory["micro"].dtype == memory["macro"].dtype == np.float32
@@ -672,19 +666,32 @@ def test_training_deterministic_same_seed(tmp_path):
     assert [rec.holdout for rec in r1.records] == [rec.holdout for rec in r2.records]
 
 
-def test_resume_matches_uninterrupted(tmp_path):
+class _Interrupted(Exception):
+    pass
+
+
+def test_resume_matches_uninterrupted(tmp_path, monkeypatch):
     cfg = small_cfg()
     full_path = tmp_path / "full.ckpt"
     m_full = HPNModel(SPEC, ARCH, Variant.H_ATT, 8)
     train_full(m_full, DATA[:8], [], cfg, SPEC, seed=4, checkpoint_path=full_path)
 
-    # interrupted: run only the first two stages, then resume
+    # interrupted as fine-tuning starts, after the first two stages'
+    # checkpoint, then resumed
     part_path = tmp_path / "part.ckpt"
     m_part = HPNModel(SPEC, ARCH, Variant.H_ATT, 8)
-    train_full(
-        m_part, DATA[:8], [], cfg, SPEC, seed=4, checkpoint_path=part_path,
-        schedule=[Stage.PRETRAIN_MICRO, Stage.PRETRAIN_MACRO],
-    )
+    run_stage = train_mod.run_stage
+
+    def interrupt_finetune(model, train_data, holdout_data, stage, *args):
+        if stage is Stage.FINETUNE:
+            raise _Interrupted
+        return run_stage(model, train_data, holdout_data, stage, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(train_mod, "run_stage", interrupt_finetune)
+        with pytest.raises(_Interrupted):
+            train_full(m_part, DATA[:8], [], cfg, SPEC, seed=4, checkpoint_path=part_path)
+    assert read_manifest(part_path)[2]["completed_stages"] == "pretrain_micro,pretrain_macro"
     m_resume = HPNModel(SPEC, ARCH, Variant.H_ATT, 8)
     train_full(m_resume, DATA[:8], [], cfg, SPEC, seed=4, checkpoint_path=part_path, resume=True)
     assert part_path.read_bytes() == full_path.read_bytes()
@@ -723,6 +730,35 @@ def test_report_rows_with_and_without_a_holdout_keep_their_bytes():
         "0.456789,3.500000,0.123,2\n"
         "finetune,0,0.500000,0.000000,0.000000,0.000000,0.000000,,,,0.250000,1.000,0\n"
     )
+
+
+# the holdout score each stage's early stopping watches: the head it trains
+WATCHED = {Stage.PRETRAIN_MICRO: "raw_acc_delta0", Stage.PRETRAIN_MACRO: "macro_acc",
+           Stage.PRETRAIN_ATTENTION: "attention_acc", Stage.FINETUNE: "acc_delta0"}
+
+
+@pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)
+def test_early_stopping_watches_the_head_each_stage_trains(monkeypatch, stage):
+    # scripted holdout scores over five epochs with a patience of two: the
+    # watched score flat while every other rises stops after three
+    # epochs; the watched score rising while the others stay flat runs all five
+    cfg = small_cfg(epochs_pretrain=5, epochs_finetune=5, early_stop_patience=2)
+    for watched_rises, epochs_run in ((False, 3), (True, 5)):
+        epochs = iter(range(5))
+
+        def scripted(*args, **kwargs):
+            epoch = next(epochs)
+            score = {key: epoch / 10 if (key == WATCHED[stage]) == watched_rises else 0.5
+                     for key in WATCHED.values()}
+            return EvalMetrics(acc_delta=(score["acc_delta0"], 0.0, 0.0, 0.0), n_delta=(1,) * 4,
+                               macro_acc=score["macro_acc"], macro_acc_excl_burnin=None,
+                               attention_acc=score["attention_acc"], tv_monitor=None,
+                               n_sequences=1, raw_acc_delta0=score["raw_acc_delta0"])
+
+        monkeypatch.setattr(train_mod.bench, "evaluate", scripted)
+        m = HPNModel(SPEC, ARCH, Variant.H_AUX, 1)
+        records = run_stage(m, DATA[:4], DATA[4:5], stage, cfg, SPEC, seed=1)
+        assert len(records) == epochs_run
 
 
 def test_run_stage_stores_evaluate_result_and_none_without_a_holdout():
