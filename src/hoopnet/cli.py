@@ -1,9 +1,11 @@
 """Command-line entry point wiring the full pipeline.
 
-Commands: synth, label, train, rollout, bench, render, repro.  One config
-document plus a single --seed flag determine every output byte; repeated
-runs with the same inputs produce identical artifacts (training reports
-record wall time and are the one exception).
+Commands: synth, label, train, rollout, bench, render, repro, defaults.
+One config document plus a single --seed flag determine every output
+byte; repeated runs with the same inputs produce identical artifacts
+(training reports record wall time and are the one exception).  Every
+command but defaults reads one ``Run``: the config with its seeds, the
+output layout, and the prepared sequences it shares between steps.
 
 Exit codes: 0 success, 1 usage/config, 2 data, 3 numeric divergence.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -24,16 +27,52 @@ from .config import RunConfig, dump_run_config, load_run_config
 from .engine.checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HoopnetError
 from .model import HPNModel, Variant
-from .train import TrainConfig, train_full
+from .train import train_full
 from .util import atomic_open, derive_seed, rng_for
 
 ALL_VARIANTS = [v.value for v in Variant]
 REPRO_VARIANTS = ["cnn", "gru_cnn", "h_cc", "h_att", "h_aux"]
 
 
-class _Paths:
-    def __init__(self, out_dir: str):
-        self.root = Path(out_dir)
+def _load_config(args) -> RunConfig:
+    text = None
+    if args.config:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    return load_run_config(text, args.set or [])
+
+
+def _prepare_sequences(cfg: RunConfig, possessions_path: Path, seed: int):
+    """Shared deterministic pipeline: ingest -> window -> label -> split."""
+    possessions = data_mod.ingest(possessions_path, cfg.court, cfg.data.bounds_tolerance_ft)
+    labeled: list[labels_mod.LabeledSequence] = []
+    for p in sorted(possessions, key=lambda p: p.id):
+        rng = rng_for(seed, "window", p.id)
+        for seq in data_mod.window(p, cfg.court, rng, cfg.data.windows_per_player):
+            labels = labels_mod.label_sequence(seq, cfg.court, cfg.labels)
+            labeled.append(labels_mod.LabeledSequence(seq, labels))
+    if not labeled:
+        raise DataError("no training sequences (all possessions shorter than a window?)")
+    train, holdout = data_mod.split(labeled, cfg.data.holdout_fraction, derive_seed(seed, "split"))
+    return train, holdout
+
+
+class Run:
+    """One invocation: the config with its seeds derived from ``seed``, the
+    output layout under ``paths.out_dir``, the (train, holdout) split and
+    each variant's model."""
+
+    def __init__(self, cfg: RunConfig, seed: int):
+        self.cfg = replace(
+            cfg,
+            synth=replace(cfg.synth, seed=derive_seed(seed, "synth")),
+            labels=replace(cfg.labels, seed=derive_seed(seed, "labels")),
+            rollout=replace(cfg.rollout, seed=derive_seed(seed, "rollout")),
+        )
+        self.seed = seed
+        self.root = Path(cfg.paths.out_dir)
         self.possessions = self.root / "possessions.jsonl"
         self.labels = self.root / "labels.jsonl"
         self.checkpoints = self.root / "checkpoints"
@@ -52,113 +91,78 @@ class _Paths:
     def rollout_file(self, variant: str) -> Path:
         return self.rollouts / f"{variant}.jsonl"
 
+    @cached_property
+    def split(self):
+        """(train, holdout), prepared from the possessions file on first
+        use and shared by every later step of the run."""
+        return _prepare_sequences(self.cfg, self.possessions, self.seed)
 
-def _load_config(args) -> RunConfig:
-    text = None
-    if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    return load_run_config(text, args.set or [])
+    def new_model(self, variant: str) -> HPNModel:
+        return HPNModel(self.cfg.court, self.cfg.arch, Variant(variant),
+                        derive_seed(self.seed, "init", variant))
 
-
-def _seeded(cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(
-        cfg,
-        synth=replace(cfg.synth, seed=derive_seed(seed, "synth")),
-        labels=replace(cfg.labels, seed=derive_seed(seed, "labels")),
-        rollout=replace(cfg.rollout, seed=derive_seed(seed, "rollout")),
-    )
-
-
-def _prepare_sequences(cfg: RunConfig, paths: _Paths, seed: int):
-    """Shared deterministic pipeline: ingest -> window -> label -> split."""
-    possessions = data_mod.ingest(paths.possessions, cfg.court, cfg.data.bounds_tolerance_ft)
-    labeled: list[labels_mod.LabeledSequence] = []
-    for p in sorted(possessions, key=lambda p: p.id):
-        rng = rng_for(seed, "window", p.id)
-        for seq in data_mod.window(p, cfg.court, rng, cfg.data.windows_per_player):
-            labels = labels_mod.label_sequence(seq, cfg.court, cfg.labels)
-            labeled.append(labels_mod.LabeledSequence(seq, labels))
-    if not labeled:
-        raise DataError("no training sequences (all possessions shorter than a window?)")
-    train, holdout = data_mod.split(labeled, cfg.data.holdout_fraction, derive_seed(seed, "split"))
-    return train, holdout
+    def trained_model(self, variant: str) -> HPNModel:
+        model = self.new_model(variant)
+        ckpt = self.checkpoint(variant)
+        if not ckpt.exists():
+            raise DataError(f"no checkpoint for variant {variant} at {ckpt}; run train first")
+        load_checkpoint(ckpt, model.state_for_checkpoint(), model.config_hash())
+        return model
 
 
-def _load_model(cfg: RunConfig, paths: _Paths, variant: str, seed: int) -> HPNModel:
-    model = HPNModel(cfg.court, cfg.arch, Variant(variant), derive_seed(seed, "init", variant))
-    ckpt = paths.checkpoint(variant)
-    if not ckpt.exists():
-        raise DataError(f"no checkpoint for variant {variant} at {ckpt}; run train first")
-    load_checkpoint(ckpt, model.state_for_checkpoint(), model.config_hash())
-    return model
+def cmd_synth(run: Run) -> None:
+    possessions = data_mod.synthesize(run.cfg.synth, run.cfg.court)
+    run.root.mkdir(parents=True, exist_ok=True)
+    data_mod.save_possessions(possessions, run.possessions)
+    print(f"wrote {len(possessions)} possessions to {run.possessions}")
 
 
-def cmd_synth(cfg: RunConfig, paths: _Paths, args) -> int:
-    possessions = data_mod.synthesize(cfg.synth, cfg.court)
-    paths.root.mkdir(parents=True, exist_ok=True)
-    data_mod.save_possessions(possessions, paths.possessions)
-    print(f"wrote {len(possessions)} possessions to {paths.possessions}")
-    return 0
-
-
-def cmd_label(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
-    train, holdout = split or _prepare_sequences(cfg, paths, args.seed)
+def cmd_label(run: Run) -> None:
+    train, holdout = run.split
     everything = train + holdout
     labels_mod.export_labels(
-        [it.sequence for it in everything], [it.labels for it in everything], paths.labels
+        [it.sequence for it in everything], [it.labels for it in everything], run.labels
     )
-    print(f"wrote {len(everything)} label rows to {paths.labels}")
-    return 0
+    print(f"wrote {len(everything)} label rows to {run.labels}")
 
 
-def _train_variant(
-    cfg: RunConfig, paths: _Paths, variant: str, seed: int, resume: bool, split=None
-) -> None:
-    train, holdout = split or _prepare_sequences(cfg, paths, seed)
-    model = HPNModel(cfg.court, cfg.arch, Variant(variant), derive_seed(seed, "init", variant))
-    paths.checkpoints.mkdir(parents=True, exist_ok=True)
-    paths.reports.mkdir(parents=True, exist_ok=True)
+def cmd_train(run: Run, variant: str, resume: bool = False) -> None:
+    train, holdout = run.split
+    model = run.new_model(variant)
+    run.checkpoints.mkdir(parents=True, exist_ok=True)
+    run.reports.mkdir(parents=True, exist_ok=True)
     report = train_full(
         model,
         train,
         holdout,
-        cfg.train,
-        cfg.court,
-        seed,
-        checkpoint_path=paths.checkpoint(variant),
+        run.cfg.train,
+        run.cfg.court,
+        run.seed,
+        checkpoint_path=run.checkpoint(variant),
         resume=resume,
     )
     if report is None:  # a finished run's report stays as it was
-        print(f"trained {variant}: every stage was already done in {paths.checkpoint(variant)}")
+        print(f"trained {variant}: every stage was already done in {run.checkpoint(variant)}")
         return
-    with atomic_open(paths.report(variant)) as fh:
+    with atomic_open(run.report(variant)) as fh:
         fh.write(report.to_csv())
     # the last epoch's holdout score covers at most train.holdout_eval_max
     # sequences, where bench scores them all
     final = report.records[-1].holdout if report.records else None
     acc = (f"{final.acc_delta[0]:.3f} over {final.n_sequences} of {len(holdout)} "
            "holdout sequences") if final else "n/a"
-    print(f"trained {variant}: checkpoint {paths.checkpoint(variant)}, holdout acc_delta0 {acc}")
+    print(f"trained {variant}: checkpoint {run.checkpoint(variant)}, holdout acc_delta0 {acc}")
 
 
-def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
-    _train_variant(cfg, paths, args.variant, args.seed, args.resume)
-    return 0
-
-
-def cmd_rollout(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
-    _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
-    model = _load_model(cfg, paths, args.variant, args.seed)
-    n = min(cfg.run.n_rollouts, len(holdout))
+def cmd_rollout(run: Run, variant: str) -> None:
+    _, holdout = run.split
+    model = run.trained_model(variant)
+    n = min(run.cfg.run.n_rollouts, len(holdout))
     sequences = [it.sequence for it in holdout[:n]]
-    results = rollout_mod.batch_rollout(model, sequences, cfg.rollout, cfg.court)
-    paths.rollouts.mkdir(parents=True, exist_ok=True)
-    rollout_mod.save_rollouts(results, paths.rollout_file(args.variant))
-    print(f"wrote {len(results)} rollouts to {paths.rollout_file(args.variant)}")
-    return 0
+    results = rollout_mod.batch_rollout(model, sequences, run.cfg.rollout, run.cfg.court)
+    run.rollouts.mkdir(parents=True, exist_ok=True)
+    rollout_mod.save_rollouts(results, run.rollout_file(variant))
+    print(f"wrote {len(results)} rollouts to {run.rollout_file(variant)}")
 
 
 def _check_distinct(variants: list[str] | None) -> None:
@@ -169,40 +173,37 @@ def _check_distinct(variants: list[str] | None) -> None:
         raise ConfigError(f"--variants names {', '.join(repeated)} more than once")
 
 
-def cmd_bench(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
-    _check_distinct(args.variants)
-    _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
-    variants = args.variants or [
-        v.value for v in Variant if paths.checkpoint(v.value).exists()
-    ]
+def cmd_bench(run: Run, variants: list[str] | None) -> None:
+    _check_distinct(variants)
+    _, holdout = run.split
+    variants = variants or [v.value for v in Variant if run.checkpoint(v.value).exists()]
     if not variants:
         raise DataError("no trained checkpoints found to benchmark")
-    models = {v: _load_model(cfg, paths, v, args.seed) for v in variants}
-    rows = bench_mod.benchmark(models, holdout, cfg.court, burn_in=cfg.rollout.burn_in_steps)
-    bench_mod.write_benchmark_csv(rows, paths.bench_csv)
+    models = {v: run.trained_model(v) for v in variants}
+    rows = bench_mod.benchmark(models, holdout, run.cfg.court, burn_in=run.cfg.rollout.burn_in_steps)
+    bench_mod.write_benchmark_csv(rows, run.bench_csv)
     for row in rows:
         print(
             f"{row.variant}: delta0 {row.acc_delta[0]:.3f}, "
             f"macro {row.macro_acc if row.macro_acc is not None else '-'}"
         )
-    print(f"wrote {paths.bench_csv}")
-    claim = bench_mod.claim_lines(rows, cfg.court)
+    print(f"wrote {run.bench_csv}")
+    claim = bench_mod.claim_lines(rows, run.cfg.court)
     if claim:
-        with atomic_open(paths.claim) as fh:
+        with atomic_open(run.claim) as fh:
             fh.write("\n".join(claim) + "\n")
-        print("\n".join(claim) + f"\nwrote {paths.claim}")
+        print("\n".join(claim) + f"\nwrote {run.claim}")
     else:  # claim.txt always describes the bench.csv beside it
-        paths.claim.unlink(missing_ok=True)
-    return 0
+        run.claim.unlink(missing_ok=True)
 
 
-def cmd_render(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
-    _, holdout = split or _prepare_sequences(cfg, paths, args.seed)
+def cmd_render(run: Run, variant: str) -> None:
+    _, holdout = run.split
     by_key = {
         (it.sequence.possession_id, it.sequence.focal_agent, it.sequence.t0): it.sequence
         for it in holdout
     }
-    results = rollout_mod.load_rollouts(paths.rollout_file(args.variant))
+    results = rollout_mod.load_rollouts(run.rollout_file(variant))
     sequences = []
     for r in results:
         key = (r.possession_id, r.focal_agent, r.t0)
@@ -210,35 +211,25 @@ def cmd_render(cfg: RunConfig, paths: _Paths, args, split=None) -> int:
             raise DataError(f"rollout {key} has no matching holdout sequence")
         sequences.append(by_key[key])
     written = render_mod.render_rollouts(
-        results, sequences, cfg.court, cfg.render, paths.svg, prefix=args.variant
+        results, sequences, run.cfg.court, run.cfg.render, run.svg, prefix=variant
     )
-    print(f"wrote {len(written)} SVGs to {paths.svg}")
-    return 0
+    print(f"wrote {len(written)} SVGs to {run.svg}")
 
 
-def cmd_repro(cfg: RunConfig, paths: _Paths, args) -> int:
+def cmd_repro(run: Run, variants: list[str]) -> None:
     """End-to-end desk-scale reproduction: synth, label, train every
     variant, benchmark, roll out and render the attention model.  The
-    sequences are prepared once and shared by every step."""
-    _check_distinct(args.variants)
-    cmd_synth(cfg, paths, args)
-    split = _prepare_sequences(cfg, paths, args.seed)
-    cmd_label(cfg, paths, args, split)
-    for variant in args.variants:
-        _train_variant(cfg, paths, variant, args.seed, resume=False, split=split)
-    bench_args = argparse.Namespace(seed=args.seed, variants=args.variants)
-    cmd_bench(cfg, paths, bench_args, split)
-    roll_variant = "h_att" if "h_att" in args.variants else args.variants[-1]
-    roll_args = argparse.Namespace(seed=args.seed, variant=roll_variant)
-    cmd_rollout(cfg, paths, roll_args, split)
-    cmd_render(cfg, paths, roll_args, split)
-    print(f"repro complete under {paths.root}")
-    return 0
-
-
-def cmd_defaults(cfg: RunConfig, paths: _Paths, args) -> int:
-    print(dump_run_config(cfg), end="")
-    return 0
+    run prepares the sequences once, after synth, for every step."""
+    _check_distinct(variants)
+    cmd_synth(run)
+    cmd_label(run)
+    for variant in variants:
+        cmd_train(run, variant)
+    cmd_bench(run, variants)
+    roll_variant = "h_att" if "h_att" in variants else variants[-1]
+    cmd_rollout(run, roll_variant)
+    cmd_render(run, roll_variant)
+    print(f"repro complete under {run.root}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,29 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "label": cmd_label,
-    "train": cmd_train,
-    "rollout": cmd_rollout,
-    "bench": cmd_bench,
-    "render": cmd_render,
-    "repro": cmd_repro,
-    "defaults": cmd_defaults,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command != "defaults" and args.seed is None:
+        if args.command == "defaults":
+            print(dump_run_config(_load_config(args)), end="")
+            return 0
+        if args.seed is None:
             raise ConfigError("--seed is required; randomness is never implicit")
-        cfg = _load_config(args)
-        if args.seed is not None:
-            cfg = _seeded(cfg, args.seed)
-        paths = _Paths(cfg.paths.out_dir)
-        return _COMMANDS[args.command](cfg, paths, args)
+        run = Run(_load_config(args), args.seed)
+        commands = {
+            "synth": lambda: cmd_synth(run),
+            "label": lambda: cmd_label(run),
+            "train": lambda: cmd_train(run, args.variant, args.resume),
+            "rollout": lambda: cmd_rollout(run, args.variant),
+            "bench": lambda: cmd_bench(run, args.variants),
+            "render": lambda: cmd_render(run, args.variant),
+            "repro": lambda: cmd_repro(run, args.variants),
+        }
+        commands[args.command]()
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,10 @@ class RunSettings:
 class PathsConfig:
     out_dir: str = "runs/out"
 
+    def validate(self) -> None:
+        if not self.out_dir:  # every output would land in the working directory
+            raise ConfigError("out_dir must name a directory")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -148,6 +152,7 @@ def _validate(cfg: RunConfig) -> None:
         "rollout": cfg.rollout.validate,
         "render": cfg.render.validate,
         "run": cfg.run.validate,
+        "paths": cfg.paths.validate,
     }
     for section, check in checks.items():
         try:

@@ -237,6 +237,7 @@ def test_desk_config_sets_every_key():
     "rollout.burn_in_steps=51",  # longer than a sequence
     "run.n_rollouts=0",  # would fail only after training
     "run.n_rollouts=-2",  # would drop the last two rollouts
+    "paths.out_dir=",  # would write every output into the working directory
 ])
 def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
     path = write_config(tmp_path)
@@ -459,8 +460,7 @@ def test_render_of_a_rollout_out_of_range_is_a_data_error(tmp_path, capsys, chan
     # no burn-in step to draw from, or a path shorter than its steps
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--seed", "4", "synth"]) == 0
-    cfg = cli._seeded(load_run_config(path.read_text(encoding="utf-8")), 4)
-    seq = cli._prepare_sequences(cfg, cli._Paths(cfg.paths.out_dir), 4)[1][0].sequence
+    seq = cli.Run(load_run_config(path.read_text(encoding="utf-8")), 4).split[1][0].sequence
     line = {"possession_id": seq.possession_id, "focal_agent": seq.focal_agent, "t0": seq.t0,
             "burn_in": 1, "horizon": 1, "mode": "argmax", "path": [[1.5, 2.0], [5.5, 2.0]],
             "macro_goals": [3, 3], "actions": [[170] * 4] * 2, "attention_argmax": [9, 9],
@@ -551,19 +551,37 @@ def test_repro_prepares_sequences_once(tmp_path, monkeypatch):
     calls = []
     prepare = cli._prepare_sequences
     monkeypatch.setattr(cli, "_prepare_sequences", lambda *a: calls.append(a) or prepare(*a))
-    base = ["--config", str(path), "--seed", "6", "--set", "train.epochs_pretrain=0",
-            "--set", "train.epochs_finetune=0"]
+    # one epoch of fine-tuning, so the report has rows and the checkpoint
+    # moved from its initial weights
+    base = ["--config", str(path), "--seed", "6", "--set", "train.epochs_pretrain=0"]
     assert main(base + ["repro", "--variants", "gru_cnn", "h_att"]) == 0
     assert len(calls) == 1
-    # the standalone commands prepare their own split and write the same bytes
+    # the standalone commands prepare their own split and write the same
+    # bytes; a training report differs only in its seconds column
     out = tmp_path / "out"
-    files = [out / "labels.jsonl", out / "bench.csv", out / "rollouts" / "h_att.jsonl"]
+    svgs = sorted((out / "svg").glob("*.svg"))
+    assert svgs
+    files = [out / "labels.jsonl", out / "bench.csv", out / "rollouts" / "h_att.jsonl",
+             out / "checkpoints" / "h_att.ckpt", *svgs]
+    report = out / "reports" / "h_att.csv"
+
+    def without_seconds(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        column = rows[0].index("seconds")
+        return [row[:column] + row[column + 1:] for row in rows]
+
     before = [f.read_bytes() for f in files]
+    report_before = without_seconds(report)
+    assert len(report_before) > 1
     assert main(base + ["label"]) == 0
+    assert main(base + ["train", "--variant", "h_att"]) == 0
     assert main(base + ["bench", "--variants", "gru_cnn", "h_att"]) == 0
     assert main(base + ["rollout", "--variant", "h_att"]) == 0
-    assert len(calls) == 4
+    assert main(base + ["render", "--variant", "h_att"]) == 0
+    assert len(calls) == 6
     assert [f.read_bytes() for f in files] == before
+    assert sorted((out / "svg").glob("*.svg")) == svgs
+    assert without_seconds(report) == report_before
 
 
 def test_claim_describes_the_bench_csv_beside_it(tmp_path, capsys):
