@@ -27,7 +27,7 @@ from .config import RunConfig, dump_run_config, load_run_config
 from .engine.checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HoopnetError
 from .model import HPNModel, Variant
-from .train import train_full
+from .train import completed_stages, stage_schedule, train_full
 from .util import atomic_open, derive_seed, rng_for
 
 ALL_VARIANTS = [v.value for v in Variant]
@@ -106,7 +106,11 @@ class Run:
         ckpt = self.checkpoint(variant)
         if not ckpt.exists():
             raise DataError(f"no checkpoint for variant {variant} at {ckpt}; run train first")
-        load_checkpoint(ckpt, model.state_for_checkpoint(), model.config_hash())
+        done = completed_stages(load_checkpoint(ckpt, model.state_for_checkpoint(), model.config_hash()))
+        left = [s.value for s in stage_schedule(model.variant) if s.value not in done]
+        if left:  # training diverged or was stopped after an earlier stage
+            raise DataError(f"checkpoint {ckpt} has not finished stages {', '.join(left)}; "
+                            f"run train --variant {variant} --resume")
         return model
 
 

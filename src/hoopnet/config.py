@@ -1,22 +1,25 @@
 """One plain-text configuration document drives every command.
 
 Format: UTF-8, one ``section.key = value`` per line, ``#`` comments.
-Each section maps onto one config dataclass; unknown sections or keys are
-rejected, values are coerced by the dataclass field types, and every
-section's own checks run when the document loads.  Seed
-fields never live in the document: the CLI derives them from its single
-``--seed`` flag.
+Each section maps onto one config dataclass, a field of ``RunConfig``;
+unknown sections or keys are rejected and values are coerced by the
+dataclass field types.  Every section checks its own fields when it is
+built and raises ValueError; ``RunConfig`` checks the court against the
+sections whose module constants it must suit, and raises ConfigError
+naming the section.  A config is checked wherever it is built, so no use
+site checks it again.  Seed fields never live in the document: the CLI
+derives them from its single ``--seed`` flag.
 """
 
 from __future__ import annotations
 
 import functools
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .court import CourtSpec
 from .data import DataConfig, SynthConfig
-from .errors import ConfigError, HoopnetError
+from .errors import ConfigError
 from .labels import SegmentationConfig
 from .model import ArchitectureConfig
 from .render import RenderSpec
@@ -28,18 +31,18 @@ from .train import TrainConfig
 class RunSettings:
     n_rollouts: int = 12
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_rollouts < 1:
-            raise ConfigError("n_rollouts must be >= 1")
+            raise ValueError("n_rollouts must be >= 1")
 
 
 @dataclass(frozen=True)
 class PathsConfig:
     out_dir: str = "runs/out"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.out_dir:  # every output would land in the working directory
-            raise ConfigError("out_dir must name a directory")
+            raise ValueError("out_dir must name a directory")
 
 
 @dataclass(frozen=True)
@@ -55,19 +58,18 @@ class RunConfig:
     run: RunSettings = field(default_factory=RunSettings)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
+    def __post_init__(self) -> None:
+        # the walk's top speed, the attention step sizes and the input
+        # pyramid must fit the court
+        for section in ("synth", "labels", "arch"):
+            try:
+                getattr(self, section).validate(self.court)
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
 
-_SECTIONS: dict[str, type] = {
-    "court": CourtSpec,
-    "data": DataConfig,
-    "synth": SynthConfig,
-    "labels": SegmentationConfig,
-    "arch": ArchitectureConfig,
-    "train": TrainConfig,
-    "rollout": RolloutConfig,
-    "render": RenderSpec,
-    "run": RunSettings,
-    "paths": PathsConfig,
-}
+
+# section name -> its dataclass, in document order
+_SECTIONS: dict[str, type] = typing.get_type_hints(RunConfig)
 
 _HIDDEN_FIELDS = {"seed"}  # provided by --seed, never by the document
 
@@ -119,7 +121,7 @@ def parse_document(text: str) -> dict[tuple[str, str], str]:
 
 
 def _apply(entries: dict[tuple[str, str], str]) -> RunConfig:
-    updates: dict[str, dict] = {}
+    updates: dict[str, dict] = {section: {} for section in _SECTIONS}
     for (section, key), value in entries.items():
         cls = _SECTIONS.get(section)
         if cls is None:
@@ -129,43 +131,21 @@ def _apply(entries: dict[tuple[str, str], str]) -> RunConfig:
             raise ConfigError(f"{section}.{key}: seeds come from --seed, not the document")
         if key not in types:
             raise ConfigError(f"unknown config key {section}.{key}")
-        updates.setdefault(section, {})[key] = _coerce(value, types[key], f"{section}.{key}")
-    out = RunConfig()
+        updates[section][key] = _coerce(value, types[key], f"{section}.{key}")
+    sections = {}
     for section, kv in updates.items():
         try:
-            value = replace(getattr(out, section), **kv)
-        except ValueError as exc:  # CourtSpec checks its values when built
+            sections[section] = _SECTIONS[section](**kv)
+        except ValueError as exc:  # each section checks its values when built
             raise ConfigError(f"{section}: {exc}") from exc
-        out = replace(out, **{section: value})
-    return out
-
-
-def _validate(cfg: RunConfig) -> None:
-    """Run each section's own checks (CourtSpec ran its own when built);
-    a failure raises ConfigError naming the section."""
-    checks = {
-        "data": cfg.data.validate,
-        "synth": lambda: cfg.synth.validate(cfg.court),
-        "labels": lambda: cfg.labels.validate(cfg.court),
-        "arch": lambda: cfg.arch.validate(cfg.court),
-        "train": cfg.train.validate,
-        "rollout": cfg.rollout.validate,
-        "render": cfg.render.validate,
-        "run": cfg.run.validate,
-        "paths": cfg.paths.validate,
-    }
-    for section, check in checks.items():
-        try:
-            check()
-        except (ValueError, HoopnetError) as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
+    return RunConfig(**sections)
 
 
 def load_run_config(
     text: str | None = None, overrides: list[str] | None = None
 ) -> RunConfig:
-    """Build a RunConfig from a document plus ``section.key=value`` overrides,
-    then check every section; a bad value raises ConfigError.  Document and
+    """Build a RunConfig from a document plus ``section.key=value`` overrides;
+    a bad value raises ConfigError naming its section.  Document and
     overrides (a later one wins) apply as one update, so a change of
     several court keys is checked only as a whole.  Each override is one
     line holding one ``section.key=value``; a comment, a blank or a
@@ -176,9 +156,7 @@ def load_run_config(
         if len(entry) != 1:
             raise ConfigError(f"--set {item!r}: expected one section.key=value")
         entries.update(entry)
-    cfg = _apply(entries)
-    _validate(cfg)
-    return cfg
+    return _apply(entries)
 
 
 def dump_run_config(cfg: RunConfig) -> str:

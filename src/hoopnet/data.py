@@ -106,12 +106,14 @@ class SynthConfig:
     n_possessions: int = 220
     seed: int = 0
 
-    def validate(self, spec: CourtSpec) -> None:
+    def __post_init__(self) -> None:
         if self.n_possessions < 0:
-            raise DataError("n_possessions must be >= 0")
+            raise ValueError("n_possessions must be >= 0")
+
+    def validate(self, spec: CourtSpec) -> None:
         max_ft = spec.velocity_radius_cells * spec.micro_cell_ft
         if SPEED_MAX_FT_PER_FRAME > max_ft:
-            raise DataError(
+            raise ValueError(
                 f"walk speeds reach {SPEED_MAX_FT_PER_FRAME} ft/frame, beyond the velocity "
                 f"grid radius ({max_ft} ft/frame); labels would always clip"
             )
@@ -123,11 +125,11 @@ class DataConfig:
     holdout_fraction: float = 1.0 / 11.0
     bounds_tolerance_ft: float = 3.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.windows_per_player < 1:
-            raise DataError("windows_per_player must be >= 1")
+            raise ValueError("windows_per_player must be >= 1")
         if not 0.0 < self.holdout_fraction < 1.0:
-            raise DataError("holdout_fraction must be in (0, 1)")
+            raise ValueError("holdout_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)

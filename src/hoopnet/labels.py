@@ -30,9 +30,11 @@ class SegmentationConfig:
     min_segment_steps: int = 15
     seed: int = 0
 
-    def validate(self, spec: CourtSpec) -> None:
+    def __post_init__(self) -> None:
         if self.min_segment_steps < 1:
             raise ValueError("min_segment_steps must be >= 1")
+
+    def validate(self, spec: CourtSpec) -> None:
         if MAGNITUDE_MAX > spec.velocity_radius_cells:
             raise ValueError(
                 f"attention step sizes reach {MAGNITUDE_MAX} velocity cells, beyond "

@@ -109,12 +109,7 @@ class ArchitectureConfig:
     gru_cells: int = 128
     transfer_hidden: int = 64
 
-    def validate(self, spec: CourtSpec) -> None:
-        rows, cols = spec.micro_rows, spec.micro_cols
-        for k in PYRAMID:
-            if k > rows or k > cols:
-                raise ValueError(f"pyramid kernel {k} exceeds grid {rows}x{cols}")
-            rows, cols = -(-rows // k), -(-cols // k)
+    def __post_init__(self) -> None:
         if not self.conv_filters or any(f < 1 for f in self.conv_filters):
             raise ValueError("conv_filters must list positive filter counts")
         if len(self.conv_strides) != len(self.conv_filters):
@@ -124,6 +119,14 @@ class ArchitectureConfig:
         if self.gru_cells < 1 or self.transfer_hidden < 1:
             raise ValueError("gru_cells and transfer_hidden must be >= 1")
 
+    def validate(self, spec: CourtSpec) -> None:
+        k = 1
+        for level in PYRAMID:
+            rows, cols = pooled_grid(spec, k)
+            if level > rows or level > cols:
+                raise ValueError(f"pyramid kernel {level} exceeds grid {rows}x{cols}")
+            k *= level
+
 
 # the 27 pairs of agents i <= j that share a channel (each agent with
 # itself too), and a (27, 11) matrix marking the agents of each pair
@@ -132,6 +135,12 @@ _PAIRS = np.nonzero(np.triu(np.equal.outer(_CHANNELS, _CHANNELS)))
 # held as float32: its 0/1 entries, and the counts (at most 11) summed over
 # them, are exact in every float dtype
 _PAIR_AGENTS = np.equal.outer(_PAIRS, np.arange(len(_CHANNELS))).any(axis=0).astype(np.float32)
+
+
+def pooled_grid(spec: CourtSpec, k: int) -> tuple[int, int]:
+    """(rows, cols) of the fine grid max-pooled in k x k blocks; the
+    blocks at the far edges cover only the cells that exist."""
+    return -(-spec.micro_rows // k), -(-spec.micro_cols // k)
 
 
 def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int, dtype) -> np.ndarray:
@@ -150,11 +159,10 @@ def pooled_occupancy(positions: np.ndarray, spec: CourtSpec, k: int, dtype) -> n
     largest count per block and channel.
     """
     m = positions.shape[0]
-    rows, cols = spec.micro_rows, spec.micro_cols
     cell_cols, cell_rows = spec.cells_from_positions(positions)
-    cell = cell_rows * cols + cell_cols
+    cell = cell_rows * spec.micro_cols + cell_cols
     counts = (cell[:, _PAIRS[0]] == cell[:, _PAIRS[1]]).astype(dtype) @ _PAIR_AGENTS
-    out_rows, out_cols = -(-rows // k), -(-cols // k)
+    out_rows, out_cols = pooled_grid(spec, k)
     out = np.zeros(m * out_rows * out_cols * 4, dtype)
     blocks = ((np.arange(m)[:, None] * out_rows + cell_rows // k) * out_cols + cell_cols // k) * 4
     np.maximum.at(out, (blocks + _CHANNELS).ravel(), counts.ravel())
@@ -181,8 +189,7 @@ class SpatialEncoder(Module):
 
     def __init__(self, spec: CourtSpec, arch: ArchitectureConfig, rng: np.random.Generator):
         super().__init__()
-        k = math.prod(PYRAMID)
-        rows, cols = -(-spec.micro_rows // k), -(-spec.micro_cols // k)  # as pooled_occupancy
+        rows, cols = pooled_grid(spec, math.prod(PYRAMID))
         convs, bns = [], []
         channels = 4
         for i, (f, stride) in enumerate(zip(arch.conv_filters, arch.conv_strides)):
@@ -258,10 +265,10 @@ class HPNModel(Module):
         return self.micro_heads[0].weight.data.dtype
 
     def parameter_groups(self) -> dict[str, list]:
-        groups: dict[str, list] = {"micro": [], "macro": [], "transfer": [], "combine": []}
+        groups: dict[str, list] = {"micro": [], "macro": [], "attention": [], "combine": []}
         for name, p in self.named_parameters():
-            if name.startswith("transfer"):
-                groups["transfer"].append(p)
+            if name.startswith("transfer"):  # the attention branch's transfer net
+                groups["attention"].append(p)
             elif name.startswith("combine"):
                 groups["combine"].append(p)
             elif name.startswith("macro"):
@@ -272,7 +279,10 @@ class HPNModel(Module):
 
     def set_trainable(self, group_names: set[str]) -> None:
         """Train the listed parameter groups and hold the others fixed."""
-        for gname, params in self.parameter_groups().items():
+        groups = self.parameter_groups()
+        if not group_names <= groups.keys():
+            raise ValueError(f"unknown parameter groups {sorted(group_names - groups.keys())}")
+        for gname, params in groups.items():
             for p in params:
                 p.requires_grad = gname in group_names
 

@@ -37,9 +37,9 @@ BOX_MAX_OPACITY = 0.55  # fill opacity of the most often predicted goal box
 class RenderSpec:
     scale_px_per_ft: float = 12.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.scale_px_per_ft <= 0:
-            raise DataError("scale_px_per_ft must be positive")
+            raise ValueError("scale_px_per_ft must be positive")
 
 
 def _f(v: float) -> str:
@@ -77,7 +77,6 @@ def render_rollout_svg(
     spec: CourtSpec,
     rspec: RenderSpec,
 ) -> str:
-    rspec.validate()
     canvas = _Canvas(spec, rspec)
     w_px = spec.width_ft * rspec.scale_px_per_ft
     h_px = spec.height_ft * rspec.scale_px_per_ft

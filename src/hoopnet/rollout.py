@@ -43,13 +43,13 @@ class RolloutConfig:
     mode: str = "argmax"  # argmax | sample
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.burn_in_steps <= SEQUENCE_STEPS:
-            raise ConfigError(f"burn_in_steps must be in [1, {SEQUENCE_STEPS}], the burn-in of one sequence")
+            raise ValueError(f"burn_in_steps must be in [1, {SEQUENCE_STEPS}], the burn-in of one sequence")
         if self.horizon_steps < 0:
-            raise ConfigError("horizon_steps must be >= 0")
+            raise ValueError("horizon_steps must be >= 0")
         if self.mode not in ("argmax", "sample"):
-            raise ConfigError(f"unknown rollout mode {self.mode!r}")
+            raise ValueError(f"unknown rollout mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,6 @@ def batch_rollout(
     call and each horizon step as one more; results are in input order
     and each equals that sequence rolled out alone.  ``threads`` is
     ignored (kept for callers that pass it)."""
-    config.validate()
     if not sequences:
         raise ConfigError("batch_rollout needs at least one sequence")
     burn_in = config.burn_in_steps

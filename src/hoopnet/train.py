@@ -56,17 +56,17 @@ class TrainConfig:
     holdout_eval_max: int = 128
     early_stop_patience: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.lr_pretrain <= 0 or self.lr_finetune <= 0:
-            raise ConfigError("lr_pretrain and lr_finetune must be positive")
+            raise ValueError("lr_pretrain and lr_finetune must be positive")
         if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (batch normalization)")
+            raise ValueError("batch_size must be >= 2 (batch normalization)")
         # 0 turns noise, translation and early stopping off;
         # holdout_eval_max = 0 evaluates the whole holdout
         for name in ("epochs_pretrain", "epochs_finetune", "noise_sigma",
                      "translate_max_cells", "holdout_eval_max", "early_stop_patience"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -123,14 +123,17 @@ def stage_schedule(variant: Variant) -> list[Stage]:
     return [Stage.PRETRAIN_MICRO, Stage.PRETRAIN_MACRO, Stage.FINETUNE]
 
 
-# Per stage: the parameter groups it trains and the branches it needs.  A
-# stage runs the branches it needs; fine-tuning runs every branch the
-# model has, and needs a macro branch.
-_STAGES: dict[Stage, tuple[set[str], frozenset[str]]] = {
-    Stage.PRETRAIN_MICRO: ({"micro"}, frozenset({"micro"})),
-    Stage.PRETRAIN_MACRO: ({"macro"}, frozenset({"macro"})),
-    Stage.PRETRAIN_ATTENTION: ({"transfer"}, frozenset({"macro", "attention"})),
-    Stage.FINETUNE: ({"micro", "macro", "transfer", "combine"}, frozenset({"micro", "macro"})),
+# Per stage: the parameter groups it trains, the branches it needs, and
+# the holdout accuracy of the head it trains, which early stopping
+# watches.  A stage runs the branches it needs; fine-tuning runs every
+# branch the model has, and needs a macro branch.
+_STAGES: dict[Stage, tuple] = {
+    Stage.PRETRAIN_MICRO: ({"micro"}, frozenset({"micro"}), lambda m: m.raw_acc_delta0),
+    Stage.PRETRAIN_MACRO: ({"macro"}, frozenset({"macro"}), lambda m: m.macro_acc),
+    Stage.PRETRAIN_ATTENTION: ({"attention"}, frozenset({"macro", "attention"}),
+                               lambda m: m.attention_acc),
+    Stage.FINETUNE: ({"micro", "macro", "attention", "combine"}, frozenset({"micro", "macro"}),
+                     lambda m: m.acc_delta[0]),
 }
 
 
@@ -142,16 +145,6 @@ def stage_branches(model: HPNModel, stage: Stage) -> frozenset[str]:
         raise ConfigError(f"{stage.value} needs branches {sorted(needs)}; "
                           f"variant {model.variant.value} has {sorted(model.branches)}")
     return model.branches if stage is Stage.FINETUNE else needs
-
-
-# Per stage: the holdout accuracy of the head it trains, which early
-# stopping watches
-_STOP_SCORES = {
-    Stage.PRETRAIN_MICRO: lambda m: m.raw_acc_delta0,
-    Stage.PRETRAIN_MACRO: lambda m: m.macro_acc,
-    Stage.PRETRAIN_ATTENTION: lambda m: m.attention_acc,
-    Stage.FINETUNE: lambda m: m.acc_delta[0],
-}
 
 
 # batch assembly and augmentation
@@ -272,7 +265,6 @@ def run_stage(
     spec: CourtSpec,
     seed: int,
 ) -> list[EpochRecord]:
-    cfg.validate()
     stage_branches(model, stage)
     model.set_trainable(_STAGES[stage][0])
     # every stage starts from a fresh optimizer so a run can resume at
@@ -325,7 +317,7 @@ def run_stage(
             )
         )
         if metrics is not None and cfg.early_stop_patience > 0:
-            score = _STOP_SCORES[stage](metrics)
+            score = _STAGES[stage][2](metrics)
             if score > best_acc + 1e-12:
                 best_acc = score
                 since_best = 0
@@ -334,6 +326,12 @@ def run_stage(
                 if since_best >= cfg.early_stop_patience:
                     break
     return records
+
+
+def completed_stages(meta: dict[str, str]) -> list[str]:
+    """Names of the stages a checkpoint's metadata records as done, in
+    the order they ran."""
+    return [s for s in meta.get("completed_stages", "").split(",") if s]
 
 
 def train_full(
@@ -361,7 +359,7 @@ def train_full(
         meta = load_checkpoint(
             checkpoint_path, model.state_for_checkpoint(), model.config_hash()
         )
-        done = [s for s in meta.get("completed_stages", "").split(",") if s]
+        done = completed_stages(meta)
         if all(stage.value in done for stage in schedule):
             return None
     records: list[EpochRecord] = []

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from hoopnet import cli
 from hoopnet import data as data_mod
+from hoopnet import train as train_mod
 from hoopnet.cli import main
 from hoopnet.config import (
     RunConfig,
@@ -19,10 +21,11 @@ from hoopnet.config import (
     load_run_config,
     parse_document,
 )
+from hoopnet.court import CourtSpec
 from hoopnet.errors import ConfigError
 from hoopnet.labels import MAGNITUDE_MAX, MAGNITUDE_MIN, STATIONARY_SPEED_FT_PER_RAW_FRAME
 from hoopnet.model import CONV_KERNEL, PYRAMID, HPNModel
-from hoopnet.train import DECAY, GRAD_CLIP_NORM, L2_ACTIVATION_WEIGHT, MOMENTUM, RHO
+from hoopnet.train import DECAY, GRAD_CLIP_NORM, L2_ACTIVATION_WEIGHT, MOMENTUM, RHO, Stage
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -227,7 +230,7 @@ def test_desk_config_sets_every_key():
     assert keys == parse_document(dump_run_config(RunConfig())).keys()
 
 
-@pytest.mark.parametrize("override", [
+BAD_VALUES = [
     "court.micro_cell_ft=0.3",  # does not divide the court
     "data.holdout_fraction=0",  # no holdout split
     "data.windows_per_player=0",  # no training sequences
@@ -238,7 +241,15 @@ def test_desk_config_sets_every_key():
     "run.n_rollouts=0",  # would fail only after training
     "run.n_rollouts=-2",  # would drop the last two rollouts
     "paths.out_dir=",  # would write every output into the working directory
-])
+]
+
+
+def _typed(section: str, key: str, value: str):
+    """``value`` as the type of the key's default."""
+    return type(getattr(getattr(RunConfig(), section), key))(value)
+
+
+@pytest.mark.parametrize("override", BAD_VALUES)
 def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--seed", "1", "--set", override, "synth"]) == 1
@@ -250,7 +261,16 @@ def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("overrides, section", [
+@pytest.mark.parametrize("override", BAD_VALUES)
+def test_bad_config_values_stop_when_the_section_is_built(override):
+    # a library caller that builds a section gets the same refusal
+    dotted, value = override.split("=")
+    section, key = dotted.split(".")
+    with pytest.raises(ValueError, match=key):
+        replace(getattr(RunConfig(), section), **{key: _typed(section, key, value)})
+
+
+COURT_TOO_SMALL = [
     # a velocity radius below MAGNITUDE_MAX
     ([f"court.velocity_radius_cells={MAGNITUDE_MAX - 1}"], "labels"),
     # a 1x1 fine grid, smaller than the first kernel of PYRAMID
@@ -258,7 +278,10 @@ def test_bad_config_values_stop_at_load(tmp_path, capsys, override):
      "arch"),
     # a velocity radius of 1 ft/frame, below the walk's top speed
     (["court.velocity_radius_cells=1"], "synth"),
-])
+]
+
+
+@pytest.mark.parametrize("overrides, section", COURT_TOO_SMALL)
 def test_court_too_small_for_a_constant_stops_at_load(tmp_path, capsys, overrides, section):
     path = write_config(tmp_path)
     args = [arg for override in overrides for arg in ("--set", override)]
@@ -267,6 +290,14 @@ def test_court_too_small_for_a_constant_stops_at_load(tmp_path, capsys, override
     assert err.startswith(f"error: {section}: ")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, section", COURT_TOO_SMALL)
+def test_run_config_refuses_a_court_too_small_for_a_constant(overrides, section):
+    keys = dict(override.removeprefix("court.").split("=") for override in overrides)
+    court = CourtSpec(**{key: _typed("court", key, value) for key, value in keys.items()})
+    with pytest.raises(ConfigError, match=f"^{section}: "):
+        RunConfig(court=court)
 
 
 @pytest.mark.parametrize("override", [
@@ -484,6 +515,39 @@ def test_bench_requires_checkpoints(tmp_path):
     main(["--config", str(path), "--seed", "4", "synth"])
     code = main(["--config", str(path), "--seed", "4", "bench"])
     assert code == 2  # nothing trained yet
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_an_unfinished_checkpoint_is_not_scored(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path)
+    base = ["--config", str(path), "--seed", "4"]
+    out = tmp_path / "out"
+    assert main(base + ["synth"]) == 0
+    run_stage = train_mod.run_stage
+
+    def interrupt_finetune(model, train_data, holdout_data, stage, *args):
+        if stage is Stage.FINETUNE:
+            raise _Interrupted
+        return run_stage(model, train_data, holdout_data, stage, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(train_mod, "run_stage", interrupt_finetune)
+        with pytest.raises(_Interrupted):
+            main(base + ["train", "--variant", "h_att"])
+    assert (out / "checkpoints" / "h_att.ckpt").exists()
+    capsys.readouterr()
+    for command in (["bench", "--variants", "h_att"], ["bench"], ["rollout", "--variant", "h_att"]):
+        assert main(base + command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "finetune" in err and "--resume" in err
+    assert not (out / "bench.csv").exists() and not (out / "claim.txt").exists()
+    assert not (out / "rollouts").exists()
+    assert main(base + ["train", "--variant", "h_att", "--resume"]) == 0
+    assert main(base + ["bench", "--variants", "h_att"]) == 0
+    assert (out / "bench.csv").exists()
 
 
 def test_corrupt_checkpoint_is_an_error_line(tmp_path, capsys):

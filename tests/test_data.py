@@ -254,10 +254,12 @@ def test_synthesize_deterministic_bytes(tmp_path):
 
 
 def test_synthesize_validates():
-    with pytest.raises(DataError, match="n_possessions"):
-        synthesize(SynthConfig(n_possessions=-1), SPEC)
-    # a velocity grid of radius 1 ft/frame, below the walk's top speed
-    with pytest.raises(DataError, match=f"walk speeds reach {data_mod.SPEED_MAX_FT_PER_FRAME} ft/frame"):
+    # a bad count is refused when the config is built
+    with pytest.raises(ValueError, match="n_possessions"):
+        SynthConfig(n_possessions=-1)
+    # a velocity grid of radius 1 ft/frame, below the walk's top speed: the
+    # court comes with the call, so synthesize checks the pair
+    with pytest.raises(ValueError, match=f"walk speeds reach {data_mod.SPEED_MAX_FT_PER_FRAME} ft/frame"):
         synthesize(SynthConfig(n_possessions=2, seed=1), CourtSpec(velocity_radius_cells=1))
 
 

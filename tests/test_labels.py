@@ -337,7 +337,7 @@ def test_merge_short_segments_in_one_pass_matches_the_rescanning_merge(runs, min
 
 def test_segmentation_config_validation():
     with pytest.raises(ValueError, match="min_segment_steps"):
-        SegmentationConfig(min_segment_steps=0).validate(SPEC)
+        SegmentationConfig(min_segment_steps=0)  # refused when built
     with pytest.raises(ValueError, match="velocity_radius_cells"):
         SegmentationConfig().validate(CourtSpec(velocity_radius_cells=MAGNITUDE_MAX - 1))
     SegmentationConfig().validate(CourtSpec(velocity_radius_cells=MAGNITUDE_MAX))

@@ -334,13 +334,17 @@ def test_h_stack_chains_heads():
 def test_parameter_groups_and_freezing():
     m = fresh(Variant.H_AUX)
     groups = m.parameter_groups()
-    assert groups["micro"] and groups["macro"] and groups["transfer"]
+    assert groups["micro"] and groups["macro"] and groups["attention"]
     assert not groups["combine"]
     m.set_trainable({"macro"})
     assert all(not p.requires_grad for p in groups["micro"])
     assert all(p.requires_grad for p in groups["macro"])
-    m.set_trainable({"micro", "macro", "transfer", "combine"})
+    m.set_trainable({"micro", "macro", "attention", "combine"})
     assert all(p.requires_grad for p in m.parameters())
+    # the groups are the branches of BRANCHES, and no other name trains
+    assert set(groups) == set().union(*model_mod.BRANCHES.values())
+    with pytest.raises(ValueError, match="transfer"):
+        m.set_trainable({"transfer"})
 
 
 def test_spatial_encoder_call_is_one_tape_node():
@@ -586,7 +590,7 @@ def test_a_taped_run_trains_the_encoders_even_when_they_are_frozen():
     # fixed): both runs give the same bits, and neither is inference's
     x = positions(4, 3)
     runs = []
-    for trainable in ({"micro", "macro", "transfer"}, {"transfer"}):
+    for trainable in ({"micro", "macro", "attention"}, {"attention"}):
         m = perturbed(Variant.H_ATT)
         m.set_trainable(trainable)
         rng, before = np.random.default_rng(2), _buffers(m)

@@ -372,13 +372,17 @@ def test_batch_rollout_empty_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        RolloutConfig(burn_in_steps=0).validate()
-    with pytest.raises(ConfigError):
-        RolloutConfig(mode="greedy").validate()
+    # a bad value is refused when the config is built
+    with pytest.raises(ValueError, match="burn_in_steps"):
+        RolloutConfig(burn_in_steps=0)
+    with pytest.raises(ValueError, match="burn_in_steps"):
+        RolloutConfig(burn_in_steps=51)  # longer than any sequence
+    with pytest.raises(ValueError, match="greedy"):
+        RolloutConfig(mode="greedy")
+    # a sequence shorter than the burn-in is refused when rolled out
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 1)
     with pytest.raises(ConfigError, match="burn-in"):
-        rollout(m, SEQS[0], RolloutConfig(burn_in_steps=51))
+        rollout(m, truncated(SEQS[0], 19), RolloutConfig(burn_in_steps=20))
 
 
 def test_macro_goal_switch_metric_and_json_round_trip(tmp_path):

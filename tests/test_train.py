@@ -445,7 +445,7 @@ def test_finetune_batch_stays_float32():
     assert [t.data.dtype for t in (*outs["raw_logits"], outs["macro_logits"],
                                     outs["attention_logits"])] == [np.float32] * 6
     assert memory["micro"].dtype == memory["macro"].dtype == np.float32
-    m.set_trainable({"micro", "macro", "transfer", "combine"})
+    m.set_trainable({"micro", "macro", "attention", "combine"})
     optimizer = RMSProp(m.parameters(), 1e-3, momentum=0.9)
     loss = compute_loss(m, arrays, Stage.FINETUNE, cfg, SPEC, rng=rng_for(4, "noise"))
     assert loss.data.dtype == np.float64
@@ -642,10 +642,10 @@ def test_freezing_per_stage_bytes():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 4)
     groups = m.parameter_groups()
     macro_bytes = [p.data.tobytes() for p in groups["macro"]]
-    transfer_bytes = [p.data.tobytes() for p in groups["transfer"]]
+    attention_bytes = [p.data.tobytes() for p in groups["attention"]]
     run_stage(m, DATA[:8], [], Stage.PRETRAIN_MICRO, small_cfg(), SPEC, seed=3)
     assert [p.data.tobytes() for p in groups["macro"]] == macro_bytes
-    assert [p.data.tobytes() for p in groups["transfer"]] == transfer_bytes
+    assert [p.data.tobytes() for p in groups["attention"]] == attention_bytes
     micro_bytes = [p.data.tobytes() for p in groups["micro"]]
     run_stage(m, DATA[:8], [], Stage.PRETRAIN_MACRO, small_cfg(), SPEC, seed=3)
     assert [p.data.tobytes() for p in groups["micro"]] == micro_bytes
