@@ -182,23 +182,20 @@ def benchmark(
     return rows
 
 
-def benchmark_csv(rows: list[BenchmarkRow]) -> str:
-    def fmt(v):
-        return "" if v is None else f"{v:.6f}"
+def csv_cell(v: float | None) -> str:
+    """A CSV cell of ``bench.csv`` and the training reports: empty for a
+    metric the variant lacks."""
+    return "" if v is None else f"{v:.6f}"
 
+
+def benchmark_csv(rows: list[BenchmarkRow]) -> str:
     if not rows:
         raise DataError("no benchmark rows to write")
     acc = ",".join(f"acc_delta{k}" for k in range(len(rows[0].acc_delta)))
     lines = [f"variant,{acc},macro_acc,macro_acc_excl_burnin,attention_acc,n_eval"]
     for r in rows:
-        lines.append(
-            ",".join(
-                [r.variant]
-                + [f"{a:.6f}" for a in r.acc_delta]
-                + [fmt(r.macro_acc), fmt(r.macro_acc_excl_burnin), fmt(r.attention_acc)]
-                + [str(r.n_eval)]
-            )
-        )
+        cells = (*r.acc_delta, r.macro_acc, r.macro_acc_excl_burnin, r.attention_acc)
+        lines.append(",".join([r.variant, *map(csv_cell, cells), str(r.n_eval)]))
     return "\n".join(lines) + "\n"
 
 

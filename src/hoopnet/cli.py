@@ -39,7 +39,7 @@ def _load_config(args) -> RunConfig:
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     return load_run_config(text, args.set or [])
 

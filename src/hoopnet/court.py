@@ -134,6 +134,17 @@ class CourtSpec:
         cy = _clamp(_round_ties_to_zero(dy / self.micro_cell_ft), -r, r)
         return (cy + r) * self.velocity_side + (cx + r)
 
+    def displacements_from_actions(self, actions: np.ndarray) -> np.ndarray:
+        """(..., 2) displacements in feet of flattened action indices: the
+        inverse of ``actions_from_displacements`` on whole cells."""
+        r = self.velocity_radius_cells
+        cells = np.empty((*np.shape(actions), 2), np.int64)
+        # one divmod into both columns: rollout horizon steps are bound by
+        # per-op overhead
+        np.divmod(actions, self.velocity_side, out=(cells[..., 1], cells[..., 0]))
+        cells -= r
+        return cells * self.micro_cell_ft
+
 
 def _clamp(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
     # np.clip's Python wrapper costs more than the two ufuncs on small arrays

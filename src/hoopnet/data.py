@@ -19,7 +19,7 @@ import numpy as np
 
 from .court import CourtSpec
 from .errors import DataError
-from .util import atomic_open, rng_for
+from .util import read_lines, rng_for, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -174,10 +174,7 @@ def possession_to_json(p: Possession) -> str:
 
 
 def save_possessions(possessions: list[Possession], path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        for p in possessions:
-            fh.write(possession_to_json(p))
-            fh.write("\n")
+    write_lines(path, map(possession_to_json, possessions))
 
 
 def _validate_possession(p: Possession, spec: CourtSpec, tolerance_ft: float, where: str) -> None:
@@ -218,38 +215,34 @@ def ingest(path: str | Path, spec: CourtSpec, bounds_tolerance_ft: float = 3.0) 
     """Parse a JSONL possession file, failing fast on the first bad line."""
     possessions: list[Possession] = []
     ids: set[str] = set()  # windows, the split and label keys all go by id
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"line {lineno}"
+    for lineno, line in read_lines(path):
+        where = f"line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
+        try:
+            pid = obj["id"]
+            raw_tracks = obj["tracks"]
+        except (TypeError, KeyError) as exc:
+            raise DataError(f"{where}: missing 'id' or 'tracks'") from exc
+        if not isinstance(raw_tracks, list):
+            raise DataError(f"{where}: 'tracks' must be a list, got {type(raw_tracks).__name__}")
+        tracks = []
+        for tr in raw_tracks:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-            try:
-                pid = obj["id"]
-                raw_tracks = obj["tracks"]
-            except (TypeError, KeyError) as exc:
-                raise DataError(f"{where}: missing 'id' or 'tracks'") from exc
-            if not isinstance(raw_tracks, list):
-                raise DataError(f"{where}: 'tracks' must be a list, got {type(raw_tracks).__name__}")
-            tracks = []
-            for tr in raw_tracks:
-                try:
-                    points = _freeze(np.asarray(tr["points"], dtype=np.float64))
-                    tracks.append(RawTrack(str(tr["agent_id"]), str(tr["role"]), points))
-                except (TypeError, KeyError, ValueError) as exc:
-                    raise DataError(f"{where}: bad track entry ({exc})") from exc
-                except DataError as exc:
-                    raise DataError(f"{where}: {exc}") from exc
-            p = Possession(str(pid), tuple(tracks))
-            _validate_possession(p, spec, bounds_tolerance_ft, where)
-            if p.id in ids:
-                raise DataError(f"{where}: duplicate possession id {p.id!r}")
-            ids.add(p.id)
-            possessions.append(p)
+                points = _freeze(np.asarray(tr["points"], dtype=np.float64))
+                tracks.append(RawTrack(str(tr["agent_id"]), str(tr["role"]), points))
+            except (TypeError, KeyError, ValueError) as exc:
+                raise DataError(f"{where}: bad track entry ({exc})") from exc
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+        p = Possession(str(pid), tuple(tracks))
+        _validate_possession(p, spec, bounds_tolerance_ft, where)
+        if p.id in ids:
+            raise DataError(f"{where}: duplicate possession id {p.id!r}")
+        ids.add(p.id)
+        possessions.append(p)
     return possessions
 
 

@@ -9,14 +9,14 @@ the derived per-sequence RNG, so label extraction parallelizes freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .court import CourtSpec
 from .data import TrainingSequence
-from .util import atomic_open, rng_for
+from .util import rng_for, write_lines
 
 # a raw-frame step shorter than this (ft) is stationary
 STATIONARY_SPEED_FT_PER_RAW_FRAME = 0.25
@@ -212,17 +212,12 @@ def label_sequence(seq: TrainingSequence, spec: CourtSpec, cfg: SegmentationConf
 
 
 def labels_to_json(seq: TrainingSequence, lab: WeakLabels) -> str:
-    obj = {
-        "possession_id": seq.possession_id,
-        "focal_agent": seq.focal_agent,
-        "t0": seq.t0,
-        "micro": lab.micro.tolist(),
-        "micro_padded": lab.micro_padded.astype(int).tolist(),
-        "macro": lab.macro.tolist(),
-        "macro_target_xy": lab.macro_target_xy.tolist(),
-        "attention": lab.attention.tolist(),
-        "attention_magnitudes": lab.attention_magnitudes.tolist(),
-    }
+    """The sequence key, then each label stream in declaration order, the
+    bool mask as 0/1."""
+    obj = {"possession_id": seq.possession_id, "focal_agent": seq.focal_agent, "t0": seq.t0}
+    for f in fields(lab):
+        stream = getattr(lab, f.name)
+        obj[f.name] = (stream.astype(int) if stream.dtype == bool else stream).tolist()
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -230,7 +225,4 @@ def export_labels(
     sequences: list[TrainingSequence], labels: list[WeakLabels], path: str | Path
 ) -> None:
     """Write the sidecar JSONL keyed by (possession_id, focal_agent, t0)."""
-    with atomic_open(path) as fh:
-        for seq, lab in zip(sequences, labels):
-            fh.write(labels_to_json(seq, lab))
-            fh.write("\n")
+    write_lines(path, map(labels_to_json, sequences, labels))

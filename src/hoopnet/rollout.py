@@ -33,7 +33,7 @@ from .errors import ConfigError, DataError
 from .engine import no_grad
 from .engine.tensor import softmax_array
 from .model import HPNModel, combined_scores
-from .util import atomic_open, rng_for
+from .util import read_lines, rng_for, write_lines
 
 
 @dataclass(frozen=True)
@@ -135,17 +135,17 @@ def batch_rollout(
     n, total = len(sequences), burn_in + config.horizon_steps
     rngs = [rng_for(config.seed, "rollout", s.possession_id, s.focal_agent, s.t0) for s in sequences]
     # (N, total, 11, 2) recorded positions, frozen past the end of each
-    # track; the focal player is agent 1, overwritten with the rollout
+    # track; the focal player is agent 1, whose column (``path``, a view)
+    # the rollout overwrites
     agents = np.stack(
         [agent_positions(s)[np.minimum(np.arange(total), s.steps - 1)] for s in sequences]
     )
-    path = agents[:, :, 1].copy()
+    path = agents[:, :, 1]
     macro_goals = np.empty((n, total), dtype=np.int64)
     actions = np.empty((n, total, spec.lookahead_steps), dtype=np.int64)
     att_argmax = np.empty((n, total), dtype=np.int64)
     clamps = np.zeros(n, dtype=np.int64)
     upper = np.array(spec.far_edge)
-    r, side = spec.velocity_radius_cells, spec.velocity_side
     memory = model.reset_memory(n)
     # one teacher-forced call over the whole burn-in, then one call per
     # horizon step, whose input depends on the step before; the weights
@@ -154,15 +154,10 @@ def batch_rollout(
         for t, stop in zip([0, *range(burn_in, total)], range(burn_in, total + 1)):
             if t >= burn_in:
                 # the last step's look-ahead actions are consecutive
-                # displacements of the focal player, each action index
-                # (dy + r) * side + (dx + r)
-                cells = np.empty((n, spec.lookahead_steps, 2), np.int64)
-                np.divmod(actions[:, t - 1], side, out=(cells[..., 1], cells[..., 0]))
-                cells -= r
-                target = path[:, t - 1] + (cells * spec.micro_cell_ft).sum(axis=1)
+                # displacements of the focal player
+                target = path[:, t - 1] + spec.displacements_from_actions(actions[:, t - 1]).sum(axis=1)
                 path[:, t] = np.minimum(np.maximum(target, 0.0), upper)
                 clamps += (path[:, t] != target).any(axis=1)
-                agents[:, t, 1] = path[:, t]
             steps = slice(t, stop)
             logits, memory = model.logits(agents[:, steps], memory)
             actions[:, steps], macro_goals[:, steps], att_argmax[:, steps] = choose_step(
@@ -186,37 +181,25 @@ def batch_rollout(
     ]
 
 
-def rollout_to_json(r: RolloutResult) -> str:
-    obj = {
-        "possession_id": r.possession_id,
-        "focal_agent": r.focal_agent,
-        "t0": r.t0,
-        "burn_in": r.burn_in,
-        "horizon": r.horizon,
-        "mode": r.mode,
-        "path": [[float(x), float(y)] for x, y in r.path],
-        "macro_goals": r.macro_goals.tolist(),
-        "actions": r.actions.tolist(),
-        "attention_argmax": r.attention_argmax.tolist(),
-        "clamp_events": r.clamp_events,
-        "macro_switches": r.macro_switches,
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def save_rollouts(results: list[RolloutResult], path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        for r in results:
-            fh.write(rollout_to_json(r))
-            fh.write("\n")
-
-
-# each field of a rollout line: a JSON scalar's type, or an array's dtype and rank
+# the rollout line layout, in order: each field's JSON scalar type, or
+# its array's dtype and rank; ``macro_switches`` follows, derived
 _ROLLOUT_FIELDS = {
     "possession_id": str, "focal_agent": str, "t0": int, "burn_in": int, "horizon": int,
     "mode": str, "path": (np.float64, 2), "macro_goals": (np.int64, 1),
     "actions": (np.int64, 2), "attention_argmax": (np.int64, 1), "clamp_events": int,
 }
+
+
+def rollout_to_json(r: RolloutResult) -> str:
+    """The ``_ROLLOUT_FIELDS`` in order, then ``macro_switches``."""
+    obj = {name: getattr(r, name) if isinstance(kind, type) else getattr(r, name).tolist()
+           for name, kind in _ROLLOUT_FIELDS.items()}
+    obj["macro_switches"] = r.macro_switches
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def save_rollouts(results: list[RolloutResult], path: str | Path) -> None:
+    write_lines(path, map(rollout_to_json, results))
 
 
 def _field(obj: dict, name: str, kind):
@@ -242,26 +225,22 @@ def load_rollouts(path: str | Path) -> list[RolloutResult]:
     per-step fields not burn_in + horizon long or path not (x, y) pairs,
     raises DataError naming the file and the line."""
     results = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("not a JSON object")
-                values = {name: _field(obj, name, kind) for name, kind in _ROLLOUT_FIELDS.items()}
-                for name, low in (("burn_in", 1), ("horizon", 0)):
-                    if values[name] < low:
-                        raise ValueError(f"field {name!r} must be >= {low}")
-                steps = values["burn_in"] + values["horizon"]
-                for name in ("path", "macro_goals", "actions", "attention_argmax"):
-                    if len(values[name]) != steps:
-                        raise ValueError(f"field {name!r} must have burn_in + horizon = {steps} entries")
-                if values["path"].shape[1] != 2:
-                    raise ValueError("field 'path' must hold (x, y) pairs")
-            except ValueError as exc:  # json.JSONDecodeError is one
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-            results.append(RolloutResult(**values))
+    for lineno, line in read_lines(path):
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            values = {name: _field(obj, name, kind) for name, kind in _ROLLOUT_FIELDS.items()}
+            for name, low in (("burn_in", 1), ("horizon", 0)):
+                if values[name] < low:
+                    raise ValueError(f"field {name!r} must be >= {low}")
+            steps = values["burn_in"] + values["horizon"]
+            for name in ("path", "macro_goals", "actions", "attention_argmax"):
+                if len(values[name]) != steps:
+                    raise ValueError(f"field {name!r} must have burn_in + horizon = {steps} entries")
+            if values["path"].shape[1] != 2:
+                raise ValueError("field 'path' must hold (x, y) pairs")
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise DataError(f"{path} line {lineno}: {exc}") from exc
+        results.append(RolloutResult(**values))
     return results

@@ -86,9 +86,6 @@ class TrainReport:
     lookahead_steps: int
 
     def to_csv(self) -> str:
-        def fmt(v):
-            return "" if v is None else f"{v:.6f}"
-
         acc = ",".join(f"acc_delta{k}" for k in range(self.lookahead_steps))
         lines = [f"stage,epoch,loss,{acc},macro_acc,attention_acc,tv_monitor,grad_norm_mean,"
                  "seconds,clamped_sequences"]
@@ -97,20 +94,9 @@ class TrainReport:
             m = r.holdout
             acc = m.acc_delta if m else (0.0,) * self.lookahead_steps
             heads = (m.macro_acc, m.attention_acc, m.tv_monitor) if m else (None,) * 3
-            lines.append(
-                ",".join(
-                    [
-                        r.stage,
-                        str(r.epoch),
-                        f"{r.loss:.6f}",
-                        *[f"{a:.6f}" for a in acc],
-                        *[fmt(v) for v in heads],
-                        f"{r.grad_norm_mean:.6f}",
-                        f"{r.seconds:.3f}",
-                        str(r.clamped_sequences),
-                    ]
-                )
-            )
+            cells = (r.loss, *acc, *heads, r.grad_norm_mean)
+            lines.append(",".join([r.stage, str(r.epoch), *map(bench.csv_cell, cells),
+                                   f"{r.seconds:.3f}", str(r.clamped_sequences)]))
         return "\n".join(lines) + "\n"
 
 

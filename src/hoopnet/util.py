@@ -1,14 +1,19 @@
-"""Small shared helpers: seed derivation, deterministic RNG construction
-and atomic file writes."""
+"""Small shared helpers: seed derivation, deterministic RNG construction,
+atomic file writes, and the line I/O of the JSONL artifacts:
+``write_lines`` writes one line per record through ``atomic_open`` and
+``read_lines`` yields each nonblank line with its number."""
 
 from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+from .errors import DataError
 
 
 def derive_seed(*parts) -> int:
@@ -49,3 +54,26 @@ def atomic_open(path: str | Path, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` followed by a newline, atomically: a line
+    that fails to build leaves ``path`` as it was."""
+    with atomic_open(path) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each nonblank line of the UTF-8
+    text file ``path``; bytes that are not UTF-8 raise DataError naming
+    the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -391,6 +391,15 @@ def test_missing_possessions_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_possessions_that_are_not_utf8_are_a_data_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    possessions = tmp_path / "out" / "possessions.jsonl"
+    possessions.parent.mkdir()
+    possessions.write_bytes(b"\xff" + b'{"id":"p1","tracks":[]}\n')
+    assert main(["--config", str(path), "--seed", "5", "label"]) == 2
+    assert capsys.readouterr().err == f"data error: {possessions}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_train_epochs_zero_equals_initialization(tmp_path):
     path = write_config(tmp_path)
     main(["--config", str(path), "--seed", "9", "synth"])
@@ -480,6 +489,16 @@ def test_render_of_a_cut_rollout_file_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and f"{rollouts} line 1: " in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_render_of_a_rollout_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--seed", "4", "synth"]) == 0
+    rollouts = tmp_path / "out" / "rollouts" / "h_att.jsonl"
+    rollouts.parent.mkdir()
+    rollouts.write_bytes(b"\xff" + b'{"possession_id":"synth-00000"}\n')
+    assert main(["--config", str(path), "--seed", "4", "render", "--variant", "h_att"]) == 2
+    assert capsys.readouterr().err == f"data error: {rollouts}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("change, message", [
@@ -608,6 +627,15 @@ def test_defaults_command_prints_document(tmp_path, capsys):
     assert "train.batch_size = 16" in out
     cfg = load_run_config(out)
     assert cfg == RunConfig()
+
+
+def test_a_config_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff" + b"synth.n_possessions = 3\n")
+    assert main(["--config", str(path), "defaults"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: ") and "invalid start byte" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_repro_prepares_sequences_once(tmp_path, monkeypatch):

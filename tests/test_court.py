@@ -151,6 +151,16 @@ def test_action_round_trip_all_289():
     np.testing.assert_array_equal(DESK.actions_from_displacements(back[:, 0], back[:, 1]), idx)
 
 
+@pytest.mark.parametrize("spec", [DESK, PAPER], ids=["desk", "paper"])
+def test_displacements_from_actions_equal_the_oracle(spec):
+    # every action index, flat and as a (rollouts, lookahead) batch
+    idx = np.arange(spec.n_actions)
+    for actions in (idx, idx[::-1].reshape(-1, 1), np.stack([idx, idx[::-1]], axis=1)):
+        got = spec.displacements_from_actions(actions)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, displacements_from_action_indices(spec, actions))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     dx=st.floats(-10, 10, allow_nan=False),

@@ -21,6 +21,29 @@ def test_every_import_is_at_module_level():
     assert nested == []
 
 
+def test_every_module_level_import_is_used():
+    # no linter runs here, so this stands in for one: a name a module
+    # imports must be read in it or listed in its __all__
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_labeled_sequence_lives_in_labels_and_still_resolves_from_train():
     assert train.LabeledSequence is labels.LabeledSequence
 

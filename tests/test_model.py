@@ -475,7 +475,7 @@ def _writers(m, tmp_path):
     }
 
 
-def test_writers_raise_inside_frozen_state(tmp_path):
+def test_writers_raise_inside_no_grad(tmp_path):
     m = perturbed(Variant.H_ATT)
     state = [a.tobytes() for _, a in m.named_state()]
     writers = _writers(m, tmp_path)
@@ -558,7 +558,7 @@ def test_folded_eval_logits_keep_their_argmaxes(monkeypatch, variant):
             np.testing.assert_array_equal(value.argmax(axis=-1), unfolded[key].argmax(axis=-1))
 
 
-def test_frozen_state_scopes_nest():
+def test_no_grad_scopes_nest():
     m = perturbed(Variant.H_ATT)
     x = positions(2, 3)
     want = logits_bytes(m, x)

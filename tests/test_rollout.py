@@ -327,7 +327,7 @@ def test_desk_rollout_builds_each_inference_constant_once(monkeypatch, variant, 
     assert matrices == built
 
 
-def test_a_failing_rollout_leaves_no_frozen_state_open():
+def test_a_failing_rollout_closes_its_no_grad_scope():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 3)
     m.micro_heads[0].bias.data[0] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite values in the raw logits"):
@@ -455,12 +455,15 @@ def test_failed_rollout_write_keeps_previous_file(tmp_path):
     path = tmp_path / "rollouts.jsonl"
     save_rollouts(results[:1], path)
     before = path.read_bytes()
-    # the second line fails to serialize after the first was written
-    broken = replace(results[1], path=None)
-    with pytest.raises(TypeError):
-        save_rollouts([results[0], broken], path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["rollouts.jsonl"]
+    # the second line fails to serialize after the first was written: a
+    # value JSON cannot encode, or an array field that holds no array
+    # (never written as null)
+    for broken, error in [(replace(results[1], clamp_events=object()), TypeError),
+                          (replace(results[1], path=None), AttributeError)]:
+        with pytest.raises(error):
+            save_rollouts([results[0], broken], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rollouts.jsonl"]
 
 
 def test_non_hierarchical_rollout_has_no_macro_goals():
