@@ -212,11 +212,12 @@ def _validate_possession(p: Possession, spec: CourtSpec, tolerance_ft: float, wh
 
 
 def ingest(path: str | Path, spec: CourtSpec, bounds_tolerance_ft: float = 3.0) -> list[Possession]:
-    """Parse a JSONL possession file, failing fast on the first bad line."""
+    """Parse a JSONL possession file, failing fast on the first bad line
+    with a DataError that names the file and the line."""
     possessions: list[Possession] = []
     ids: set[str] = set()  # windows, the split and label keys all go by id
     for lineno, line in read_lines(path):
-        where = f"line {lineno}"
+        where = f"{path} line {lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -6,11 +6,15 @@ Reductions that set a scale accumulate in float64: the batch-norm
 statistics, and the training loss's exp-sums and sums.  Layers are built
 in float64 and ``Module.cast`` converts a model.
 
-Forward ops record a tape; backward() walks it once.  Trainability is
-``requires_grad``: a ``Parameter`` trains while it is True; backward()
-gives no gradient to, and ``RMSProp.step`` skips, one whose flag is
-False, and an op records a tape node only when one of its inputs' flags
-is True.  The layer set is exactly what the policy networks need: the spatial encoder, linear maps,
+Forward ops record a tape, and each tape node keeps only what its
+backward step reads.  backward() walks the tape once and consumes it:
+each node drops its backward closure, the arrays saved for it and its
+parent links as soon as that step has run, so a walked graph holds no
+saved arrays, and a second backward() through it raises RuntimeError.
+Trainability is ``requires_grad``: a ``Parameter`` trains while it is
+True; backward() gives no gradient to, and ``RMSProp.step`` skips, one
+whose flag is False, and an op records a tape node only when one of its
+inputs' flags is True.  The layer set is exactly what the policy networks need: the spatial encoder, linear maps,
 GRU cells, ReLU, concatenation and softmax, plus RMSprop-with-momentum
 and global gradient clipping; no elementwise sums or products.  A
 stage's whole training loss, every cross-entropy and activation
@@ -39,7 +43,7 @@ dropped at its exit, and inside it the writers ``RMSProp.step``,
 
 Importing the package sets glibc's malloc thresholds so that freed heap
 memory stays with the process: a training pass frees and reallocates
-tens of megabytes every batch (57 MB at the ``tracemalloc`` peak of a
+tens of megabytes every batch (30 MB at the ``tracemalloc`` peak of a
 desk ``h_att`` fine-tune batch), and returning them to the system after
 each pass only page-faults them back in on the next.
 

@@ -251,7 +251,8 @@ def spatial_encoder(
     ``rng.normal(0, noise_sigma, ...)``; the gradient passes through it.
     Each node's tape keeps its layers' padded inputs (layer 0's is shared),
     and its backward pass rebuilds the im2col blocks from them to sum the
-    weight gradient block by block.  ``x`` gets no gradient: the backward
+    weight gradient block by block; of each layer's output it keeps only
+    the ReLU mask, as bools.  ``x`` gets no gradient: the backward
     pass stops below the lowest layer with a trainable parameter.
     """
     if noise_sigma < 0:
@@ -288,8 +289,10 @@ def _encoder_node(x, convs, bns, layer0, rng, noise_sigma) -> Tensor:
     xp, y, weight, oh, ow = layer0
     n, dtype = x.shape[0], y.dtype
     a = x
-    # per layer: input shape, padded input, x-hat and 1/std, the layer's
-    # weight matrix, output
+    # saved per layer: input shape, padded input, x-hat and 1/std, the
+    # layer's weight matrix, and the (F, n, oh, ow) bool ReLU mask in
+    # place of the float output; the backward pass frees each layer's
+    # entry as it goes and overwrites x-hat at its last use
     saved = []
     for i, (conv, bn) in enumerate(zip(convs, bns)):
         if i:
@@ -314,7 +317,7 @@ def _encoder_node(x, convs, bns, layer0, rng, noise_sigma) -> Tensor:
         np.maximum(out, 0.0, out=out)
         out = out.reshape(f, n, oh, ow)
         if record:
-            saved.append((a.shape[1:], xp, xhat, inv, weight, out))
+            saved.append((a.shape[1:], xp, xhat, inv, weight, out > 0))
         a = out.transpose(1, 2, 3, 0)
     if training and noise_sigma > 0.0:
         feat = np.empty((n, f, oh, ow), dtype)
@@ -331,16 +334,17 @@ def _encoder_node(x, convs, bns, layer0, rng, noise_sigma) -> Tensor:
         f, _, oh, ow = saved[-1][-1].shape
         gy = g.reshape(n, f, oh, ow).transpose(1, 0, 2, 3).copy().reshape(f, -1)
         for i in range(len(convs) - 1, -1, -1):
-            (h, w, c), xp, xhat, inv, weight, out = saved[i]
-            f, _, oh, ow = out.shape
+            (h, w, c), xp, xhat, inv, weight, mask = saved.pop()  # the tape frees layer i
+            f, _, oh, ow = mask.shape
             s, (kh, kw) = convs[i].stride, convs[i].weight.data.shape[2:]
-            gy *= out.reshape(f, -1) > 0
+            gy *= mask.reshape(f, -1)
             dbeta = gy.sum(axis=1)
             dgamma = np.einsum("fp,fp->f", gy, xhat)
             m = gy.shape[1]
             gy *= m
             gy -= dbeta[:, None]
-            gy -= xhat * dgamma[:, None]
+            xhat *= dgamma[:, None]  # x-hat's last use
+            gy -= xhat
             gy *= bns[i].gamma.data[:, None] * inv / m
             dw = sum(gy[:, cs] @ cols for cs, cols in _col_blocks(xp, s, kh, kw, oh, ow))
             grads[3 * i:3 * i + 3] = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2), dgamma, dbeta

@@ -278,7 +278,6 @@ def run_stage(
                 continue
             arrays = assemble([train_data[i] for i in idx], spec)
             clamped += augment_translate(arrays, cfg.translate_max_cells, rng, spec)
-            loss = None  # frees the last batch's tape before this batch's forward pass
             loss = compute_loss(model, arrays, stage, cfg, spec, rng=rng)
             if not np.isfinite(loss.data):
                 raise DivergenceError(f"non-finite loss in stage {stage.value}")

@@ -391,6 +391,15 @@ def test_missing_possessions_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_bad_possession_line_error_names_the_file(tmp_path, capsys):
+    path = write_config(tmp_path)
+    possessions = tmp_path / "out" / "possessions.jsonl"
+    possessions.parent.mkdir()
+    possessions.write_text('{"id":"p1","tracks":[]}\n', encoding="utf-8")
+    assert main(["--config", str(path), "--seed", "5", "label"]) == 2
+    assert capsys.readouterr().err == f"data error: {possessions} line 1: missing ball track\n"
+
+
 def test_possessions_that_are_not_utf8_are_a_data_error(tmp_path, capsys):
     path = write_config(tmp_path)
     possessions = tmp_path / "out" / "possessions.jsonl"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
@@ -85,7 +86,7 @@ def test_ingest_missing_ball(tmp_path):
 def test_ingest_bad_json_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(possession_to_json(make_possession(length=120)) + "\n{oops\n")
-    with pytest.raises(DataError, match="line 2"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 2: invalid JSON"):
         ingest(path, SPEC)
 
 
@@ -94,7 +95,7 @@ def test_ingest_tracks_not_a_list_reports_line(tmp_path, tracks):
     path = tmp_path / "tracks.jsonl"
     bad = json.dumps({"id": "p1", "tracks": tracks})
     path.write_text(possession_to_json(make_possession(length=120)) + "\n" + bad + "\n")
-    with pytest.raises(DataError, match="line 2: 'tracks' must be a list"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 2: 'tracks' must be a list"):
         ingest(path, SPEC)
 
 
@@ -106,7 +107,7 @@ def test_ingest_duplicate_agent_id_reports_line(tmp_path):
                                  for t in p.tracks))
     path = tmp_path / "dup.jsonl"
     path.write_text(possession_to_json(p) + "\n" + possession_to_json(dup) + "\n")
-    with pytest.raises(DataError, match=r"^line 2: duplicate agent id 'off0'$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 2: duplicate agent id 'off0'$"):
         ingest(path, SPEC)
 
 
@@ -116,7 +117,7 @@ def test_ingest_duplicate_possession_id_reports_line(tmp_path):
     path = tmp_path / "dup.jsonl"
     path.write_text(possession_to_json(make_possession("p1", length=120)) + "\n"
                     + possession_to_json(make_possession("p1", length=130)) + "\n")
-    with pytest.raises(DataError, match=r"^line 2: duplicate possession id 'p1'$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 2: duplicate possession id 'p1'$"):
         ingest(path, SPEC)
 
 

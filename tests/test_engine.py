@@ -1,8 +1,10 @@
 import ast
 import contextlib
 import ctypes
+import inspect
 import math
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -973,6 +975,32 @@ def test_grad_accumulates_across_backward_calls():
     backward(tsum(mul(p, 3.0)))
     backward(tsum(mul(p, 3.0)))
     np.testing.assert_array_equal(p.grad, [6.0])
+
+
+def test_backward_frees_the_tape_and_refuses_a_second_walk():
+    # the walk drops each node's VJP, and with it the arrays saved for it,
+    # and its parent links, while the caller still holds the loss and the
+    # encoder's output: the encoder's saved arrays and the product node
+    # that only the loss linked to are gone
+    enc = _Encoder(2, [(3, 3, 1), (2, 3, 2)])
+    out = enc(RNG.normal(size=(3, 5, 4, 2)))
+    refs = [weakref.ref(a) for layer in inspect.getclosurevars(out._vjp).nonlocals["saved"]
+            for a in layer if isinstance(a, np.ndarray)]
+    product = mul(out, Tensor(_fixed_like(out.data.shape)))
+    refs.append(weakref.ref(product.data))
+    loss = tsum(product)
+    del product
+    assert len(refs) == 11 and all(ref() is not None for ref in refs)
+    backward(loss)
+    assert all(ref() is None for ref in refs)
+    grads = [p.grad.copy() for p in enc.parameters()]
+    with pytest.raises(RuntimeError, match="released"):
+        backward(loss)
+    with pytest.raises(RuntimeError, match="released"):
+        backward(tsum(mul(out, 2.0)))  # a new graph through a walked node
+    for p, g in zip(enc.parameters(), grads):
+        np.testing.assert_array_equal(p.grad, g)
+    assert loss.data.shape == () and out.data.shape == (3, 2 * 3 * 2)
 
 
 def test_no_grad_builds_no_tape():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -57,6 +58,7 @@ SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_strides=(2, 1),
                           gru_cells=16, transfer_hidden=12)
 SEG = SegmentationConfig(seed=55)
+REPO = Path(__file__).resolve().parent.parent
 
 
 def make_data(n_possessions=3, seed=41):
@@ -299,6 +301,35 @@ def test_run_stage_frees_each_batch_tape_before_the_next_forward_pass(monkeypatc
     assert len(closures) == 3
 
 
+def test_finetune_backward_peak_stays_within_the_forward_tape():
+    # one desk-shaped h_att fine-tune batch (16 sequences x 50 steps, desk
+    # architecture) under tracemalloc: backward() frees what it walks, so
+    # its peak stays near the forward tape and little more than the
+    # gradients outlives it
+    cfg = load_run_config((REPO / "configs" / "desk.cfg").read_text(encoding="utf-8"))
+    spec = cfg.court
+    sequences = []
+    for p in synthesize(SynthConfig(n_possessions=2, seed=3), spec):
+        sequences += window(p, spec, rng_for(3, "w", p.id), 2)
+    batch = assemble([LabeledSequence(s, label_sequence(s, spec, cfg.labels)) for s in sequences[:16]],
+                     spec)
+    assert batch["inputs"].shape[:2] == (16, 50)
+    m = HPNModel(spec, cfg.arch, Variant.H_ATT, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = compute_loss(m, batch, Stage.FINETUNE, cfg.train, spec, rng=rng_for(3, "noise"))
+        tape = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(loss)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert tape > 20 << 20  # MB: the batch is desk-sized
+    assert peak <= 1.1 * tape, (peak, tape)
+    assert held <= 0.1 * tape, (held, tape)
+
+
 def _tape(loss):
     """Every node reachable from ``loss`` that needs a gradient: the tape
     backward() walks."""
@@ -352,7 +383,7 @@ def test_finetune_tape_fused_encoders_save_fourteen_nodes(monkeypatch):
     # desk architecture and noise: a two-layer encoder as a tape of conv,
     # batch norm and ReLU per layer, noise and flatten is 8 nodes; fused it
     # is 1, and the h_att fine-tune runs the micro and macro encoders
-    desk = load_run_config((Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_text())
+    desk = load_run_config((REPO / "configs" / "desk.cfg").read_text())
     batch = [shorten(it, 3) for it in DATA[:2]]
 
     def tape_size():
@@ -403,7 +434,7 @@ def test_training_step_exponential_count(monkeypatch, stage, exps):
 
     assert inspect.getsource(tensor_mod).count("np.exp(") == 1
     assert "np.exp(" in inspect.getsource(tensor_mod._shifted_exp)
-    desk = load_run_config((Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_text())
+    desk = load_run_config((REPO / "configs" / "desk.cfg").read_text())
     m = HPNModel(SPEC, desk.arch, Variant.H_ATT, 5)
     m.set_trainable(_STAGES[stage][0])
     batch = [DATA[i % len(DATA)] for i in range(desk.train.batch_size)]
