@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .court import CourtSpec
-from .data import agent_positions
 from .engine.tensor import softmax_array
 from .errors import ConfigError, DataError
-from .labels import LabeledSequence
+from .labels import LabeledSequence, assemble
 from .model import Variant
-from .rollout import choose_step
+from .rollout import RolloutConfig, choose_step
 from .util import atomic_open
 
 # The paper's claim as three criteria: h_att beats cnn on look-ahead-0
@@ -63,18 +62,17 @@ def evaluate(
     data: list[LabeledSequence],
     spec: CourtSpec,
     batch_size: int = 32,
-    max_sequences: int | None = None,
-    burn_in: int = 20,
+    burn_in: int = RolloutConfig.burn_in_steps,
 ) -> EvalMetrics:
-    """Teacher-forced pass over labeled sequences.
+    """Teacher-forced pass over ``data``, in chunks stacked by ``labels.assemble``.
 
     ``policy`` needs one method, ``eval_logits(inputs)``, taking an
-    (N, T, 11, 2) batch of agent positions (``train.assemble``) and
-    returning batch-major logits as ``HPNModel.logits`` does: ``raw``
-    (N, T, lookahead, n_actions), ``macro`` (N, T, n_boxes), ``attention``
-    (N, T, n_actions) and ``cc`` (N, T, lookahead, n_actions), None where
-    the policy lacks the head.  HPNModel satisfies this, and oracle or
-    stub policies can too.
+    (N, T, 11, 2) batch of agent positions and returning batch-major
+    logits as ``HPNModel.logits`` does: ``raw`` (N, T, lookahead,
+    n_actions), ``macro`` (N, T, n_boxes), ``attention`` (N, T, n_actions)
+    and ``cc`` (N, T, lookahead, n_actions), None where the policy lacks
+    the head.  HPNModel satisfies this, and oracle or stub policies can
+    too.
 
     Predictions are the rollouts' argmax-mode choices
     (``rollout.choose_step``), so they equal the argmaxes of the heads'
@@ -88,7 +86,6 @@ def evaluate(
     """
     if not data:
         raise DataError("cannot evaluate on an empty holdout")
-    subset = data[:max_sequences] if max_sequences else data
     lookahead = spec.lookahead_steps
     correct = np.zeros(lookahead, dtype=np.int64)
     counted = np.zeros(lookahead, dtype=np.int64)
@@ -98,13 +95,8 @@ def evaluate(
     # the burn-in
     steps = late_steps = 0
 
-    for start in range(0, len(subset), batch_size):
-        chunk = subset[start:start + batch_size]
-        # only the streams read below: those only translation needs
-        # (macro_target_xy, attention_magnitudes) stay unstacked
-        arrays = {name: np.stack([getattr(it.labels, name) for it in chunk])
-                  for name in ("micro", "micro_padded", "macro", "attention")}
-        arrays["inputs"] = np.stack([agent_positions(it.sequence) for it in chunk])
+    for start in range(0, len(data), batch_size):
+        arrays = assemble(data[start:start + batch_size], spec)
         n, t_steps = arrays["inputs"].shape[:2]
         logits = policy.eval_logits(arrays["inputs"])
         has_attention = logits["attention"] is not None
@@ -147,7 +139,7 @@ def evaluate(
         macro_acc_excl_burnin=late_correct / late_steps if has_macro and late_steps else None,
         attention_acc=att_correct / steps if has_attention and steps else None,
         tv_monitor=tv_sum / steps if has_attention and steps else None,
-        n_sequences=len(subset),
+        n_sequences=len(data),
         raw_acc_delta0=raw_correct / max(int(counted[0]), 1),
     )
 
@@ -156,11 +148,11 @@ def benchmark(
     models: dict,
     holdout: list[LabeledSequence],
     spec: CourtSpec,
-    burn_in: int = 20,
+    burn_in: int,
 ) -> list[BenchmarkRow]:
     """One row per model of ``models`` (keyed by variant name), in
     canonical variant order; the late macro accuracy excludes the first
-    ``burn_in`` steps."""
+    ``burn_in`` steps (``rollout.burn_in_steps`` in the CLI)."""
     rows = []
     for variant in Variant:
         model = models.get(variant.value)

@@ -27,7 +27,7 @@ from .config import RunConfig, dump_run_config, load_run_config
 from .engine.checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HoopnetError
 from .model import HPNModel, Variant
-from .train import completed_stages, stage_schedule, train_full
+from .train import stages_left, train_full
 from .util import atomic_open, derive_seed, rng_for
 
 ALL_VARIANTS = [v.value for v in Variant]
@@ -106,8 +106,7 @@ class Run:
         ckpt = self.checkpoint(variant)
         if not ckpt.exists():
             raise DataError(f"no checkpoint for variant {variant} at {ckpt}; run train first")
-        done = completed_stages(load_checkpoint(ckpt, model.state_for_checkpoint(), model.config_hash()))
-        left = [s.value for s in stage_schedule(model.variant) if s.value not in done]
+        left = stages_left(model.variant, load_checkpoint(ckpt, model.state_for_checkpoint(), model.config_hash()))
         if left:  # training diverged or was stopped after an earlier stage
             raise DataError(f"checkpoint {ckpt} has not finished stages {', '.join(left)}; "
                             f"run train --variant {variant} --resume")
@@ -135,16 +134,8 @@ def cmd_train(run: Run, variant: str, resume: bool = False) -> None:
     model = run.new_model(variant)
     run.checkpoints.mkdir(parents=True, exist_ok=True)
     run.reports.mkdir(parents=True, exist_ok=True)
-    report = train_full(
-        model,
-        train,
-        holdout,
-        run.cfg.train,
-        run.cfg.court,
-        run.seed,
-        checkpoint_path=run.checkpoint(variant),
-        resume=resume,
-    )
+    report = train_full(model, train, holdout, run.cfg.train, run.seed,
+                        run.checkpoint(variant), resume=resume)
     if report is None:  # a finished run's report stays as it was
         print(f"trained {variant}: every stage was already done in {run.checkpoint(variant)}")
         return

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import check_finite
+
 
 def _divides(extent: float, cell: float) -> bool:
     n = extent / cell
@@ -37,6 +39,7 @@ class CourtSpec:
     subsample_stride: int = 4
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.width_ft <= 0 or self.height_ft <= 0:
             raise ValueError("width_ft and height_ft must be positive")
         for name in ("micro_cell_ft", "macro_box_ft"):

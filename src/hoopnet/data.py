@@ -19,7 +19,7 @@ import numpy as np
 
 from .court import CourtSpec
 from .errors import DataError
-from .util import read_lines, rng_for, write_lines
+from .util import check_finite, read_lines, rng_for, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -126,10 +126,13 @@ class DataConfig:
     bounds_tolerance_ft: float = 3.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.windows_per_player < 1:
             raise ValueError("windows_per_player must be >= 1")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in (0, 1)")
+        if self.bounds_tolerance_ft < 0:
+            raise ValueError("bounds_tolerance_ft must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -211,9 +214,10 @@ def _validate_possession(p: Possession, spec: CourtSpec, tolerance_ft: float, wh
         raise DataError(f"{where}: track {t.agent_id!r} jumps farther than the court diagonal")
 
 
-def ingest(path: str | Path, spec: CourtSpec, bounds_tolerance_ft: float = 3.0) -> list[Possession]:
+def ingest(path: str | Path, spec: CourtSpec, bounds_tolerance_ft: float) -> list[Possession]:
     """Parse a JSONL possession file, failing fast on the first bad line
-    with a DataError that names the file and the line."""
+    with a DataError that names the file and the line.  A track may leave
+    the court by ``bounds_tolerance_ft`` (the config's ``data`` value)."""
     possessions: list[Possession] = []
     ids: set[str] = set()  # windows, the split and label keys all go by id
     for lineno, line in read_lines(path):
@@ -254,9 +258,10 @@ def window(
     possession: Possession,
     spec: CourtSpec,
     rng: np.random.Generator,
-    windows_per_player: int = 1,
+    windows_per_player: int,
 ) -> list[TrainingSequence]:
-    """Cut random fixed-length windows, one family per offensive player.
+    """Cut ``windows_per_player`` (the config's ``data`` value) random
+    windows of ``SEQUENCE_STEPS`` steps per offensive player.
 
     Possessions shorter than a full window yield nothing.  Draws are made
     player-by-player in agent-id order so the result is reproducible for
@@ -307,8 +312,6 @@ def agent_positions(seq: TrainingSequence) -> np.ndarray:
 
 def split(sequences: list, holdout_fraction: float, seed: int):
     """Partition sequences into (train, holdout) keyed on possession id."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise DataError("holdout_fraction must be in (0, 1)")
     ids = sorted({s.possession_id for s in sequences})
     n_holdout = round(len(ids) * holdout_fraction)
     if n_holdout < 1 or n_holdout >= len(ids):

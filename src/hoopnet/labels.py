@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .court import CourtSpec
-from .data import TrainingSequence
+from .data import TrainingSequence, agent_positions
 from .util import rng_for, write_lines
 
 # a raw-frame step shorter than this (ft) is stationary
@@ -67,6 +67,17 @@ class LabeledSequence:
     @property
     def possession_id(self) -> str:
         return self.sequence.possession_id
+
+
+def assemble(batch: list[LabeledSequence], spec: CourtSpec | None = None) -> dict:
+    """The one batch layout of training and evaluation: model inputs, (N, T,
+    11, 2) agent positions, under ``inputs`` and every ``WeakLabels`` field
+    under its own name, stacked as new arrays.  Positions are independent
+    of ``spec``."""
+    arrays = {"inputs": np.stack([agent_positions(it.sequence) for it in batch])}
+    for f in fields(WeakLabels):
+        arrays[f.name] = np.stack([getattr(it.labels, f.name) for it in batch])
+    return arrays
 
 
 def micro_labels(

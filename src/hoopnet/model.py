@@ -227,8 +227,8 @@ class HPNModel(Module):
         lookahead = spec.lookahead_steps
         rng = rng_for(init_seed, "init")
 
-        # micro branch first so its initial weights are identical across
-        # variants built from the same seed
+        # micro branch first, so variants built from one init_seed share its
+        # initial weights; no run does so (``cli.Run.new_model`` seeds each variant)
         self.micro_encoder = SpatialEncoder(spec, arch, rng)
         feat = self.micro_encoder.out_dim
         if self.variant is Variant.CNN:

@@ -17,7 +17,7 @@ from .court import CourtSpec
 from .data import TrainingSequence
 from .errors import DataError
 from .rollout import RolloutResult
-from .util import atomic_open
+from .util import atomic_open, check_finite
 
 
 # SVG colours
@@ -38,6 +38,7 @@ class RenderSpec:
     scale_px_per_ft: float = 12.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.scale_px_per_ft <= 0:
             raise ValueError("scale_px_per_ft must be positive")
 

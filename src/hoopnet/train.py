@@ -9,7 +9,7 @@ resume at any stage boundary and replay identically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -17,13 +17,12 @@ import numpy as np
 
 from . import bench
 from .court import CourtSpec
-from .data import agent_positions
 from .engine import RMSProp, Tensor, backward, clip_gradients, softmax_nll
 from .engine.checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DivergenceError
-from .labels import LabeledSequence, WeakLabels, attention_targets
+from .labels import LabeledSequence, assemble, attention_targets
 from .model import HPNModel, Variant, time_major
-from .util import rng_for
+from .util import check_finite, rng_for
 
 
 class Stage(str, Enum):
@@ -57,6 +56,7 @@ class TrainConfig:
     early_stop_patience: int = 5
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.lr_pretrain <= 0 or self.lr_finetune <= 0:
             raise ValueError("lr_pretrain and lr_finetune must be positive")
         if self.batch_size < 2:
@@ -133,17 +133,7 @@ def stage_branches(model: HPNModel, stage: Stage) -> frozenset[str]:
     return model.branches if stage is Stage.FINETUNE else needs
 
 
-# batch assembly and augmentation
-
-
-def assemble(batch: list[LabeledSequence], spec: CourtSpec | None = None) -> dict:
-    """Stack a batch's model inputs, (N, T, 11, 2) agent positions, under
-    ``inputs`` and every ``WeakLabels`` field under its own name, as new
-    arrays.  Positions are independent of ``spec``."""
-    arrays = {"inputs": np.stack([agent_positions(it.sequence) for it in batch])}
-    for f in fields(WeakLabels):
-        arrays[f.name] = np.stack([getattr(it.labels, f.name) for it in batch])
-    return arrays
+# augmentation
 
 
 def augment_translate(
@@ -288,7 +278,7 @@ def run_stage(
             n_batches += 1
         seconds = time.perf_counter() - tic
         metrics = bench.evaluate(
-            model, holdout_data, spec, max_sequences=cfg.holdout_eval_max
+            model, holdout_data[:cfg.holdout_eval_max or None], spec
         ) if holdout_data else None
         records.append(
             EpochRecord(
@@ -313,10 +303,11 @@ def run_stage(
     return records
 
 
-def completed_stages(meta: dict[str, str]) -> list[str]:
-    """Names of the stages a checkpoint's metadata records as done, in
-    the order they ran."""
-    return [s for s in meta.get("completed_stages", "").split(",") if s]
+def stages_left(variant: Variant, meta: dict[str, str]) -> list[Stage]:
+    """The stages of ``variant``'s ``stage_schedule`` that a checkpoint's
+    metadata does not record as done, in the order they run."""
+    done = meta.get("completed_stages", "").split(",")
+    return [stage for stage in stage_schedule(variant) if stage.value not in done]
 
 
 def train_full(
@@ -324,46 +315,40 @@ def train_full(
     train_data: list[LabeledSequence],
     holdout_data: list[LabeledSequence],
     cfg: TrainConfig,
-    spec: CourtSpec,
     seed: int,
-    checkpoint_path: str | Path | None = None,
+    checkpoint_path: str | Path,
     resume: bool = False,
 ) -> TrainReport | None:
-    """Run the variant's ``stage_schedule`` in order, checkpointing at
-    stage boundaries.
+    """Run the variant's ``stage_schedule`` in order on ``model.spec``,
+    writing the checkpoint at ``checkpoint_path`` after every stage.
 
-    With ``resume=True`` and an existing checkpoint, completed stages are
-    skipped and training continues identically to an uninterrupted run
-    (stage RNGs derive from the run seed, and each stage starts with a
-    fresh optimizer); the report holds the stages this call trained, and
-    is None when every stage was already done.
+    With ``resume=True`` and an existing checkpoint, the ``stages_left``
+    by its metadata run and training continues identically to an
+    uninterrupted run (stage RNGs derive from the run seed, and each stage
+    starts with a fresh optimizer); the report holds the stages this call
+    trained, and is None when every stage was already done.
     """
     schedule = stage_schedule(model.variant)
-    done: list[str] = []
-    if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
-        meta = load_checkpoint(
-            checkpoint_path, model.state_for_checkpoint(), model.config_hash()
-        )
-        done = completed_stages(meta)
-        if all(stage.value in done for stage in schedule):
+    left = schedule
+    if resume and Path(checkpoint_path).exists():
+        left = stages_left(model.variant, load_checkpoint(
+            checkpoint_path, model.state_for_checkpoint(), model.config_hash()))
+        if not left:
             return None
+    completed = [stage.value for stage in schedule if stage not in left]
     records: list[EpochRecord] = []
-    completed = list(done)
-    for stage in schedule:
-        if stage.value in done:
-            continue
+    for stage in left:
         records.extend(
-            run_stage(model, train_data, holdout_data, stage, cfg, spec, seed)
+            run_stage(model, train_data, holdout_data, stage, cfg, model.spec, seed)
         )
         completed.append(stage.value)
-        if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path,
-                model.state_for_checkpoint(),
-                model.config_hash(),
-                meta={
-                    "variant": model.variant.value,
-                    "completed_stages": ",".join(completed),
-                },
-            )
-    return TrainReport(records, spec.lookahead_steps)
+        save_checkpoint(
+            checkpoint_path,
+            model.state_for_checkpoint(),
+            model.config_hash(),
+            meta={
+                "variant": model.variant.value,
+                "completed_stages": ",".join(completed),
+            },
+        )
+    return TrainReport(records, model.spec.lookahead_steps)

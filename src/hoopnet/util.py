@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, deterministic RNG construction,
-atomic file writes, and the line I/O of the JSONL artifacts:
+the config sections' finite check, atomic file writes, and JSONL line I/O:
 ``write_lines`` writes one line per record through ``atomic_open`` and
 ``read_lines`` yields each nonblank line with its number."""
 
@@ -32,6 +32,14 @@ def derive_seed(*parts) -> int:
 
 def rng_for(*parts) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
+
+
+def check_finite(section) -> None:
+    """ValueError naming the first float field of a config section that is
+    nan or +-inf, which would pass range checks: no comparison with nan holds."""
+    for name, value in vars(section).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @contextmanager

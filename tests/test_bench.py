@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -36,6 +34,7 @@ SPEC = CourtSpec()
 ARCH = ArchitectureConfig(conv_filters=(4, 6), conv_strides=(2, 1),
                           gru_cells=16, transfer_hidden=12)
 SEG = SegmentationConfig(seed=77)
+BURN_IN_STEPS = RolloutConfig().burn_in_steps
 
 
 def labeled_data(n_possessions=3, seed=71):
@@ -150,19 +149,6 @@ def test_random_macro_head_near_chance():
     assert abs(m.macro_acc - p) < 3 * sigma + 1e-9
 
 
-def test_evaluate_leaves_translation_labels_unstacked():
-    # evaluate reads neither macro_target_xy nor attention_magnitudes, so
-    # a chunk whose two streams could not be stacked still evaluates
-    chunk = [DATA[0], DATA[1]]
-    odd = replace(chunk[1].labels, macro_target_xy=np.zeros((3, 5)),
-                  attention_magnitudes=np.zeros(7))
-    chunk[1] = LabeledSequence(chunk[1].sequence, odd)
-    with pytest.raises(ValueError):
-        assemble(chunk, SPEC)
-    assert evaluate(_OraclePolicy(chunk, SPEC), chunk, SPEC) == \
-        evaluate(_OraclePolicy(DATA[:2], SPEC), DATA[:2], SPEC)
-
-
 def test_empty_holdout_rejected():
     with pytest.raises(DataError):
         evaluate(_OraclePolicy([], SPEC), [], SPEC)
@@ -174,7 +160,7 @@ def test_benchmark_rows_and_csv():
         "h_att": HPNModel(SPEC, ARCH, Variant.H_ATT, 1),
         "h_cc": HPNModel(SPEC, ARCH, Variant.H_CC, 1),
     }
-    rows = benchmark(models, DATA[:6], SPEC)
+    rows = benchmark(models, DATA[:6], SPEC, BURN_IN_STEPS)
     assert [r.variant for r in rows] == ["cnn", "h_cc", "h_att"]  # canonical order
     cnn_row = rows[0]
     assert cnn_row.macro_acc is None and cnn_row.attention_acc is None
@@ -193,8 +179,8 @@ def test_benchmark_rows_and_csv():
 
 def test_benchmark_deterministic_and_matches_per_op_calls():
     model = HPNModel(SPEC, ARCH, Variant.H_ATT, 6)
-    rows1 = benchmark({"h_att": model}, DATA[:6], SPEC)
-    rows2 = benchmark({"h_att": model}, DATA[:6], SPEC)
+    rows1 = benchmark({"h_att": model}, DATA[:6], SPEC, BURN_IN_STEPS)
+    rows2 = benchmark({"h_att": model}, DATA[:6], SPEC, BURN_IN_STEPS)
     assert rows1 == rows2
     direct = evaluate(model, DATA[:6], SPEC)
     assert rows1[0].acc_delta == direct.acc_delta
@@ -212,19 +198,23 @@ class _EarlyMacroPolicy(_OraclePolicy):
 
 @pytest.mark.parametrize("burn_in", [None, 20, 10, 3])
 def test_benchmark_late_macro_excludes_the_given_burn_in(burn_in):
+    # None: evaluate on its own, whose burn-in defaults to the rollout
+    # config's; benchmark takes it from its caller
     policy = _EarlyMacroPolicy(DATA, SPEC)
-    kwargs = {} if burn_in is None else {"burn_in": burn_in}
-    row, = benchmark({"h_att": policy}, DATA, SPEC, **kwargs)
-    late = 20 if burn_in is None else burn_in  # 20 steps by default
+    if burn_in is None:
+        late_acc = evaluate(policy, DATA, SPEC).macro_acc_excl_burnin
+    else:
+        late_acc = benchmark({"h_att": policy}, DATA, SPEC, burn_in)[0].macro_acc_excl_burnin
+    late = BURN_IN_STEPS if burn_in is None else burn_in
     t_steps = DATA[0].sequence.steps
-    assert row.macro_acc_excl_burnin == max(15 - late, 0) / (t_steps - late)
+    assert late_acc == max(15 - late, 0) / (t_steps - late)
 
 
 def test_benchmark_spec_mismatch():
     other_spec = CourtSpec(micro_cell_ft=0.5)
     model = HPNModel(other_spec, ARCH, Variant.CNN, 1)
     with pytest.raises(ConfigError, match="different court"):
-        benchmark({"cnn": model}, DATA[:2], SPEC)
+        benchmark({"cnn": model}, DATA[:2], SPEC, BURN_IN_STEPS)
 
 
 # the paper's claim

@@ -241,6 +241,14 @@ BAD_VALUES = [
     "run.n_rollouts=0",  # would fail only after training
     "run.n_rollouts=-2",  # would drop the last two rollouts
     "paths.out_dir=",  # would write every output into the working directory
+    # nan and infinity pass every range check, since no comparison with nan holds
+    "court.width_ft=inf",  # would overflow in the grid shapes
+    "court.micro_cell_ft=nan",
+    "data.bounds_tolerance_ft=inf",  # would let any track through
+    "data.bounds_tolerance_ft=-1",  # would refuse tracks inside the court
+    "train.lr_pretrain=nan",
+    "train.noise_sigma=inf",
+    "render.scale_px_per_ft=inf",
 ]
 
 
@@ -361,7 +369,8 @@ def test_label_sidecar_matches_in_process(tmp_path):
 
     cfg = load_run_config(path.read_text())
     seg = replace(cfg.labels, seed=derive_seed(5, "labels"))
-    possessions = data_mod.ingest(tmp_path / "out" / "possessions.jsonl", cfg.court)
+    possessions = data_mod.ingest(tmp_path / "out" / "possessions.jsonl", cfg.court,
+                                   cfg.data.bounds_tolerance_ft)
     recomputed = {}
     for p in sorted(possessions, key=lambda p: p.id):
         rng = rng_for(5, "window", p.id)

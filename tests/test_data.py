@@ -38,6 +38,7 @@ from _oracles import (
 )
 
 SPEC = CourtSpec()
+TOLERANCE_FT = 3.0  # DataConfig's bounds_tolerance_ft
 
 
 def _track(agent_id, role, points):
@@ -62,7 +63,7 @@ def make_possession(pid="p0", length=220, offset=0.0):
 def test_ingest_valid_line(tmp_path):
     path = tmp_path / "poss.jsonl"
     save_possessions([make_possession(length=120)], path)
-    loaded = ingest(path, SPEC)
+    loaded = ingest(path, SPEC, TOLERANCE_FT)
     assert len(loaded) == 1
     assert loaded[0].length_frames == 120
     assert len(loaded[0].tracks) == 11
@@ -71,7 +72,7 @@ def test_ingest_valid_line(tmp_path):
 def test_ingest_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert ingest(path, SPEC) == []
+    assert ingest(path, SPEC, TOLERANCE_FT) == []
 
 
 def test_ingest_missing_ball(tmp_path):
@@ -80,14 +81,14 @@ def test_ingest_missing_ball(tmp_path):
     path = tmp_path / "nob.jsonl"
     path.write_text(possession_to_json(stripped) + "\n")
     with pytest.raises(DataError, match="missing ball"):
-        ingest(path, SPEC)
+        ingest(path, SPEC, TOLERANCE_FT)
 
 
 def test_ingest_bad_json_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(possession_to_json(make_possession(length=120)) + "\n{oops\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 2: invalid JSON"):
-        ingest(path, SPEC)
+        ingest(path, SPEC, TOLERANCE_FT)
 
 
 @pytest.mark.parametrize("tracks", [None, 7])
@@ -96,7 +97,7 @@ def test_ingest_tracks_not_a_list_reports_line(tmp_path, tracks):
     bad = json.dumps({"id": "p1", "tracks": tracks})
     path.write_text(possession_to_json(make_possession(length=120)) + "\n" + bad + "\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 2: 'tracks' must be a list"):
-        ingest(path, SPEC)
+        ingest(path, SPEC, TOLERANCE_FT)
 
 
 def test_ingest_duplicate_agent_id_reports_line(tmp_path):
@@ -108,7 +109,7 @@ def test_ingest_duplicate_agent_id_reports_line(tmp_path):
     path = tmp_path / "dup.jsonl"
     path.write_text(possession_to_json(p) + "\n" + possession_to_json(dup) + "\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 2: duplicate agent id 'off0'$"):
-        ingest(path, SPEC)
+        ingest(path, SPEC, TOLERANCE_FT)
 
 
 def test_ingest_duplicate_possession_id_reports_line(tmp_path):
@@ -118,7 +119,7 @@ def test_ingest_duplicate_possession_id_reports_line(tmp_path):
     path.write_text(possession_to_json(make_possession("p1", length=120)) + "\n"
                     + possession_to_json(make_possession("p1", length=130)) + "\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 2: duplicate possession id 'p1'$"):
-        ingest(path, SPEC)
+        ingest(path, SPEC, TOLERANCE_FT)
 
 
 def test_ingest_geometry_error(tmp_path):
@@ -126,7 +127,7 @@ def test_ingest_geometry_error(tmp_path):
     path = tmp_path / "far.jsonl"
     path.write_text(possession_to_json(p) + "\n")
     with pytest.raises(DataError, match="leaves the court"):
-        ingest(path, SPEC, bounds_tolerance_ft=3.0)
+        ingest(path, SPEC, bounds_tolerance_ft=TOLERANCE_FT)
 
 
 def test_validation_names_the_first_bad_track_like_the_track_loop():
@@ -162,7 +163,7 @@ def test_round_trip_lossless(tmp_path):
     p = make_possession(length=211)
     path = tmp_path / "rt.jsonl"
     save_possessions([p], path)
-    again = ingest(path, SPEC)[0]
+    again = ingest(path, SPEC, TOLERANCE_FT)[0]
     assert again.id == p.id
     for a, b in zip(again.tracks, p.tracks):
         assert a.agent_id == b.agent_id and a.role == b.role
@@ -180,7 +181,7 @@ def test_window_counts():
 
 def test_window_too_short():
     p = make_possession(length=199)
-    assert window(p, SPEC, rng_for(0, "w")) == []
+    assert window(p, SPEC, rng_for(0, "w"), 1) == []
 
 
 def test_window_start_range():
@@ -201,7 +202,7 @@ def test_window_subsampling_alignment():
 
 def test_channelize_counts():
     p = make_possession(length=200)
-    seq = window(p, SPEC, rng_for(0, "w"))[0]
+    seq = window(p, SPEC, rng_for(0, "w"), 1)[0]
     grid = oracle_channelize(seq, SPEC)
     assert grid.shape == (50, 4, 45, 50)
     sums = grid.sum(axis=(2, 3))
@@ -217,7 +218,7 @@ def test_channelize_coincident_agents_keep_mass():
     tracks += [_track(f"off{j}", "teammate" if j else "focal", pts.copy()) for j in range(5)]
     tracks += [_track(f"def{j}", "opponent", pts.copy()) for j in range(5)]
     p = Possession("stack", tuple(tracks))
-    seq = window(p, SPEC, rng_for(0, "w"))[0]
+    seq = window(p, SPEC, rng_for(0, "w"), 1)[0]
     grid = oracle_channelize(seq, SPEC)
     col, row = cell_of(SPEC, 20.0, 20.0)
     assert grid[0, 2, row, col] == 4.0  # occupancy is a count
@@ -229,7 +230,7 @@ def test_split_examples():
     seqs = []
     for i in range(10):
         p = make_possession(pid=f"p{i}", length=200)
-        seqs.extend(window(p, SPEC, rng_for(i, "w")))
+        seqs.extend(window(p, SPEC, rng_for(i, "w"), 1))
     train, holdout = split(seqs, 0.1, seed=5)
     holdout_ids = {s.possession_id for s in holdout}
     train_ids = {s.possession_id for s in train}
@@ -242,7 +243,7 @@ def test_split_examples():
 
 
 def test_split_degenerate():
-    seqs = window(make_possession(length=200), SPEC, rng_for(0, "w"))
+    seqs = window(make_possession(length=200), SPEC, rng_for(0, "w"), 1)
     with pytest.raises(DataError, match="degenerate"):
         split(seqs, 0.2, seed=1)  # single possession cannot split
 
@@ -273,7 +274,7 @@ def test_synthesize_shape_and_reingest(tmp_path):
         assert 200 <= p.length_frames <= 300
     path = tmp_path / "synth.jsonl"
     save_possessions(possessions, path)
-    again = ingest(path, SPEC)
+    again = ingest(path, SPEC, TOLERANCE_FT)
     assert [p.id for p in again] == [p.id for p in possessions]
     for pa, pb in zip(again, possessions):
         for ta, tb in zip(pa.tracks, pb.tracks):

@@ -59,3 +59,27 @@ def test_variant_branches_and_the_court_edge_are_stated_once():
     assert "training" not in inspect.signature(model.HPNModel.run).parameters
     assert "training" not in inspect.signature(engine.spatial_encoder).parameters
     assert not hasattr(engine, "frozen_state")
+
+
+def _callers(name: str) -> set[str]:
+    """``module.function`` of every package function that calls ``name``,
+    directly or as an attribute."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    found.add(f"{path.stem}.{func.name}")
+    return found
+
+
+def test_the_batch_layout_is_stated_once():
+    # one assembler stacks the model inputs and label streams, for training
+    # and evaluation alike; the rollout stacks its own frozen-tail inputs
+    assert _callers("agent_positions") == {"labels.assemble", "rollout.batch_rollout"}
+    assert train.assemble is labels.assemble

@@ -238,7 +238,7 @@ def _labeled_synthetic(monkeypatch, n=2, dwell=(60, 80), seed=31):
 
 def test_label_sequence_alignment_and_determinism(monkeypatch):
     possessions, _ = _labeled_synthetic(monkeypatch)
-    seq = window(possessions[0], SPEC, rng_for(0, "w"))[0]
+    seq = window(possessions[0], SPEC, rng_for(0, "w"), 1)[0]
     lab1 = label_sequence(seq, SPEC, CFG)
     lab2 = label_sequence(seq, SPEC, CFG)
     for name in ("micro", "macro", "attention", "attention_magnitudes"):

@@ -128,7 +128,6 @@ def test_perfbench_reads_these_fields_and_methods():
 # perfbench/tracing.py still name them, and their metrics read 0
 MISSING_TODAY = {
     "hoopnet.train.channelize",
-    "hoopnet.bench.assemble",
     "hoopnet.model.pyramid_pool_np",
     "hoopnet.train.pyramid_pool_np",
     "hoopnet.model.HPNModel.sequence_tensors",

@@ -685,9 +685,7 @@ def test_freezing_per_stage_bytes():
 def test_training_deterministic_same_seed(tmp_path):
     def train_once(path):
         m = HPNModel(SPEC, ARCH, Variant.H_ATT, 6)
-        report = train_full(
-            m, DATA[:8], DATA[8:12], small_cfg(), SPEC, seed=9, checkpoint_path=path
-        )
+        report = train_full(m, DATA[:8], DATA[8:12], small_cfg(), seed=9, checkpoint_path=path)
         return report, path.read_bytes()
 
     r1, b1 = train_once(tmp_path / "a.ckpt")
@@ -705,7 +703,7 @@ def test_resume_matches_uninterrupted(tmp_path, monkeypatch):
     cfg = small_cfg()
     full_path = tmp_path / "full.ckpt"
     m_full = HPNModel(SPEC, ARCH, Variant.H_ATT, 8)
-    train_full(m_full, DATA[:8], [], cfg, SPEC, seed=4, checkpoint_path=full_path)
+    train_full(m_full, DATA[:8], [], cfg, seed=4, checkpoint_path=full_path)
 
     # interrupted as fine-tuning starts, after the first two stages'
     # checkpoint, then resumed
@@ -721,16 +719,17 @@ def test_resume_matches_uninterrupted(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(train_mod, "run_stage", interrupt_finetune)
         with pytest.raises(_Interrupted):
-            train_full(m_part, DATA[:8], [], cfg, SPEC, seed=4, checkpoint_path=part_path)
+            train_full(m_part, DATA[:8], [], cfg, seed=4, checkpoint_path=part_path)
     assert read_manifest(part_path)[2]["completed_stages"] == "pretrain_micro,pretrain_macro"
     m_resume = HPNModel(SPEC, ARCH, Variant.H_ATT, 8)
-    train_full(m_resume, DATA[:8], [], cfg, SPEC, seed=4, checkpoint_path=part_path, resume=True)
+    train_full(m_resume, DATA[:8], [], cfg, seed=4, checkpoint_path=part_path, resume=True)
     assert part_path.read_bytes() == full_path.read_bytes()
 
 
-def test_report_csv_columns():
+def test_report_csv_columns(tmp_path):
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 10)
-    report = train_full(m, DATA[:8], DATA[8:12], small_cfg(), SPEC, seed=5)
+    report = train_full(m, DATA[:8], DATA[8:12], small_cfg(), seed=5,
+                        checkpoint_path=tmp_path / "h_att.ckpt")
     csv = report.to_csv()
     header = csv.splitlines()[0]
     assert header.startswith("stage,epoch,loss,acc_delta0")
@@ -795,8 +794,10 @@ def test_early_stopping_watches_the_head_each_stage_trains(monkeypatch, stage):
 def test_run_stage_stores_evaluate_result_and_none_without_a_holdout():
     m = HPNModel(SPEC, ARCH, Variant.H_ATT, 10)
     cfg = small_cfg()
-    (rec,) = run_stage(m, DATA[:8], DATA[8:12], Stage.PRETRAIN_MICRO, cfg, SPEC, seed=5)
-    assert rec.holdout == evaluate(m, DATA[8:12], SPEC, max_sequences=cfg.holdout_eval_max)
+    # six holdout sequences, of which the first holdout_eval_max = 4 are scored
+    (rec,) = run_stage(m, DATA[:8], DATA[8:14], Stage.PRETRAIN_MICRO, cfg, SPEC, seed=5)
+    assert rec.holdout == evaluate(m, DATA[8:12], SPEC)
+    assert rec.holdout.n_sequences == cfg.holdout_eval_max
     (rec,) = run_stage(m, DATA[:8], [], Stage.PRETRAIN_MICRO, cfg, SPEC, seed=5)
     assert rec.holdout is None
 
